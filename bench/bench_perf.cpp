@@ -35,7 +35,10 @@
 //               backtracker and the raced portfolio, diffed against the
 //               propagate default, plus a pair-3 speedup measurement
 //               (backtrack + no cycle skip, i.e. the PR 7 configuration,
-//               vs. the current default) emitted as pair3_speedup.
+//               vs. the current default) emitted as pair3_speedup,
+//               and a pair-14 leg (the solver-heavy combine pair) timed
+//               under the propagate default and the backtrack oracle,
+//               whose reports must be byte-identical.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -373,6 +376,34 @@ int main(int argc, char** argv) {
                 pair3_identical ? "byte-identical" : "DIVERGED");
   }
 
+  // Pair idx 14 spends nearly all its time in P2/P3 solver queries. Its
+  // leg times the propagate default against the backtrack oracle, best
+  // of five each; the time is informational, report identity is gated.
+  std::size_t pair14 = pairs.size();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairs[i].idx == 14) pair14 = i;
+  }
+  double pair14_seconds = 0, pair14_oracle_seconds = 0;
+  bool pair14_identical = true;
+  if (pair14 < pairs.size()) {
+    core::VerificationReport default_rep, oracle_rep;
+    for (int r = 0; r < 5; ++r) {
+      const auto t0 = Clock::now();
+      default_rep = core::VerifyPair(pairs[pair14], opts);
+      const double s = SecondsSince(t0);
+      if (r == 0 || s < pair14_seconds) pair14_seconds = s;
+      const auto t1 = Clock::now();
+      oracle_rep = core::VerifyPair(pairs[pair14], backtrack_opts);
+      const double o = SecondsSince(t1);
+      if (r == 0 || o < pair14_oracle_seconds) pair14_oracle_seconds = o;
+    }
+    pair14_identical = ReportsIdentical({default_rep}, {oracle_rep});
+    std::printf("pair 14:      %.3f s propagate | %.3f s backtrack oracle "
+                "(reports %s)\n\n",
+                pair14_seconds, pair14_oracle_seconds,
+                pair14_identical ? "byte-identical" : "DIVERGED");
+  }
+
   // -- Machine-readable trajectory ------------------------------------------
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out != nullptr) {
@@ -426,6 +457,9 @@ int main(int argc, char** argv) {
                  "  \"pair3_optimized_seconds\": %.4f,\n"
                  "  \"pair3_speedup\": %.2f,\n"
                  "  \"pair3_identical\": %s,\n"
+                 "  \"pair14_seconds\": %.4f,\n"
+                 "  \"pair14_oracle_seconds\": %.4f,\n"
+                 "  \"pair14_identical\": %s,\n"
                  "  \"smoke\": %s\n"
                  "}\n",
                  run_parallel ? "ran" : "skipped (1 cpu)", parallel_seconds,
@@ -439,6 +473,8 @@ int main(int argc, char** argv) {
                  backend_identical ? "true" : "false",
                  pair3_baseline_seconds, pair3_optimized_seconds,
                  pair3_speedup, pair3_identical ? "true" : "false",
+                 pair14_seconds, pair14_oracle_seconds,
+                 pair14_identical ? "true" : "false",
                  smoke ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
@@ -458,6 +494,11 @@ int main(int argc, char** argv) {
   if (!pair3_identical) {
     std::printf("FAIL: pair-3 optimized report diverged from the "
                 "baseline leg\n");
+    return 1;
+  }
+  if (!pair14_identical) {
+    std::printf("FAIL: pair-14 propagate report diverged from the "
+                "backtrack oracle\n");
     return 1;
   }
   if (!artifact_identical) {

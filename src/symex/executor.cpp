@@ -239,13 +239,11 @@ struct SymExecutor::Run {
   }
 
   /// Satisfiability of `s`'s path constraints through the worker's
-  /// incremental cache: exact memo → subsumption → certified model
-  /// reuse → independence slicing → fresh search, seeded with the
-  /// state's own solve context (see SolverCache::Solve).
+  /// incremental cache: exact memo → context wipeout → certified model
+  /// reuse → fresh search, seeded with the state's own solve context
+  /// (see SolverCache::Solve).
   SolveResult SolveConstraints(WorkerCtx& w, SymState& s) {
-    SolverOptions query = opts.solver;
-    query.context = &s.solve_ctx;
-    SolveResult r = w.cache.Solve(s.constraints, s.pinned, query,
+    SolveResult r = w.cache.Solve(s.constraints, s.pinned, opts.solver,
                                   &s.solve_ctx);
     // Cache hits report zero steps, so each real search is counted once.
     solver_steps_total.fetch_add(r.steps, std::memory_order_relaxed);
@@ -264,9 +262,7 @@ struct SymExecutor::Run {
   SolveStatus BranchFeasible(WorkerCtx& w, SymState& s,
                              const ExprRef& constraint) {
     s.constraints.push_back(constraint);
-    SolverOptions query = opts.solver;
-    query.context = &s.solve_ctx;
-    const SolveResult r = w.cache.Solve(s.constraints, s.pinned, query,
+    const SolveResult r = w.cache.Solve(s.constraints, s.pinned, opts.solver,
                                         &s.solve_ctx);
     s.constraints.pop_back();
     solver_steps_total.fetch_add(r.steps, std::memory_order_relaxed);
@@ -818,8 +814,8 @@ struct SymExecutor::Run {
     // Directed mode proves each CFG-viable direction satisfiable before
     // committing or forking. Successive checks over one state extend a
     // shared prefix, which is the workload the incremental cache is
-    // built for (exact hits on the committed direction, model reuse and
-    // slicing on the extensions, subsumption on UNSAT prefixes). Naive
+    // built for (exact hits on the committed direction, model reuse on
+    // the extensions, context wipeouts on UNSAT unary prefixes). Naive
     // mode keeps the fork-everything behaviour — the Table IV baseline
     // measures exactly that state blow-up.
     if (directed) {

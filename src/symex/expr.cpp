@@ -359,6 +359,85 @@ const SortedSmallSet<std::uint32_t>& FreeVars(const ExprRef& expr) {
   return *root->vars_cache.load(std::memory_order_acquire);
 }
 
+namespace {
+
+std::uint32_t Lower(const Expr* e,
+                    std::unordered_map<const Expr*, std::uint32_t>* memo,
+                    ExprProgram* out) {
+  if (const auto it = memo->find(e); it != memo->end()) return it->second;
+  ExprProgram::Step step{e->kind, e->op, e->byte, 0, 0, e->value};
+  switch (e->kind) {
+    case ExprKind::kConst:
+      break;
+    case ExprKind::kInput:
+      step.a = e->offset;
+      break;
+    case ExprKind::kBinOp:
+      step.a = Lower(e->lhs.get(), memo, out);
+      step.b = Lower(e->rhs.get(), memo, out);
+      break;
+    case ExprKind::kNot:
+    case ExprKind::kExtract:
+      step.a = Lower(e->lhs.get(), memo, out);
+      break;
+  }
+  const auto idx = static_cast<std::uint32_t>(out->steps.size());
+  out->steps.push_back(step);
+  memo->emplace(e, idx);
+  return idx;
+}
+
+}  // namespace
+
+const ExprProgram& ProgramFor(const ExprRef& expr) {
+  const Expr* e = expr.get();
+  if (const ExprProgram* cached =
+          e->program_cache.load(std::memory_order_acquire)) {
+    return *cached;
+  }
+  // Same publication rule as FreeVars: racing threads may each lower the
+  // node, the CAS keeps the first program and losers discard theirs.
+  auto* program = new ExprProgram();
+  std::unordered_map<const Expr*, std::uint32_t> memo;
+  Lower(e, &memo, program);
+  program->steps.shrink_to_fit();
+  const ExprProgram* expected = nullptr;
+  if (!e->program_cache.compare_exchange_strong(expected, program,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_acquire)) {
+    delete program;
+    return *expected;
+  }
+  return *program;
+}
+
+std::uint64_t RunProgram(const ExprProgram& program, const std::uint8_t* vals,
+                         std::uint64_t* scratch) {
+  const ExprProgram::Step* steps = program.steps.data();
+  const std::size_t n = program.steps.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const ExprProgram::Step& s = steps[i];
+    switch (s.kind) {
+      case ExprKind::kConst:
+        scratch[i] = s.value;
+        break;
+      case ExprKind::kInput:
+        scratch[i] = vals[s.a];
+        break;
+      case ExprKind::kBinOp:
+        scratch[i] = ApplyBinOp(s.op, scratch[s.a], scratch[s.b]);
+        break;
+      case ExprKind::kNot:
+        scratch[i] = ~scratch[s.a];
+        break;
+      case ExprKind::kExtract:
+        scratch[i] = (scratch[s.a] >> (8 * s.byte)) & 0xFF;
+        break;
+    }
+  }
+  return scratch[n - 1];
+}
+
 std::size_t ExprSize(const ExprRef& expr) {
   switch (expr->kind) {
     case ExprKind::kConst:

@@ -27,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "support/small_set.h"
 #include "vm/ir.h"
@@ -44,6 +45,21 @@ enum class ExprKind : std::uint8_t {
   kExtract,  // (e >> 8*byte) & 0xFF — byte lane extraction for stores
 };
 
+/// An expression lowered to a straight-line program (see ProgramFor):
+/// step i computes from already-computed steps, so one forward pass
+/// evaluates the whole DAG with each distinct node visited once.
+struct ExprProgram {
+  struct Step {
+    ExprKind kind = ExprKind::kConst;
+    vm::Op op = vm::Op::kNop;  // kBinOp
+    std::uint8_t byte = 0;     // kExtract lane
+    std::uint32_t a = 0;       // first operand step; kInput: input offset
+    std::uint32_t b = 0;       // second operand step (kBinOp)
+    std::uint64_t value = 0;   // kConst
+  };
+  std::vector<Step> steps;  // topological; the result is steps.back()
+};
+
 struct Expr {
   ExprKind kind = ExprKind::kConst;
   vm::Op op = vm::Op::kNop;   // kBinOp only
@@ -54,13 +70,18 @@ struct Expr {
 
   bool IsConst() const { return kind == ExprKind::kConst; }
 
-  ~Expr() { delete vars_cache.load(std::memory_order_acquire); }
+  ~Expr() {
+    delete vars_cache.load(std::memory_order_acquire);
+    delete program_cache.load(std::memory_order_acquire);
+  }
 
   /// Lazily-computed free-variable set, published once per node (see
   /// FreeVars). Atomic because frontier workers may race on a shared
   /// node; losers of the publication CAS discard their copy.
   mutable std::atomic<const SortedSmallSet<std::uint32_t>*> vars_cache{
       nullptr};
+  /// Lazily-lowered program, published like vars_cache (see ProgramFor).
+  mutable std::atomic<const ExprProgram*> program_cache{nullptr};
 };
 
 /// A (partial) assignment of input bytes.
@@ -157,8 +178,22 @@ void CollectInputs(const ExprRef& expr, SortedSmallSet<std::uint32_t>& out);
 /// Free input-byte variables of `expr`, computed bottom-up once per node
 /// and cached on it (Expr::vars_cache), so repeated queries over a
 /// hash-consed DAG are O(1) amortized. The returned reference lives as
-/// long as the node does. Basis of independence slicing in the solver.
+/// long as the node does. The solver's variable sets come from here.
 const SortedSmallSet<std::uint32_t>& FreeVars(const ExprRef& expr);
+
+/// `expr` lowered to a straight-line program, compiled on first use and
+/// published on the node with the same CAS rule as FreeVars, so every
+/// solver query over a hash-consed constraint reuses one program. The
+/// returned reference lives as long as the node does.
+const ExprProgram& ProgramFor(const ExprRef& expr);
+
+/// Runs `program` over a dense byte array indexed by input offset
+/// (`vals` must cover every offset the program reads; unassigned bytes
+/// hold 0, matching Eval's absent-reads-as-zero rule). `scratch` holds
+/// at least program.steps.size() words. Equals Eval under the same
+/// assignment.
+std::uint64_t RunProgram(const ExprProgram& program, const std::uint8_t* vals,
+                         std::uint64_t* scratch);
 
 /// Number of nodes (diagnostics / memory-cost estimation).
 std::size_t ExprSize(const ExprRef& expr);

@@ -82,12 +82,15 @@ class SolveContext {
       }
     }
     VarEntry& entry = domains_.mut()[var];
-    Model probe;
-    std::uint8_t& cell = probe[var];
+    const ExprProgram& program = ProgramFor(constraint);
+    std::vector<std::uint8_t> probe(var + 1, 0);
+    std::vector<std::uint64_t> scratch(program.steps.size());
     for (unsigned v = 0; v < 256; ++v) {
       if (!entry.domain.Test(v)) continue;
-      cell = static_cast<std::uint8_t>(v);
-      if (Eval(constraint, probe) == 0) entry.domain.Reset(v);
+      probe[var] = static_cast<std::uint8_t>(v);
+      if (RunProgram(program, probe.data(), scratch.data()) == 0) {
+        entry.domain.Reset(v);
+      }
     }
     entry.applied.insert(
         std::lower_bound(entry.applied.begin(), entry.applied.end(), node),

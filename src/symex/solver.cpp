@@ -13,6 +13,15 @@
 
 namespace octopocs::symex {
 
+namespace {
+
+/// Preprocesses and searches a system of distinct, non-constant
+/// constraints; defined below, next to its preprocessing.
+SolveResult SolveDistinct(std::vector<ExprRef> constraints,
+                          const SolverOptions& options);
+
+}  // namespace
+
 std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name) {
   if (name == "backtrack") return SolverBackendKind::kBacktrack;
   if (name == "propagate") return SolverBackendKind::kPropagate;
@@ -60,44 +69,70 @@ const SolverCache::Entry* SolverCache::FindExact(
   return nullptr;
 }
 
-bool SolverCache::TryModelReuse(const std::vector<ExprRef>& constraints,
-                                const Model& pins, const Model& hints,
-                                const std::vector<Model>& pool,
-                                Model* out) const {
-  // Assemble a candidate assignment over exactly the constrained
-  // variables and *evaluate* the full constraint set under it — a reuse
-  // hit is a certificate, never a guess, and kUnsat can never come from
-  // this path. Per variable the candidate takes the pinned value (the
-  // constraints force it), else the cached model's, else the hint — the
-  // value a fresh hint-guided search would try first. The first
-  // candidate uses no cached model at all, which captures the common
-  // case of a guiding path the original PoC bytes already satisfy; then
-  // recent models, newest first.
-  SortedSmallSet<std::uint32_t> vars;
-  for (const ExprRef& c : constraints) vars.UnionWith(FreeVars(c));
+bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
+                         const Model& pins, const Model& hints,
+                         const std::vector<Model>& pool, Model* out) {
+  // Candidates come from the pool newest first, then from no cached
+  // model at all, which captures a guiding path the original PoC bytes
+  // already satisfy. Per variable the candidate takes pin > cached
+  // model > hint, the value a fresh hint-guided search would try first.
+  std::uint32_t top = 0;
+  std::size_t scratch_size = 0;
+  std::vector<const ExprProgram*> programs;
+  programs.reserve(constraints.size());
+  for (const ExprRef& c : constraints) {
+    const auto& fv = FreeVars(c).items();
+    if (!fv.empty()) top = std::max(top, fv.back());
+    programs.push_back(&ProgramFor(c));
+    scratch_size = std::max(scratch_size, programs.back()->steps.size());
+  }
+  // Per offset: whether the constraints mention it, and where its base
+  // value (pin, else hint, else 0) came from.
+  enum : std::uint8_t { kUnused, kFree, kHinted, kPinned };
+  std::vector<std::uint8_t> source(top + 1, kUnused);
+  std::vector<std::uint8_t> base(top + 1, 0);
+  std::vector<std::uint32_t> vars;
+  for (const ExprRef& c : constraints) {
+    for (const std::uint32_t var : FreeVars(c)) {
+      if (source[var] != kUnused) continue;
+      vars.push_back(var);
+      source[var] = kFree;
+      if (const auto pin = pins.find(var); pin != pins.end()) {
+        source[var] = kPinned;
+        base[var] = pin->second;
+      } else if (const auto hint = hints.find(var); hint != hints.end()) {
+        source[var] = kHinted;
+        base[var] = hint->second;
+      }
+    }
+  }
+  std::vector<std::uint8_t> vals(top + 1, 0);
+  std::vector<std::uint64_t> scratch(scratch_size);
   for (std::size_t i = pool.size() + 1; i-- > 0;) {
     const Model* reuse = i == 0 ? nullptr : &pool[i - 1];
-    Model candidate;
-    for (const std::uint32_t var : vars) {
-      if (const auto pin = pins.find(var); pin != pins.end()) {
-        candidate[var] = pin->second;
-      } else if (reuse != nullptr && reuse->count(var) != 0) {
-        candidate[var] = reuse->at(var);
-      } else if (const auto hint = hints.find(var); hint != hints.end()) {
-        candidate[var] = hint->second;
-      }  // else absent: evaluates as 0, the solver default
+    for (const std::uint32_t var : vars) vals[var] = base[var];
+    if (reuse != nullptr) {
+      for (const auto& [var, value] : *reuse) {
+        if (var <= top && source[var] != kUnused && source[var] != kPinned) {
+          vals[var] = value;
+        }
+      }
     }
     bool satisfied = true;
-    for (const ExprRef& c : constraints) {
-      if (Eval(c, candidate) == 0) {
+    for (const ExprProgram* program : programs) {
+      if (RunProgram(*program, vals.data(), scratch.data()) == 0) {
         satisfied = false;
         break;
       }
     }
-    if (satisfied) {
-      *out = std::move(candidate);
-      return true;
+    if (!satisfied) continue;
+    out->clear();
+    for (const std::uint32_t var : vars) {
+      if (source[var] != kFree || (reuse != nullptr && reuse->count(var))) {
+        out->emplace(var, vals[var]);
+      }
     }
+    return true;
   }
   return false;
 }
@@ -111,7 +146,8 @@ const SolveResult* SolverCache::Lookup(
     return &entry->result;
   }
   Model candidate;
-  if (TryModelReuse(constraints, pins, hints, reuse_models_, &candidate)) {
+  if (ReuseCertifiedModel(constraints, pins, hints, reuse_models_,
+                          &candidate)) {
     ++stats_.hits;
     ++stats_.model_reuse_hits;
     reuse_scratch_.status = SolveStatus::kSat;
@@ -135,27 +171,17 @@ const SolveResult& SolverCache::StoreEntry(
   return bucket.back().result;
 }
 
-void SolverCache::RememberUnsat(const std::vector<ExprRef>& constraints) {
-  if (unsat_cores_.size() >= kMaxUnsatCores) return;
-  std::vector<const Expr*> core;
-  core.reserve(constraints.size());
-  for (const ExprRef& c : constraints) core.push_back(c.get());
-  std::sort(core.begin(), core.end());
-  core.erase(std::unique(core.begin(), core.end()), core.end());
-  unsat_cores_.push_back(std::move(core));
+void SolverCache::RememberModel(const Model& model) {
+  reuse_models_.push_back(model);
+  if (reuse_models_.size() > kMaxReuseModels) {
+    reuse_models_.erase(reuse_models_.begin());
+  }
 }
 
 const SolveResult& SolverCache::Insert(
     const std::vector<ExprRef>& constraints, SolveResult result) {
   const SolveResult& stored = StoreEntry(constraints, std::move(result));
-  if (stored.status == SolveStatus::kSat) {
-    reuse_models_.push_back(stored.model);
-    if (reuse_models_.size() > kMaxReuseModels) {
-      reuse_models_.erase(reuse_models_.begin());
-    }
-  } else if (stored.status == SolveStatus::kUnsat) {
-    RememberUnsat(constraints);
-  }
+  if (stored.status == SolveStatus::kSat) RememberModel(stored.model);
   return stored;
 }
 
@@ -203,28 +229,13 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
 
   // 2. Subsumption. The context's wiped-out domain is an UNSAT unary
   // subset of this very query (every applied constraint is a query
-  // member by the executor's contract); likewise any remembered UNSAT
-  // core contained in the query proves it UNSAT. Verdict-only — no
-  // model, no search.
+  // member by the executor's contract). Verdict-only — no model, no
+  // search.
   if (ctx != nullptr && ctx->known_unsat()) {
     ++stats_.hits;
     ++stats_.subsumption_hits;
     out.status = SolveStatus::kUnsat;
     return out;
-  }
-  std::vector<const Expr*> sorted_key;
-  sorted_key.reserve(constraints.size());
-  for (const ExprRef& c : constraints) sorted_key.push_back(c.get());
-  std::sort(sorted_key.begin(), sorted_key.end());
-  for (const auto& core : unsat_cores_) {
-    if (core.size() <= sorted_key.size() &&
-        std::includes(sorted_key.begin(), sorted_key.end(), core.begin(),
-                      core.end())) {
-      ++stats_.hits;
-      ++stats_.subsumption_hits;
-      out.status = SolveStatus::kUnsat;
-      return out;
-    }
   }
 
   // 3. Certified model reuse, from the state's own pool when a context
@@ -232,7 +243,8 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
   Model candidate;
   const std::vector<Model>& pool =
       ctx != nullptr ? ctx->recent_models() : reuse_models_;
-  if (TryModelReuse(constraints, pins, options.hints, pool, &candidate)) {
+  if (ReuseCertifiedModel(constraints, pins, options.hints, pool,
+                          &candidate)) {
     ++stats_.hits;
     ++stats_.model_reuse_hits;
     out.status = SolveStatus::kSat;
@@ -241,26 +253,22 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
     return out;
   }
 
-  // 4. Fresh search through the configured backend, which also taps the
-  // cache's cross-query nogood store — the sub-branch analogue of the
-  // UNSAT-core tier above.
+  // 4. Fresh search through the configured backend. The normalized
+  // query is already what ByteSolver::SolveWith would build, so it goes
+  // straight to preprocessing.
+  support::fault::MaybeThrow(support::FaultSite::kSolverStep);
   SolverOptions fresh_options = options;
   fresh_options.context = ctx;
-  fresh_options.nogoods = &nogoods_;
-  ByteSolver solver(fresh_options);
-  out = solver.SolveWith(constraints);
+  out = SolveDistinct(constraints, fresh_options);
   ++stats_.misses;
 
   if (out.status == SolveStatus::kSat || out.status == SolveStatus::kUnsat) {
     StoreEntry(constraints, out);
-    if (out.status == SolveStatus::kUnsat) {
-      RememberUnsat(constraints);
-    } else if (ctx != nullptr) {
-      ctx->NoteModel(out.model);
-    } else {
-      reuse_models_.push_back(out.model);
-      if (reuse_models_.size() > kMaxReuseModels) {
-        reuse_models_.erase(reuse_models_.begin());
+    if (out.status == SolveStatus::kSat) {
+      if (ctx != nullptr) {
+        ctx->NoteModel(out.model);
+      } else {
+        RememberModel(out.model);
       }
     }
   }
@@ -353,6 +361,25 @@ bool DecomposeConcatEquality(const ExprRef& constraint,
         MakeConst((konst->value >> (8 * lane)) & 0xFF)));
   }
   return true;
+}
+
+SolveResult SolveDistinct(std::vector<ExprRef> constraints,
+                          const SolverOptions& options) {
+  // Propagation pre-pass: decompose concat equalities into byte pins so
+  // unit propagation starts from singleton domains for multi-byte
+  // fields. Runs before backend dispatch, so every core sees the same
+  // preprocessed system — a prerequisite for answer identity.
+  std::vector<ExprRef> derived;
+  for (const ExprRef& e : constraints) DecomposeConcatEquality(e, &derived);
+  for (const ExprRef& e : derived) {
+    if (e->IsConst() && e->value == 0) {
+      SolveResult result;
+      result.status = SolveStatus::kUnsat;
+      return result;
+    }
+  }
+  constraints.insert(constraints.end(), derived.begin(), derived.end());
+  return GetSolverBackend(options.backend).Solve(constraints, options);
 }
 
 bool Definitive(SolveStatus s) {
@@ -462,38 +489,24 @@ SolveResult ByteSolver::SolveWith(const std::vector<ExprRef>& extra) const {
     }
     all.push_back(e);
   }
-  // Interning canonicalizes structurally-equal constraints to one node,
-  // so duplicates (the same pin re-asserted along a path, a re-built
-  // guard) collapse under pointer identity before the search sees them.
-  {
-    std::unordered_set<const Expr*> seen;
-    std::size_t kept = 0;
-    for (ExprRef& e : all) {
-      if (seen.insert(e.get()).second) all[kept++] = std::move(e);
-    }
-    all.resize(kept);
+  for (const ExprRef& e : constraints_) {
+    if (e->IsConst()) poisoned = true;  // Add keeps only constant-false
   }
-  // Propagation pre-pass: decompose concat equalities into byte pins so
-  // unit propagation starts from singleton domains for multi-byte
-  // fields. Runs before backend dispatch, so every core sees the same
-  // preprocessed system — a prerequisite for answer identity.
-  {
-    std::vector<ExprRef> derived;
-    for (const ExprRef& e : all) DecomposeConcatEquality(e, &derived);
-    all.insert(all.end(), derived.begin(), derived.end());
-  }
-  SolveResult result;
   if (poisoned) {
+    SolveResult result;
     result.status = SolveStatus::kUnsat;
     return result;
   }
-  for (const ExprRef& e : all) {
-    if (e->IsConst() && e->value == 0) {
-      result.status = SolveStatus::kUnsat;
-      return result;
-    }
+  // Interning canonicalizes structurally-equal constraints to one node,
+  // so duplicates (the same pin re-asserted along a path, a re-built
+  // guard) collapse under pointer identity before the search sees them.
+  std::unordered_set<const Expr*> seen;
+  std::size_t kept = 0;
+  for (ExprRef& e : all) {
+    if (seen.insert(e.get()).second) all[kept++] = std::move(e);
   }
-  return GetSolverBackend(options_.backend).Solve(all, options_);
+  all.resize(kept);
+  return SolveDistinct(std::move(all), options_);
 }
 
 }  // namespace octopocs::symex

@@ -27,12 +27,12 @@
 //               domains with tree-walking Eval. Kept verbatim as the
 //               A/B oracle: slow, simple, trusted.
 //   propagate — watched-domain propagation over 256-bit ByteDomain
-//               masks with constraints compiled to straight-line
-//               programs, plus conflict-driven nogood recording. Same
-//               decision tree (variable order, value order, filtering
-//               strength) as the backtracker by construction, so both
-//               return the identical first model and identical kUnsat
-//               verdicts; only step counts differ.
+//               masks, evaluating each constraint through the
+//               straight-line program attached to its node
+//               (ProgramFor). Same decision tree (variable order, value
+//               order, filtering strength) as the backtracker by
+//               construction, so both return the identical first model,
+//               the identical kUnsat verdicts and the same step counts.
 //   portfolio — races both cores on two threads; the first definitive
 //               (kSat/kUnsat) answer wins and cancels the loser.
 //               Deterministic because the cores are answer-identical.
@@ -75,48 +75,6 @@ enum class SolverBackendKind : std::uint8_t {
 std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name);
 const char* SolverBackendName(SolverBackendKind kind);
 
-/// Conflict-driven nogoods recorded by the propagate core.
-///
-/// A nogood is a set of (variable, value) decision literals L plus the
-/// constraint set D (sorted node addresses) under which the search
-/// proved "D ∧ L has no model" by exhausting the subtree below L. It is
-/// sound to prune a branch of any later query Q ⊇ D whose partial
-/// assignment extends L: every total extension would satisfy D and L,
-/// contradicting the recorded proof. That subset applicability is what
-/// lets nogoods survive across the re-solves P3 issues as it extends a
-/// path's constraint prefix at each ep encounter — exactly like the
-/// UNSAT-core subsumption tier, but at sub-branch instead of whole-query
-/// granularity.
-///
-/// Pruned subtrees are provably model-free, so recording and consulting
-/// nogoods cannot change which model a complete search finds first, nor
-/// flip kUnsat — only shrink the explored tree.
-class NogoodStore {
- public:
-  using Literal = std::pair<std::uint32_t, std::uint8_t>;  // (offset, value)
-
-  struct Nogood {
-    std::vector<Literal> literals;    // sorted by offset
-    std::vector<const Expr*> deps;    // sorted-unique node addresses
-  };
-
-  /// Records "deps ∧ literals is model-free". `literals` must be sorted
-  /// by offset, `deps` sorted-unique. Duplicates (same literals with a
-  /// dependency superset of a stored entry) are dropped; the store stops
-  /// accepting once full.
-  void Record(std::vector<Literal> literals, std::vector<const Expr*> deps);
-
-  const std::vector<Nogood>& all() const { return nogoods_; }
-  std::size_t size() const { return nogoods_.size(); }
-
-  /// Bound on stored nogoods: keeps the per-query applicability scan and
-  /// the store's footprint O(1) in the length of a P3 run.
-  static constexpr std::size_t kMaxNogoods = 256;
-
- private:
-  std::vector<Nogood> nogoods_;
-};
-
 struct SolverOptions {
   /// Backtracking-step budget before giving up with kUnknown.
   std::uint64_t max_steps = 2'000'000;
@@ -139,11 +97,6 @@ struct SolverOptions {
   /// Search core selection. Excluded from every cache and artifact key —
   /// backends are answer-identical by construction.
   SolverBackendKind backend = SolverBackendKind::kPropagate;
-  /// Optional cross-query nogood store, consulted and extended by the
-  /// propagate core (the backtrack oracle ignores it). The SolverCache
-  /// owns one per executor worker, matching the interning scope the
-  /// recorded node addresses live in.
-  NogoodStore* nogoods = nullptr;
 };
 
 /// One complete search core. `Solve` receives the *preprocessed*
@@ -191,9 +144,23 @@ class ByteSolver {
   Model pins_;
 };
 
+/// Certified model reuse, the SolverCache's third tier. Assembles one
+/// candidate assignment per source — each `pool` model newest first,
+/// then hints alone — over exactly the variables `constraints`
+/// mention, taking per variable the pinned value (the constraints force
+/// it), else the source model's, else the hint; a variable with none of
+/// the three is absent from the candidate and reads as 0. The first
+/// candidate under which every constraint's node program evaluates
+/// nonzero is stored in `*out` and true returned: a certificate, never a
+/// guess. Candidates are evaluated over one dense offset-indexed byte
+/// array; tests/ holds the std::map oracle it must match exactly.
+bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
+                         const Model& pins, const Model& hints,
+                         const std::vector<Model>& pool, Model* out);
+
 /// Memoizes ByteSolver verdicts across the repeated feasibility and
 /// concretization queries a directed executor issues along shared path
-/// prefixes. Three mechanisms, all sound by construction:
+/// prefixes. Three tiers, all sound by construction:
 ///
 ///   exact memo    keyed by the exact sequence of constraint node
 ///                 addresses. Forked states copy their constraint
@@ -201,33 +168,29 @@ class ByteSolver {
 ///                 canonicalizes structurally-equal nodes, so an exact
 ///                 hit is *provably* the same query; it may return any
 ///                 verdict, including kUnsat.
-///   subsumption   a cached UNSAT *subset* proves any superset query
-///                 UNSAT (adding constraints never makes an
-///                 unsatisfiable system satisfiable). Verdict-only: no
-///                 model is fabricated, and SAT can never come from
-///                 this path, so a SAT verdict can never be flipped.
+///   subsumption   the caller's SolveContext saw a unary constraint wipe
+///                 out a variable's domain; every applied constraint is
+///                 a member of the query, so the query is UNSAT.
+///                 Verdict-only: no model is fabricated, and SAT can
+///                 never come from this path.
 ///   model reuse   a path extends its prefix by appending constraints,
 ///                 so the sequence key misses — but a model that
 ///                 satisfied the prefix often still satisfies the
-///                 extension. The cache overlays the caller's pinned
-///                 bytes onto each candidate model and *evaluates* the
-///                 full constraint set under it; only a model that
-///                 certifies every constraint is returned, as kSat.
-///                 kUnsat can never come from reuse, so a cached
+///                 extension. ReuseCertifiedModel overlays the caller's
+///                 pinned bytes onto each candidate model and
+///                 *evaluates* the full constraint set under it; only a
+///                 model that certifies every constraint is returned, as
+///                 kSat. kUnsat can never come from reuse, so a cached
 ///                 verdict can never contradict a fresh solve. With a
 ///                 SolveContext the candidate pool is the state's own
 ///                 (pure, forked-with-the-state) pool; without one, a
 ///                 small global most-recent pool.
 ///
-/// (A fourth mechanism, per-slice caching over independence slices, was
-/// retired: slice hits had been zero across the corpus since the
-/// SolveContext/prefix tiers above were introduced, because every query
-/// they could answer is answered earlier in the tier order. The
-/// union-find partitioning cost on every miss bought nothing.)
-///
-/// The cache additionally owns the cross-query NogoodStore the
-/// propagate backend feeds, scoped like everything else here to one
-/// executor run.
+/// Three more tiers were retired because they never answered a query
+/// on any measured workload: per-slice caching over independence
+/// slices, a pool of UNSAT cores whose subsets proved superset queries
+/// UNSAT, and cross-query nogoods recorded by the propagate core
+/// (DESIGN.md §10.1, §10.2, §15.2).
 ///
 /// The cache must not outlive the expressions it indexes: one cache per
 /// executor run (per frontier worker), like the interning scope whose
@@ -246,13 +209,15 @@ class SolverCache {
   };
 
   /// Front door for the executor: answers `constraints` (the caller's
-  /// path condition) through, in order: exact memo → context wipeout /
-  /// UNSAT-subset subsumption → certified model reuse → fresh search
-  /// through the configured backend. kSat/kUnsat results are cached;
-  /// kUnknown is not (a larger budget could improve it) and kCancelled
-  /// never is. The result is a pure function of (constraints, hints) —
-  /// see DESIGN.md §10 — except that subsumption may answer kUnsat
-  /// where an uncached search would have exhausted its step budget.
+  /// path condition) through, in order: exact memo → context wipeout →
+  /// certified model reuse → fresh search through the configured
+  /// backend. kSat/kUnsat results are cached; kUnknown is not (a larger
+  /// budget could improve it) and kCancelled never is. The result is a
+  /// pure function of (constraints, hints) — see DESIGN.md §10 — except
+  /// that a context wipeout may answer kUnsat where an uncached search
+  /// would have exhausted its step budget. `ctx` (may be null) is the
+  /// query's SolveContext; the fresh search runs with it in place of
+  /// options.context.
   SolveResult Solve(const std::vector<ExprRef>& constraints,
                     const Model& pins, const SolverOptions& options,
                     SolveContext* ctx);
@@ -276,10 +241,6 @@ class SolverCache {
   const Stats& stats() const { return stats_; }
   std::size_t size() const { return entries_; }
 
-  /// Nogoods recorded by fresh propagate-backend solves through this
-  /// cache; survives across queries for the cache's lifetime.
-  NogoodStore& nogoods() { return nogoods_; }
-
  private:
   struct Entry {
     std::vector<const Expr*> key;
@@ -289,8 +250,6 @@ class SolverCache {
   /// Most-recent-first reuse pool cap: candidates beyond this are
   /// evicted, bounding Lookup's evaluation work.
   static constexpr std::size_t kMaxReuseModels = 16;
-  /// UNSAT-core pool cap for subsumption checks.
-  static constexpr std::size_t kMaxUnsatCores = 64;
 
   static std::uint64_t HashKey(const std::vector<ExprRef>& constraints);
   static bool KeyEquals(const std::vector<const Expr*>& key,
@@ -299,16 +258,10 @@ class SolverCache {
   const Entry* FindExact(const std::vector<ExprRef>& constraints) const;
   const SolveResult& StoreEntry(const std::vector<ExprRef>& constraints,
                                 SolveResult result);
-  void RememberUnsat(const std::vector<ExprRef>& constraints);
-  bool TryModelReuse(const std::vector<ExprRef>& constraints,
-                     const Model& pins, const Model& hints,
-                     const std::vector<Model>& pool, Model* out) const;
+  void RememberModel(const Model& model);
 
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
   std::vector<Model> reuse_models_;  // most recent at the back
-  /// Sorted-unique node-address sets of known-UNSAT constraint systems.
-  std::vector<std::vector<const Expr*>> unsat_cores_;
-  NogoodStore nogoods_;
   SolveResult reuse_scratch_;        // backs model-reuse Lookup returns
   std::size_t entries_ = 0;
   Stats stats_;

@@ -1,8 +1,9 @@
 // The original recursive CSP search, preserved verbatim as the A/B
 // oracle behind SolverBackend. Slow and simple on purpose: std::array
-// domains, tree-walking Eval, no nogoods. The propagate core must agree
-// with this one on every definitive answer (status and first model), and
-// CI diffs whole-corpus runs of both to hold it to that.
+// domains, tree-walking Eval rather than node programs. The propagate
+// core must agree with this one on every definitive answer (status and
+// first model), and CI diffs whole-corpus runs of both to hold it to
+// that.
 #include <algorithm>
 #include <array>
 #include <deque>

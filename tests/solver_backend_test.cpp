@@ -8,15 +8,11 @@
 // differ only in how fast they walk it. kUnsat must agree exactly
 // (Type-III verdicts ride on its completeness). Under tiny step
 // budgets the backends may disagree about *whether* they finished, but
-// never about a definitive answer.
-//
-// The nogood cases pin the soundness argument from DESIGN.md §15: a
-// recorded nogood only ever prunes provably model-free subtrees, so a
-// store warmed by arbitrary earlier queries can never change a later
-// query's status or first model.
+// never about a definitive answer. With no budget in play the two cores
+// walk the same decision tree step for step, so even their step counts
+// match.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -157,69 +153,35 @@ TEST(BackendDifferential, FiveHundredRandomSystemsAgreeExactly) {
   EXPECT_GE(unsat, 50);
 }
 
-TEST(BackendDifferential, NogoodWarmedPropagateStillAgrees) {
-  // Same differential, but one NogoodStore survives across all queries —
-  // the P3 prefix-re-solve lifetime. Nogoods recorded by earlier systems
-  // whose dep sets happen to apply to later ones may prune subtrees, and
-  // must never change an answer.
-  std::mt19937 rng(777);
-  InternScope intern;  // one scope: node addresses stay comparable
-  NogoodStore store;
-  for (int round = 0; round < 150; ++round) {
-    const std::vector<ExprRef> cs = RandomSystem(rng, (round % 4) == 3);
-    SolverOptions warm;
-    warm.nogoods = &store;
-    const SolveResult fast = SolveUnder(cs, SolverBackendKind::kPropagate,
-                                        warm);
-    const SolveResult oracle =
-        SolveUnder(cs, SolverBackendKind::kBacktrack);
-    ASSERT_EQ(fast.status, oracle.status) << "round " << round;
-    if (oracle.status == SolveStatus::kSat) {
-      EXPECT_TRUE(SameAssignment(cs, fast.model, oracle.model))
-          << "round " << round;
-    }
-  }
-}
-
 TEST(BackendDifferential, GrowingPrefixReSolvesAgree) {
   // The exact P3 shape: a path's constraint prefix grows at each ep
-  // encounter and is re-solved each time, with the nogood store carried
-  // across. Every rung must match a cold backtrack solve of that rung.
+  // encounter and is re-solved each time, inside one interning scope so
+  // the node programs compiled for earlier rungs serve the later ones.
+  // Every rung must match a cold backtrack solve of that rung: status,
+  // first model and step count.
   std::mt19937 rng(31337);
   for (int round = 0; round < 60; ++round) {
     InternScope intern;
-    NogoodStore store;
     std::vector<ExprRef> prefix;
     for (int stage = 0; stage < 4; ++stage) {
       const std::vector<ExprRef> extension =
           RandomSystem(rng, /*force_unsat=*/stage == 3 && (round % 3) == 0);
       prefix.insert(prefix.end(), extension.begin(), extension.end());
-      SolverOptions warm;
-      warm.nogoods = &store;
       const SolveResult fast =
-          SolveUnder(prefix, SolverBackendKind::kPropagate, warm);
+          SolveUnder(prefix, SolverBackendKind::kPropagate);
       const SolveResult oracle =
           SolveUnder(prefix, SolverBackendKind::kBacktrack);
-      // Nogood pruning may let the propagate core finish a rung the
-      // backtracker's step budget cannot (that speedup is the point);
-      // what it may never do is contradict a definitive oracle answer
-      // or produce an uncertified model.
-      if (Definitive(oracle.status) && Definitive(fast.status)) {
-        ASSERT_EQ(fast.status, oracle.status)
+      ASSERT_EQ(fast.status, oracle.status)
+          << "round " << round << " stage " << stage;
+      EXPECT_EQ(fast.steps, oracle.steps)
+          << "round " << round << " stage " << stage;
+      if (oracle.status == SolveStatus::kSat) {
+        EXPECT_TRUE(SameAssignment(prefix, fast.model, oracle.model))
             << "round " << round << " stage " << stage;
-        if (oracle.status == SolveStatus::kSat) {
-          EXPECT_TRUE(SameAssignment(prefix, fast.model, oracle.model))
-              << "round " << round << " stage " << stage;
-        }
-      }
-      if (fast.status == SolveStatus::kSat) {
         EXPECT_TRUE(Satisfies(prefix, fast.model))
             << "round " << round << " stage " << stage;
       }
-      if (oracle.status == SolveStatus::kUnsat ||
-          fast.status == SolveStatus::kUnsat) {
-        break;
-      }
+      if (oracle.status == SolveStatus::kUnsat) break;
     }
   }
 }
@@ -294,113 +256,6 @@ TEST(BackendPlumbing, ParseAndNameRoundTrip) {
   }
   EXPECT_FALSE(ParseSolverBackend("z3").has_value());
   EXPECT_FALSE(ParseSolverBackend("").has_value());
-}
-
-// -- Nogood store semantics --------------------------------------------------
-
-TEST(NogoodStore, DropsDuplicatesAndWeakerEntries) {
-  InternScope intern;
-  const ExprRef c = InputEq(0, 1);
-  const ExprRef d = InputEq(1, 2);
-  NogoodStore store;
-  store.Record({{0, 1}}, {c.get()});
-  EXPECT_EQ(store.size(), 1u);
-  // Same literals, dependency superset: subsumed by the stored entry.
-  std::vector<const Expr*> wider = {c.get(), d.get()};
-  std::sort(wider.begin(), wider.end());
-  store.Record({{0, 1}}, wider);
-  EXPECT_EQ(store.size(), 1u);
-  // Empty literal sets carry no pruning information and are refused.
-  store.Record({}, {c.get()});
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(NogoodStore, StaysWithinItsCap) {
-  InternScope intern;
-  std::vector<ExprRef> keep_alive;
-  NogoodStore store;
-  for (std::uint32_t i = 0; i < NogoodStore::kMaxNogoods + 64; ++i) {
-    keep_alive.push_back(InputEq(i % 64, i % 256));
-    store.Record({{i % 64, static_cast<std::uint8_t>(i % 256)},
-                  {64 + i % 8, static_cast<std::uint8_t>(i % 7)}},
-                 {keep_alive.back().get()});
-  }
-  EXPECT_LE(store.size(), NogoodStore::kMaxNogoods);
-}
-
-TEST(NogoodSoundness, InapplicableNogoodsNeverFire) {
-  // Warm the store on an UNSAT system over var 0, then solve a
-  // *satisfiable* system whose only model assigns var 0 a value the
-  // warmed nogoods mention. The dep-subset applicability test must keep
-  // those nogoods inert — their proof talks about constraints this query
-  // does not contain.
-  InternScope intern;
-  NogoodStore store;
-  SolverOptions warm;
-  warm.nogoods = &store;
-  const SolveResult seed = SolveUnder(
-      {MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(4)), InputEq(0, 9)},
-      SolverBackendKind::kPropagate, warm);
-  ASSERT_EQ(seed.status, SolveStatus::kUnsat);
-
-  const std::vector<ExprRef> sat_query = {InputEq(0, 2)};
-  const SolveResult r =
-      SolveUnder(sat_query, SolverBackendKind::kPropagate, warm);
-  ASSERT_EQ(r.status, SolveStatus::kSat);
-  EXPECT_EQ(Eval(In(0), r.model), 2u);
-}
-
-TEST(NogoodSoundness, ExhaustiveSweepOverSmallSystems) {
-  // Brute-force ground truth on two-variable systems restricted to tiny
-  // domains: enumerate all 256^2 assignments... too slow; instead
-  // restrict with unary range constraints so the true model set is
-  // enumerable, and check the warmed propagate core finds exactly the
-  // first model (lowest var, then lowest value, hints absent) the
-  // oracle's ordering defines.
-  InternScope intern;
-  NogoodStore store;
-  SolverOptions warm;
-  warm.nogoods = &store;
-  std::mt19937 rng(99);
-  for (int round = 0; round < 80; ++round) {
-    const std::uint8_t lo0 = rng() % 8, hi0 = lo0 + 1 + rng() % 8;
-    const std::uint8_t lo1 = rng() % 8, hi1 = lo1 + 1 + rng() % 8;
-    const std::vector<ExprRef> cs = {
-        MakeBinOp(vm::Op::kCmpLeU, MakeConst(lo0), In(0)),
-        MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(hi0)),
-        MakeBinOp(vm::Op::kCmpLeU, MakeConst(lo1), In(1)),
-        MakeBinOp(vm::Op::kCmpLtU, In(1), MakeConst(hi1)),
-        MakeBinOp(vm::Op::kCmpNe, MakeBinOp(vm::Op::kAdd, In(0), In(1)),
-                  MakeConst(lo0 + lo1)),
-    };
-    // Ground truth: first (v0, v1) in lexicographic order with
-    // v0 + v1 != lo0 + lo1.
-    Model expect;
-    bool found = false;
-    for (std::uint32_t v0 = lo0; v0 < hi0 && !found; ++v0) {
-      for (std::uint32_t v1 = lo1; v1 < hi1 && !found; ++v1) {
-        if (v0 + v1 != static_cast<std::uint32_t>(lo0 + lo1)) {
-          expect[0] = static_cast<std::uint8_t>(v0);
-          expect[1] = static_cast<std::uint8_t>(v1);
-          found = true;
-        }
-      }
-    }
-    const SolveResult r = SolveUnder(cs, SolverBackendKind::kPropagate, warm);
-    if (!found) {
-      EXPECT_EQ(r.status, SolveStatus::kUnsat) << "round " << round;
-      continue;
-    }
-    ASSERT_EQ(r.status, SolveStatus::kSat) << "round " << round;
-    // The search branches on the smaller filtered domain first, so the
-    // lexicographic ground truth only binds when var 0's domain is the
-    // tighter one (ties break toward the lower offset).
-    if (hi0 - lo0 <= hi1 - lo1) {
-      EXPECT_TRUE(SameAssignment(cs, r.model, expect)) << "round " << round;
-    } else {
-      EXPECT_TRUE(Satisfies(cs, r.model)) << "round " << round;
-    }
-  }
 }
 
 }  // namespace

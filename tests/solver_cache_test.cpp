@@ -2,10 +2,8 @@
 // solve would return. Exact-key hits may return any verdict; model-reuse
 // hits must be certificates (the returned model satisfies every
 // constraint) and can never manufacture a kUnsat. Also covers the cache
-// front door (SolverCache::Solve), UNSAT subsumption, and solve-context
-// seeding — an independence-slicing tier lived beside these through
-// PR 7; it never fired on the corpus and was retired, and its surviving
-// assertions were folded in here.
+// front door (SolverCache::Solve), context-wipeout subsumption, and
+// solve-context seeding.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -297,22 +295,7 @@ TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
       << "the warmed cache should answer the joint query from cache";
 }
 
-// -- UNSAT subsumption -----------------------------------------------------
-
-TEST(SubsumptionTest, CachedUnsatSubsetProvesSupersetUnsat) {
-  InternScope intern;
-  SolverCache cache;
-  const std::vector<ExprRef> core = {InputEq(2, 7), InputEq(2, 9)};
-  ASSERT_EQ(cache.Solve(core, {}, {}, nullptr).status, SolveStatus::kUnsat);
-
-  const std::vector<ExprRef> superset = {InputEq(0, 1), core[0],
-                                         InputEq(5, 3), core[1]};
-  const SolveResult r = cache.Solve(superset, {}, {}, nullptr);
-  EXPECT_EQ(r.status, SolveStatus::kUnsat);
-  EXPECT_EQ(cache.stats().subsumption_hits, 1u);
-  // Soundness cross-check: a fresh search agrees.
-  EXPECT_EQ(FreshSolve(superset).status, SolveStatus::kUnsat);
-}
+// -- Subsumption -----------------------------------------------------------
 
 TEST(SubsumptionTest, NeverFlipsASatisfiableQuery) {
   // Warm a cache with many UNSAT systems, then stress it with random
@@ -417,14 +400,27 @@ TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   EXPECT_GE(s.model_reuse_hits, 1u)
       << "the relaxed query must be served by certified model reuse";
 
-  // UNSAT core, then a superset: subsumption.
+  // Without a context nothing proves a query UNSAT in advance: a UNSAT
+  // system and a superset of it are both fresh searches.
   ASSERT_EQ(cache.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, {}, nullptr)
                 .status,
             SolveStatus::kUnsat);
   ASSERT_EQ(
       cache.Solve({a, InputEq(2, 1), InputEq(2, 2)}, {}, {}, nullptr).status,
       SolveStatus::kUnsat);
+  EXPECT_EQ(cache.stats().misses, 4u);
+  EXPECT_EQ(cache.stats().subsumption_hits, 0u);
+
+  // A context whose unary domain for in[2] wiped out: subsumption.
+  SolveContext ctx;
+  ctx.Apply(InputEq(2, 1));
+  ctx.Apply(InputEq(2, 2));
+  ASSERT_TRUE(ctx.known_unsat());
+  ASSERT_EQ(cache.Solve({b, InputEq(2, 1), InputEq(2, 2)}, {}, {}, &ctx)
+                .status,
+            SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().subsumption_hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 }  // namespace
