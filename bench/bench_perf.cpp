@@ -32,7 +32,7 @@
 //               wall-time of the origin-sharing pairs with and without
 //               a warm cache.
 //   backends    solver-backend A/B: the whole corpus under the legacy
-//               backtracker and the raced portfolio, diffed against the
+//               backtracker, diffed against the
 //               propagate default, plus a pair-3 speedup measurement
 //               (backtrack + no cycle skip, i.e. the PR 7 configuration,
 //               vs. the current default) emitted as pair3_speedup,
@@ -322,18 +322,13 @@ int main(int argc, char** argv) {
 
   // -- Solver backend A/B: corpus identity + pair-3 speedup -----------------
   // The propagation core (the default, measured by the serial leg above)
-  // must be answer-identical to the legacy backtracker and to the raced
-  // portfolio over the whole corpus — the same bar the dispatch modes
-  // are held to.
+  // must be answer-identical to the legacy backtracker over the whole
+  // corpus — the same bar the dispatch modes are held to.
   core::PipelineOptions backtrack_opts;
   core::SetSolverBackend(backtrack_opts, symex::SolverBackendKind::kBacktrack);
   const auto corpus_backtrack = core::VerifyCorpus(pairs, backtrack_opts, 1);
-  core::PipelineOptions portfolio_opts;
-  core::SetSolverBackend(portfolio_opts, symex::SolverBackendKind::kPortfolio);
-  const auto corpus_portfolio = core::VerifyCorpus(pairs, portfolio_opts, 1);
-  const bool backend_identical = ReportsIdentical(serial, corpus_backtrack) &&
-                                 ReportsIdentical(serial, corpus_portfolio);
-  std::printf("backends:     backtrack/portfolio corpus results %s the "
+  const bool backend_identical = ReportsIdentical(serial, corpus_backtrack);
+  std::printf("backends:     backtrack corpus results %s the "
               "propagate default\n",
               backend_identical ? "byte-identical to" : "DIVERGED from");
 

@@ -37,8 +37,8 @@ namespace octopocs::core {
 /// Canonical fingerprint of everything that affects corpus verdicts:
 /// the verdict-bearing PipelineOptions knobs, the pair set (extended or
 /// paper corpus, pair count), the per-pair deadline, and the isolation
-/// memory cap. Deliberately excludes jobs / frontier_jobs / tracing /
-/// the artifact cache — all proven byte-identical elsewhere.
+/// memory cap. Deliberately excludes jobs / tracing / the artifact
+/// cache / the backend knobs — all proven byte-identical elsewhere.
 std::string CorpusOptionsFingerprint(const PipelineOptions& options,
                                      bool extended, std::size_t pair_count,
                                      std::uint64_t pair_deadline_ms,

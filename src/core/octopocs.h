@@ -245,10 +245,11 @@ struct PipelineOptions {
 void SetVmDispatch(PipelineOptions& options, vm::DispatchMode mode);
 
 /// Selects the CSP search core for every solver query P2/P3 issues
-/// (including retry rungs, which reuse the same options). Backends are
-/// answer-identical — the CLI's --solver-backend flag exists for A/B
-/// verification and perf measurement, so like the dispatch mode the
-/// choice never enters artifact keys or journal fingerprints.
+/// (including retry rungs, which reuse the same options). The two cores
+/// are answer-identical — the CLI's --solver-backend flag exists to A/B
+/// the propagate core against the backtrack oracle, so like the
+/// dispatch mode the choice never enters artifact keys or journal
+/// fingerprints.
 void SetSolverBackend(PipelineOptions& options, symex::SolverBackendKind kind);
 
 /// Enables or disables the interpreter's exact-cycle fast-forward in

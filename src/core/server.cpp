@@ -204,8 +204,9 @@ void Server::Drain() {
     draining_ = true;
   }
   cv_.notify_all();
-  listener_.Close();  // Accept() returns -2, the accept loop exits
+  listener_.Shutdown();  // Accept() returns -2, the accept loop exits
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   for (auto& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
@@ -226,7 +227,7 @@ std::size_t Server::queue_size() const {
 void Server::AcceptLoop() {
   for (;;) {
     const int fd = listener_.Accept(100, options_.interrupt);
-    if (fd == -2) return;  // interrupt tripped or listener closed
+    if (fd == -2) return;  // interrupt tripped or listener shut down
     if (fd == -1) continue;
     HandleConnection(fd);
   }

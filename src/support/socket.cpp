@@ -71,19 +71,30 @@ bool UnixListener::Listen(const std::string& path, std::string* error) {
     return false;
   }
   fd_ = fd;
+  shut_down_.store(false, std::memory_order_release);
   path_ = path;
   return true;
 }
 
 int UnixListener::Accept(std::uint64_t poll_ms,
                          const std::atomic<int>* interrupt) {
-  if (fd_ < 0 || Tripped(interrupt)) return -2;
+  const auto stopped = [&] {
+    return shut_down_.load(std::memory_order_acquire) || Tripped(interrupt);
+  };
+  if (fd_ < 0 || stopped()) return -2;
   pollfd pfd{fd_, POLLIN, 0};
   const int rv = ::poll(&pfd, 1, static_cast<int>(poll_ms));
-  if (Tripped(interrupt)) return -2;
+  if (stopped()) return -2;
   if (rv <= 0) return -1;  // timeout or EINTR — poll again
   const int conn = ::accept(fd_, nullptr, nullptr);
   return conn >= 0 ? conn : -1;
+}
+
+void UnixListener::Shutdown() {
+  shut_down_.store(true, std::memory_order_release);
+  // A listening socket that is shut down for reading reports readable,
+  // so a poll() blocked on it returns at once.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void UnixListener::Close() {
@@ -237,6 +248,7 @@ bool UnixListener::Listen(const std::string&, std::string* error) {
   return false;
 }
 int UnixListener::Accept(std::uint64_t, const std::atomic<int>*) { return -2; }
+void UnixListener::Shutdown() {}
 void UnixListener::Close() {}
 
 int ConnectUnix(const std::string&, std::string* error) {

@@ -36,14 +36,21 @@ class UnixListener {
 
   /// Waits up to `poll_ms` for a connection. Returns the accepted fd,
   /// -1 on timeout (poll again), or -2 when `interrupt` is tripped or
-  /// the listener is closed. The poll bound is what makes the accept
-  /// loop drain promptly on SIGINT/SIGTERM.
+  /// the listener is shut down or closed. The poll bound is what makes
+  /// the accept loop drain promptly on SIGINT/SIGTERM.
   int Accept(std::uint64_t poll_ms, const std::atomic<int>* interrupt);
+
+  /// Wakes an Accept() blocked in another thread and makes it, and
+  /// every later call, return -2. Leaves the fd open: Close() it only
+  /// once the accepting thread has stopped, so that thread can never
+  /// poll or accept on an fd number the process has since reused.
+  void Shutdown();
 
   void Close();
 
  private:
   int fd_ = -1;
+  std::atomic<bool> shut_down_{false};
   std::string path_;
 };
 

@@ -12,7 +12,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -71,129 +70,5 @@ class ThreadPool {
 /// jobs == 1.
 void ParallelFor(std::size_t count, unsigned jobs,
                  const std::function<void(std::size_t)>& fn);
-
-// ---------------------------------------------------------------------------
-// Work stealing. Finer-grained than ThreadPool's single queue: each
-// worker owns a deque, pushes and pops at the bottom (LIFO, preserving
-// depth-first locality), and idle workers steal from the *top* of a
-// victim's deque (FIFO — the oldest, typically largest-subtree item).
-// Work items here are symbolic states (milliseconds each), so a
-// per-deque mutex is still far below the noise floor; what matters is
-// that an idle worker parks on a condition variable instead of spinning
-// over empty deques.
-// ---------------------------------------------------------------------------
-
-/// One worker's double-ended queue.
-template <typename T>
-class WorkStealingDeque {
- public:
-  void PushBottom(T item) {
-    std::lock_guard<std::mutex> lock(mu_);
-    items_.push_back(std::move(item));
-  }
-
-  /// Owner end: newest item (LIFO).
-  bool PopBottom(T* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.back());
-    items_.pop_back();
-    return true;
-  }
-
-  /// Thief end: oldest item (FIFO).
-  bool StealTop(T* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::deque<T> items_;
-};
-
-/// Shared coordination for a work-stealing pool: an in-flight item
-/// count for drain detection, a version counter closing the
-/// missed-wakeup race, and a condition variable idle workers block on.
-///
-/// Protocol per worker:
-///   for (;;) {
-///     const std::uint64_t seen = coord.Version();
-///     if (pop-or-steal succeeded) { run item; coord.NoteDone(); }
-///     else if (!coord.WaitForWork(seen)) break;  // drained or aborted
-///   }
-/// Producers call NoteEnqueued() *before* making the item stealable is
-/// not required — only before the producing worker's own NoteDone() —
-/// because an item is only unreachable-but-pending while its producer
-/// still counts as in flight.
-class StealCoordinator {
- public:
-  void NoteEnqueued() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++pending_;
-      ++version_;
-    }
-    cv_.notify_one();
-  }
-
-  void NoteDone() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++version_;
-    if (--pending_ == 0) cv_.notify_all();
-  }
-
-  /// Aborts the pool: wakes every parked worker; WaitForWork returns
-  /// false from now on.
-  void Abort() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      aborted_ = true;
-      ++version_;
-    }
-    cv_.notify_all();
-  }
-
-  bool aborted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return aborted_;
-  }
-
-  std::uint64_t Version() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return version_;
-  }
-
-  std::size_t pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pending_;
-  }
-
-  /// Parks until the pool's state moves past `seen_version` (new work
-  /// or a drain step), then reports whether it is worth looking for
-  /// work again: false means drained or aborted — exit the loop.
-  bool WaitForWork(std::uint64_t seen_version) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] {
-      return aborted_ || pending_ == 0 || version_ != seen_version;
-    });
-    return !aborted_ && pending_ > 0;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t pending_ = 0;
-  std::uint64_t version_ = 0;
-  bool aborted_ = false;
-};
 
 }  // namespace octopocs::support

@@ -2,11 +2,11 @@
 //
 // The pipeline (DESIGN.md §11) threads one Tracer through every layer —
 // the phase driver opens a span per phase attempt, the symbolic executor
-// emits solver/steal counters, VerifyCorpus wraps each pair in a span —
-// and the CLI serialises the merged event stream to a JSONL file
+// emits solver counters, VerifyCorpus wraps each pair in a span — and
+// the CLI serialises the merged event stream to a JSONL file
 // (--trace-out). The tracer replaces ad-hoc printf plumbing as the
-// transport for per-phase wall time, solver hit-kind counters, frontier
-// steal counts and artifact-cache hits.
+// transport for per-phase wall time, solver hit-kind counters and
+// artifact-cache hits.
 //
 // Concurrency model: each thread appends to its own chunked buffer, so
 // the hot path (Begin/End/Counter) takes no lock — appends write into a

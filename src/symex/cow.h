@@ -15,8 +15,9 @@
 //                references it.
 //
 // Sharing is only ever *within* one executor run, which is single-
-// threaded; parallel corpus verification runs one executor per thread
-// and states never migrate, so use_count() checks are race-free.
+// threaded: each pair's P2/P3 search is one serial loop, and parallel
+// corpus verification runs one executor per thread, so use_count()
+// checks are race-free.
 //
 // FootprintBytes() charges shared storage fractionally (bytes divided by
 // the number of owners) so the Table IV RAM metric keeps matching real

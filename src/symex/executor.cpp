@@ -1,15 +1,10 @@
 #include "symex/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "support/fault.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 #include "vm/op_info.h"
 
@@ -56,13 +51,6 @@ std::optional<std::pair<std::uint32_t, std::uint8_t>> AsBytePin(
                         static_cast<std::uint8_t>(konst->value));
 }
 
-using EventKey = std::vector<std::uint32_t>;
-
-bool KeyLess(const EventKey& a, const EventKey& b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
-                                      b.end());
-}
-
 }  // namespace
 
 struct SymExecutor::Run {
@@ -90,80 +78,36 @@ struct SymExecutor::Run {
 
   cfg::DistanceMap dmap;
 
-  /// Per-worker execution context. The serial drive loop is worker 0 of
-  /// a one-worker run; frontier mode instantiates frontier_jobs of
-  /// these. Everything a state's execution mutates that is not shared-
-  /// by-design lives here, so the stepping code below is oblivious to
-  /// which mode it runs under.
-  struct WorkerCtx {
-    unsigned id = 0;
-    /// Per-worker memo. Caches must not be shared across workers: every
-    /// mechanism they serve is a pure function of the query (see
-    /// solver.h), so private caches only cost duplicate work, never
-    /// divergent answers.
-    SolverCache cache;
-    /// Naive-BFS bookkeeping: after a two-way fork the continuing state
-    /// goes back to the queue (breadth-first interleaving).
-    bool requeue_current = false;
-    /// Per-worker copy: the poll counters are per-copy state.
-    support::CancelToken cancel;
-    /// Frontier only: this worker's own deque.
-    support::WorkStealingDeque<SymState>* deque = nullptr;
-    /// Event key of the goal this worker just committed (RunState
-    /// returned true with a success status).
-    EventKey goal_key;
-  };
+  /// The run's memo. Every mechanism it serves is a pure function of
+  /// the query (see solver.h), so it only ever saves work.
+  SolverCache cache;
+  /// The wall-clock bound, polled between states and inside RunState.
+  support::CancelToken cancel;
 
-  // -- Shared, thread-safe run state ----------------------------------------
+  std::deque<SymState> worklist;
+  /// Naive-BFS bookkeeping: after a two-way fork the continuing state
+  /// goes back to the queue (breadth-first interleaving).
+  bool requeue_current = false;
 
-  bool frontier = false;                     // set once before exploration
-  std::deque<SymState> worklist;             // serial mode only
-  support::StealCoordinator* coord = nullptr;  // frontier mode only
+  std::uint64_t queued_footprint = 0;
+  std::uint64_t instructions_total = 0;
+  std::uint64_t solver_steps_total = 0;
+  std::uint64_t states_created_total = 0;
+  std::uint64_t live_states = 0;  // queued + in flight
+  std::uint64_t peak_live_states = 0;
+  std::uint64_t peak_memory_bytes = 0;
 
-  std::atomic<std::uint64_t> queued_footprint{0};
-  std::atomic<std::uint64_t> instructions_total{0};
-  std::atomic<std::uint64_t> solver_steps_total{0};
-  std::atomic<std::uint64_t> states_created_total{0};
-  std::atomic<std::uint64_t> live_states{0};  // queued + in flight
-  std::atomic<std::uint64_t> peak_live_states{0};
-  std::atomic<std::uint64_t> peak_memory_bytes{0};
-  std::atomic<std::uint64_t> frontier_steals_total{0};
-
-  SymexStats stats;
-  support::CancelToken cancel;  // serial drive loop's copy
-
-  /// What exploration saw, keyed for deterministic merging. Serial runs
-  /// record chronologically (their event-key order *is* execution
-  /// order); frontier workers record out of order and the keys restore
-  /// the serial view: an observation "happened" — from the committed
-  /// result's point of view — iff its key precedes the committed goal's
-  /// key, because lexicographic event-key order equals the serial DFS
-  /// execution order by construction (see state.h on dfs_key).
+  /// What exploration saw, in execution order; the worklist-drain
+  /// classification in Execute reads it.
   struct ObservationLog {
-    std::mutex mu;
     bool reached_ep = false;
     bool solver_budget = false;
     bool deadline = false;
     bool unsat = false;
-    std::string unsat_detail_chrono;  // latest by wall clock (serial truth)
-    EventKey unsat_max_key;           // latest by event key (frontier truth)
-    std::string unsat_detail_keyed;
+    std::string unsat_detail;  // the latest unsat observation
     bool loop_dead = false;
-    EventKey loop_dead_min_key;
   };
   ObservationLog log;
-
-  /// Best (smallest-key) committed goal and the first abort, if any.
-  std::mutex goal_mu;
-  bool have_goal = false;
-  EventKey goal_key;
-  SymexResult goal_result;
-  bool have_abort = false;
-  SymexResult abort_result;
-  std::atomic<bool> goal_seen{false};
-
-  std::mutex err_mu;
-  std::exception_ptr first_error;
 
   // ---------------------------------------------------------------------
   // State helpers.
@@ -173,34 +117,17 @@ struct SymExecutor::Run {
 
   void Die(SymState& s, StateDeath why) { s.death = why; }
 
-  /// Stamps the state's next event. Consumed at forks, at every logged
-  /// observation, and at goal commits — identically in serial and
-  /// frontier mode, which is what keeps the keys comparable.
-  EventKey NextEvent(SymState& s) {
-    EventKey key = s.dfs_key;
-    key.push_back(s.event_seq++);
-    return key;
-  }
-
   /// Records an unsat observation for final-status classification
   /// without killing the state. A pruned branch direction is exactly
   /// the same evidence the dropped fork would have produced at its
   /// first solving site, so it feeds the same log.
-  void RecordUnsat(SymState& s, std::string detail) {
-    EventKey key = NextEvent(s);
-    {
-      std::lock_guard<std::mutex> lock(log.mu);
-      log.unsat = true;
-      log.unsat_detail_chrono = detail;
-      if (log.unsat_max_key.empty() || KeyLess(log.unsat_max_key, key)) {
-        log.unsat_max_key = std::move(key);
-        log.unsat_detail_keyed = std::move(detail);
-      }
-    }
+  void RecordUnsat(std::string detail) {
+    log.unsat = true;
+    log.unsat_detail = std::move(detail);
   }
 
   void NoteUnsat(SymState& s, std::string detail) {
-    RecordUnsat(s, std::move(detail));
+    RecordUnsat(std::move(detail));
     Die(s, StateDeath::kUnsat);
   }
 
@@ -238,15 +165,15 @@ struct SymExecutor::Run {
                                MakeConst(val)));
   }
 
-  /// Satisfiability of `s`'s path constraints through the worker's
+  /// Satisfiability of `s`'s path constraints through the run's
   /// incremental cache: exact memo → context wipeout → certified model
   /// reuse → fresh search, seeded with the state's own solve context
   /// (see SolverCache::Solve).
-  SolveResult SolveConstraints(WorkerCtx& w, SymState& s) {
-    SolveResult r = w.cache.Solve(s.constraints, s.pinned, opts.solver,
-                                  &s.solve_ctx);
+  SolveResult SolveConstraints(SymState& s) {
+    SolveResult r =
+        cache.Solve(s.constraints, s.pinned, opts.solver, &s.solve_ctx);
     // Cache hits report zero steps, so each real search is counted once.
-    solver_steps_total.fetch_add(r.steps, std::memory_order_relaxed);
+    solver_steps_total += r.steps;
     return r;
   }
 
@@ -259,13 +186,12 @@ struct SymExecutor::Run {
   /// query over this state repeats this exact key — so the check both
   /// prunes infeasible forks before they execute and turns downstream
   /// concretization/finalization queries into exact cache hits.
-  SolveStatus BranchFeasible(WorkerCtx& w, SymState& s,
-                             const ExprRef& constraint) {
+  SolveStatus BranchFeasible(SymState& s, const ExprRef& constraint) {
     s.constraints.push_back(constraint);
-    const SolveResult r = w.cache.Solve(s.constraints, s.pinned, opts.solver,
-                                        &s.solve_ctx);
+    const SolveResult r =
+        cache.Solve(s.constraints, s.pinned, opts.solver, &s.solve_ctx);
     s.constraints.pop_back();
-    solver_steps_total.fetch_add(r.steps, std::memory_order_relaxed);
+    solver_steps_total += r.steps;
     return r.status;
   }
 
@@ -274,18 +200,12 @@ struct SymExecutor::Run {
   /// it consumed the verdict (i.e. status was kUnknown or kCancelled).
   bool HandleSolverGiveUp(SymState& s, SolveStatus status) {
     if (status == SolveStatus::kUnknown) {
-      {
-        std::lock_guard<std::mutex> lock(log.mu);
-        log.solver_budget = true;
-      }
+      log.solver_budget = true;
       Die(s, StateDeath::kSolverBudget);
       return true;
     }
     if (status == SolveStatus::kCancelled) {
-      {
-        std::lock_guard<std::mutex> lock(log.mu);
-        log.deadline = true;
-      }
+      log.deadline = true;
       Die(s, StateDeath::kSolverBudget);
       return true;
     }
@@ -295,10 +215,9 @@ struct SymExecutor::Run {
   /// Concrete value of `expr` in this state: fold under pins, otherwise
   /// ask the solver for a model and pin the participating bytes to it
   /// (angr-style concretization). Kills the state on unsat/budget.
-  std::optional<std::uint64_t> Concretize(WorkerCtx& w, SymState& s,
-                                          const ExprRef& expr) {
+  std::optional<std::uint64_t> Concretize(SymState& s, const ExprRef& expr) {
     if (const auto v = EvalPartial(expr, s.pinned)) return v;
-    const SolveResult r = SolveConstraints(w, s);
+    const SolveResult r = SolveConstraints(s);
     if (r.status == SolveStatus::kUnsat) {
       NoteUnsat(s, "path constraints unsatisfiable at concretization");
       return std::nullopt;
@@ -427,15 +346,7 @@ struct SymExecutor::Run {
       entry.last_constraint_count = s.constraints.size();
       ++entry.count;
       if (entry.count > opts.theta) {
-        EventKey key = NextEvent(s);
-        {
-          std::lock_guard<std::mutex> lock(log.mu);
-          log.loop_dead = true;
-          if (log.loop_dead_min_key.empty() ||
-              KeyLess(key, log.loop_dead_min_key)) {
-            log.loop_dead_min_key = std::move(key);
-          }
-        }
+        log.loop_dead = true;
         Die(s, StateDeath::kLoopDead);
         return false;
       }
@@ -447,26 +358,15 @@ struct SymExecutor::Run {
   // Worklist management.
   // ---------------------------------------------------------------------
 
-  void PushState(WorkerCtx& w, SymState&& s) {
-    states_created_total.fetch_add(1, std::memory_order_relaxed);
+  void PushState(SymState&& s) {
+    ++states_created_total;
     s.queued_charge = s.FootprintBytes();
-    queued_footprint.fetch_add(s.queued_charge,
-                               std::memory_order_relaxed);
-    const std::uint64_t live =
-        live_states.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::uint64_t peak = peak_live_states.load(std::memory_order_relaxed);
-    while (live > peak &&
-           !peak_live_states.compare_exchange_weak(peak, live)) {
-    }
-    if (frontier) {
-      w.deque->PushBottom(std::move(s));
-      coord->NoteEnqueued();
-    } else {
-      worklist.push_back(std::move(s));
-    }
+    queued_footprint += s.queued_charge;
+    peak_live_states = std::max(peak_live_states, ++live_states);
+    worklist.push_back(std::move(s));
   }
 
-  SymState PopState() {  // serial mode only
+  SymState PopState() {
     SymState s;
     if (directed) {
       s = std::move(worklist.back());
@@ -475,44 +375,27 @@ struct SymExecutor::Run {
       s = std::move(worklist.front());
       worklist.pop_front();
     }
-    queued_footprint.fetch_sub(s.queued_charge,
-                               std::memory_order_relaxed);
+    queued_footprint -= s.queued_charge;
     return s;
   }
 
   bool OverBudget(const SymState& current, std::string* why) {
-    if (live_states.load(std::memory_order_relaxed) >
-        opts.max_live_states) {
+    if (live_states > opts.max_live_states) {
       *why = "live-state budget exceeded (" +
              std::to_string(opts.max_live_states) + " states)";
       return true;
     }
-    const std::uint64_t mem =
-        queued_footprint.load(std::memory_order_relaxed) +
-        current.FootprintBytes();
-    std::uint64_t peak = peak_memory_bytes.load(std::memory_order_relaxed);
-    while (mem > peak &&
-           !peak_memory_bytes.compare_exchange_weak(peak, mem)) {
-    }
+    const std::uint64_t mem = queued_footprint + current.FootprintBytes();
+    peak_memory_bytes = std::max(peak_memory_bytes, mem);
     if (mem > opts.max_memory_bytes) {
       *why = "memory budget exceeded";
       return true;
     }
-    if (instructions_total.load(std::memory_order_relaxed) >
-        opts.max_instructions) {
+    if (instructions_total > opts.max_instructions) {
       *why = "global instruction budget exceeded";
       return true;
     }
     return false;
-  }
-
-  /// True when every event this state can still produce sorts after the
-  /// committed goal in serial order — such a state cannot improve the
-  /// result and would never have run in a serial execution.
-  bool BeyondGoal(const EventKey& state_key) {
-    if (!goal_seen.load(std::memory_order_acquire)) return false;
-    std::lock_guard<std::mutex> lock(goal_mu);
-    return have_goal && !KeyLess(state_key, goal_key);
   }
 
   // ---------------------------------------------------------------------
@@ -521,23 +404,19 @@ struct SymExecutor::Run {
 
   enum class EpOutcome { kContinue, kGoalReached, kStateDead };
 
-  EpOutcome HandleEpEntry(WorkerCtx& w, SymState& s,
-                          const std::vector<ExprRef>& args,
+  EpOutcome HandleEpEntry(SymState& s, const std::vector<ExprRef>& args,
                           SymexResult* final_result) {
     if (goal == Goal::kReachEp) {
       // P2 proper: the guiding constraints collected on the way to ep
       // must actually be solvable, otherwise this state only *appears*
       // to reach ep along an infeasible path.
-      const SolveResult r = SolveConstraints(w, s);
+      const SolveResult r = SolveConstraints(s);
       if (r.status == SolveStatus::kUnsat) {
         NoteUnsat(s, "guiding constraints unsatisfiable at ep");
         return EpOutcome::kStateDead;
       }
       if (HandleSolverGiveUp(s, r.status)) return EpOutcome::kStateDead;
-      {
-        std::lock_guard<std::mutex> lock(log.mu);
-        log.reached_ep = true;
-      }
+      log.reached_ep = true;
       // Emit a witness input: a concrete file that drives T from its
       // entry to ep along this verified path (useful on its own as
       // directed test-input generation).
@@ -555,13 +434,9 @@ struct SymExecutor::Run {
         if (off < witness.size()) witness[off] = val;
       }
       final_result->poc = std::move(witness);
-      w.goal_key = NextEvent(s);
       return EpOutcome::kGoalReached;
     }
-    {
-      std::lock_guard<std::mutex> lock(log.mu);
-      log.reached_ep = true;
-    }
+    log.reached_ep = true;
 
     const std::size_t idx = s.ep_count;
     ++s.ep_count;
@@ -624,8 +499,8 @@ struct SymExecutor::Run {
   /// P3.3: solves the accumulated system into poc'. Returns true when
   /// the run is finished (success); on unsat/unknown the state's death
   /// is recorded and false is returned.
-  bool FinalizeState(WorkerCtx& w, SymState& s, SymexResult* result) {
-    const SolveResult r = SolveConstraints(w, s);
+  bool FinalizeState(SymState& s, SymexResult* result) {
+    const SolveResult r = SolveConstraints(s);
     if (r.status == SolveStatus::kUnsat) {
       NoteUnsat(s, "combined constraint system is unsatisfiable");
       return false;
@@ -652,7 +527,6 @@ struct SymExecutor::Run {
     result->status = SymexStatus::kPocGenerated;
     result->poc = std::move(poc);
     result->bunch_offsets = s.bunch_targets;
-    w.goal_key = NextEvent(s);
     return true;
   }
 
@@ -661,37 +535,26 @@ struct SymExecutor::Run {
   // ---------------------------------------------------------------------
 
   /// Runs `s` until it dies or the goal is met. Forked siblings are
-  /// pushed onto the worker's queue. Returns true when this worker's
-  /// run is finished (result filled in: goal reached, or budget/
-  /// deadline tripped).
-  bool RunState(WorkerCtx& w, SymState s, SymexResult* result) {
+  /// pushed onto the worklist. Returns true when the run is finished
+  /// (result filled in: goal reached, or budget/deadline tripped).
+  bool RunState(SymState s, SymexResult* result) {
     while (s.death == StateDeath::kAlive) {
       if (s.instructions > opts.max_state_instructions) {
         Die(s, StateDeath::kDepthLimit);
         break;
       }
       ++s.instructions;
-      const std::uint64_t global =
-          instructions_total.fetch_add(1, std::memory_order_relaxed) + 1;
-      if ((global & 0x3FF) == 0) {
+      if ((++instructions_total & 0x3FF) == 0) {
         std::string why;
         if (OverBudget(s, &why)) {
           result->status = SymexStatus::kBudget;
           result->detail = why;
           return true;
         }
-        if (w.cancel.ShouldStop()) {
+        if (cancel.ShouldStop()) {
           result->status = SymexStatus::kDeadline;
           result->detail = "wall-clock deadline expired mid-exploration";
           return true;
-        }
-        if (frontier) {
-          // Another worker committed a goal this state can no longer
-          // beat (all its future events sort after the goal — a serial
-          // run would never have executed them), or the run aborted:
-          // abandon the state without finalizing it.
-          if (coord->aborted()) return false;
-          if (BeyondGoal(s.dfs_key)) return false;
         }
       }
 
@@ -700,14 +563,14 @@ struct SymExecutor::Run {
       const vm::Block& block = fn.blocks[frame.block];
 
       if (frame.ip >= block.instrs.size()) {
-        if (!StepTerminator(w, s, result)) {
+        if (!StepTerminator(s, result)) {
           if (result->status == SymexStatus::kPocGenerated ||
               result->status == SymexStatus::kReachedEp) {
             return true;
           }
-          if (w.requeue_current && s.death == StateDeath::kAlive) {
-            w.requeue_current = false;
-            PushState(w, std::move(s));
+          if (requeue_current && s.death == StateDeath::kAlive) {
+            requeue_current = false;
+            PushState(std::move(s));
             return false;
           }
           break;  // state died
@@ -716,7 +579,7 @@ struct SymExecutor::Run {
       }
       const vm::Instr& ins = block.instrs[frame.ip];
       ++frame.ip;
-      if (!StepInstr(w, s, ins, result)) {
+      if (!StepInstr(s, ins, result)) {
         if (result->status == SymexStatus::kPocGenerated ||
             result->status == SymexStatus::kReachedEp) {
           return true;
@@ -732,14 +595,14 @@ struct SymExecutor::Run {
          s.death == StateDeath::kDepthLimit ||
          s.death == StateDeath::kLoopDead ||
          s.death == StateDeath::kPruned)) {
-      if (FinalizeState(w, s, result)) return true;
+      if (FinalizeState(s, result)) return true;
     }
     return false;
   }
 
   /// Terminators. Returns false when the state died or the run finished
   /// (check result->status).
-  bool StepTerminator(WorkerCtx& w, SymState& s, SymexResult* result) {
+  bool StepTerminator(SymState& s, SymexResult* result) {
     SymFrame& frame = s.frames.back();
     const vm::Terminator& term = t.Fn(frame.fn).blocks[frame.block].term;
     switch (term.kind) {
@@ -749,7 +612,7 @@ struct SymExecutor::Run {
         frame.ip = 0;
         return true;
       case vm::TermKind::kBranch:
-        return StepBranch(w, s, term, result);
+        return StepBranch(s, term);
       case vm::TermKind::kReturn: {
         const ExprRef value = term.returns_value ? frame.regs[term.cond]
                                                  : MakeConst(0);
@@ -761,7 +624,7 @@ struct SymExecutor::Run {
               goal == Goal::kGeneratePoc) {
             // ℓ exited without crashing after the last bunch: finalize
             // here — Algorithm 2 terminates T after the final encounter.
-            FinalizeState(w, s, result);
+            FinalizeState(s, result);
             return false;  // success or state death; RunState inspects
           }
         }
@@ -776,9 +639,7 @@ struct SymExecutor::Run {
     return true;
   }
 
-  bool StepBranch(WorkerCtx& w, SymState& s, const vm::Terminator& term,
-                  SymexResult* result) {
-    (void)result;
+  bool StepBranch(SymState& s, const vm::Terminator& term) {
     SymFrame& frame = s.frames.back();
     const ExprRef cond = frame.regs[term.cond];
     const vm::FuncId fn = frame.fn;
@@ -822,9 +683,9 @@ struct SymExecutor::Run {
       std::vector<Direction> live;
       live.reserve(dirs.size());
       for (Direction& d : dirs) {
-        const SolveStatus st = BranchFeasible(w, s, d.constraint);
+        const SolveStatus st = BranchFeasible(s, d.constraint);
         if (st == SolveStatus::kUnsat) {
-          RecordUnsat(s, "branch direction to block " +
+          RecordUnsat("branch direction to block " +
                              std::to_string(d.to) + " is infeasible");
           continue;
         }
@@ -846,19 +707,13 @@ struct SymExecutor::Run {
     }
     if (dirs.size() == 2) {
       support::fault::MaybeThrow(support::FaultSite::kStateFork);
-      // The fork is this state's n-th event; its key extension inverts
-      // n so later forks sort earlier — reproducing the serial LIFO pop
-      // order in key space (see state.h).
-      const std::uint32_t n = s.event_seq++;
       SymState fork = s;
-      fork.dfs_key.push_back(0xFFFFFFFFu - n);
-      fork.event_seq = 0;
       AddConstraint(fork, dirs[1].constraint);
       if (fork.death == StateDeath::kAlive &&
           NoteEdge(fork, fn, from, dirs[1].to)) {
         fork.frames.back().block = dirs[1].to;
         fork.frames.back().ip = 0;
-        PushState(w, std::move(fork));
+        PushState(std::move(fork));
       }
     }
     AddConstraint(s, dirs[0].constraint);
@@ -870,7 +725,7 @@ struct SymExecutor::Run {
       // Breadth-first: after a genuine two-way fork the continuing state
       // goes back to the queue so exploration interleaves — this is what
       // makes naive symbolic execution accumulate states (Table IV).
-      w.requeue_current = true;
+      requeue_current = true;
       return false;
     }
     return true;
@@ -878,8 +733,7 @@ struct SymExecutor::Run {
 
   /// Non-terminator instructions. Returns false when the state died or
   /// the run finished (check result->status).
-  bool StepInstr(WorkerCtx& w, SymState& s, const vm::Instr& ins,
-                 SymexResult* result) {
+  bool StepInstr(SymState& s, const vm::Instr& ins, SymexResult* result) {
     using vm::Op;
     auto& regs = s.frames.back().regs;
     switch (ins.op) {
@@ -912,8 +766,8 @@ struct SymExecutor::Run {
         return true;
       }
       case Op::kLoad: {
-        const auto addr = Concretize(
-            w, s, MakeBinOp(Op::kAdd, regs[ins.b], MakeConst(ins.imm)));
+        const auto addr =
+            Concretize(s, MakeBinOp(Op::kAdd, regs[ins.b], MakeConst(ins.imm)));
         if (!addr) return false;
         if (!ResolveAccess(s, *addr, ins.width, /*for_write=*/false)) {
           return false;
@@ -922,8 +776,8 @@ struct SymExecutor::Run {
         return true;
       }
       case Op::kStore: {
-        const auto addr = Concretize(
-            w, s, MakeBinOp(Op::kAdd, regs[ins.b], MakeConst(ins.imm)));
+        const auto addr =
+            Concretize(s, MakeBinOp(Op::kAdd, regs[ins.b], MakeConst(ins.imm)));
         if (!addr) return false;
         if (!ResolveAccess(s, *addr, ins.width, /*for_write=*/true)) {
           return false;
@@ -933,7 +787,7 @@ struct SymExecutor::Run {
       }
       case Op::kAlloc: {
         support::fault::MaybeThrow(support::FaultSite::kAllocation);
-        const auto size = Concretize(w, s, regs[ins.b]);
+        const auto size = Concretize(s, regs[ins.b]);
         if (!size) return false;
         const std::uint64_t base = s.cursor.Take(*size);
         s.heap.mut()[base] = SymAlloc{*size, true};
@@ -941,7 +795,7 @@ struct SymExecutor::Run {
         return true;
       }
       case Op::kFree: {
-        const auto addr = Concretize(w, s, regs[ins.a]);
+        const auto addr = Concretize(s, regs[ins.a]);
         if (!addr) return false;
         SymState::HeapMap& heap = s.heap.mut();
         auto it = heap.find(*addr);
@@ -953,9 +807,9 @@ struct SymExecutor::Run {
         return true;
       }
       case Op::kRead: {
-        const auto dst = Concretize(w, s, regs[ins.b]);
+        const auto dst = Concretize(s, regs[ins.b]);
         if (!dst) return false;
-        const auto want = Concretize(w, s, regs[ins.c]);
+        const auto want = Concretize(s, regs[ins.c]);
         if (!want) return false;
         const std::uint64_t avail = s.file_pos < opts.max_input_size
                                         ? opts.max_input_size - s.file_pos
@@ -986,7 +840,7 @@ struct SymExecutor::Run {
         return true;
       }
       case Op::kSeek: {
-        const auto pos = Concretize(w, s, regs[ins.b]);
+        const auto pos = Concretize(s, regs[ins.b]);
         if (!pos) return false;
         s.file_pos = *pos;
         return true;
@@ -1023,7 +877,7 @@ struct SymExecutor::Run {
         return true;
       case Op::kCall:
       case Op::kICall:
-        return StepCall(w, s, ins, result);
+        return StepCall(s, ins, result);
       default:
         // Classified via the shared metadata table (vm/op_info.h) so the
         // symbolic dispatch cannot drift from the interpreter's.
@@ -1036,14 +890,13 @@ struct SymExecutor::Run {
     }
   }
 
-  bool StepCall(WorkerCtx& w, SymState& s, const vm::Instr& ins,
-                SymexResult* result) {
+  bool StepCall(SymState& s, const vm::Instr& ins, SymexResult* result) {
     auto& regs = s.frames.back().regs;
     vm::FuncId callee;
     if (ins.op == vm::Op::kCall) {
       callee = static_cast<vm::FuncId>(ins.imm);
     } else {
-      const auto target = Concretize(w, s, regs[ins.b]);
+      const auto target = Concretize(s, regs[ins.b]);
       if (!target) return false;
       if (*target >= t.functions.size()) {
         Die(s, StateDeath::kTrapped);
@@ -1067,7 +920,7 @@ struct SymExecutor::Run {
     if (s.depth_inside > 0) ++s.depth_inside;
 
     if (entering_l) {
-      const EpOutcome outcome = HandleEpEntry(w, s, args, result);
+      const EpOutcome outcome = HandleEpEntry(s, args, result);
       if (outcome == EpOutcome::kGoalReached) {
         if (goal == Goal::kReachEp) {
           result->status = SymexStatus::kReachedEp;
@@ -1090,86 +943,6 @@ struct SymExecutor::Run {
   }
 
   // ---------------------------------------------------------------------
-  // Frontier worker (directed mode, frontier_jobs > 1).
-  // ---------------------------------------------------------------------
-
-  void CommitFinished(WorkerCtx& w, SymexResult&& local) {
-    if (local.status == SymexStatus::kPocGenerated ||
-        local.status == SymexStatus::kReachedEp) {
-      std::lock_guard<std::mutex> lock(goal_mu);
-      if (!have_goal || KeyLess(w.goal_key, goal_key)) {
-        have_goal = true;
-        goal_key = w.goal_key;
-        goal_result = std::move(local);
-      }
-      goal_seen.store(true, std::memory_order_release);
-      return;
-    }
-    // Budget / deadline: abort the whole exploration. Which worker
-    // trips first is scheduling-dependent — aborts are the one
-    // documented nondeterministic exit (DESIGN.md §10).
-    {
-      std::lock_guard<std::mutex> lock(goal_mu);
-      if (!have_abort) {
-        have_abort = true;
-        abort_result = std::move(local);
-      }
-    }
-    coord->Abort();
-  }
-
-  void WorkerLoop(
-      WorkerCtx& w, SharedInternTable& intern,
-      std::vector<std::unique_ptr<support::WorkStealingDeque<SymState>>>&
-          deques) {
-    SharedInternBinding bind(intern);
-    const std::size_t n = deques.size();
-    for (;;) {
-      const std::uint64_t seen = coord->Version();
-      SymState s;
-      bool got = w.deque->PopBottom(&s);
-      for (std::size_t i = 1; i < n && !got; ++i) {
-        got = deques[(w.id + i) % n]->StealTop(&s);
-        if (got) frontier_steals_total.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!got) {
-        if (!coord->WaitForWork(seen)) return;
-        continue;
-      }
-      queued_footprint.fetch_sub(s.queued_charge,
-                                 std::memory_order_relaxed);
-      try {
-        bool finished = false;
-        SymexResult local;
-        std::string why;
-        if (coord->aborted() || BeyondGoal(s.dfs_key)) {
-          // Drop without running: aborted, or provably after the
-          // committed goal in serial order.
-        } else if (w.cancel.Check()) {
-          local.status = SymexStatus::kDeadline;
-          local.detail = "wall-clock deadline expired between states";
-          finished = true;
-        } else if (OverBudget(s, &why)) {
-          local.status = SymexStatus::kBudget;
-          local.detail = why;
-          finished = true;
-        } else {
-          finished = RunState(w, std::move(s), &local);
-        }
-        if (finished) CommitFinished(w, std::move(local));
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-        coord->Abort();
-      }
-      live_states.fetch_sub(1, std::memory_order_relaxed);
-      coord->NoteDone();
-    }
-  }
-
-  // ---------------------------------------------------------------------
   // Top-level drive loop.
   // ---------------------------------------------------------------------
 
@@ -1177,23 +950,10 @@ struct SymExecutor::Run {
     const auto start = std::chrono::steady_clock::now();
     SymexResult result;
 
-    frontier = directed && opts.frontier_jobs > 1;
-
     // Hash-cons every expression this run builds. The scope also
-    // underwrites the solver caches: constraint sequences stay pointer-
-    // canonical for exactly as long as the run lives. Frontier mode
-    // needs the *shared* table — states migrate between workers via
-    // stealing, and a node built by one worker must stay canonical when
-    // another worker extends the constraint sequence it appears in.
-    std::optional<InternScope> scope;
-    std::optional<SharedInternTable> shared;
-    std::optional<SharedInternBinding> main_bind;
-    if (frontier) {
-      shared.emplace();
-      main_bind.emplace(*shared);
-    } else {
-      scope.emplace();
-    }
+    // underwrites the solver cache: constraint sequences stay pointer-
+    // canonical for exactly as long as the run lives.
+    InternScope scope;
 
     dmap = cfg.BackwardReachability(ep);
     if (directed && !dmap.EntryReaches()) {
@@ -1209,65 +969,24 @@ struct SymExecutor::Run {
     initial.frames.push_back(std::move(frame));
 
     bool finished = false;
-    std::vector<WorkerCtx> workers;
-
-    if (!frontier) {
-      workers.resize(1);
-      WorkerCtx& w = workers[0];
-      w.cancel = cancel;
-      PushState(w, std::move(initial));
-      while (!worklist.empty() && !finished) {
-        std::string why;
-        if (cancel.Check()) {
-          result.status = SymexStatus::kDeadline;
-          result.detail = "wall-clock deadline expired between states";
-          finished = true;
-          break;
-        }
-        SymState s = PopState();
-        if (OverBudget(s, &why)) {
-          result.status = SymexStatus::kBudget;
-          result.detail = why;
-          finished = true;
-          break;
-        }
-        finished = RunState(w, std::move(s), &result);
-        live_states.fetch_sub(1, std::memory_order_relaxed);
-      }
-    } else {
-      support::StealCoordinator coordinator;
-      coord = &coordinator;
-      const unsigned jobs = opts.frontier_jobs;
-      std::vector<std::unique_ptr<support::WorkStealingDeque<SymState>>>
-          deques;
-      deques.reserve(jobs);
-      workers.resize(jobs);
-      for (unsigned i = 0; i < jobs; ++i) {
-        deques.push_back(
-            std::make_unique<support::WorkStealingDeque<SymState>>());
-        workers[i].id = i;
-        workers[i].cancel = cancel;
-        workers[i].deque = deques[i].get();
-      }
-      PushState(workers[0], std::move(initial));
-      std::vector<std::thread> threads;
-      threads.reserve(jobs);
-      for (unsigned i = 0; i < jobs; ++i) {
-        threads.emplace_back(
-            [this, &w = workers[i], &shared, &deques] {
-              WorkerLoop(w, *shared, deques);
-            });
-      }
-      for (std::thread& th : threads) th.join();
-      coord = nullptr;
-      if (first_error) std::rethrow_exception(first_error);
-      if (have_goal) {
-        result = std::move(goal_result);
+    PushState(std::move(initial));
+    while (!worklist.empty() && !finished) {
+      std::string why;
+      if (cancel.Check()) {
+        result.status = SymexStatus::kDeadline;
+        result.detail = "wall-clock deadline expired between states";
         finished = true;
-      } else if (have_abort) {
-        result = std::move(abort_result);
-        finished = true;
+        break;
       }
+      SymState s = PopState();
+      if (OverBudget(s, &why)) {
+        result.status = SymexStatus::kBudget;
+        result.detail = why;
+        finished = true;
+        break;
+      }
+      finished = RunState(std::move(s), &result);
+      --live_states;
     }
 
     if (!finished) {
@@ -1275,9 +994,6 @@ struct SymExecutor::Run {
       // Deadline first: once the clock has tripped, every other
       // observation (unsat, budget) is an artefact of states dying from
       // cancellation, and must not masquerade as a program verdict.
-      // Drain means *every* state ran to completion in both modes, so
-      // the observation sets — and this classification — are identical
-      // regardless of worker interleaving.
       if (log.deadline) {
         result.status = SymexStatus::kDeadline;
         result.detail =
@@ -1294,11 +1010,7 @@ struct SymExecutor::Run {
         // dead end below instead of a proof (§VII's wrong-verdict
         // caution; the fuzz-fallback rung may still find a witness).
         result.status = SymexStatus::kUnsat;
-        // The serial drive loop overwrites the detail chronologically;
-        // frontier workers record out of order, so the event-key-maximal
-        // detail is the one the serial run would have kept last.
-        result.detail =
-            frontier ? log.unsat_detail_keyed : log.unsat_detail_chrono;
+        result.detail = log.unsat_detail;
       } else if (!log.reached_ep) {
         result.status = SymexStatus::kProgramDead;
         result.detail = "every state died before reaching ep";
@@ -1308,28 +1020,25 @@ struct SymExecutor::Run {
       }
     }
 
+    SymexStats stats;
     stats.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    stats.instructions = instructions_total.load();
-    stats.solver_steps = solver_steps_total.load();
-    stats.states_created = states_created_total.load();
-    stats.peak_live_states = peak_live_states.load();
-    stats.peak_memory_bytes = peak_memory_bytes.load();
-    for (const WorkerCtx& w : workers) {
-      const SolverCache::Stats& cs = w.cache.stats();
-      stats.solver_cache_hits += cs.hits;
-      stats.solver_cache_misses += cs.misses;
-      stats.solver_exact_hits += cs.exact_hits;
-      stats.solver_model_reuse_hits += cs.model_reuse_hits;
-      stats.solver_subsumption_hits += cs.subsumption_hits;
-    }
-    const InternScope::Stats is =
-        frontier ? shared->stats() : scope->stats();
+    stats.instructions = instructions_total;
+    stats.solver_steps = solver_steps_total;
+    stats.states_created = states_created_total;
+    stats.peak_live_states = peak_live_states;
+    stats.peak_memory_bytes = peak_memory_bytes;
+    const SolverCache::Stats& cs = cache.stats();
+    stats.solver_cache_hits = cs.hits;
+    stats.solver_cache_misses = cs.misses;
+    stats.solver_exact_hits = cs.exact_hits;
+    stats.solver_model_reuse_hits = cs.model_reuse_hits;
+    stats.solver_subsumption_hits = cs.subsumption_hits;
+    const InternScope::Stats is = scope.stats();
     stats.expr_intern_hits = is.hits;
     stats.expr_intern_nodes = is.nodes;
-    stats.frontier_steals = frontier_steals_total.load();
     if (opts.tracer != nullptr) {
       support::Tracer& tr = *opts.tracer;
       const auto i64 = [](std::uint64_t v) {
@@ -1341,20 +1050,9 @@ struct SymExecutor::Run {
       tr.Counter("symex.solver_cache_hits", i64(stats.solver_cache_hits));
       tr.Counter("symex.solver_cache_misses", i64(stats.solver_cache_misses));
       tr.Counter("symex.expr_intern_hits", i64(stats.expr_intern_hits));
-      tr.Counter("symex.frontier_steals", i64(stats.frontier_steals));
     }
     result.stats = stats;
-    // A goal commit reconstructs the serial view: a loop-dead kill only
-    // "happened" if the serial run would have executed it before
-    // stopping at the goal, i.e. its event key precedes the goal's. In
-    // every serial mode (and frontier drains/aborts) the raw flag is
-    // already the serial truth.
-    bool loop_dead = log.loop_dead;
-    if (frontier && have_goal) {
-      loop_dead = log.loop_dead &&
-                  KeyLess(log.loop_dead_min_key, goal_key);
-    }
-    result.loop_dead_observed = loop_dead;
+    result.loop_dead_observed = log.loop_dead;
     return result;
   }
 };

@@ -77,9 +77,6 @@ struct SymexStats {
   std::uint64_t expr_intern_nodes = 0;
   /// Peak of Σ FootprintBytes() over the live worklist (Table IV "RAM").
   std::uint64_t peak_memory_bytes = 0;
-  /// Successful work-steals between frontier workers (0 when
-  /// frontier_jobs == 1 — the serial drive loop never steals).
-  std::uint64_t frontier_steals = 0;
   double elapsed_seconds = 0;
 };
 
@@ -122,17 +119,6 @@ struct ExecutorOptions {
   /// values inside VM address ranges — are skipped since allocation
   /// addresses need not agree between S and T).
   bool check_ep_args = true;
-  /// In-pair frontier parallelism: number of worker threads exploring
-  /// the directed-DFS frontier via work-stealing deques. 1 = the serial
-  /// drive loop. Values > 1 apply to *directed* mode only (naive BFS
-  /// stays serial — it is the Table IV baseline and must not change
-  /// shape). The result is deterministic and identical to the serial
-  /// run's by construction: states carry DFS event keys, workers commit
-  /// the smallest-key goal, and observations past that key are
-  /// discarded (see DESIGN.md §10). Deliberately NOT clamped to the
-  /// hardware thread count — determinism must hold (and is tested) even
-  /// oversubscribed.
-  std::uint32_t frontier_jobs = 1;
   SolverOptions solver;
   /// Cooperative wall-clock bound over the whole symbolic run, polled in
   /// the stepping loop. Callers that also want mid-solve cancellation

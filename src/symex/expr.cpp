@@ -1,7 +1,6 @@
 #include "symex/expr.h"
 
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -61,27 +60,15 @@ struct InternScope::Table {
   std::uint64_t hits = 0;
 };
 
-struct SharedInternTable::Shard {
-  mutable std::mutex mu;
-  std::unordered_map<InternKey, ExprRef, InternKeyHash> nodes;
-  std::uint64_t hits = 0;
-};
-
 namespace {
 
 thread_local InternScope::Table* g_intern = nullptr;
-thread_local SharedInternTable* g_shared = nullptr;
 
 /// Canonicalizes a freshly-built node: returns the existing structural
 /// twin when one is interned, otherwise registers and returns `e`.
-/// A shared (cross-thread) binding takes precedence over the
-/// thread-local scope: frontier workers need one canonical node per
-/// structure across all threads so folding identities and
-/// pointer-keyed caches behave exactly as in a serial run. Without
-/// either, this is the identity function, preserving the pre-interning
-/// allocation behavior for ad-hoc expression users.
+/// Without a scope this is the identity function, preserving the
+/// pre-interning allocation behavior for ad-hoc expression users.
 ExprRef Intern(ExprRef e) {
-  if (g_shared != nullptr) return g_shared->Canonical(std::move(e));
   if (g_intern == nullptr) return e;
   auto [it, inserted] = g_intern->nodes.try_emplace(KeyOf(*e), e);
   if (!inserted) ++g_intern->hits;
@@ -99,36 +86,6 @@ InternScope::~InternScope() { g_intern = prev_; }
 InternScope::Stats InternScope::stats() const {
   return Stats{table_->hits, table_->nodes.size()};
 }
-
-SharedInternTable::SharedInternTable() : shards_(new Shard[kShards]) {}
-
-SharedInternTable::~SharedInternTable() = default;
-
-ExprRef SharedInternTable::Canonical(ExprRef e) {
-  const InternKey key = KeyOf(*e);
-  Shard& shard = shards_[InternKeyHash{}(key) % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.nodes.try_emplace(key, std::move(e));
-  if (!inserted) ++shard.hits;
-  return it->second;
-}
-
-InternScope::Stats SharedInternTable::stats() const {
-  InternScope::Stats s;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    s.hits += shards_[i].hits;
-    s.nodes += shards_[i].nodes.size();
-  }
-  return s;
-}
-
-SharedInternBinding::SharedInternBinding(SharedInternTable& table)
-    : prev_(g_shared) {
-  g_shared = &table;
-}
-
-SharedInternBinding::~SharedInternBinding() { g_shared = prev_; }
 
 std::uint64_t ApplyBinOp(vm::Op op, std::uint64_t a, std::uint64_t b) {
   // Shared with the concrete interpreter via vm/op_info.h — one place
@@ -324,7 +281,8 @@ const SortedSmallSet<std::uint32_t>& FreeVars(const ExprRef& expr) {
   // Bottom-up over the uncached region: a node stays on the stack until
   // both children carry a published set, then unions them. Each node's
   // set is computed at most once per thread; the CAS arbitrates races
-  // between frontier workers and losers discard their copy.
+  // between threads sharing a node (the process-wide MakeConst(0) and
+  // MakeConst(1) under `corpus --jobs`) and losers discard their copy.
   std::vector<const Expr*> stack{root};
   while (!stack.empty()) {
     const Expr* e = stack.back();

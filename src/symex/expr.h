@@ -76,8 +76,10 @@ struct Expr {
   }
 
   /// Lazily-computed free-variable set, published once per node (see
-  /// FreeVars). Atomic because frontier workers may race on a shared
-  /// node; losers of the publication CAS discard their copy.
+  /// FreeVars). Atomic because nodes built outside any InternScope —
+  /// the process-wide MakeConst(0) and MakeConst(1) — are shared by the
+  /// pipeline threads of `corpus --jobs`; losers of the publication CAS
+  /// discard their copy.
   mutable std::atomic<const SortedSmallSet<std::uint32_t>*> vars_cache{
       nullptr};
   /// Lazily-lowered program, published like vars_cache (see ProgramFor).
@@ -110,49 +112,6 @@ class InternScope {
  private:
   std::unique_ptr<Table> table_;
   Table* prev_;
-};
-
-/// Mutex-striped hash-consing table shared by the worker threads of one
-/// parallel-frontier run. A thread-local InternScope keeps equal
-/// structures pointer-canonical only within its own thread; when states
-/// migrate between workers (work stealing), the folding identities and
-/// every pointer-keyed cache need canonicality *across* threads — this
-/// table provides it at the cost of a sharded lock per construction.
-/// Lifetime: one table per executor run, created before the workers and
-/// destroyed after they join, so it holds strong references to every
-/// node any worker built (the same lifetime contract InternScope has).
-class SharedInternTable {
- public:
-  SharedInternTable();
-  ~SharedInternTable();
-  SharedInternTable(const SharedInternTable&) = delete;
-  SharedInternTable& operator=(const SharedInternTable&) = delete;
-
-  InternScope::Stats stats() const;
-
-  /// Returns the canonical node for `e`'s structure, registering `e`
-  /// when it is the first of its kind. Thread-safe.
-  ExprRef Canonical(ExprRef e);
-
-  struct Shard;  // defined in expr.cpp
-
- private:
-  static constexpr std::size_t kShards = 16;
-  std::unique_ptr<Shard[]> shards_;
-};
-
-/// RAII: routes this thread's Make* constructors through `table` while
-/// alive. Each frontier worker holds one for the duration of the run;
-/// nesting restores the previous binding on exit.
-class SharedInternBinding {
- public:
-  explicit SharedInternBinding(SharedInternTable& table);
-  ~SharedInternBinding();
-  SharedInternBinding(const SharedInternBinding&) = delete;
-  SharedInternBinding& operator=(const SharedInternBinding&) = delete;
-
- private:
-  SharedInternTable* prev_;
 };
 
 ExprRef MakeConst(std::uint64_t value);

@@ -113,8 +113,8 @@ class SolveContext {
   /// Per-state reuse pool of models that satisfied this state's past
   /// queries (newest last, deduplicated, capped). Keeping the pool on
   /// the state — instead of a global history — makes model-reuse answers
-  /// a pure function of the state, which is what lets frontier workers
-  /// replay a serial run bit-for-bit.
+  /// a pure function of the state's own path, independent of which
+  /// sibling states the search happened to run first.
   void NoteModel(const Model& model) {
     for (const Model& m : models_.get()) {
       if (m == model) return;

@@ -1,10 +1,7 @@
 #include "symex/solver.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <map>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,7 +22,6 @@ SolveResult SolveDistinct(std::vector<ExprRef> constraints,
 std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name) {
   if (name == "backtrack") return SolverBackendKind::kBacktrack;
   if (name == "propagate") return SolverBackendKind::kPropagate;
-  if (name == "portfolio") return SolverBackendKind::kPortfolio;
   return std::nullopt;
 }
 
@@ -35,8 +31,6 @@ const char* SolverBackendName(SolverBackendKind kind) {
       return "backtrack";
     case SolverBackendKind::kPropagate:
       return "propagate";
-    case SolverBackendKind::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -382,96 +376,14 @@ SolveResult SolveDistinct(std::vector<ExprRef> constraints,
   return GetSolverBackend(options.backend).Solve(constraints, options);
 }
 
-bool Definitive(SolveStatus s) {
-  return s == SolveStatus::kSat || s == SolveStatus::kUnsat;
-}
-
-/// Races the propagate core against the backtrack oracle on two
-/// threads; the first definitive answer wins and cancels the loser
-/// through a shared stop flag folded into the racers' CancelTokens.
-///
-/// Determinism (DESIGN.md §15): the cores are answer-identical, so for
-/// any input whose winner is definitive the returned status and model
-/// do not depend on which thread finished first. When neither leg is
-/// definitive the tie-break is fixed — prefer the propagate leg's
-/// status — so kUnknown/kCancelled outcomes are reproducible too (step
-/// counts, a diagnostic, are the only racy field).
-///
-/// The caller's own CancelToken may carry an external kill flag the
-/// racer tokens cannot share (a token folds in exactly one flag), so
-/// the coordinating thread polls the caller's token and trips the race
-/// flag on its behalf.
-class PortfolioBackend final : public SolverBackend {
- public:
-  const char* name() const override { return "portfolio"; }
-
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const SolverOptions& options) const override {
-    std::atomic<bool> race_done{false};
-    SolverOptions racer = options;
-    racer.cancel =
-        support::CancelToken(options.cancel.deadline(), &race_done);
-
-    std::mutex m;
-    std::condition_variable cv;
-    struct Leg {
-      SolveResult result;
-      bool finished = false;
-    };
-    Leg legs[2];  // 0 = propagate, 1 = backtrack
-
-    const auto run = [&](int i) {
-      SolveResult r;
-      try {
-        r = (i == 0 ? PropagateBackendInstance() : BacktrackBackendInstance())
-                .Solve(constraints, racer);
-      } catch (...) {
-        r.status = SolveStatus::kUnknown;  // a dead leg must not end the race
-      }
-      std::lock_guard<std::mutex> lock(m);
-      legs[i].result = std::move(r);
-      legs[i].finished = true;
-      if (Definitive(legs[i].result.status)) {
-        race_done.store(true, std::memory_order_relaxed);
-      }
-      cv.notify_all();
-    };
-
-    std::thread propagate_leg(run, 0);
-    std::thread backtrack_leg(run, 1);
-    {
-      support::CancelToken caller = options.cancel;
-      std::unique_lock<std::mutex> lock(m);
-      while (!((legs[0].finished && Definitive(legs[0].result.status)) ||
-               (legs[1].finished && Definitive(legs[1].result.status)) ||
-               (legs[0].finished && legs[1].finished))) {
-        cv.wait_for(lock, std::chrono::milliseconds(1));
-        if (caller.Check()) break;  // relay an external kill to the racers
-      }
-      race_done.store(true, std::memory_order_relaxed);
-    }
-    propagate_leg.join();
-    backtrack_leg.join();
-
-    // Both are final now. Prefer a definitive leg; when both qualify
-    // (or neither does), propagate's answer is canonical.
-    if (Definitive(legs[0].result.status)) return std::move(legs[0].result);
-    if (Definitive(legs[1].result.status)) return std::move(legs[1].result);
-    return std::move(legs[0].result);
-  }
-};
-
 }  // namespace
 
 const SolverBackend& GetSolverBackend(SolverBackendKind kind) {
-  static const PortfolioBackend portfolio;
   switch (kind) {
     case SolverBackendKind::kBacktrack:
       return BacktrackBackendInstance();
     case SolverBackendKind::kPropagate:
       return PropagateBackendInstance();
-    case SolverBackendKind::kPortfolio:
-      return portfolio;
   }
   return PropagateBackendInstance();
 }

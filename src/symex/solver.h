@@ -33,9 +33,6 @@
 //               order, filtering strength) as the backtracker by
 //               construction, so both return the identical first model,
 //               the identical kUnsat verdicts and the same step counts.
-//   portfolio — races both cores on two threads; the first definitive
-//               (kSat/kUnsat) answer wins and cancels the loser.
-//               Deterministic because the cores are answer-identical.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +65,9 @@ struct SolveResult {
 enum class SolverBackendKind : std::uint8_t {
   kBacktrack,
   kPropagate,
-  kPortfolio,
 };
 
-/// CLI spelling ("backtrack" | "propagate" | "portfolio"), or nullopt.
+/// CLI spelling ("backtrack" | "propagate"), or nullopt.
 std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name);
 const char* SolverBackendName(SolverBackendKind kind);
 
@@ -112,7 +108,7 @@ class SolverBackend {
                             const SolverOptions& options) const = 0;
 };
 
-/// Singleton accessor for the cores (and the portfolio composition).
+/// Singleton accessor for the cores.
 const SolverBackend& GetSolverBackend(SolverBackendKind kind);
 
 class ByteSolver {
@@ -193,8 +189,7 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
 /// (DESIGN.md §10.1, §10.2, §15.2).
 ///
 /// The cache must not outlive the expressions it indexes: one cache per
-/// executor run (per frontier worker), like the interning scope whose
-/// lifetime it matches.
+/// executor run, like the interning scope whose lifetime it matches.
 class SolverCache {
  public:
   struct Stats {

@@ -1,7 +1,6 @@
 // Internal: singleton instances of the two search cores. Users go
 // through GetSolverBackend (solver.h); these accessors exist so the
-// per-core translation units and the portfolio composition can link
-// without a registry.
+// per-core translation units can link without a registry.
 #pragma once
 
 #include "symex/solver.h"

@@ -70,17 +70,6 @@ struct SymState {
   /// so branch siblings share the prefix's filtering work.
   SolveContext solve_ctx;
 
-  /// DFS position key: lexicographic order over these keys (shorter
-  /// prefix first) equals the serial directed-DFS completion order. A
-  /// fork at this state's n-th event gets key ++ [0xFFFFFFFF − n],
-  /// which reproduces the LIFO pop order; the executor's parallel
-  /// frontier uses the keys to commit the same goal state — and the
-  /// same observation set — a serial run would have committed.
-  std::vector<std::uint32_t> dfs_key;
-  /// Monotonic event counter backing both fork keys and the event keys
-  /// used for deterministic flag/detail merging (see executor.cpp).
-  std::uint32_t event_seq = 0;
-
   /// Symbolic-loop bookkeeping, keyed by back edge. Only traversals that
   /// changed the constraint store count toward θ (the paper's "loop
   /// state"); concretely-bounded loops are limited by fuel alone.
@@ -115,8 +104,8 @@ struct SymState {
   /// the global queued-memory gauge when this state was enqueued. COW
   /// owner counts shift while a state sits queued, so FootprintBytes()
   /// at pop time need not equal the push-time value — the gauge must be
-  /// credited exactly what it was debited or it drifts (and, being an
-  /// atomic counter, would wrap on underflow).
+  /// credited exactly what it was debited or it drifts (and, being
+  /// unsigned, would wrap on underflow).
   std::size_t queued_charge = 0;
 
   /// Rough live-memory footprint in bytes, the Table IV "RAM" metric.
@@ -138,7 +127,6 @@ struct SymState {
              constraints.size() * 40;
     bytes += pinned.size() * 48;
     bytes += solve_ctx.FootprintBytes();
-    bytes += dfs_key.capacity() * sizeof(std::uint32_t);
     bytes += bunch_targets.capacity() * sizeof(std::uint32_t);
     bytes += read_offsets.items().capacity() * sizeof(std::uint32_t);
     bytes += frames.capacity() * sizeof(SymFrame);

@@ -183,5 +183,27 @@ TEST(Pipeline, TimingsAndStatsPopulated) {
   EXPECT_EQ(report.ep_name, "mjpg_decode");
 }
 
+// Pins the exact P2/P3 decision tree on the corpus's solver-heavy pair.
+// Verdict-level tests cannot see a change in fork push/pop order, branch
+// preference or cache-tier routing as long as the search still ends at
+// the same answer; these counters can, so any such change has to show up
+// here and be justified.
+TEST(Pipeline, Pair14SearchCountersArePinned) {
+  const VerificationReport report =
+      VerifyPair(corpus::BuildPair(14), PipelineOptions{});
+  ASSERT_EQ(report.verdict, Verdict::kNotTriggerable) << report.detail;
+  const symex::SymexStats& st = report.symex_stats;
+  EXPECT_EQ(st.instructions, 2795u);
+  EXPECT_EQ(st.states_created, 122u);
+  EXPECT_EQ(st.solver_steps, 246165u);
+  EXPECT_EQ(st.solver_cache_hits, 308u);
+  EXPECT_EQ(st.solver_cache_misses, 418u);
+  EXPECT_EQ(st.solver_exact_hits, 57u);
+  EXPECT_EQ(st.solver_model_reuse_hits, 251u);
+  EXPECT_EQ(st.solver_subsumption_hits, 0u);
+  EXPECT_EQ(st.expr_intern_hits, 115057u);
+  EXPECT_EQ(st.expr_intern_nodes, 2414u);
+}
+
 }  // namespace
 }  // namespace octopocs::core

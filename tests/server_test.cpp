@@ -394,6 +394,28 @@ TEST(ServerTest, DrainAnswersInFlightRequestsThenStopsAccepting) {
   EXPECT_FALSE(late.transport_error.empty());
 }
 
+TEST(UnixListenerTest, ShutdownWakesABlockedAcceptAndLeavesTheFdOpen) {
+  const std::string socket_path = TempSocket("listener_shutdown");
+  support::UnixListener listener;
+  std::string error;
+  ASSERT_TRUE(listener.Listen(socket_path, &error)) << error;
+
+  // A one-minute poll: only the shutdown itself can end the wait in time.
+  std::atomic<int> accepted{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::thread acceptor(
+      [&] { accepted.store(listener.Accept(60'000, nullptr)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  listener.Shutdown();
+  acceptor.join();
+  EXPECT_EQ(accepted.load(), -2);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  EXPECT_EQ(listener.Accept(0, nullptr), -2) << "shutdown is sticky";
+  EXPECT_TRUE(listener.listening()) << "the fd stays open until Close()";
+  listener.Close();
+  EXPECT_FALSE(listener.listening());
+}
+
 TEST(ServerTest, WarmRestartServesByteIdenticalReportsFromDisk) {
   const std::string socket_path = TempSocket("warm");
   const std::string cache_dir = TempCache("warm");

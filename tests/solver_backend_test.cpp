@@ -1,5 +1,5 @@
-// SolverBackend differential suite: the propagation core and the raced
-// portfolio against the legacy backtracker (the A/B oracle).
+// SolverBackend differential suite: the propagation core against the
+// legacy backtracker (the A/B oracle).
 //
 // The contract under test is *answer identity*: for any preprocessed
 // constraint system, every backend returns the same status, and on kSat
@@ -214,41 +214,11 @@ TEST(BackendDifferential, BudgetEdgesNeverContradict) {
   }
 }
 
-// -- Portfolio ---------------------------------------------------------------
-
-TEST(Portfolio, MatchesTheOracleOnRandomSystems) {
-  std::mt19937 rng(424242);
-  for (int round = 0; round < 60; ++round) {
-    InternScope intern;
-    const std::vector<ExprRef> cs = RandomSystem(rng, (round % 3) == 2);
-    const SolveResult oracle = SolveUnder(cs, SolverBackendKind::kBacktrack);
-    const SolveResult raced = SolveUnder(cs, SolverBackendKind::kPortfolio);
-    ASSERT_EQ(raced.status, oracle.status) << "round " << round;
-    if (oracle.status == SolveStatus::kSat) {
-      EXPECT_TRUE(SameAssignment(cs, raced.model, oracle.model))
-          << "round " << round;
-    }
-  }
-}
-
-TEST(Portfolio, DefinitiveOnBothSatAndUnsat) {
-  InternScope intern;
-  const SolveResult sat =
-      SolveUnder({InputEq(0, 7)}, SolverBackendKind::kPortfolio);
-  EXPECT_EQ(sat.status, SolveStatus::kSat);
-  EXPECT_EQ(Eval(In(0), sat.model), 7u);
-
-  const SolveResult unsat = SolveUnder({InputEq(1, 3), InputEq(1, 4)},
-                                       SolverBackendKind::kPortfolio);
-  EXPECT_EQ(unsat.status, SolveStatus::kUnsat);
-}
-
 // -- Backend plumbing --------------------------------------------------------
 
 TEST(BackendPlumbing, ParseAndNameRoundTrip) {
   for (const SolverBackendKind kind :
-       {SolverBackendKind::kBacktrack, SolverBackendKind::kPropagate,
-        SolverBackendKind::kPortfolio}) {
+       {SolverBackendKind::kBacktrack, SolverBackendKind::kPropagate}) {
     const auto parsed = ParseSolverBackend(SolverBackendName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);

@@ -46,11 +46,11 @@
 //                              are byte-identical across backends; the
 //                              flag is the A/B baseline and the portable
 //                              fallback.
-//         --solver-backend=backtrack|propagate|portfolio
+//         --solver-backend=backtrack|propagate
 //                              CSP search core for every P2/P3 solver
-//                              query (default propagate). Backends are
+//                              query (default propagate). The cores are
 //                              answer-identical; backtrack is the slow
-//                              trusted oracle, portfolio races both.
+//                              trusted oracle.
 //   detect <s.asm> <t.asm>
 //       Print the function-level clones between two programs.
 //   run <prog.asm> <input.bin> [--trace] [--vm-dispatch=switch|threaded]
@@ -63,7 +63,7 @@
 //       Materialize a corpus pair (1-22) as s.asm / t.asm / poc.bin /
 //       shared.txt so the other subcommands can chew on it.
 //   corpus [--jobs N] [--extended] [--adaptive-theta]
-//          [--pair-deadline-ms N] [--frontier-jobs N] [--trace-out FILE]
+//          [--pair-deadline-ms N] [--trace-out FILE]
 //          [--artifact-cache=on|off] [--isolate] [--rlimit-mb N]
 //          [--max-retries N] [--journal FILE] [--resume FILE]
 //          [--vm-dispatch=switch|threaded] [--pool]
@@ -72,9 +72,8 @@
 //       printed in pair order and are byte-identical to a serial run
 //       regardless of N. --pair-deadline-ms bounds each pair's
 //       wall-clock time; a pair over budget degrades to Failure while
-//       the rest of the corpus finishes. --frontier-jobs additionally
-//       parallelizes *within* each pair's directed symbolic execution
-//       (work-stealing frontier; results stay byte-identical).
+//       the rest of the corpus finishes. Each pair's own P2/P3 search
+//       is one serial loop; --jobs parallelizes across pairs only.
 //       --artifact-cache=on shares origin-side artifacts (ep, crash
 //       primitives, CFG edges) across pairs with a common S or T; the
 //       summary then reports the store's hit/miss counts. --trace-out
@@ -292,11 +291,11 @@ bool ParseVmDispatch(const std::string& arg, vm::DispatchMode* mode,
   return true;
 }
 
-/// Consumes --solver-backend=backtrack|propagate|portfolio into `opts`.
+/// Consumes --solver-backend=backtrack|propagate into `opts`.
 /// Same contract as ParseVmDispatch: returns false when `arg` is not
 /// this flag, clears `ok` on an unknown backend name. Backends are
-/// answer-identical (CI diffs whole-corpus runs); the flag exists for
-/// A/B verification and perf measurement.
+/// answer-identical (CI diffs whole-corpus runs); the flag exists to
+/// A/B the propagate core against the backtrack oracle.
 bool ParseSolverBackendFlag(const std::string& arg,
                             core::PipelineOptions* opts, bool* ok) {
   constexpr const char kPrefix[] = "--solver-backend=";
@@ -307,7 +306,7 @@ bool ParseSolverBackendFlag(const std::string& arg,
   } else {
     std::fprintf(stderr,
                  "unknown --solver-backend: %s (want "
-                 "backtrack|propagate|portfolio)\n",
+                 "backtrack|propagate)\n",
                  value.c_str());
     *ok = false;
   }
@@ -392,10 +391,9 @@ int CmdVerify(int argc, char** argv) {
                          "[--fix-angr] [--deadline-ms N] [--cfg-fallback] "
                          "[--solver-retry] [--fuzz-fallback] [--fuzz-seed N] "
                          "[--fuzz-execs N] [--fuzz-deadline-ms N] "
-                         "[--frontier-jobs N] "
                          "[--trace-out FILE] [--artifact-cache=on|off] "
                          "[--vm-dispatch=switch|threaded] "
-                         "[--solver-backend=backtrack|propagate|portfolio]"
+                         "[--solver-backend=backtrack|propagate]"
                          "\n");
     return 2;
   }
@@ -433,9 +431,6 @@ int CmdVerify(int argc, char** argv) {
       opts.solver_budget_retry = true;
     } else if (ParseFuzzFlag(arg, argc, argv, i, &opts)) {
       // consumed
-    } else if (arg == "--frontier-jobs" && i + 1 < argc) {
-      opts.symex.frontier_jobs =
-          static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(opts, dispatch);
@@ -557,14 +552,14 @@ int CmdVerify(int argc, char** argv) {
 int CmdPairWorker(int argc, char** argv) {
   if (argc < 1) {
     std::fprintf(stderr, "usage: octopocs pair-worker <idx> "
-                         "[--adaptive-theta] [--frontier-jobs N] "
+                         "[--adaptive-theta] "
                          "[--deadline-ms N] [--theta N] [--context-free] "
                          "[--static-cfg] [--fix-angr] [--cfg-fallback] "
                          "[--solver-retry] [--fuzz-fallback] [--fuzz-seed N] "
                          "[--fuzz-execs N] [--fuzz-deadline-ms N] "
                          "[--abort-fault SITE:SKIP:STAMP] "
                          "[--vm-dispatch=switch|threaded] "
-                         "[--solver-backend=backtrack|propagate|portfolio]"
+                         "[--solver-backend=backtrack|propagate]"
                          "\n");
     return 2;
   }
@@ -576,9 +571,6 @@ int CmdPairWorker(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--adaptive-theta") {
       opts.adaptive_theta = true;
-    } else if (arg == "--frontier-jobs" && i + 1 < argc) {
-      opts.symex.frontier_jobs =
-          static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       opts.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (arg == "--theta" && i + 1 < argc) {
@@ -658,9 +650,6 @@ int CmdPoolWorker(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--adaptive-theta") {
       opts.adaptive_theta = true;
-    } else if (arg == "--frontier-jobs" && i + 1 < argc) {
-      opts.symex.frontier_jobs =
-          static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       opts.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (arg == "--theta" && i + 1 < argc) {
@@ -873,11 +862,6 @@ int CmdCorpus(int argc, char** argv) {
       if (arg != "--fuzz-fallback") forwarded.push_back(argv[i]);
     } else if (arg == "--pair-deadline-ms" && i + 1 < argc) {
       pair_deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--frontier-jobs" && i + 1 < argc) {
-      opts.symex.frontier_jobs =
-          static_cast<std::uint32_t>(std::atoi(argv[++i]));
-      forwarded.push_back(arg);
-      forwarded.push_back(argv[i]);
     } else if (arg == "--isolate") {
       isolate = true;
     } else if (arg == "--pool") {
@@ -1166,9 +1150,6 @@ int CmdServe(int argc, char** argv) {
       serve.pipeline.solver_budget_retry = true;
     } else if (ParseFuzzFlag(arg, argc, argv, i, &serve.pipeline)) {
       // consumed
-    } else if (arg == "--frontier-jobs" && i + 1 < argc) {
-      serve.pipeline.symex.frontier_jobs =
-          static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
       if (!ok) return 2;
       core::SetVmDispatch(serve.pipeline, dispatch);
