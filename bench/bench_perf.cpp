@@ -31,14 +31,14 @@
 //               the cache-off baseline. Reports the reuse rate and the
 //               wall-time of the origin-sharing pairs with and without
 //               a warm cache.
-//   backends    solver-backend A/B: the whole corpus under the legacy
-//               backtracker, diffed against the
-//               propagate default, plus a pair-3 speedup measurement
-//               (backtrack + no cycle skip, i.e. the PR 7 configuration,
-//               vs. the current default) emitted as pair3_speedup,
-//               and a pair-14 leg (the solver-heavy combine pair) timed
-//               under the propagate default and the backtrack oracle,
-//               whose reports must be byte-identical.
+//   oracle legs pair 3 (the hung-loop pair) and pair 14 (the
+//               solver-heavy combine pair), each timed best-of-N under
+//               the defaults and under oracle::ShortcutsOff (backtrack
+//               core, switch dispatch, no fusion, no cycle skip). Pair
+//               3's ratio is gated as pair3_speedup; both pairs' reports
+//               must be byte-identical across the two configurations.
+//               The whole-corpus differential lives in
+//               tests/shortcuts_off_test.cpp.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -52,7 +52,7 @@
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
 #include "corpus/pairs.h"
-#include "symex/solver.h"
+#include "oracle/oracle.h"
 #include "symex/state.h"
 
 using namespace octopocs;
@@ -320,22 +320,14 @@ int main(int argc, char** argv) {
   std::printf("  identity:   cached results %s the cache-off baseline\n\n",
               artifact_identical ? "byte-identical to" : "DIVERGED from");
 
-  // -- Solver backend A/B: corpus identity + pair-3 speedup -----------------
-  // The propagation core (the default, measured by the serial leg above)
-  // must be answer-identical to the legacy backtracker over the whole
-  // corpus — the same bar the dispatch modes are held to.
-  core::PipelineOptions backtrack_opts;
-  core::SetSolverBackend(backtrack_opts, symex::SolverBackendKind::kBacktrack);
-  const auto corpus_backtrack = core::VerifyCorpus(pairs, backtrack_opts, 1);
-  const bool backend_identical = ReportsIdentical(serial, corpus_backtrack);
-  std::printf("backends:     backtrack corpus results %s the "
-              "propagate default\n",
-              backend_identical ? "byte-identical to" : "DIVERGED from");
+  // -- Oracle legs: pairs 3 and 14, defaults vs every shortcut off --------
+  core::PipelineOptions oracle_opts;
+  oracle::ShortcutsOff(&oracle_opts);
 
-  // Pair idx 3 is the corpus's long pole. The baseline leg runs it the
-  // way PR 7 shipped — legacy backtracking search, cycle fast-forward
-  // off — against the current default (propagation core, cycle skip
-  // on). Best-of-N wall times so scheduler noise cannot fake a
+  // Pair idx 3 hangs T in a loop until the fuel bound. The baseline leg
+  // runs it with every shortcut off (the interpreter then steps the
+  // whole fuel budget) against the defaults (cycle skip fast-forwards
+  // it). Best-of-N wall times so scheduler noise cannot fake a
   // regression; identity of the two reports is part of the gate.
   std::size_t pair3 = pairs.size();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -345,14 +337,11 @@ int main(int argc, char** argv) {
   double pair3_speedup = 0;
   bool pair3_identical = true;
   if (pair3 < pairs.size()) {
-    core::PipelineOptions pr7_opts;
-    core::SetSolverBackend(pr7_opts, symex::SolverBackendKind::kBacktrack);
-    core::SetCycleSkip(pr7_opts, false);
     const int reps = smoke ? 1 : 3;
     core::VerificationReport baseline_rep, optimized_rep;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = Clock::now();
-      baseline_rep = core::VerifyPair(pairs[pair3], pr7_opts);
+      baseline_rep = core::VerifyPair(pairs[pair3], oracle_opts);
       const double s = SecondsSince(t0);
       if (r == 0 || s < pair3_baseline_seconds) pair3_baseline_seconds = s;
       const auto t1 = Clock::now();
@@ -364,7 +353,7 @@ int main(int argc, char** argv) {
                         ? pair3_baseline_seconds / pair3_optimized_seconds
                         : 0;
     pair3_identical = ReportsIdentical({baseline_rep}, {optimized_rep});
-    std::printf("pair 3:       %.3f s baseline (backtrack, no cycle skip) | "
+    std::printf("pair 3:       %.3f s baseline (shortcuts off) | "
                 "%.3f s optimized (%.1fx, reports %s)\n\n",
                 pair3_baseline_seconds, pair3_optimized_seconds,
                 pair3_speedup,
@@ -372,8 +361,9 @@ int main(int argc, char** argv) {
   }
 
   // Pair idx 14 spends nearly all its time in P2/P3 solver queries. Its
-  // leg times the propagate default against the backtrack oracle, best
-  // of five each; the time is informational, report identity is gated.
+  // leg times the defaults against every shortcut off (the backtrack
+  // oracle answering each query), best of five each; the time is
+  // informational, report identity is gated.
   std::size_t pair14 = pairs.size();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (pairs[i].idx == 14) pair14 = i;
@@ -388,12 +378,12 @@ int main(int argc, char** argv) {
       const double s = SecondsSince(t0);
       if (r == 0 || s < pair14_seconds) pair14_seconds = s;
       const auto t1 = Clock::now();
-      oracle_rep = core::VerifyPair(pairs[pair14], backtrack_opts);
+      oracle_rep = core::VerifyPair(pairs[pair14], oracle_opts);
       const double o = SecondsSince(t1);
       if (r == 0 || o < pair14_oracle_seconds) pair14_oracle_seconds = o;
     }
     pair14_identical = ReportsIdentical({default_rep}, {oracle_rep});
-    std::printf("pair 14:      %.3f s propagate | %.3f s backtrack oracle "
+    std::printf("pair 14:      %.3f s defaults | %.3f s shortcuts off "
                 "(reports %s)\n\n",
                 pair14_seconds, pair14_oracle_seconds,
                 pair14_identical ? "byte-identical" : "DIVERGED");
@@ -446,8 +436,6 @@ int main(int argc, char** argv) {
                  "  \"artifact_identical_to_baseline\": %s,\n"
                  "  \"artifact_shared_origin_baseline_seconds\": %.4f,\n"
                  "  \"artifact_shared_origin_warm_seconds\": %.4f,\n"
-                 "  \"solver_backend\": \"propagate\",\n"
-                 "  \"solver_backend_identical\": %s,\n"
                  "  \"pair3_baseline_seconds\": %.4f,\n"
                  "  \"pair3_optimized_seconds\": %.4f,\n"
                  "  \"pair3_speedup\": %.2f,\n"
@@ -465,7 +453,6 @@ int main(int argc, char** argv) {
                  warm_misses, reuse_rate,
                  artifact_identical ? "true" : "false",
                  shared_baseline_seconds, shared_warm_seconds,
-                 backend_identical ? "true" : "false",
                  pair3_baseline_seconds, pair3_optimized_seconds,
                  pair3_speedup, pair3_identical ? "true" : "false",
                  pair14_seconds, pair14_oracle_seconds,
@@ -482,18 +469,14 @@ int main(int argc, char** argv) {
     std::printf("FAIL: parallel verification diverged from serial\n");
     return 1;
   }
-  if (!backend_identical) {
-    std::printf("FAIL: solver backends diverged on the corpus\n");
-    return 1;
-  }
   if (!pair3_identical) {
     std::printf("FAIL: pair-3 optimized report diverged from the "
                 "baseline leg\n");
     return 1;
   }
   if (!pair14_identical) {
-    std::printf("FAIL: pair-14 propagate report diverged from the "
-                "backtrack oracle\n");
+    std::printf("FAIL: pair-14 report diverged from the shortcut-off "
+                "oracle\n");
     return 1;
   }
   if (!artifact_identical) {

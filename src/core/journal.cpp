@@ -40,8 +40,8 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
                                      bool isolate, std::uint64_t rlimit_mb) {
   std::ostringstream ss;
   // v2: the fuzz-fallback rung entered the verdict-bearing option set.
-  // Unlike the answer-identical backend knobs (dispatch, solver
-  // backend, cycle skip), the rung and its seed/budget can change a
+  // Unlike the answer-identical test seams (dispatch, fusion, cycle
+  // skip, solver core), the rung and its seed/budget can change a
   // pair's verdict, so they fingerprint — a journal written under a
   // different fuzz configuration must not be resumed.
   ss << "v2"

@@ -71,12 +71,12 @@ struct EpArtifact {
 };
 
 void HashExec(ArtifactHasher& h, const vm::ExecOptions& exec) {
-  // dispatch/fuse/cycle_skip are deliberately excluded: the backends
-  // produce byte-identical results, so cached artifacts stay valid
-  // across --vm-dispatch modes and with the cycle fast-forward on or
-  // off (the identity tests depend on it). The same policy covers
-  // SolverOptions::backend — no artifact key hashes SolverOptions, so
-  // --solver-backend can never split otherwise identical keys.
+  // dispatch/fuse/cycle_skip are deliberately excluded: they produce
+  // byte-identical results, so cached artifacts stay valid across
+  // dispatch modes and with fusion or the cycle fast-forward on or off
+  // (the shortcut-off differential in tests/ depends on it). The same
+  // policy covers SolverOptions::backend — no artifact key hashes
+  // SolverOptions, so the solver core can never split identical keys.
   h.U64(exec.fuel).U64(exec.max_call_depth).U64(exec.heap_limit);
 }
 
@@ -694,23 +694,6 @@ VerificationReport Octopocs::Verify() {
   }
   report.timings.total_seconds = Seconds(t0, Clock::now());
   return report;
-}
-
-void SetVmDispatch(PipelineOptions& options, vm::DispatchMode mode) {
-  options.taint.exec.dispatch = mode;
-  options.cfg.exec.dispatch = mode;
-  options.verify_exec.dispatch = mode;
-}
-
-void SetSolverBackend(PipelineOptions& options,
-                      symex::SolverBackendKind kind) {
-  options.symex.solver.backend = kind;
-}
-
-void SetCycleSkip(PipelineOptions& options, bool enabled) {
-  options.taint.exec.cycle_skip = enabled;
-  options.cfg.exec.cycle_skip = enabled;
-  options.verify_exec.cycle_skip = enabled;
 }
 
 VerificationReport VerifyPair(const corpus::Pair& pair,

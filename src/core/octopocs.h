@@ -212,7 +212,8 @@ struct PipelineOptions {
   /// Fallback campaign rng seed — with the execution budget below this
   /// makes the rung's verdict byte-reproducible (the determinism
   /// contract CI gates). Verdict-bearing: enters journal fingerprints
-  /// and serve cache keys, unlike the answer-identical backend knobs.
+  /// and serve cache keys, unlike the answer-identical test seams
+  /// (interpreter dispatch, fusion, cycle skip, solver core).
   std::uint64_t fuzz_seed = 1;
   /// Fallback execution budget (count, not wall clock).
   std::uint64_t fuzz_execs = 200'000;
@@ -235,30 +236,6 @@ struct PipelineOptions {
   /// across threads, must outlive Verify(). Never enters artifact keys.
   ArtifactStore* artifacts = nullptr;
 };
-
-/// Applies one interpreter dispatch backend to every concrete execution
-/// the pipeline performs (P1 taint run, dynamic-CFG seeding, P4 verify).
-/// Verdicts are byte-identical across backends — the CLI's
-/// --vm-dispatch flag exists for A/B measurement and as the portable
-/// fallback, so the mode never enters artifact keys or journal
-/// fingerprints.
-void SetVmDispatch(PipelineOptions& options, vm::DispatchMode mode);
-
-/// Selects the CSP search core for every solver query P2/P3 issues
-/// (including retry rungs, which reuse the same options). The two cores
-/// are answer-identical — the CLI's --solver-backend flag exists to A/B
-/// the propagate core against the backtrack oracle, so like the
-/// dispatch mode the choice never enters artifact keys or journal
-/// fingerprints.
-void SetSolverBackend(PipelineOptions& options, symex::SolverBackendKind kind);
-
-/// Enables or disables the interpreter's exact-cycle fast-forward in
-/// every concrete execution the pipeline performs. The skip is
-/// state-identity based and byte-identical by construction (see
-/// vm::ExecOptions::cycle_skip), so it too stays out of artifact keys;
-/// the off position exists for the benchmark's honest baseline leg and
-/// for debugging.
-void SetCycleSkip(PipelineOptions& options, bool enabled);
 
 class Octopocs {
  public:

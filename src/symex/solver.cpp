@@ -19,22 +19,6 @@ SolveResult SolveDistinct(std::vector<ExprRef> constraints,
 
 }  // namespace
 
-std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name) {
-  if (name == "backtrack") return SolverBackendKind::kBacktrack;
-  if (name == "propagate") return SolverBackendKind::kPropagate;
-  return std::nullopt;
-}
-
-const char* SolverBackendName(SolverBackendKind kind) {
-  switch (kind) {
-    case SolverBackendKind::kBacktrack:
-      return "backtrack";
-    case SolverBackendKind::kPropagate:
-      return "propagate";
-  }
-  return "?";
-}
-
 std::uint64_t SolverCache::HashKey(const std::vector<ExprRef>& constraints) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over node addresses
   for (const ExprRef& c : constraints) {
@@ -373,20 +357,13 @@ SolveResult SolveDistinct(std::vector<ExprRef> constraints,
     }
   }
   constraints.insert(constraints.end(), derived.begin(), derived.end());
-  return GetSolverBackend(options.backend).Solve(constraints, options);
+  const SolverBackend& core = options.backend != nullptr
+                                  ? *options.backend
+                                  : PropagateBackendInstance();
+  return core.Solve(constraints, options);
 }
 
 }  // namespace
-
-const SolverBackend& GetSolverBackend(SolverBackendKind kind) {
-  switch (kind) {
-    case SolverBackendKind::kBacktrack:
-      return BacktrackBackendInstance();
-    case SolverBackendKind::kPropagate:
-      return PropagateBackendInstance();
-  }
-  return PropagateBackendInstance();
-}
 
 SolveResult ByteSolver::Solve() const { return SolveWith({}); }
 

@@ -20,24 +20,19 @@
 //               doubled-budget retry, and a cancelled verdict must never
 //               enter the SolverCache.
 //
-// Two search cores implement the same decision procedure behind the
-// SolverBackend interface (DESIGN.md §15):
-//
-//   backtrack — the original recursive search over std::array<bool,256>
-//               domains with tree-walking Eval. Kept verbatim as the
-//               A/B oracle: slow, simple, trusted.
-//   propagate — watched-domain propagation over 256-bit ByteDomain
-//               masks, evaluating each constraint through the
-//               straight-line program attached to its node
-//               (ProgramFor). Same decision tree (variable order, value
-//               order, filtering strength) as the backtracker by
-//               construction, so both return the identical first model,
-//               the identical kUnsat verdicts and the same step counts.
+// The search core is the propagate core behind the SolverBackend
+// interface (DESIGN.md §15): watched-domain propagation over 256-bit
+// ByteDomain masks, evaluating each constraint through the
+// straight-line program attached to its node (ProgramFor). Its slow
+// reference, the original recursive backtracker over
+// std::array<bool,256> domains with tree-walking Eval, lives in
+// tests/oracle/ and plugs in through SolverOptions::backend. Both walk
+// the same decision tree (variable order, value order, filtering
+// strength), so they return the identical first model, the identical
+// kUnsat verdicts and the same step counts.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -59,17 +54,7 @@ struct SolveResult {
   std::uint64_t steps = 0;
 };
 
-/// Which search core answers queries. Never part of any artifact or
-/// cache key: backends are answer-identical, so the choice is an
-/// observability/performance knob like vm::DispatchMode (DESIGN.md §15).
-enum class SolverBackendKind : std::uint8_t {
-  kBacktrack,
-  kPropagate,
-};
-
-/// CLI spelling ("backtrack" | "propagate"), or nullopt.
-std::optional<SolverBackendKind> ParseSolverBackend(std::string_view name);
-const char* SolverBackendName(SolverBackendKind kind);
+class SolverBackend;
 
 struct SolverOptions {
   /// Backtracking-step budget before giving up with kUnknown.
@@ -90,9 +75,10 @@ struct SolverOptions {
   /// always prefilters every unary constraint; the context only skips
   /// evaluations whose outcome it has already recorded).
   const SolveContext* context = nullptr;
-  /// Search core selection. Excluded from every cache and artifact key —
-  /// backends are answer-identical by construction.
-  SolverBackendKind backend = SolverBackendKind::kPropagate;
+  /// Test seam: the search core for fresh solves; null selects the
+  /// propagate core. Not owned. Excluded from every cache and artifact
+  /// key — cores are answer-identical by construction.
+  const SolverBackend* backend = nullptr;
 };
 
 /// One complete search core. `Solve` receives the *preprocessed*
@@ -103,13 +89,9 @@ struct SolverOptions {
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
-  virtual const char* name() const = 0;
   virtual SolveResult Solve(const std::vector<ExprRef>& constraints,
                             const SolverOptions& options) const = 0;
 };
-
-/// Singleton accessor for the cores.
-const SolverBackend& GetSolverBackend(SolverBackendKind kind);
 
 class ByteSolver {
  public:

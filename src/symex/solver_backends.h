@@ -1,13 +1,12 @@
-// Internal: singleton instances of the two search cores. Users go
-// through GetSolverBackend (solver.h); these accessors exist so the
-// per-core translation units can link without a registry.
+// Internal: the production search core's singleton. SolverOptions::backend
+// null selects it; solver_propagate.cpp defines it so solver.cpp can
+// link without a registry.
 #pragma once
 
 #include "symex/solver.h"
 
 namespace octopocs::symex {
 
-const SolverBackend& BacktrackBackendInstance();
 const SolverBackend& PropagateBackendInstance();
 
 }  // namespace octopocs::symex

@@ -1,6 +1,7 @@
 // The propagation-first search core (DESIGN.md §15).
 //
-// Same decision procedure as the backtrack oracle — identical variable
+// Same decision procedure as the backtrack oracle
+// (tests/oracle/solver_backtrack.cpp) — identical variable
 // order (smallest filtered domain, lowest dense index on ties),
 // identical value order (PoC-byte hint first, then ascending), identical
 // filtering strength (unit constraints only) — so both cores return the
@@ -301,10 +302,10 @@ struct PropagateSearch {
     if (!Propagate()) return Outcome::kUnsat;
     if (cancelled) return Outcome::kCancelled;
     if (steps > max_steps) return Outcome::kBudget;
-    return Backtrack();
+    return Branch();
   }
 
-  Outcome Backtrack() {
+  Outcome Branch() {
     if (Cancelled()) return Outcome::kCancelled;
     if (steps > max_steps) return Outcome::kBudget;
     // Identical branching rule to the oracle: smallest domain, lowest
@@ -345,7 +346,7 @@ struct PropagateSearch {
       if (ok && cancelled) return Outcome::kCancelled;
       if (ok && steps > max_steps) return Outcome::kBudget;
       if (ok) {
-        const Outcome sub = Backtrack();
+        const Outcome sub = Branch();
         if (sub != Outcome::kUnsat) return sub;
       }
       Rollback(cp);
@@ -365,8 +366,6 @@ struct PropagateSearch {
 
 class PropagateBackend final : public SolverBackend {
  public:
-  const char* name() const override { return "propagate"; }
-
   SolveResult Solve(const std::vector<ExprRef>& constraints,
                     const SolverOptions& options) const override {
     PropagateSearch search(constraints, options);

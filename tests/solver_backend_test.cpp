@@ -1,5 +1,5 @@
 // SolverBackend differential suite: the propagation core against the
-// legacy backtracker (the A/B oracle).
+// legacy backtracker (the oracle in tests/oracle/).
 //
 // The contract under test is *answer identity*: for any preprocessed
 // constraint system, every backend returns the same status, and on kSat
@@ -17,6 +17,7 @@
 #include <random>
 #include <vector>
 
+#include "oracle/oracle.h"
 #include "symex/expr.h"
 #include "symex/solver.h"
 
@@ -84,10 +85,15 @@ Model RandomHints(std::mt19937& rng) {
   return hints;
 }
 
-SolveResult SolveUnder(const std::vector<ExprRef>& cs, SolverBackendKind kind,
+/// The two cores under test: null selects the production propagate core.
+const SolverBackend* const kPropagate = nullptr;
+const SolverBackend* const kBacktrack = &oracle::BacktrackSolver();
+
+SolveResult SolveUnder(const std::vector<ExprRef>& cs,
+                       const SolverBackend* core,
                        const SolverOptions& base = {}) {
   SolverOptions options = base;
-  options.backend = kind;
+  options.backend = core;
   ByteSolver solver(options);
   for (const ExprRef& c : cs) solver.Add(c);
   return solver.Solve();
@@ -133,10 +139,8 @@ TEST(BackendDifferential, FiveHundredRandomSystemsAgreeExactly) {
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 5) == 4);
     SolverOptions base;
     base.hints = RandomHints(rng);
-    const SolveResult oracle = SolveUnder(cs, SolverBackendKind::kBacktrack,
-                                          base);
-    const SolveResult fast = SolveUnder(cs, SolverBackendKind::kPropagate,
-                                        base);
+    const SolveResult oracle = SolveUnder(cs, kBacktrack, base);
+    const SolveResult fast = SolveUnder(cs, kPropagate, base);
     ASSERT_EQ(fast.status, oracle.status) << "round " << round;
     if (oracle.status == SolveStatus::kSat) {
       ++sat;
@@ -167,10 +171,8 @@ TEST(BackendDifferential, GrowingPrefixReSolvesAgree) {
       const std::vector<ExprRef> extension =
           RandomSystem(rng, /*force_unsat=*/stage == 3 && (round % 3) == 0);
       prefix.insert(prefix.end(), extension.begin(), extension.end());
-      const SolveResult fast =
-          SolveUnder(prefix, SolverBackendKind::kPropagate);
-      const SolveResult oracle =
-          SolveUnder(prefix, SolverBackendKind::kBacktrack);
+      const SolveResult fast = SolveUnder(prefix, kPropagate);
+      const SolveResult oracle = SolveUnder(prefix, kBacktrack);
       ASSERT_EQ(fast.status, oracle.status)
           << "round " << round << " stage " << stage;
       EXPECT_EQ(fast.steps, oracle.steps)
@@ -197,10 +199,8 @@ TEST(BackendDifferential, BudgetEdgesNeverContradict) {
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 4) == 3);
     SolverOptions tight;
     tight.max_steps = rng() % 24;
-    const SolveResult a = SolveUnder(cs, SolverBackendKind::kBacktrack,
-                                     tight);
-    const SolveResult b = SolveUnder(cs, SolverBackendKind::kPropagate,
-                                     tight);
+    const SolveResult a = SolveUnder(cs, kBacktrack, tight);
+    const SolveResult b = SolveUnder(cs, kPropagate, tight);
     if (Definitive(a.status) && Definitive(b.status)) {
       ASSERT_EQ(a.status, b.status) << "round " << round;
       if (a.status == SolveStatus::kSat) {
@@ -212,20 +212,6 @@ TEST(BackendDifferential, BudgetEdgesNeverContradict) {
       EXPECT_TRUE(Satisfies(cs, b.model)) << "round " << round;
     }
   }
-}
-
-// -- Backend plumbing --------------------------------------------------------
-
-TEST(BackendPlumbing, ParseAndNameRoundTrip) {
-  for (const SolverBackendKind kind :
-       {SolverBackendKind::kBacktrack, SolverBackendKind::kPropagate}) {
-    const auto parsed = ParseSolverBackend(SolverBackendName(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-    EXPECT_STREQ(GetSolverBackend(kind).name(), SolverBackendName(kind));
-  }
-  EXPECT_FALSE(ParseSolverBackend("z3").has_value());
-  EXPECT_FALSE(ParseSolverBackend("").has_value());
 }
 
 }  // namespace

@@ -1,59 +1,30 @@
 // octopocs — command-line driver for the pipeline.
 //
 // Subcommands:
-//   verify <s.asm> <t.asm> <poc.bin> [options]
+//   verify <s.asm> <t.asm> <poc.bin> [options] [pipeline flags]
 //       Run the full pipeline. ℓ defaults to the clone detector's
 //       output; --shared overrides it. Writes the reformed PoC with
 //       --out. Options:
 //         --shared f1,f2,...   use these ℓ names instead of detecting
 //         --out FILE           write poc' to FILE when generated
-//         --context-free       Table III mode (no per-encounter bunches)
-//         --theta N            loop cap (default 120)
-//         --adaptive-theta     retry with growing θ on loop-dead verdicts
-//         --static-cfg         no dynamic CFG edges
-//         --fix-angr           resolve obfuscated indirect calls
 //         --deadline-ms N      wall-clock budget for the whole pipeline;
 //                              on expiry the verdict is Failure with the
 //                              tripped phase named in the report
-//         --cfg-fallback       retry a failed dynamic CFG with a static
-//                              one instead of reporting Failure
-//         --solver-retry       retry a solver-budget failure once with
-//                              the step budget doubled
-//         --fuzz-fallback      when symex ends program-dead or
-//                              budget-exhausted, run a directed fuzzing
-//                              campaign seeded from the PoC before
-//                              settling for the dead-end verdict; a
-//                              crash at ep re-verifies concretely and
-//                              reports TriggeredByFuzzing (DESIGN.md
-//                              §16). Default off.
-//         --fuzz-seed N        campaign RNG seed (default 1). Together
-//                              with --fuzz-execs this makes the rung's
-//                              verdict byte-reproducible.
-//         --fuzz-execs N       campaign budget in executions, not wall
-//                              clock (default 200000)
-//         --fuzz-deadline-ms N wall-clock backstop for the fuzz phase
-//                              (abandons the campaign; never reorders
-//                              its deterministic schedule)
 //         --trace-out FILE     write the structured trace (phase spans,
 //                              executor counters) as JSONL to FILE
 //         --artifact-cache=on|off
 //                              consult/populate the content-addressed
 //                              artifact store (default off); results
 //                              are byte-identical either way
-//         --vm-dispatch=switch|threaded
-//                              interpreter backend for every concrete
-//                              execution (default threaded). Verdicts
-//                              are byte-identical across backends; the
-//                              flag is the A/B baseline and the portable
-//                              fallback.
-//         --solver-backend=backtrack|propagate
-//                              CSP search core for every P2/P3 solver
-//                              query (default propagate). The cores are
-//                              answer-identical; backtrack is the slow
-//                              trusted oracle.
+//       [pipeline flags] are the kPipelineFlags table below, shared by
+//       verify, corpus, serve, pair-worker and pool-worker and printed
+//       by each usage message: θ and the Table III / CFG ablation
+//       knobs, the --cfg-fallback / --solver-retry degradation rungs,
+//       and the --fuzz-fallback rung with its determinism knobs
+//       (DESIGN.md §16).
 //   detect <s.asm> <t.asm>
 //       Print the function-level clones between two programs.
-//   run <prog.asm> <input.bin> [--trace] [--vm-dispatch=switch|threaded]
+//   run <prog.asm> <input.bin> [--trace]
 //       Execute a program on an input; print the exit/trap state.
 //   minimize <prog.asm> <poc.bin> [--out FILE]
 //       Delta-debug a crashing input down to its essential bytes.
@@ -62,11 +33,10 @@
 //   export <pair-index> <dir>
 //       Materialize a corpus pair (1-22) as s.asm / t.asm / poc.bin /
 //       shared.txt so the other subcommands can chew on it.
-//   corpus [--jobs N] [--extended] [--adaptive-theta]
-//          [--pair-deadline-ms N] [--trace-out FILE]
-//          [--artifact-cache=on|off] [--isolate] [--rlimit-mb N]
-//          [--max-retries N] [--journal FILE] [--resume FILE]
-//          [--vm-dispatch=switch|threaded] [--pool]
+//   corpus [--jobs N] [--extended] [--pair-deadline-ms N]
+//          [--trace-out FILE] [--artifact-cache=on|off] [--isolate]
+//          [--rlimit-mb N] [--max-retries N] [--journal FILE]
+//          [--resume FILE] [--pool] [pipeline flags]
 //       Verify the whole built-in corpus (pairs 1-15, or 16-22 with
 //       --extended) with N pipeline runs in flight at once. Reports are
 //       printed in pair order and are byte-identical to a serial run
@@ -92,11 +62,13 @@
 //       fork/exec-ing one process per pair — same sandbox, same
 //       crash-containment/retry/quarantine semantics, byte-identical
 //       verdicts, but the spawn + warmup cost is paid once per worker.
-//   pair-worker <idx> [pipeline flags]
+//       Isolated workers receive the pipeline flags verbatim.
+//   pair-worker <idx> [--deadline-ms N] [--gen-seed N]
+//               [--abort-fault SITE:SKIP:STAMP] [pipeline flags]
 //       Internal: verify one corpus pair and emit the framed report the
 //       supervisor unmarshals (OCTO-REPORT {...} / OCTO-DONE). Spawned
 //       by `corpus --isolate`; not meant for direct use.
-//   pool-worker [pipeline flags]
+//   pool-worker [pair-worker flags]
 //       Internal: the persistent variant — serves `OCTO-PAIR <idx>`
 //       requests off stdin until EOF/OCTO-EXIT, one framed report per
 //       request. Spawned by `corpus --isolate --pool`.
@@ -153,17 +125,23 @@
 // faults) — distinguishable so CI can retry timeouts without masking
 // real mismatches. SIGINT/SIGTERM drains gracefully — running pairs
 // are cancelled, workers killed, trace buffers flushed and a partial
-// summary printed — and exits 128+signal.
+// summary printed — and exits 128+signal. A usage error exits 2: an
+// unknown option, a flag missing its operand, or a number that is not
+// all digits or out of the flag's range (ParseUnsigned).
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -268,75 +246,198 @@ corpus::Pair LoadPair(int idx) {
   return idx <= 15 ? corpus::BuildPair(idx) : corpus::BuildExtendedPair(idx);
 }
 
-/// Consumes --vm-dispatch=switch|threaded into `mode`. Returns false
-/// when `arg` is not this flag; clears `ok` (and prints the complaint)
-/// on an unrecognized backend name. Verdicts are byte-identical across
-/// backends — the flag exists for A/B measurement and as the portable
-/// fallback on toolchains without computed goto.
-bool ParseVmDispatch(const std::string& arg, vm::DispatchMode* mode,
-                     bool* ok) {
-  constexpr const char kPrefix[] = "--vm-dispatch=";
-  if (arg.rfind(kPrefix, 0) != 0) return false;
-  const std::string value = arg.substr(sizeof kPrefix - 1);
-  if (value == "switch") {
-    *mode = vm::DispatchMode::kSwitch;
-  } else if (value == "threaded") {
-    *mode = vm::DispatchMode::kThreaded;
-  } else {
-    std::fprintf(stderr,
-                 "unknown --vm-dispatch backend: %s (want switch|threaded)\n",
-                 value.c_str());
-    *ok = false;
+// -- Command-line parsing -----------------------------------------------------
+
+/// A malformed command line: main prints the message and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+/// Cap for every thread or process count a flag asks for.
+constexpr std::uint64_t kMaxParallel = 256;
+/// Cap for every millisecond budget (~49 days), so deadline arithmetic
+/// cannot overflow.
+constexpr std::uint64_t kMaxMs = kU32;
+
+/// The one parser behind every numeric flag and operand: `text` must be
+/// all decimal digits and lie in [lo, hi]. A sign, a suffix, an empty
+/// string or an overflow is a UsageError naming `what`.
+std::uint64_t ParseUnsigned(const std::string& what, const std::string& text,
+                            std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    throw UsageError(what + " wants an integer in " + std::to_string(lo) +
+                     ".." + std::to_string(hi) + ", got '" + text + "'");
   }
-  return true;
+  return value;
 }
 
-/// Consumes --solver-backend=backtrack|propagate into `opts`.
-/// Same contract as ParseVmDispatch: returns false when `arg` is not
-/// this flag, clears `ok` on an unknown backend name. Backends are
-/// answer-identical (CI diffs whole-corpus runs); the flag exists to
-/// A/B the propagate core against the backtrack oracle.
-bool ParseSolverBackendFlag(const std::string& arg,
-                            core::PipelineOptions* opts, bool* ok) {
-  constexpr const char kPrefix[] = "--solver-backend=";
-  if (arg.rfind(kPrefix, 0) != 0) return false;
-  const std::string value = arg.substr(sizeof kPrefix - 1);
-  if (const auto kind = symex::ParseSolverBackend(value)) {
-    core::SetSolverBackend(*opts, *kind);
-  } else {
-    std::fprintf(stderr,
-                 "unknown --solver-backend: %s (want "
-                 "backtrack|propagate)\n",
-                 value.c_str());
-    *ok = false;
-  }
-  return true;
-}
+/// One subcommand's arguments, walked left to right. A value flag takes
+/// its operand through Value() or Count(), which name the flag when the
+/// operand is missing or malformed.
+class Args {
+ public:
+  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
-/// Consumes the fuzz-fallback rung flags shared by every
-/// pipeline-running subcommand: --fuzz-fallback turns the rung on,
-/// --fuzz-seed / --fuzz-execs / --fuzz-deadline-ms pin the campaign's
-/// determinism knobs (DESIGN.md §16). Returns false when `arg` is not
-/// one of ours.
-bool ParseFuzzFlag(const std::string& arg, int argc, char** argv, int& i,
-                   core::PipelineOptions* opts) {
-  if (arg == "--fuzz-fallback") {
-    opts->fuzz_fallback = true;
+  /// Steps to the next argument; false once they are exhausted.
+  bool Next() {
+    if (next_ >= argc_) return false;
+    flag_ = argv_[next_++];
     return true;
   }
-  if (arg == "--fuzz-seed" && i + 1 < argc) {
-    opts->fuzz_seed = std::strtoull(argv[++i], nullptr, 10);
-    return true;
+  const std::string& flag() const { return flag_; }
+
+  std::string Value() {
+    if (next_ >= argc_) throw UsageError(flag_ + " wants a value");
+    return argv_[next_++];
   }
-  if (arg == "--fuzz-execs" && i + 1 < argc) {
-    opts->fuzz_execs = std::strtoull(argv[++i], nullptr, 10);
-    return true;
+  template <typename T>
+  T Count(std::uint64_t lo = 0,
+          std::uint64_t hi = std::numeric_limits<T>::max()) {
+    return static_cast<T>(ParseUnsigned(flag_, Value(), lo, hi));
   }
-  if (arg == "--fuzz-deadline-ms" && i + 1 < argc) {
-    opts->fuzz_deadline_ms = std::strtoull(argv[++i], nullptr, 10);
+
+ private:
+  int argc_;
+  char** argv_;
+  int next_ = 0;
+  std::string flag_;
+};
+
+/// One flag of the table every pipeline-running subcommand parses. A
+/// switch has no operand; a value flag takes an unsigned in [0, max].
+struct PipelineFlag {
+  const char* name;
+  const char* operand;  // nullptr for a switch
+  std::uint64_t max;
+  void (*apply)(core::PipelineOptions&, std::uint64_t);
+  const char* help;
+};
+
+using Pipeline = core::PipelineOptions;
+
+const PipelineFlag kPipelineFlags[] = {
+    {"--theta", "N", kU32,
+     [](Pipeline& o, std::uint64_t v) {
+       o.symex.theta = static_cast<std::uint32_t>(v);
+     },
+     "loop cap θ (default 120)"},
+    {"--context-free", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) { o.taint.context_aware = false; },
+     "Table III mode: no per-encounter bunches"},
+    {"--adaptive-theta", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) { o.adaptive_theta = true; },
+     "retry with a growing θ on loop-dead verdicts"},
+    {"--static-cfg", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) { o.cfg.use_dynamic = false; },
+     "no dynamic CFG edges"},
+    {"--fix-angr", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) {
+       o.cfg.resolve_obfuscated_icalls = true;
+     },
+     "resolve obfuscated indirect calls"},
+    {"--cfg-fallback", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) { o.cfg_fallback_to_static = true; },
+     "retry a failed dynamic CFG with a static one"},
+    {"--solver-retry", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) { o.solver_budget_retry = true; },
+     "retry a solver-budget failure once with twice the steps"},
+    {"--fuzz-fallback", nullptr, 0,
+     [](Pipeline& o, std::uint64_t) { o.fuzz_fallback = true; },
+     "fuzz from the PoC when symex dead-ends (TriggeredByFuzzing)"},
+    {"--fuzz-seed", "N", kU64,
+     [](Pipeline& o, std::uint64_t v) { o.fuzz_seed = v; },
+     "fuzz campaign RNG seed (default 1)"},
+    {"--fuzz-execs", "N", kU64,
+     [](Pipeline& o, std::uint64_t v) { o.fuzz_execs = v; },
+     "fuzz budget in executions, not wall clock (default 200000)"},
+    {"--fuzz-deadline-ms", "N", kMaxMs,
+     [](Pipeline& o, std::uint64_t v) { o.fuzz_deadline_ms = v; },
+     "wall-clock backstop that abandons the campaign"},
+};
+
+/// Applies args.flag() when it is in kPipelineFlags and returns true;
+/// `consumed`, when given, receives the flag and its operand verbatim
+/// (what `corpus --isolate` forwards to its workers).
+bool ParsePipelineFlag(Args& args, Pipeline* opts,
+                       std::vector<std::string>* consumed = nullptr) {
+  for (const PipelineFlag& f : kPipelineFlags) {
+    if (args.flag() != f.name) continue;
+    std::vector<std::string> words{f.name};
+    std::uint64_t value = 0;
+    if (f.operand != nullptr) {
+      words.push_back(args.Value());
+      value = ParseUnsigned(f.name, words.back(), 0, f.max);
+    }
+    f.apply(*opts, value);
+    if (consumed != nullptr) {
+      consumed->insert(consumed->end(), words.begin(), words.end());
+    }
     return true;
   }
   return false;
+}
+
+/// Prints `usage` and then the [pipeline flags] block, both from one
+/// source of truth; returns the usage exit code.
+int PipelineUsage(const char* usage) {
+  std::fprintf(stderr, "%s\npipeline flags:\n", usage);
+  for (const PipelineFlag& f : kPipelineFlags) {
+    std::string head = f.name;
+    if (f.operand != nullptr) head = head + " " + f.operand;
+    std::fprintf(stderr, "  %-20s %s\n", head.c_str(), f.help);
+  }
+  return 2;
+}
+
+/// --abort-fault SITE:SKIP:STAMP, the CI fault leg's hook in pair-worker
+/// and pool-worker: when STAMP does not exist yet it is created and the
+/// named fault site armed in hard-abort mode, so the worker dies
+/// mid-pair (SIGABRT) exactly once per stamp file and the supervisor's
+/// retry runs clean.
+void ArmAbortFault(const std::string& spec) {
+  const std::size_t c1 = spec.find(':');
+  const std::size_t c2 =
+      c1 == std::string::npos ? std::string::npos : spec.find(':', c1 + 1);
+  support::FaultSite site;
+  if (c2 == std::string::npos ||
+      !support::FaultSiteFromName(spec.substr(0, c1), &site)) {
+    throw UsageError("bad --abort-fault spec: " + spec);
+  }
+  const std::uint64_t skip = ParseUnsigned(
+      "--abort-fault SKIP", spec.substr(c1 + 1, c2 - c1 - 1), 0, kU64);
+  const std::string stamp = spec.substr(c2 + 1);
+  if (!std::ifstream(stamp).good()) {
+    WriteFile(stamp, std::string("armed\n"));
+    support::fault::Arm(site, skip);
+    support::fault::AbortOnFire(true);
+  }
+}
+
+/// The flags pair-worker and pool-worker share: the pipeline table plus
+/// --deadline-ms, --gen-seed and --abort-fault (armed once parsed).
+Pipeline ParseWorkerFlags(Args& args, const char* cmd) {
+  Pipeline opts;
+  std::string abort_fault;
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--deadline-ms") {
+      opts.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
+    } else if (arg == "--gen-seed") {
+      g_gen_seed = args.Count<std::uint64_t>();
+    } else if (arg == "--abort-fault") {
+      abort_fault = args.Value();
+    } else if (!ParsePipelineFlag(args, &opts)) {
+      throw UsageError(std::string("unknown ") + cmd + " option: " + arg);
+    }
+  }
+  if (!abort_fault.empty()) ArmAbortFault(abort_fault);
+  return opts;
 }
 
 /// The observability options shared by `verify` and `corpus`: a JSONL
@@ -346,21 +447,17 @@ struct ObservabilityFlags {
   bool artifact_cache = false;
 
   /// Consumes --trace-out FILE / --artifact-cache=on|off; returns false
-  /// when `arg` is not one of ours.
-  bool Parse(const std::string& arg, int argc, char** argv, int& i) {
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-      return true;
+  /// when args.flag() is not one of ours.
+  bool Parse(Args& args) {
+    if (args.flag() == "--trace-out") {
+      trace_out = args.Value();
+    } else if (args.flag() == "--artifact-cache=on" ||
+               args.flag() == "--artifact-cache=off") {
+      artifact_cache = args.flag() == "--artifact-cache=on";
+    } else {
+      return false;
     }
-    if (arg == "--artifact-cache=on") {
-      artifact_cache = true;
-      return true;
-    }
-    if (arg == "--artifact-cache=off") {
-      artifact_cache = false;
-      return true;
-    }
-    return false;
+    return true;
   }
 
   /// Points the pipeline at the sinks this invocation enabled.
@@ -385,64 +482,32 @@ struct ObservabilityFlags {
 
 int CmdVerify(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr, "usage: octopocs verify <s.asm> <t.asm> <poc.bin> "
-                         "[--shared f1,f2] [--out FILE] [--context-free] "
-                         "[--theta N] [--adaptive-theta] [--static-cfg] "
-                         "[--fix-angr] [--deadline-ms N] [--cfg-fallback] "
-                         "[--solver-retry] [--fuzz-fallback] [--fuzz-seed N] "
-                         "[--fuzz-execs N] [--fuzz-deadline-ms N] "
-                         "[--trace-out FILE] [--artifact-cache=on|off] "
-                         "[--vm-dispatch=switch|threaded] "
-                         "[--solver-backend=backtrack|propagate]"
-                         "\n");
-    return 2;
+    return PipelineUsage(
+        "usage: octopocs verify <s.asm> <t.asm> <poc.bin> [--shared f1,f2] "
+        "[--out FILE] [--deadline-ms N] [--trace-out FILE] "
+        "[--artifact-cache=on|off] [pipeline flags]");
   }
-  const vm::Program s = vm::Assemble(ReadTextFile(argv[0]));
-  const vm::Program t = vm::Assemble(ReadTextFile(argv[1]));
-  const Bytes poc = ReadBinaryFile(argv[2]);
-
   std::vector<std::string> shared;
   std::map<std::string, std::string> name_map;
   std::string out_path;
   core::PipelineOptions opts;
   ObservabilityFlags obs;
-  vm::DispatchMode dispatch = vm::DispatchMode::kThreaded;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--shared" && i + 1 < argc) {
-      shared = SplitCommas(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--context-free") {
-      opts.taint.context_aware = false;
-    } else if (arg == "--theta" && i + 1 < argc) {
-      opts.symex.theta = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--adaptive-theta") {
-      opts.adaptive_theta = true;
-    } else if (arg == "--static-cfg") {
-      opts.cfg.use_dynamic = false;
-    } else if (arg == "--fix-angr") {
-      opts.cfg.resolve_obfuscated_icalls = true;
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      opts.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--cfg-fallback") {
-      opts.cfg_fallback_to_static = true;
-    } else if (arg == "--solver-retry") {
-      opts.solver_budget_retry = true;
-    } else if (ParseFuzzFlag(arg, argc, argv, i, &opts)) {
-      // consumed
-    } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
-      if (!ok) return 2;
-      core::SetVmDispatch(opts, dispatch);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
-    } else if (obs.Parse(arg, argc, argv, i)) {
-      // consumed
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
+  Args args(argc - 3, argv + 3);
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--shared") {
+      shared = SplitCommas(args.Value());
+    } else if (arg == "--out") {
+      out_path = args.Value();
+    } else if (arg == "--deadline-ms") {
+      opts.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
+    } else if (!ParsePipelineFlag(args, &opts) && !obs.Parse(args)) {
+      throw UsageError("unknown option: " + arg);
     }
   }
+  const vm::Program s = vm::Assemble(ReadTextFile(argv[0]));
+  const vm::Program t = vm::Assemble(ReadTextFile(argv[1]));
+  const Bytes poc = ReadBinaryFile(argv[2]);
   if (shared.empty()) {
     for (const auto& m : clone::DetectClones(s, t)) {
       shared.push_back(m.name_in_s);
@@ -540,90 +605,21 @@ int CmdVerify(int argc, char** argv) {
 
 // Worker half of `corpus --isolate`: verify exactly one pair and write
 // the framed report (OCTO-REPORT {...} / OCTO-DONE) to stdout for the
-// supervisor to unmarshal. Pipeline flags mirror the corpus command so
-// the supervisor can forward its configuration verbatim; the verdict is
-// byte-identical to an in-process VerifyPair with the same options.
-//
-// --abort-fault SITE:SKIP:STAMP is a test hook for the CI fault leg:
-// when STAMP does not exist yet, it is created and the named fault site
-// is armed in hard-abort mode, so this worker dies mid-pair (SIGABRT)
-// exactly once per stamp file — the supervisor's retry then runs clean
-// and the corpus result must come out unharmed.
+// supervisor to unmarshal. It parses the same pipeline flags as the
+// corpus command, so the supervisor can forward its configuration
+// verbatim; the verdict is byte-identical to an in-process VerifyPair
+// with the same options. --abort-fault is the CI fault leg's hook
+// (ArmAbortFault).
 int CmdPairWorker(int argc, char** argv) {
   if (argc < 1) {
-    std::fprintf(stderr, "usage: octopocs pair-worker <idx> "
-                         "[--adaptive-theta] "
-                         "[--deadline-ms N] [--theta N] [--context-free] "
-                         "[--static-cfg] [--fix-angr] [--cfg-fallback] "
-                         "[--solver-retry] [--fuzz-fallback] [--fuzz-seed N] "
-                         "[--fuzz-execs N] [--fuzz-deadline-ms N] "
-                         "[--abort-fault SITE:SKIP:STAMP] "
-                         "[--vm-dispatch=switch|threaded] "
-                         "[--solver-backend=backtrack|propagate]"
-                         "\n");
-    return 2;
+    return PipelineUsage(
+        "usage: octopocs pair-worker <idx> [--deadline-ms N] [--gen-seed N] "
+        "[--abort-fault SITE:SKIP:STAMP] [pipeline flags]");
   }
-  const int idx = std::atoi(argv[0]);
-  core::PipelineOptions opts;
-  std::string abort_fault;
-  vm::DispatchMode dispatch = vm::DispatchMode::kThreaded;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--adaptive-theta") {
-      opts.adaptive_theta = true;
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      opts.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--theta" && i + 1 < argc) {
-      opts.symex.theta = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--context-free") {
-      opts.taint.context_aware = false;
-    } else if (arg == "--static-cfg") {
-      opts.cfg.use_dynamic = false;
-    } else if (arg == "--fix-angr") {
-      opts.cfg.resolve_obfuscated_icalls = true;
-    } else if (arg == "--cfg-fallback") {
-      opts.cfg_fallback_to_static = true;
-    } else if (arg == "--solver-retry") {
-      opts.solver_budget_retry = true;
-    } else if (ParseFuzzFlag(arg, argc, argv, i, &opts)) {
-      // consumed
-    } else if (arg == "--abort-fault" && i + 1 < argc) {
-      abort_fault = argv[++i];
-    } else if (arg == "--gen-seed" && i + 1 < argc) {
-      g_gen_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
-      if (!ok) return 2;
-      core::SetVmDispatch(opts, dispatch);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
-    } else {
-      std::fprintf(stderr, "unknown pair-worker option: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-
-  if (!abort_fault.empty()) {
-    const std::size_t c1 = abort_fault.find(':');
-    const std::size_t c2 =
-        c1 == std::string::npos ? std::string::npos
-                                : abort_fault.find(':', c1 + 1);
-    support::FaultSite site;
-    if (c2 == std::string::npos ||
-        !support::FaultSiteFromName(abort_fault.substr(0, c1), &site)) {
-      std::fprintf(stderr, "bad --abort-fault spec: %s\n",
-                   abort_fault.c_str());
-      return 2;
-    }
-    const std::uint64_t skip = static_cast<std::uint64_t>(
-        std::atoll(abort_fault.substr(c1 + 1, c2 - c1 - 1).c_str()));
-    const std::string stamp = abort_fault.substr(c2 + 1);
-    if (!std::ifstream(stamp).good()) {
-      WriteFile(stamp, std::string("armed\n"));
-      support::fault::Arm(site, skip);
-      support::fault::AbortOnFire(true);
-    }
-  }
-
+  const int idx =
+      static_cast<int>(ParseUnsigned("pair index", argv[0], 1, kMaxInt));
+  Args args(argc - 1, argv + 1);
+  const core::PipelineOptions opts = ParseWorkerFlags(args, "pair-worker");
   const corpus::Pair pair = LoadPair(idx);
   const core::VerificationReport report = core::VerifyPair(pair, opts);
   support::fault::Disarm();
@@ -634,74 +630,17 @@ int CmdPairWorker(int argc, char** argv) {
 }
 
 // Persistent worker half of `corpus --isolate --pool`: parse the same
-// pipeline flags as pair-worker once, then serve pair requests off
-// stdin until EOF/OCTO-EXIT — `OCTO-PAIR <idx>` in, the standard
-// OCTO-REPORT/OCTO-DONE frame out. Fork/exec and warmup are paid once
-// per worker instead of once per pair, and the worker keeps a warm
-// artifact store across the pairs it serves (results are byte-identical
-// with or without it). --abort-fault works exactly as in pair-worker:
-// armed once per stamp file, so the first pair served dies mid-frame
-// and the supervisor's respawn+retry must recover.
+// flags as pair-worker once, then serve pair requests off stdin until
+// EOF/OCTO-EXIT — `OCTO-PAIR <idx>` in, the standard OCTO-REPORT/OCTO-DONE
+// frame out. Fork/exec and warmup are paid once per worker instead of
+// once per pair, and the worker keeps a warm artifact store across the
+// pairs it serves (results are byte-identical with or without it).
+// --abort-fault works exactly as in pair-worker: armed once per stamp
+// file, so the first pair served dies mid-frame and the supervisor's
+// respawn+retry must recover.
 int CmdPoolWorker(int argc, char** argv) {
-  core::PipelineOptions opts;
-  std::string abort_fault;
-  vm::DispatchMode dispatch = vm::DispatchMode::kThreaded;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--adaptive-theta") {
-      opts.adaptive_theta = true;
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      opts.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--theta" && i + 1 < argc) {
-      opts.symex.theta = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--context-free") {
-      opts.taint.context_aware = false;
-    } else if (arg == "--static-cfg") {
-      opts.cfg.use_dynamic = false;
-    } else if (arg == "--fix-angr") {
-      opts.cfg.resolve_obfuscated_icalls = true;
-    } else if (arg == "--cfg-fallback") {
-      opts.cfg_fallback_to_static = true;
-    } else if (arg == "--solver-retry") {
-      opts.solver_budget_retry = true;
-    } else if (ParseFuzzFlag(arg, argc, argv, i, &opts)) {
-      // consumed
-    } else if (arg == "--abort-fault" && i + 1 < argc) {
-      abort_fault = argv[++i];
-    } else if (arg == "--gen-seed" && i + 1 < argc) {
-      g_gen_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
-      if (!ok) return 2;
-      core::SetVmDispatch(opts, dispatch);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
-    } else {
-      std::fprintf(stderr, "unknown pool-worker option: %s\n", arg.c_str());
-      return 2;
-    }
-  }
-
-  if (!abort_fault.empty()) {
-    const std::size_t c1 = abort_fault.find(':');
-    const std::size_t c2 =
-        c1 == std::string::npos ? std::string::npos
-                                : abort_fault.find(':', c1 + 1);
-    support::FaultSite site;
-    if (c2 == std::string::npos ||
-        !support::FaultSiteFromName(abort_fault.substr(0, c1), &site)) {
-      std::fprintf(stderr, "bad --abort-fault spec: %s\n",
-                   abort_fault.c_str());
-      return 2;
-    }
-    const std::uint64_t skip = static_cast<std::uint64_t>(
-        std::atoll(abort_fault.substr(c1 + 1, c2 - c1 - 1).c_str()));
-    const std::string stamp = abort_fault.substr(c2 + 1);
-    if (!std::ifstream(stamp).good()) {
-      WriteFile(stamp, std::string("armed\n"));
-      support::fault::Arm(site, skip);
-      support::fault::AbortOnFire(true);
-    }
-  }
+  Args args(argc, argv);
+  core::PipelineOptions opts = ParseWorkerFlags(args, "pool-worker");
 
   // Warm state that survives across the pairs this worker serves — the
   // whole point of pooling.
@@ -750,29 +689,23 @@ int CmdDetect(int argc, char** argv) {
 
 int CmdRun(int argc, char** argv) {
   if (argc < 2) {
-    std::fprintf(stderr, "usage: octopocs run <prog.asm> <input.bin> "
-                         "[--trace] [--vm-dispatch=switch|threaded]\n");
+    std::fprintf(stderr,
+                 "usage: octopocs run <prog.asm> <input.bin> [--trace]\n");
     return 2;
   }
   const vm::Program p = vm::Assemble(ReadTextFile(argv[0]));
   const Bytes input = ReadBinaryFile(argv[1]);
   bool trace = false;
-  vm::ExecOptions exec;
   for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--trace") {
-      trace = true;
-    } else if (bool ok = true; ParseVmDispatch(arg, &exec.dispatch, &ok)) {
-      if (!ok) return 2;
-    } else {
-      std::fprintf(stderr, "unknown run option: %s\n", arg.c_str());
-      return 2;
+    if (std::strcmp(argv[i], "--trace") != 0) {
+      throw UsageError(std::string("unknown run option: ") + argv[i]);
     }
+    trace = true;
   }
 
   vm::ExecutionTracer tracer(400);
   tracer.BindProgram(&p);
-  vm::Interpreter interp(p, input, exec);
+  vm::Interpreter interp(p, input);
   if (trace) interp.AddObserver(&tracer);
   const vm::ExecResult r = interp.Run();
   if (trace) std::printf("%s\n", tracer.text().c_str());
@@ -837,60 +770,38 @@ int CmdCorpus(int argc, char** argv) {
   std::string worker_fault;
   core::PipelineOptions opts;
   ObservabilityFlags obs;
-  vm::DispatchMode dispatch = vm::DispatchMode::kThreaded;
   // Pipeline flags a worker process must see to reproduce the
   // in-process verdict, collected verbatim as they are parsed.
   std::vector<std::string> forwarded;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--jobs wants a positive count\n");
-        return 2;
-      }
-      jobs = static_cast<unsigned>(n);
+  Args args(argc, argv);
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--jobs") {
+      jobs = args.Count<unsigned>(1, kMaxParallel);
     } else if (arg == "--extended") {
       extended = true;
-    } else if (arg == "--adaptive-theta") {
-      opts.adaptive_theta = true;
-      forwarded.push_back(arg);
-    } else if (ParseFuzzFlag(arg, argc, argv, i, &opts)) {
-      // Verdict-bearing, so workers must see the exact same rung
-      // configuration (value flags advance i onto their argument).
-      forwarded.push_back(arg);
-      if (arg != "--fuzz-fallback") forwarded.push_back(argv[i]);
-    } else if (arg == "--pair-deadline-ms" && i + 1 < argc) {
-      pair_deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else if (arg == "--pair-deadline-ms") {
+      pair_deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
     } else if (arg == "--isolate") {
       isolate = true;
     } else if (arg == "--pool") {
       pool = true;
-    } else if (arg == "--rlimit-mb" && i + 1 < argc) {
-      rlimit_mb = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--max-retries" && i + 1 < argc) {
-      max_retries = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--journal" && i + 1 < argc) {
-      journal_path = argv[++i];
-    } else if (arg == "--resume" && i + 1 < argc) {
-      resume_path = argv[++i];
-    } else if (arg == "--worker-fault" && i + 1 < argc) {
+    } else if (arg == "--rlimit-mb") {
+      rlimit_mb = args.Count<std::uint64_t>(0, kU32);
+    } else if (arg == "--max-retries") {
+      max_retries = args.Count<unsigned>(0, 100);
+    } else if (arg == "--journal") {
+      journal_path = args.Value();
+    } else if (arg == "--resume") {
+      resume_path = args.Value();
+    } else if (arg == "--worker-fault") {
       // Test hook (CI fault leg): forwarded to workers as
       // --abort-fault SITE:SKIP:STAMP — the first worker to see the
       // missing stamp file aborts mid-pair, its retry runs clean.
-      worker_fault = argv[++i];
-    } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
-      if (!ok) return 2;
-      core::SetVmDispatch(opts, dispatch);
-      forwarded.push_back(arg);
-    } else if (bool ok = true; ParseSolverBackendFlag(arg, &opts, &ok)) {
-      if (!ok) return 2;
-      forwarded.push_back(arg);
-    } else if (obs.Parse(arg, argc, argv, i)) {
-      // consumed
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
+      worker_fault = args.Value();
+    } else if (!ParsePipelineFlag(args, &opts, &forwarded) &&
+               !obs.Parse(args)) {
+      throw UsageError("unknown option: " + arg);
     }
   }
   if ((!journal_path.empty() || !resume_path.empty()) &&
@@ -1117,56 +1028,30 @@ int CmdCorpus(int argc, char** argv) {
 int CmdServe(int argc, char** argv) {
   core::ServeOptions serve;
   std::string trace_out;
-  vm::DispatchMode dispatch = vm::DispatchMode::kThreaded;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      serve.socket_path = argv[++i];
-    } else if (arg == "--workers" && i + 1 < argc) {
-      serve.workers = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--queue-depth" && i + 1 < argc) {
-      serve.queue_depth = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--request-deadline-ms" && i + 1 < argc) {
-      serve.request_deadline_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      serve.cache_dir = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg == "--adaptive-theta") {
-      serve.pipeline.adaptive_theta = true;
-    } else if (arg == "--theta" && i + 1 < argc) {
-      serve.pipeline.symex.theta =
-          static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--context-free") {
-      serve.pipeline.taint.context_aware = false;
-    } else if (arg == "--static-cfg") {
-      serve.pipeline.cfg.use_dynamic = false;
-    } else if (arg == "--fix-angr") {
-      serve.pipeline.cfg.resolve_obfuscated_icalls = true;
-    } else if (arg == "--cfg-fallback") {
-      serve.pipeline.cfg_fallback_to_static = true;
-    } else if (arg == "--solver-retry") {
-      serve.pipeline.solver_budget_retry = true;
-    } else if (ParseFuzzFlag(arg, argc, argv, i, &serve.pipeline)) {
-      // consumed
-    } else if (bool ok = true; ParseVmDispatch(arg, &dispatch, &ok)) {
-      if (!ok) return 2;
-      core::SetVmDispatch(serve.pipeline, dispatch);
-    } else if (bool ok = true;
-               ParseSolverBackendFlag(arg, &serve.pipeline, &ok)) {
-      if (!ok) return 2;
-    } else {
-      std::fprintf(stderr, "unknown serve option: %s\n", arg.c_str());
-      return 2;
+  Args args(argc, argv);
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--socket") {
+      serve.socket_path = args.Value();
+    } else if (arg == "--workers") {
+      serve.workers = args.Count<unsigned>(1, kMaxParallel);
+    } else if (arg == "--queue-depth") {
+      serve.queue_depth = args.Count<std::size_t>(1, kU32);
+    } else if (arg == "--request-deadline-ms") {
+      serve.request_deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
+    } else if (arg == "--cache-dir") {
+      serve.cache_dir = args.Value();
+    } else if (arg == "--trace-out") {
+      trace_out = args.Value();
+    } else if (!ParsePipelineFlag(args, &serve.pipeline)) {
+      throw UsageError("unknown serve option: " + arg);
     }
   }
   if (serve.socket_path.empty()) {
-    std::fprintf(stderr, "usage: octopocs serve --socket PATH [--workers N] "
-                         "[--queue-depth N] [--request-deadline-ms N] "
-                         "[--cache-dir DIR] [--trace-out FILE] "
-                         "[pipeline flags]\n");
-    return 2;
+    return PipelineUsage(
+        "usage: octopocs serve --socket PATH [--workers N] [--queue-depth N] "
+        "[--request-deadline-ms N] [--cache-dir DIR] [--trace-out FILE] "
+        "[pipeline flags]");
   }
 
   InstallSignalHandlers();
@@ -1236,42 +1121,43 @@ int CmdClient(int argc, char** argv) {
   std::uint64_t timeout_ms = 0;
   int retries = 0;
   core::ServeRequest request;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (arg == "--poc" && i + 1 < argc) {
-      poc_path = argv[++i];
-    } else if (arg == "--retry" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
-    } else if (arg == "--gen-seed" && i + 1 < argc) {
-      request.gen_seed = std::strtoull(argv[++i], nullptr, 10);
+  Args args(argc, argv);
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--socket") {
+      socket_path = args.Value();
+    } else if (arg == "--poc") {
+      poc_path = args.Value();
+    } else if (arg == "--retry") {
+      retries = args.Count<int>(0, 100);
+    } else if (arg == "--gen-seed") {
+      request.gen_seed = args.Count<std::uint64_t>();
       g_gen_seed = request.gen_seed;
-    } else if (arg == "--priority" && i + 1 < argc) {
-      request.priority = std::atoi(argv[++i]);
-    } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      request.deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else if (arg == "--priority") {
+      request.priority = args.Count<int>();
+    } else if (arg == "--deadline-ms") {
+      request.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
     } else if (arg == "--cfg-fallback") {
       request.cfg_fallback = true;
     } else if (arg == "--solver-retry") {
       request.solver_retry = true;
     } else if (arg == "--fuzz-fallback") {
       request.fuzz_fallback = true;
-    } else if (arg == "--fuzz-seed" && i + 1 < argc) {
-      request.fuzz_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--fuzz-execs" && i + 1 < argc) {
-      request.fuzz_execs = std::strtoull(argv[++i], nullptr, 10);
+    } else if (arg == "--fuzz-seed") {
+      request.fuzz_seed = args.Count<std::uint64_t>();
+    } else if (arg == "--fuzz-execs") {
+      request.fuzz_execs = args.Count<std::uint64_t>();
     } else if (arg == "--degrade-on-timeout") {
       request.degrade_on_timeout = true;
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--id" && i + 1 < argc) {
-      request.id = argv[++i];
+    } else if (arg == "--timeout-ms") {
+      timeout_ms = args.Count<std::uint64_t>(0, kMaxMs);
+    } else if (arg == "--id") {
+      request.id = args.Value();
     } else if (!arg.empty() && arg[0] != '-') {
-      request.pair = std::atoi(arg.c_str());
+      request.pair = static_cast<int>(ParseUnsigned("pair index", arg, 1,
+                                                    kMaxInt));
     } else {
-      std::fprintf(stderr, "unknown client option: %s\n", arg.c_str());
-      return 2;
+      throw UsageError("unknown client option: " + arg);
     }
   }
   if (socket_path.empty() || request.pair < 1) {
@@ -1330,9 +1216,11 @@ int CmdExport(int argc, char** argv) {
     std::fprintf(stderr, "usage: octopocs export <pair-index 1..22> <dir>\n");
     return 2;
   }
-  const int idx = std::atoi(argv[0]);
+  const int idx =
+      static_cast<int>(ParseUnsigned("pair index", argv[0], 1, kMaxInt));
   const std::string dir = argv[1];
   const corpus::Pair pair = LoadPair(idx);
+  std::filesystem::create_directories(dir);
   WriteFile(dir + "/s.asm", vm::Disassemble(pair.s));
   WriteFile(dir + "/t.asm", vm::Disassemble(pair.t));
   WriteFile(dir + "/poc.bin", ByteView(pair.poc));
@@ -1354,23 +1242,19 @@ int CmdGen(int argc, char** argv) {
   std::uint64_t seed = 1;
   int count = 64;
   std::string out_path;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--count" && i + 1 < argc) {
-      count = std::atoi(argv[++i]);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
+  Args args(argc, argv);
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--seed") {
+      seed = args.Count<std::uint64_t>();
+    } else if (arg == "--count") {
+      count = args.Count<int>(1, 1'000'000);
+    } else if (arg == "--out") {
+      out_path = args.Value();
     } else {
-      std::fprintf(stderr, "usage: octopocs gen [--seed N] [--count N] "
-                           "[--out FILE]\n");
-      return 2;
+      throw UsageError("usage: octopocs gen [--seed N] [--count N] "
+                       "[--out FILE]");
     }
-  }
-  if (count < 1) {
-    std::fprintf(stderr, "--count wants a positive number of pairs\n");
-    return 2;
   }
   std::string manifest = "gen-manifest seed=" + std::to_string(seed) +
                          " count=" + std::to_string(count) + "\n";
@@ -1397,39 +1281,35 @@ int CmdSoak(int argc, char** argv) {
   o.worker_binary = g_self_exe;
   std::string out_path;
   std::string trace_out;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) {
-      o.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--pairs" && i + 1 < argc) {
-      o.pairs = std::atoi(argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      o.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+  Args args(argc, argv);
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--seed") {
+      o.seed = args.Count<std::uint64_t>();
+    } else if (arg == "--pairs") {
+      o.pairs = args.Count<int>(1, 1'000'000);
+    } else if (arg == "--jobs") {
+      o.jobs = args.Count<unsigned>(1, kMaxParallel);
     } else if (arg == "--smoke") {
       o.pairs = 64;  // the PR-sized preset: every leg, small corpus
-    } else if (arg == "--workdir" && i + 1 < argc) {
-      o.workdir = argv[++i];
+    } else if (arg == "--workdir") {
+      o.workdir = args.Value();
     } else if (arg == "--no-chaos") {
       o.chaos = false;
-    } else if (arg == "--daemon-kills" && i + 1 < argc) {
-      o.daemon_kills = std::atoi(argv[++i]);
-    } else if (arg == "--fuzz-execs" && i + 1 < argc) {
-      o.fuzz_execs = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
+    } else if (arg == "--daemon-kills") {
+      o.daemon_kills = args.Count<int>(0, 100);
+    } else if (arg == "--fuzz-execs") {
+      o.fuzz_execs = args.Count<std::uint64_t>();
+    } else if (arg == "--out") {
+      out_path = args.Value();
+    } else if (arg == "--trace-out") {
+      trace_out = args.Value();
     } else {
-      std::fprintf(stderr, "usage: octopocs soak [--seed N] [--pairs N] "
-                           "[--jobs N] [--smoke] --workdir DIR "
-                           "[--no-chaos] [--daemon-kills N] [--fuzz-execs N] "
-                           "[--out FILE] [--trace-out FILE]\n");
-      return 2;
+      throw UsageError("usage: octopocs soak [--seed N] [--pairs N] "
+                       "[--jobs N] [--smoke] --workdir DIR [--no-chaos] "
+                       "[--daemon-kills N] [--fuzz-execs N] [--out FILE] "
+                       "[--trace-out FILE]");
     }
-  }
-  if (o.pairs < 1) {
-    std::fprintf(stderr, "--pairs wants a positive corpus size\n");
-    return 2;
   }
   if (o.workdir.empty()) {
     std::fprintf(stderr, "soak: --workdir is required (journals, caches, "
@@ -1508,6 +1388,9 @@ int main(int argc, char** argv) {
     if (cmd == "minimize") return CmdMinimize(argc - 2, argv + 2);
     if (cmd == "disasm") return CmdDisasm(argc - 2, argv + 2);
     if (cmd == "export") return CmdExport(argc - 2, argv + 2);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
