@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -138,6 +139,16 @@ std::vector<VerificationReport> VerifyCorpus(
     watchdog.join();
   };
 
+  // Isolated pairs run on the caller's worker pool, or on one local to
+  // this run: workers spawn lazily, so a fully resumed run forks none,
+  // and the pool's destructor reaps them before this function returns.
+  std::unique_ptr<WorkerPool> local_pool;
+  WorkerPool* pool = config.worker_pool;
+  if (isolated && pool == nullptr) {
+    local_pool = std::make_unique<WorkerPool>(*config.isolation, config.jobs);
+    pool = local_pool.get();
+  }
+
   support::ParallelFor(pairs.size(), config.jobs, [&](std::size_t slot) {
     const std::size_t i = order[slot];
     const corpus::Pair& pair = pairs[i];
@@ -170,9 +181,7 @@ std::vector<VerificationReport> VerifyCorpus(
     bool cancelled = false;
     if (isolated) {
       const SupervisedResult supervised =
-          config.worker_pool != nullptr
-              ? config.worker_pool->RunPair(pair, config.interrupt)
-              : RunSupervisedPair(pair, *config.isolation, config.interrupt);
+          pool->RunPair(pair, config.interrupt);
       reports[i] = supervised.report;
       cancelled = supervised.interrupted;
     } else {

@@ -27,8 +27,9 @@
 //
 // Beyond the classic path, CorpusRunConfig layers on the production
 // robustness machinery (DESIGN.md §12):
-//   - isolation: each pair runs in a supervised, sandboxed worker
-//     process (core/supervisor.h) instead of in-process;
+//   - isolation: each pair runs on a supervised, sandboxed pool of
+//     persistent worker processes (core/supervisor.h) instead of
+//     in-process;
 //   - journal: a write-ahead crash journal records started/finished
 //     pairs (core/journal.h);
 //   - resume: pairs already finished in a previous journal are replayed
@@ -63,12 +64,13 @@ struct CorpusRunConfig {
   std::uint64_t pair_deadline_ms = 0;
   /// Expected per-pair cost for LPT start ordering (see VerifyCorpus).
   const std::vector<double>* cost_hints = nullptr;
-  /// Non-null runs every pair in a supervised worker process.
+  /// Non-null runs every pair in a supervised worker process, on
+  /// `worker_pool` or, when that is null, on a pool of `jobs` workers
+  /// built for this run.
   const IsolationOptions* isolation = nullptr;
-  /// Non-null (with `isolation` set) routes isolated pairs through a
-  /// persistent pre-forked worker pool instead of one fork/exec per
-  /// pair. Same containment semantics, byte-identical verdicts; the
-  /// caller owns the pool (and can read its stats afterwards).
+  /// The pool isolated pairs run on when the caller wants to own it
+  /// (to read its stats afterwards, or to keep workers warm across
+  /// runs). Ignored without `isolation`.
   WorkerPool* worker_pool = nullptr;
   /// Non-null journals started/finished records per pair.
   Journal* journal = nullptr;

@@ -1,7 +1,7 @@
 // VerificationReport marshaling for process isolation and journaling.
 //
-// An isolated worker (CLI `pair-worker` mode) runs one pair and must
-// hand its VerificationReport back to the supervisor over a pipe; the
+// An isolated worker (CLI `pool-worker` mode) runs pairs and must hand
+// each VerificationReport back to the supervisor over a pipe; the
 // crash journal must persist finished reports so `corpus --resume` can
 // reprint them without re-running the pair. Both speak the same format:
 // one JSON object per report, covering every verdict-bearing field
@@ -84,7 +84,7 @@ bool ParseReport(std::string_view json, VerificationReport* out,
 
 // -- Worker wire framing ------------------------------------------------------
 
-/// A worker's stdout ends with:
+/// A worker answers each request on stdout with:
 ///   OCTO-REPORT {...}\n
 ///   OCTO-DONE\n
 /// The trailing sentinel distinguishes a complete report from a pipe

@@ -51,7 +51,6 @@ void BackoffNap(int pair_idx, unsigned attempt,
   }
 }
 
-/// Quarantine detail string shared by both isolation backends.
 std::string QuarantineDetail(unsigned attempts, ChildOutcome outcome,
                              const support::SubprocessResult& child) {
   std::string why(ChildOutcomeName(outcome));
@@ -101,10 +100,6 @@ bool IsRetryableOutcome(ChildOutcome outcome) {
 ChildOutcome ClassifyChild(const support::SubprocessResult& result,
                            VerificationReport* report) {
   switch (result.status) {
-    case support::SubprocessStatus::kInterrupted:
-      return ChildOutcome::kInterrupted;
-    case support::SubprocessStatus::kKilledByDeadline:
-      return ChildOutcome::kTimeout;
     case support::SubprocessStatus::kSpawnError:
       return ChildOutcome::kSpawnError;
     case support::SubprocessStatus::kSignaled:
@@ -141,74 +136,6 @@ std::uint64_t RetryBackoffMs(int pair_idx, unsigned attempt) {
           (attempt + 0x9E3779B97F4A7C15ULL));
   const std::uint64_t half = base / 2;
   return half + rng.Below(base + 1);  // [base/2, 3*base/2]
-}
-
-SupervisedResult RunSupervisedPair(const corpus::Pair& pair,
-                                   const IsolationOptions& isolation,
-                                   const std::atomic<int>* interrupt) {
-  std::vector<std::string> argv;
-  argv.reserve(3 + isolation.worker_args.size());
-  argv.push_back(isolation.worker_binary);
-  argv.push_back("pair-worker");
-  argv.push_back(std::to_string(pair.idx));
-  for (const std::string& arg : isolation.worker_args) argv.push_back(arg);
-
-  support::SubprocessLimits limits;
-  limits.rlimit_mb = isolation.rlimit_mb;
-  limits.cpu_seconds = isolation.cpu_seconds;
-  limits.deadline_ms = isolation.deadline_ms;
-
-  SupervisedResult result;
-  for (unsigned attempt = 0;; ++attempt) {
-    if (interrupt != nullptr &&
-        interrupt->load(std::memory_order_relaxed) != 0) {
-      result.report = InfraFailureReport(
-          "interrupted before the worker could start", true, false);
-      result.last_outcome = ChildOutcome::kInterrupted;
-      result.interrupted = true;
-      return result;
-    }
-
-    const support::SubprocessResult child =
-        support::RunProcess(argv, limits, interrupt);
-    ++result.attempts;
-    const ChildOutcome outcome = ClassifyChild(child, &result.report);
-    result.last_outcome = outcome;
-
-    switch (outcome) {
-      case ChildOutcome::kCleanReport:
-        return result;
-      case ChildOutcome::kTimeout:
-        result.report = InfraFailureReport(
-            "worker killed at the " + std::to_string(isolation.deadline_ms) +
-                "ms wall-clock cap",
-            true, false);
-        return result;
-      case ChildOutcome::kResourceKill:
-        result.report = InfraFailureReport(
-            std::string("worker killed by a resource cap (signal ") +
-                std::to_string(child.term_signal) + ")",
-            true, false);
-        return result;
-      case ChildOutcome::kInterrupted:
-        result.report =
-            InfraFailureReport("interrupted mid-pair; worker killed",
-                               true, false);
-        result.interrupted = true;
-        return result;
-      default:
-        break;  // retryable
-    }
-
-    if (attempt >= isolation.max_retries) {
-      result.report = InfraFailureReport(
-          QuarantineDetail(result.attempts, outcome, child), false, true);
-      result.quarantined = true;
-      return result;
-    }
-
-    BackoffNap(pair.idx, attempt, interrupt);
-  }
 }
 
 // -- WorkerPool ---------------------------------------------------------------
@@ -270,6 +197,10 @@ SupervisedResult WorkerPool::RunPair(const corpus::Pair& pair,
       break;
     }
 
+    ++result.attempts;
+    support::SubprocessResult child;
+    ChildOutcome outcome;
+
     // (Re)spawn lazily: the first pair a slot serves pays the fork +
     // warmup; every later pair on a surviving worker rides for free.
     if (!slot->proc.alive()) {
@@ -283,93 +214,65 @@ SupervisedResult WorkerPool::RunPair(const corpus::Pair& pair,
       support::SubprocessLimits limits;
       limits.rlimit_mb = isolation_.rlimit_mb;
       limits.cpu_seconds = isolation_.cpu_seconds;
-      std::string error;
-      if (!slot->proc.Spawn(argv, limits, &error)) {
-        ++result.attempts;
-        result.last_outcome = ChildOutcome::kSpawnError;
-        if (attempt >= isolation_.max_retries) {
-          support::SubprocessResult child;
-          child.error = error;
-          result.report = InfraFailureReport(
-              QuarantineDetail(result.attempts, ChildOutcome::kSpawnError,
-                               child),
-              false, true);
-          result.quarantined = true;
-          break;
-        }
-        BackoffNap(pair.idx, attempt, interrupt);
-        continue;
-      }
-      {
+      if (slot->proc.Spawn(argv, limits, &child.error)) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.spawns;
         if (slot->ever_spawned) ++stats_.respawns;
+        slot->ever_spawned = true;
       }
-      slot->ever_spawned = true;
     }
 
-    ++result.attempts;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.dispatches;
-    }
-
-    if (!slot->proc.WriteLine(std::string(kPoolPairPrefix) +
-                              std::to_string(pair.idx))) {
-      // The worker died between pairs: a crashed worker, retryable.
-      // Kill() on the zombie preserves its real wait status for the
-      // diagnostics without changing the classification.
-      slot->proc.Kill();
-      result.last_outcome = ChildOutcome::kCrashSignal;
-      if (attempt >= isolation_.max_retries) {
-        support::SubprocessResult child;
-        result.report = InfraFailureReport(
-            QuarantineDetail(result.attempts, ChildOutcome::kCrashSignal,
-                             child),
-            false, true);
-        result.quarantined = true;
-        break;
+    if (!slot->proc.alive()) {
+      outcome = ChildOutcome::kSpawnError;  // `child.error` says why
+    } else {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.dispatches;
       }
-      BackoffNap(pair.idx, attempt, interrupt);
-      continue;
-    }
-
-    std::string frame;
-    const support::PersistentProcess::ReadStatus rs = slot->proc.ReadFrame(
-        kWorkerDoneSentinel, isolation_.deadline_ms, interrupt, &frame);
-
-    support::SubprocessResult child;
-    ChildOutcome outcome;
-    switch (rs) {
-      case support::PersistentProcess::ReadStatus::kOk:
-        // Same classification path as a one-shot worker that exited 0
-        // with this stdout.
-        child.status = support::SubprocessStatus::kExited;
-        child.exit_code = 0;
-        child.output = std::move(frame);
+      if (!slot->proc.WriteLine(std::string(kPoolPairPrefix) +
+                                std::to_string(pair.idx))) {
+        // The worker died between pairs (EPIPE). Kill() on the zombie
+        // reaps its real wait status, classified exactly like the kEof
+        // branch below so both sides of the write/read race agree. Its
+        // unframed stdout belongs to no request: discard it.
+        child = slot->proc.Kill();
+        child.output.clear();
         outcome = ClassifyChild(child, &result.report);
-        break;
-      case support::PersistentProcess::ReadStatus::kEof:
-        // The worker died mid-pair; its wait status drives the same
-        // crash/resource-kill/nonzero-exit classification as one-shot
-        // isolation. (An exit-0 child with a torn frame classifies as
-        // kMalformedReport.)
-        child = slot->proc.Reap();
-        outcome = ClassifyChild(child, &result.report);
-        break;
-      case support::PersistentProcess::ReadStatus::kTimeout:
-        slot->proc.Kill();
-        outcome = ChildOutcome::kTimeout;
-        break;
-      case support::PersistentProcess::ReadStatus::kInterrupted:
-        slot->proc.Kill();
-        outcome = ChildOutcome::kInterrupted;
-        break;
-      case support::PersistentProcess::ReadStatus::kError:
-      default:
-        slot->proc.Kill();
-        outcome = ChildOutcome::kSpawnError;
-        break;
+      } else {
+        std::string frame;
+        switch (slot->proc.ReadFrame(kWorkerDoneSentinel,
+                                     isolation_.deadline_ms, interrupt,
+                                     &frame)) {
+          case support::PersistentProcess::ReadStatus::kOk:
+            // A complete frame from a live worker classifies as a worker
+            // that exited 0 with this stdout.
+            child.status = support::SubprocessStatus::kExited;
+            child.exit_code = 0;
+            child.output = std::move(frame);
+            outcome = ClassifyChild(child, &result.report);
+            break;
+          case support::PersistentProcess::ReadStatus::kEof:
+            // The worker died mid-pair; its wait status drives the
+            // crash/resource-kill/nonzero-exit classification. (An exit-0
+            // worker with a torn frame classifies as kMalformedReport.)
+            child = slot->proc.Reap();
+            outcome = ClassifyChild(child, &result.report);
+            break;
+          case support::PersistentProcess::ReadStatus::kTimeout:
+            slot->proc.Kill();
+            outcome = ChildOutcome::kTimeout;
+            break;
+          case support::PersistentProcess::ReadStatus::kInterrupted:
+            slot->proc.Kill();
+            outcome = ChildOutcome::kInterrupted;
+            break;
+          case support::PersistentProcess::ReadStatus::kError:
+          default:
+            slot->proc.Kill();
+            outcome = ChildOutcome::kSpawnError;
+            break;
+        }
+      }
     }
     result.last_outcome = outcome;
 

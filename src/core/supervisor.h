@@ -1,26 +1,26 @@
-// Supervised per-pair worker processes: spawn, classify, retry,
-// quarantine.
+// Supervised worker processes: spawn, classify, retry, quarantine.
 //
-// With isolation on, each corpus pair runs as `octopocs pair-worker
-// <idx>` in its own sandboxed child (support/subprocess.h) and the
-// supervisor turns whatever happens to that child into exactly one
-// well-formed VerificationReport:
+// With isolation on, corpus pairs run on a WorkerPool of persistent
+// `octopocs pool-worker` children (support/subprocess.h), and the
+// supervisor turns whatever happens to a worker during a pair into
+// exactly one well-formed VerificationReport:
 //
-//   child exits 0 with a framed report  -> the pair's verdict, verbatim
-//   child killed at the wall-clock cap  -> kFailure, deadline_expired
-//   child killed by RLIMIT_CPU          -> kFailure, deadline_expired
+//   worker answers with a framed report -> the pair's verdict, verbatim
+//   worker killed at the deadline cap   -> kFailure, deadline_expired
+//   worker killed by RLIMIT_CPU         -> kFailure, deadline_expired
 //     (SIGXCPU at the soft cap, SIGKILL at the hard cap — both are the
 //     budget firing deterministically, so retrying is pointless)
-//   child crashed (SIGSEGV/SIGABRT/…),
-//   exited nonzero, or tore its report
+//   worker crashed (SIGSEGV/SIGABRT/…),
+//   exited, or tore its report
 //   mid-write (pipe EOF)                -> transient infrastructure
-//     failure: retried with capped exponential backoff + deterministic
-//     jitter; after max_retries the pair is QUARANTINED — reported as a
-//     contained failure — so one poisoned input can never wedge the
-//     fleet by crashing its worker forever.
+//     failure: retried on a respawned worker with capped exponential
+//     backoff + deterministic jitter; after max_retries the pair is
+//     QUARANTINED — reported as a contained failure — so one poisoned
+//     input can never wedge the fleet by crashing its worker forever.
 //
-// The whole classification is a pure function (ClassifyChild) so tests
-// can drive every exit path without spawning anything.
+// The classification of a dead worker is a pure function
+// (ClassifyChild) so tests can drive every exit path without spawning
+// anything.
 #pragma once
 
 #include <atomic>
@@ -41,7 +41,7 @@ struct IsolationOptions {
   /// Path of the octopocs CLI to exec as the worker (normally
   /// /proc/self/exe).
   std::string worker_binary;
-  /// Extra argv appended after `pair-worker <idx>` — pipeline flags the
+  /// Extra argv appended after `pool-worker` — pipeline flags the
   /// worker needs to reproduce the in-process verdict, plus test hooks.
   std::vector<std::string> worker_args;
   /// Transient-failure retries per pair before quarantine.
@@ -52,7 +52,11 @@ struct IsolationOptions {
   /// own cooperative deadline should be tighter: this is the backstop
   /// for a worker too wedged to honor it.
   std::uint64_t deadline_ms = 0;
-  /// RLIMIT_CPU soft cap per worker, seconds (0 = unlimited).
+  /// RLIMIT_CPU soft cap per worker process, seconds (0 = unlimited).
+  /// The kernel counts it over the whole life of the process, so it
+  /// caps the sum of every pair a pooled worker serves, not each pair.
+  /// A per-pair cap needs a fresh one-slot pool per pair (soak's
+  /// resource-hog leg does exactly that).
   std::uint64_t cpu_seconds = 0;
 };
 
@@ -64,7 +68,7 @@ enum class ChildOutcome : std::uint8_t {
   kResourceKill,     // SIGXCPU / SIGKILL — a resource cap fired (final)
   kTimeout,          // supervisor killed it at the wall-clock cap (final)
   kInterrupted,      // supervisor is draining on SIGINT/SIGTERM (final)
-  kSpawnError,       // fork/exec failed (retryable: transient EAGAIN)
+  kSpawnError,       // fork failed or the pipe broke (retryable)
 };
 
 std::string_view ChildOutcomeName(ChildOutcome outcome);
@@ -72,8 +76,10 @@ std::string_view ChildOutcomeName(ChildOutcome outcome);
 /// True for outcomes the supervisor retries before quarantining.
 bool IsRetryableOutcome(ChildOutcome outcome);
 
-/// Pure classification of one finished child. On kCleanReport, `*report`
-/// holds the parsed worker report; otherwise it is untouched.
+/// Pure classification of one reaped worker, or of a frame read from a
+/// live one (passed as kExited 0 with the frame as output). On
+/// kCleanReport, `*report` holds the parsed worker report; otherwise it
+/// is untouched.
 ChildOutcome ClassifyChild(const support::SubprocessResult& result,
                            VerificationReport* report);
 
@@ -85,34 +91,24 @@ std::uint64_t RetryBackoffMs(int pair_idx, unsigned attempt);
 
 struct SupervisedResult {
   VerificationReport report;
-  unsigned attempts = 0;  // child spawns, including the successful one
+  unsigned attempts = 0;  // dispatches + failed spawns, incl. the last
   ChildOutcome last_outcome = ChildOutcome::kSpawnError;
   bool quarantined = false;
   bool interrupted = false;
 };
 
-/// Runs `pair` to a report through supervised worker processes.
-/// `interrupt`, when non-null and nonzero, drains promptly: the running
-/// child is SIGKILLed and the result is marked interrupted (callers
-/// must not journal it as finished).
-SupervisedResult RunSupervisedPair(const corpus::Pair& pair,
-                                   const IsolationOptions& isolation,
-                                   const std::atomic<int>* interrupt);
-
 /// A fleet of persistent `pool-worker` processes (the AFL forkserver
-/// idea applied to pair verification): each worker is forked and warmed
-/// once, then fed pair indices over its stdin — `OCTO-PAIR <idx>` per
-/// request — and answers each with the same OCTO-REPORT/OCTO-DONE frame
-/// a one-shot pair-worker writes. Spawn + exec + warmup is paid per
-/// *worker* instead of per *pair*, which is what makes --isolate cheap
-/// enough to leave on.
+/// idea applied to pair verification), and the only way to run an
+/// isolated pair: each worker is forked and warmed once, then fed pair
+/// indices over its stdin — `OCTO-PAIR <idx>` per request — and
+/// answers each with an OCTO-REPORT/OCTO-DONE frame. Spawn + exec +
+/// warmup is paid per *worker* instead of per *pair*, which is what
+/// makes --isolate cheap enough to leave on.
 ///
-/// Crash containment matches RunSupervisedPair exactly: a worker that
-/// crashes, wedges past the deadline backstop, tears a frame, or hits a
-/// resource cap yields the same ChildOutcome classification, the same
-/// capped-backoff retries (on a freshly respawned worker), the same
-/// quarantine after max_retries, and the same infrastructure-failure
-/// reports. Verdicts are byte-identical to one-shot isolation and to
+/// A worker that crashes, wedges past the deadline backstop, tears a
+/// frame, or hits a resource cap is classified by ClassifyChild,
+/// retried with capped backoff on a freshly respawned worker, and
+/// quarantined after max_retries. Verdicts are byte-identical to
 /// in-process runs.
 ///
 /// Thread-safe: RunPair may be called from many corpus threads at once;
@@ -134,8 +130,10 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Verifies `pair` on a pooled worker, with RunSupervisedPair's
-  /// retry/quarantine/interrupt semantics.
+  /// Verifies `pair` on a pooled worker. `interrupt`, when non-null and
+  /// nonzero, drains promptly: the running worker is SIGKILLed and the
+  /// result is marked interrupted (callers must not journal it as
+  /// finished).
   SupervisedResult RunPair(const corpus::Pair& pair,
                            const std::atomic<int>* interrupt);
 

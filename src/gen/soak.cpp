@@ -55,8 +55,8 @@ core::PipelineOptions BasePipeline(const SoakOptions& o) {
   return opts;
 }
 
-/// Worker-side flags reproducing BasePipeline inside a pair-worker /
-/// pool-worker process.
+/// Worker-side flags reproducing BasePipeline inside a pool-worker
+/// process.
 std::vector<std::string> WorkerArgs(const SoakOptions& o) {
   return {"--gen-seed",   std::to_string(o.seed),
           "--fuzz-fallback",
@@ -161,7 +161,7 @@ void RunChainLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
   CountVerified(o, *verified);
 }
 
-// -- Legs C/D: supervised workers, journal exactly-once, resume ---------------
+// -- Legs C/D: pooled workers, journal exactly-once, resume -------------------
 
 std::string JournalFingerprint(const SoakOptions& o, std::size_t pair_count) {
   // The generator seed is verdict-bearing for a generated corpus exactly
@@ -316,8 +316,10 @@ void RunRlimitLeg(const SoakOptions& o, SoakReport* report) {
   iso.max_retries = 1;
   iso.cpu_seconds = 1;
   iso.deadline_ms = 30000;
+  // RLIMIT_CPU counts over a worker's whole life, so the hog gets a
+  // fresh one-slot pool: its cap is then a per-pair cap.
   const core::SupervisedResult sr =
-      core::RunSupervisedPair(hog.pair, iso, nullptr);
+      core::WorkerPool(iso, 1).RunPair(hog.pair, nullptr);
   ++report->legs_run;
   if (sr.quarantined) ++report->quarantines;
   const bool killed = sr.last_outcome == core::ChildOutcome::kResourceKill ||

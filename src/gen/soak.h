@@ -1,8 +1,8 @@
 // Chaos soak harness: streams a generated corpus (gen/generator.h)
 // through every execution surface the project has — in-process parallel
-// batch, supervised one-shot workers, the persistent worker pool,
-// journal resume, the serve daemon (in-process and as a SIGKILLed-and-
-// restarted subprocess) — under a seeded chaos schedule that arms every
+// batch, the supervised persistent worker pool, journal resume, the
+// serve daemon (in-process and as a SIGKILLed-and-restarted
+// subprocess) — under a seeded chaos schedule that arms every
 // support::FaultSite, and mechanically checks the crash-tolerance
 // invariants the design documents promise:
 //
@@ -59,7 +59,7 @@ struct SoakOptions {
   // Leg switches (CI's smoke preset runs all of them).
   bool run_batch = true;     // A: in-process VerifyCorpus
   bool run_chain = true;     // B: transitive S→T→U chains
-  bool run_isolated = true;  // C: supervised workers + journal, chaos
+  bool run_isolated = true;  // C: worker pool + journal, chaos
   bool run_resume = true;    // D: journal replay through a worker pool
   bool run_rlimit = true;    // E: hog pair vs RLIMIT_CPU
   bool run_serve = true;     // F: in-process daemon + retrying clients

@@ -1,15 +1,14 @@
 // Process isolation, supervision, and crash journaling (DESIGN.md §12).
 //
-// Three layers under test, bottom up:
-//   - support/subprocess.h: fork/exec with rlimits, pipe capture, and
-//     kill-on-deadline — exercised against /bin/sh so every
-//     SubprocessStatus is reachable without a cooperating binary;
+// Two layers under test (the process primitive and the pool loop
+// itself are in pool_test.cpp):
 //   - core/supervisor.h: the pure child-outcome classification
 //     (ClassifyChild on every exit path), the deterministic backoff,
-//     and the retry/quarantine loop end to end via shell-script shim
-//     workers (a worker that crashes once and then reports cleanly
-//     must be retried to success; one that always crashes must be
-//     quarantined into a contained kFailure report);
+//     and isolated corpus runs end to end through VerifyCorpus via
+//     shell-script shim workers (a worker that crashes once and then
+//     reports cleanly must be retried to success; a pair whose worker
+//     always crashes must be quarantined into a contained kFailure
+//     report while the other pairs still get their verdicts);
 //   - core/journal.h + core/report_io.h: report serialization must
 //     round-trip every verdict-bearing field, and the journal loader
 //     must replay finished pairs, tolerate a torn trailing record at
@@ -18,11 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #ifndef _WIN32
@@ -35,13 +32,12 @@
 #include "core/report_io.h"
 #include "core/supervisor.h"
 #include "corpus/pairs.h"
+#include "report_fixtures.h"
 #include "support/subprocess.h"
 
 namespace octopocs::core {
 namespace {
 
-using support::RunProcess;
-using support::SubprocessLimits;
 using support::SubprocessResult;
 using support::SubprocessStatus;
 
@@ -60,65 +56,6 @@ std::string ReadText(const std::string& path) {
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   return text;
-}
-
-/// A report with every serialized field away from its default, so a
-/// round-trip that drops a field cannot pass by accident.
-VerificationReport FullReport() {
-  VerificationReport r;
-  r.verdict = Verdict::kTriggered;
-  r.type = ResultType::kTypeII;
-  r.detail = "tricky \"detail\"\nwith\tescapes\x01and bytes";
-  r.ep_name = "png_read_chunk";
-  r.ep_in_s = 3;
-  r.ep_in_t = 5;
-  r.ep_encounters_in_s = 2;
-  r.bunch_count = 2;
-  r.crash_primitive_bytes = 12;
-  r.symex_status = symex::SymexStatus::kPocGenerated;
-  r.poc_generated = true;
-  r.reformed_poc = {0x25, 0x50, 0x00, 0xff};
-  r.bunch_offsets = {6, 7, 1000};
-  r.observed_trap = vm::TrapKind::kOutOfBounds;
-  r.failed_phase = "P2/P3";
-  r.deadline_expired = true;
-  r.exception_contained = true;
-  r.cfg_static_fallback = true;
-  r.solver_budget_retried = true;
-  r.timings.preprocess_seconds = 0.125;
-  r.timings.p1_seconds = 1.5;
-  r.timings.p23_seconds = 2.25;
-  r.timings.p4_seconds = 0.0625;
-  r.timings.total_seconds = 3.9375;
-  return r;
-}
-
-void ExpectReportsEqual(const VerificationReport& a,
-                        const VerificationReport& b) {
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_EQ(a.type, b.type);
-  EXPECT_EQ(a.detail, b.detail);
-  EXPECT_EQ(a.ep_name, b.ep_name);
-  EXPECT_EQ(a.ep_in_s, b.ep_in_s);
-  EXPECT_EQ(a.ep_in_t, b.ep_in_t);
-  EXPECT_EQ(a.ep_encounters_in_s, b.ep_encounters_in_s);
-  EXPECT_EQ(a.bunch_count, b.bunch_count);
-  EXPECT_EQ(a.crash_primitive_bytes, b.crash_primitive_bytes);
-  EXPECT_EQ(a.symex_status, b.symex_status);
-  EXPECT_EQ(a.poc_generated, b.poc_generated);
-  EXPECT_EQ(a.reformed_poc, b.reformed_poc);
-  EXPECT_EQ(a.bunch_offsets, b.bunch_offsets);
-  EXPECT_EQ(a.observed_trap, b.observed_trap);
-  EXPECT_EQ(a.failed_phase, b.failed_phase);
-  EXPECT_EQ(a.deadline_expired, b.deadline_expired);
-  EXPECT_EQ(a.exception_contained, b.exception_contained);
-  EXPECT_EQ(a.cfg_static_fallback, b.cfg_static_fallback);
-  EXPECT_EQ(a.solver_budget_retried, b.solver_budget_retried);
-  EXPECT_DOUBLE_EQ(a.timings.preprocess_seconds, b.timings.preprocess_seconds);
-  EXPECT_DOUBLE_EQ(a.timings.p1_seconds, b.timings.p1_seconds);
-  EXPECT_DOUBLE_EQ(a.timings.p23_seconds, b.timings.p23_seconds);
-  EXPECT_DOUBLE_EQ(a.timings.p4_seconds, b.timings.p4_seconds);
-  EXPECT_DOUBLE_EQ(a.timings.total_seconds, b.timings.total_seconds);
 }
 
 // -- Report (de)serialization -------------------------------------------------
@@ -187,77 +124,6 @@ TEST(MiniJsonTest, EscapeRoundTripsControlBytes) {
   EXPECT_EQ(value.text, nasty);
 }
 
-// -- Subprocess primitive -----------------------------------------------------
-
-#ifndef _WIN32
-
-TEST(SubprocessTest, CapturesOutputAndExitCode) {
-  const SubprocessResult r = RunProcess(
-      {"/bin/sh", "-c", "echo hello-from-child; exit 7"}, {});
-  EXPECT_EQ(r.status, SubprocessStatus::kExited);
-  EXPECT_EQ(r.exit_code, 7);
-  EXPECT_NE(r.output.find("hello-from-child"), std::string::npos);
-}
-
-TEST(SubprocessTest, LargeOutputDoesNotDeadlock) {
-  // Well past any pipe buffer: the parent must drain while the child
-  // writes.
-  const SubprocessResult r = RunProcess(
-      {"/bin/sh", "-c",
-       "i=0; while [ $i -lt 400 ]; do "
-       "printf '%01024d' 0; i=$((i+1)); done"},
-      {});
-  EXPECT_EQ(r.status, SubprocessStatus::kExited);
-  EXPECT_EQ(r.exit_code, 0);
-  EXPECT_EQ(r.output.size(), 400u * 1024u);
-}
-
-TEST(SubprocessTest, ReportsTerminationSignal) {
-  const SubprocessResult r =
-      RunProcess({"/bin/sh", "-c", "kill -SEGV $$"}, {});
-  EXPECT_EQ(r.status, SubprocessStatus::kSignaled);
-  EXPECT_EQ(r.term_signal, SIGSEGV);
-}
-
-TEST(SubprocessTest, DeadlineKillsAHungChild) {
-  SubprocessLimits limits;
-  limits.deadline_ms = 100;
-  const auto start = std::chrono::steady_clock::now();
-  const SubprocessResult r = RunProcess({"/bin/sh", "-c", "sleep 30"}, limits);
-  EXPECT_EQ(r.status, SubprocessStatus::kKilledByDeadline);
-  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count(),
-            10.0);
-}
-
-TEST(SubprocessTest, InterruptFlagKillsTheChild) {
-  std::atomic<int> interrupt{0};
-  std::thread trip([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    interrupt.store(1);
-  });
-  const SubprocessResult r =
-      RunProcess({"/bin/sh", "-c", "sleep 30"}, {}, &interrupt);
-  trip.join();
-  EXPECT_EQ(r.status, SubprocessStatus::kInterrupted);
-}
-
-TEST(SubprocessTest, EmptyArgvIsASpawnError) {
-  const SubprocessResult r = RunProcess({}, {});
-  EXPECT_EQ(r.status, SubprocessStatus::kSpawnError);
-  EXPECT_FALSE(r.error.empty());
-}
-
-TEST(SubprocessTest, ExecFailureExitsWithShellConvention) {
-  const SubprocessResult r =
-      RunProcess({"/definitely/not/a/real/binary"}, {});
-  EXPECT_EQ(r.status, SubprocessStatus::kExited);
-  EXPECT_EQ(r.exit_code, 127);
-}
-
-#endif  // !_WIN32
-
 // -- Child-outcome classification (pure, no processes) ------------------------
 
 TEST(SupervisorTest, ClassifiesEveryExitPath) {
@@ -293,10 +159,6 @@ TEST(SupervisorTest, ClassifiesEveryExitPath) {
         << "signal " << cap;
   }
 
-  r.status = SubprocessStatus::kKilledByDeadline;
-  EXPECT_EQ(ClassifyChild(r, &report), ChildOutcome::kTimeout);
-  r.status = SubprocessStatus::kInterrupted;
-  EXPECT_EQ(ClassifyChild(r, &report), ChildOutcome::kInterrupted);
   r.status = SubprocessStatus::kSpawnError;
   EXPECT_EQ(ClassifyChild(r, &report), ChildOutcome::kSpawnError);
 }
@@ -328,12 +190,12 @@ TEST(SupervisorTest, BackoffIsDeterministicBoundedAndJittered) {
   EXPECT_TRUE(saw_distinct) << "jitter never varied across pairs";
 }
 
-// -- Supervised workers end to end (shell-script shims) -----------------------
+// -- Isolated corpus runs end to end (shell-script shims) ---------------------
 
 #ifndef _WIN32
 
-/// Writes an executable worker shim. The supervisor invokes it as
-/// `script pair-worker <idx> ...`; the scripts ignore their argv.
+/// Writes an executable worker shim. The pool invokes it as
+/// `script pool-worker ...`; the scripts ignore their argv.
 std::string WriteWorkerScript(const std::string& name,
                               const std::string& body) {
   const std::string path = TempPath(name + ".sh");
@@ -342,71 +204,107 @@ std::string WriteWorkerScript(const std::string& name,
   return path;
 }
 
-corpus::Pair TinyPair() { return corpus::BuildPair(1); }
+/// A pool worker that runs `before` on each request line ($line), then
+/// answers it with FullReport()'s frame; exits on OCTO-EXIT.
+std::string ServingWorker(const std::string& name,
+                          const std::string& before = "") {
+  const std::string report_path = TempPath(name + "_report.txt");
+  WriteText(report_path, MarshalWorkerReport(FullReport()));
+  return WriteWorkerScript(name,
+                           "while read line; do\n"
+                           "  if [ \"$line\" = OCTO-EXIT ]; then exit 0; fi\n" +
+                               before + "  cat " + report_path + "\ndone\n");
+}
+
+/// VerifyCorpus with `iso` and no caller-owned pool: the run builds its
+/// own, exactly like `corpus --isolate`.
+std::vector<VerificationReport> RunIsolated(
+    const IsolationOptions& iso, const std::vector<corpus::Pair>& pairs,
+    const std::atomic<int>* interrupt = nullptr) {
+  CorpusRunConfig config;
+  config.jobs = 2;
+  config.isolation = &iso;
+  config.interrupt = interrupt;
+  return VerifyCorpus(pairs, PipelineOptions{}, config);
+}
 
 TEST(SupervisorTest, CleanWorkerReportIsReturnedVerbatim) {
-  const std::string report_path = TempPath("clean_report.txt");
-  WriteText(report_path, MarshalWorkerReport(FullReport()));
   IsolationOptions iso;
-  iso.worker_binary =
-      WriteWorkerScript("clean", "cat " + report_path + "\n");
+  iso.worker_binary = ServingWorker("clean");
   iso.max_retries = 0;
-  const SupervisedResult r = RunSupervisedPair(TinyPair(), iso, nullptr);
-  EXPECT_EQ(r.last_outcome, ChildOutcome::kCleanReport);
-  EXPECT_EQ(r.attempts, 1u);
-  EXPECT_FALSE(r.quarantined);
-  ExpectReportsEqual(FullReport(), r.report);
+  const auto reports = RunIsolated(iso, {corpus::BuildPair(1)});
+  ASSERT_EQ(reports.size(), 1u);
+  ExpectReportsEqual(FullReport(), reports[0]);
 }
 
 TEST(SupervisorTest, CrashingWorkerIsRetriedToSuccess) {
-  const std::string report_path = TempPath("retry_report.txt");
   const std::string stamp = TempPath("retry_stamp");
   std::remove(stamp.c_str());
-  WriteText(report_path, MarshalWorkerReport(FullReport()));
   IsolationOptions iso;
-  iso.worker_binary = WriteWorkerScript(
-      "flaky", "if [ ! -e " + stamp + " ]; then : > " + stamp +
-                   "; kill -SEGV $$; fi\ncat " + report_path + "\n");
+  iso.worker_binary = ServingWorker(
+      "flaky", "  if [ ! -e " + stamp + " ]; then : > " + stamp +
+                   "; kill -SEGV $$; fi\n");
   iso.max_retries = 2;
-  const SupervisedResult r = RunSupervisedPair(TinyPair(), iso, nullptr);
-  EXPECT_EQ(r.last_outcome, ChildOutcome::kCleanReport);
-  EXPECT_EQ(r.attempts, 2u);
-  EXPECT_FALSE(r.quarantined);
-  ExpectReportsEqual(FullReport(), r.report);
+  const auto reports = RunIsolated(iso, {corpus::BuildPair(1)});
+  ASSERT_EQ(reports.size(), 1u);
+  ExpectReportsEqual(FullReport(), reports[0]);
 }
 
 TEST(SupervisorTest, PersistentCrasherIsQuarantined) {
+  // Pair 1 crashes every worker that takes it; pair 4 is served. The
+  // poisoned pair is quarantined and every other pair still gets its
+  // verdict.
   IsolationOptions iso;
-  iso.worker_binary = WriteWorkerScript("crasher", "kill -SEGV $$\n");
+  iso.worker_binary = ServingWorker(
+      "crasher",
+      "  if [ \"$line\" = \"OCTO-PAIR 1\" ]; then kill -SEGV $$; fi\n");
   iso.max_retries = 1;
-  const SupervisedResult r = RunSupervisedPair(TinyPair(), iso, nullptr);
-  EXPECT_TRUE(r.quarantined);
-  EXPECT_EQ(r.attempts, 2u);  // original + one retry
-  EXPECT_EQ(r.last_outcome, ChildOutcome::kCrashSignal);
-  EXPECT_EQ(r.report.verdict, Verdict::kFailure);
-  EXPECT_TRUE(r.report.exception_contained);
-  EXPECT_NE(r.report.detail.find("quarantined"), std::string::npos);
+  const auto reports =
+      RunIsolated(iso, {corpus::BuildPair(1), corpus::BuildPair(4)});
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].verdict, Verdict::kFailure);
+  EXPECT_TRUE(reports[0].exception_contained);
+  EXPECT_EQ(reports[0].failed_phase, "worker");
+  EXPECT_NE(reports[0].detail.find(
+                "quarantined after 2 worker attempt(s): crash-signal 11"),
+            std::string::npos)
+      << reports[0].detail;
+  ExpectReportsEqual(FullReport(), reports[1]);
 }
 
 TEST(SupervisorTest, HungWorkerTimesOutWithoutRetry) {
+  const std::string tally = TempPath("hang_tally");
+  std::remove(tally.c_str());
   IsolationOptions iso;
-  iso.worker_binary = WriteWorkerScript("hang", "sleep 30\n");
+  iso.worker_binary = WriteWorkerScript(
+      "hang", "read line\necho x >> " + tally + "\nsleep 30\n");
   iso.max_retries = 3;
   iso.deadline_ms = 100;
-  const SupervisedResult r = RunSupervisedPair(TinyPair(), iso, nullptr);
-  EXPECT_EQ(r.last_outcome, ChildOutcome::kTimeout);
-  EXPECT_EQ(r.attempts, 1u);  // the cap is deterministic: never retried
-  EXPECT_TRUE(r.report.deadline_expired);
+  const auto reports = RunIsolated(iso, {corpus::BuildPair(1)});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].verdict, Verdict::kFailure);
+  EXPECT_TRUE(reports[0].deadline_expired);
+  EXPECT_NE(reports[0].detail.find("100ms wall-clock cap"), std::string::npos)
+      << reports[0].detail;
+  // The cap is deterministic: the pair was dispatched once, never retried.
+  EXPECT_EQ(ReadText(tally), "x\n");
 }
 
 TEST(SupervisorTest, InterruptDrainsWithoutSpawning) {
+  const std::string stamp = TempPath("never_stamp");
+  std::remove(stamp.c_str());
   IsolationOptions iso;
-  iso.worker_binary = WriteWorkerScript("never", "exit 0\n");
+  iso.worker_binary = WriteWorkerScript("never", ": > " + stamp + "\n");
   const std::atomic<int> interrupt{1};
-  const SupervisedResult r = RunSupervisedPair(TinyPair(), iso, &interrupt);
-  EXPECT_TRUE(r.interrupted);
-  EXPECT_EQ(r.attempts, 0u);
-  EXPECT_EQ(r.report.verdict, Verdict::kFailure);
+  const auto reports =
+      RunIsolated(iso, {corpus::BuildPair(1), corpus::BuildPair(4)},
+                  &interrupt);
+  ASSERT_EQ(reports.size(), 2u);
+  for (const VerificationReport& r : reports) {
+    EXPECT_EQ(r.verdict, Verdict::kFailure);
+    EXPECT_TRUE(r.deadline_expired);
+  }
+  EXPECT_FALSE(std::ifstream(stamp).good()) << "a worker was spawned";
 }
 
 #endif  // !_WIN32

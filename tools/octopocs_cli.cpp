@@ -17,7 +17,7 @@
 //                              artifact store (default off); results
 //                              are byte-identical either way
 //       [pipeline flags] are the kPipelineFlags table below, shared by
-//       verify, corpus, serve, pair-worker and pool-worker and printed
+//       verify, corpus, serve and pool-worker and printed
 //       by each usage message: θ and the Table III / CFG ablation
 //       knobs, the --cfg-fallback / --solver-retry degradation rungs,
 //       and the --fuzz-fallback rung with its determinism knobs
@@ -36,7 +36,7 @@
 //   corpus [--jobs N] [--extended] [--pair-deadline-ms N]
 //          [--trace-out FILE] [--artifact-cache=on|off] [--isolate]
 //          [--rlimit-mb N] [--max-retries N] [--journal FILE]
-//          [--resume FILE] [--pool] [pipeline flags]
+//          [--resume FILE] [pipeline flags]
 //       Verify the whole built-in corpus (pairs 1-15, or 16-22 with
 //       --extended) with N pipeline runs in flight at once. Reports are
 //       printed in pair order and are byte-identical to a serial run
@@ -48,30 +48,27 @@
 //       primitives, CFG edges) across pairs with a common S or T; the
 //       summary then reports the store's hit/miss counts. --trace-out
 //       captures the whole corpus run as one JSONL trace.
-//       Production robustness (DESIGN.md §12): --isolate runs every
-//       pair in a sandboxed, supervised worker process (`pair-worker`
-//       mode of this binary) — a crashing or OOMing pair is retried
-//       with backoff and quarantined after --max-retries, never taking
-//       the run down; --rlimit-mb caps each worker's address space.
-//       --journal FILE records a write-ahead fsync'd JSONL crash
-//       journal; --resume FILE replays the finished pairs of an
-//       interrupted run (same options only — the journal's fingerprint
-//       is checked) and re-runs the rest, appending to the journal.
-//       --pool (requires --isolate) keeps a fleet of pre-forked
-//       persistent workers alive for the whole run instead of
-//       fork/exec-ing one process per pair — same sandbox, same
-//       crash-containment/retry/quarantine semantics, byte-identical
-//       verdicts, but the spawn + warmup cost is paid once per worker.
-//       Isolated workers receive the pipeline flags verbatim.
-//   pair-worker <idx> [--deadline-ms N] [--gen-seed N]
+//       Production robustness (DESIGN.md §12): --isolate runs the pairs
+//       on a pool of --jobs sandboxed, supervised, pre-forked worker
+//       processes (`pool-worker` mode of this binary) and prints the
+//       pool's spawn/respawn/dispatch counts — a crashing or OOMing
+//       pair is retried on a respawned worker with backoff and
+//       quarantined after --max-retries, never taking the run down;
+//       --rlimit-mb caps each worker's address space. Verdicts are
+//       byte-identical to in-process runs. --journal FILE records a
+//       write-ahead fsync'd JSONL crash journal; --resume FILE replays
+//       the finished pairs of an interrupted run (same options only —
+//       the journal's fingerprint is checked) and re-runs the rest,
+//       appending to the journal. Isolated workers receive the
+//       pipeline flags verbatim.
+//   pool-worker [--deadline-ms N] [--gen-seed N]
 //               [--abort-fault SITE:SKIP:STAMP] [pipeline flags]
-//       Internal: verify one corpus pair and emit the framed report the
-//       supervisor unmarshals (OCTO-REPORT {...} / OCTO-DONE). Spawned
-//       by `corpus --isolate`; not meant for direct use.
-//   pool-worker [pair-worker flags]
-//       Internal: the persistent variant — serves `OCTO-PAIR <idx>`
-//       requests off stdin until EOF/OCTO-EXIT, one framed report per
-//       request. Spawned by `corpus --isolate --pool`.
+//       Internal: serves `OCTO-PAIR <idx>` requests off stdin until
+//       EOF/OCTO-EXIT, answering each with the framed report the
+//       supervisor unmarshals (OCTO-REPORT {...} / OCTO-DONE). A
+//       malformed request line exits 2. Spawned by `corpus --isolate`;
+//       `printf 'OCTO-PAIR 8\n' | octopocs pool-worker` verifies one
+//       pair by hand.
 //   serve --socket PATH [--workers N] [--queue-depth N]
 //         [--request-deadline-ms N] [--cache-dir DIR] [--trace-out FILE]
 //         [pipeline flags]
@@ -194,7 +191,7 @@ void InstallSignalHandlers() {
   std::signal(SIGTERM, OnSignal);
 }
 
-/// Absolute path of this binary, for respawning as `pair-worker`.
+/// Absolute path of this binary, for respawning as `pool-worker`.
 std::string g_self_exe;
 
 std::string ReadTextFile(const std::string& path) {
@@ -395,11 +392,10 @@ int PipelineUsage(const char* usage) {
   return 2;
 }
 
-/// --abort-fault SITE:SKIP:STAMP, the CI fault leg's hook in pair-worker
-/// and pool-worker: when STAMP does not exist yet it is created and the
-/// named fault site armed in hard-abort mode, so the worker dies
-/// mid-pair (SIGABRT) exactly once per stamp file and the supervisor's
-/// retry runs clean.
+/// --abort-fault SITE:SKIP:STAMP, the CI fault leg's hook in pool-worker:
+/// when STAMP does not exist yet it is created and the named fault site
+/// armed in hard-abort mode, so the worker dies mid-pair (SIGABRT)
+/// exactly once per stamp file and the supervisor's retry runs clean.
 void ArmAbortFault(const std::string& spec) {
   const std::size_t c1 = spec.find(':');
   const std::size_t c2 =
@@ -417,27 +413,6 @@ void ArmAbortFault(const std::string& spec) {
     support::fault::Arm(site, skip);
     support::fault::AbortOnFire(true);
   }
-}
-
-/// The flags pair-worker and pool-worker share: the pipeline table plus
-/// --deadline-ms, --gen-seed and --abort-fault (armed once parsed).
-Pipeline ParseWorkerFlags(Args& args, const char* cmd) {
-  Pipeline opts;
-  std::string abort_fault;
-  while (args.Next()) {
-    const std::string& arg = args.flag();
-    if (arg == "--deadline-ms") {
-      opts.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
-    } else if (arg == "--gen-seed") {
-      g_gen_seed = args.Count<std::uint64_t>();
-    } else if (arg == "--abort-fault") {
-      abort_fault = args.Value();
-    } else if (!ParsePipelineFlag(args, &opts)) {
-      throw UsageError(std::string("unknown ") + cmd + " option: " + arg);
-    }
-  }
-  if (!abort_fault.empty()) ArmAbortFault(abort_fault);
-  return opts;
 }
 
 /// The observability options shared by `verify` and `corpus`: a JSONL
@@ -603,44 +578,33 @@ int CmdVerify(int argc, char** argv) {
   return r.verdict == core::Verdict::kFailure ? 1 : 0;
 }
 
-// Worker half of `corpus --isolate`: verify exactly one pair and write
-// the framed report (OCTO-REPORT {...} / OCTO-DONE) to stdout for the
-// supervisor to unmarshal. It parses the same pipeline flags as the
-// corpus command, so the supervisor can forward its configuration
-// verbatim; the verdict is byte-identical to an in-process VerifyPair
-// with the same options. --abort-fault is the CI fault leg's hook
-// (ArmAbortFault).
-int CmdPairWorker(int argc, char** argv) {
-  if (argc < 1) {
-    return PipelineUsage(
-        "usage: octopocs pair-worker <idx> [--deadline-ms N] [--gen-seed N] "
-        "[--abort-fault SITE:SKIP:STAMP] [pipeline flags]");
-  }
-  const int idx =
-      static_cast<int>(ParseUnsigned("pair index", argv[0], 1, kMaxInt));
-  Args args(argc - 1, argv + 1);
-  const core::PipelineOptions opts = ParseWorkerFlags(args, "pair-worker");
-  const corpus::Pair pair = LoadPair(idx);
-  const core::VerificationReport report = core::VerifyPair(pair, opts);
-  support::fault::Disarm();
-  const std::string framed = core::MarshalWorkerReport(report);
-  std::fwrite(framed.data(), 1, framed.size(), stdout);
-  std::fflush(stdout);
-  return 0;
-}
-
-// Persistent worker half of `corpus --isolate --pool`: parse the same
-// flags as pair-worker once, then serve pair requests off stdin until
-// EOF/OCTO-EXIT — `OCTO-PAIR <idx>` in, the standard OCTO-REPORT/OCTO-DONE
-// frame out. Fork/exec and warmup are paid once per worker instead of
-// once per pair, and the worker keeps a warm artifact store across the
-// pairs it serves (results are byte-identical with or without it).
-// --abort-fault works exactly as in pair-worker: armed once per stamp
-// file, so the first pair served dies mid-frame and the supervisor's
-// respawn+retry must recover.
+// Worker half of `corpus --isolate`: parse the pipeline flags once (the
+// supervisor forwards the corpus command's verbatim), then serve pair
+// requests off stdin until EOF/OCTO-EXIT — `OCTO-PAIR <idx>` in, the
+// framed report (OCTO-REPORT {...} / OCTO-DONE) out, byte-identical to
+// an in-process VerifyPair with the same options. Fork/exec and warmup
+// are paid once per worker instead of once per pair, and the worker
+// keeps a warm artifact store across the pairs it serves (results are
+// byte-identical with or without it). --abort-fault (ArmAbortFault) is
+// armed once per stamp file, so the first pair served dies mid-frame
+// and the supervisor's respawn+retry must recover.
 int CmdPoolWorker(int argc, char** argv) {
+  core::PipelineOptions opts;
+  std::string abort_fault;
   Args args(argc, argv);
-  core::PipelineOptions opts = ParseWorkerFlags(args, "pool-worker");
+  while (args.Next()) {
+    const std::string& arg = args.flag();
+    if (arg == "--deadline-ms") {
+      opts.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
+    } else if (arg == "--gen-seed") {
+      g_gen_seed = args.Count<std::uint64_t>();
+    } else if (arg == "--abort-fault") {
+      abort_fault = args.Value();
+    } else if (!ParsePipelineFlag(args, &opts)) {
+      throw UsageError("unknown pool-worker option: " + arg);
+    }
+  }
+  if (!abort_fault.empty()) ArmAbortFault(abort_fault);
 
   // Warm state that survives across the pairs this worker serves — the
   // whole point of pooling.
@@ -651,12 +615,17 @@ int CmdPoolWorker(int argc, char** argv) {
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
     if (line == core::kPoolExitLine) break;
-    if (line.rfind(core::kPoolPairPrefix, 0) != 0) {
-      std::fprintf(stderr, "pool-worker: bad request line: %s\n",
-                   line.c_str());
-      return 2;
+    // The index is as strict as any numeric flag: `OCTO-PAIR 3x` is
+    // not pair 3.
+    const std::string bad = "pool-worker: bad request line: " + line;
+    if (line.rfind(core::kPoolPairPrefix, 0) != 0) throw UsageError(bad);
+    const std::string text = line.substr(core::kPoolPairPrefix.size());
+    int idx = 0;
+    try {
+      idx = static_cast<int>(ParseUnsigned("pair index", text, 1, kMaxInt));
+    } catch (const UsageError& e) {
+      throw UsageError(bad + " (" + e.what() + ")");
     }
-    const int idx = std::atoi(line.c_str() + core::kPoolPairPrefix.size());
     const corpus::Pair pair = LoadPair(idx);
     const core::VerificationReport report = core::VerifyPair(pair, opts);
     support::fault::Disarm();
@@ -761,7 +730,6 @@ int CmdCorpus(int argc, char** argv) {
   unsigned jobs = 1;
   bool extended = false;
   bool isolate = false;
-  bool pool = false;
   std::uint64_t pair_deadline_ms = 0;
   std::uint64_t rlimit_mb = 0;
   unsigned max_retries = 2;
@@ -784,8 +752,6 @@ int CmdCorpus(int argc, char** argv) {
       pair_deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
     } else if (arg == "--isolate") {
       isolate = true;
-    } else if (arg == "--pool") {
-      pool = true;
     } else if (arg == "--rlimit-mb") {
       rlimit_mb = args.Count<std::uint64_t>(0, kU32);
     } else if (arg == "--max-retries") {
@@ -812,10 +778,6 @@ int CmdCorpus(int argc, char** argv) {
   }
   if (!worker_fault.empty() && !isolate) {
     std::fprintf(stderr, "--worker-fault requires --isolate\n");
-    return 2;
-  }
-  if (pool && !isolate) {
-    std::fprintf(stderr, "--pool requires --isolate\n");
     return 2;
   }
 
@@ -848,14 +810,14 @@ int CmdCorpus(int argc, char** argv) {
       isolation.worker_args.push_back("--abort-fault");
       isolation.worker_args.push_back(worker_fault);
     }
-    config.isolation = &isolation;
   }
-  // The pool copies its (fully populated) options; created before the
-  // run so workers persist across pairs, destroyed after it so no
-  // worker outlives the summary.
+  // The pool copies its (fully populated) options; owned here so the
+  // summary can print its stats, destroyed after it so no worker
+  // outlives the run.
   std::unique_ptr<core::WorkerPool> worker_pool;
-  if (pool) {
+  if (isolate) {
     worker_pool = std::make_unique<core::WorkerPool>(isolation, jobs);
+    config.isolation = &isolation;
     config.worker_pool = worker_pool.get();
   }
 
@@ -1358,8 +1320,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "octopocs — propagated-vulnerability verification\n"
                  "subcommands: verify, detect, run, minimize, disasm, "
-                 "export, corpus, serve, client, gen, soak, pair-worker, "
-                 "pool-worker\n");
+                 "export, corpus, serve, client, gen, soak, pool-worker\n");
     return 2;
   }
 #ifndef _WIN32
@@ -1381,7 +1342,6 @@ int main(int argc, char** argv) {
     if (cmd == "client") return CmdClient(argc - 2, argv + 2);
     if (cmd == "gen") return CmdGen(argc - 2, argv + 2);
     if (cmd == "soak") return CmdSoak(argc - 2, argv + 2);
-    if (cmd == "pair-worker") return CmdPairWorker(argc - 2, argv + 2);
     if (cmd == "pool-worker") return CmdPoolWorker(argc - 2, argv + 2);
     if (cmd == "detect") return CmdDetect(argc - 2, argv + 2);
     if (cmd == "run") return CmdRun(argc - 2, argv + 2);
