@@ -1,11 +1,10 @@
-// Extended-corpus appendix: verification results for pairs 16-21 —
+// Extended-corpus appendix: verification results for pairs 16-22 —
 // scenarios the paper discusses but does not measure (double container
 // wrapping, renamed clones, three-bunch crashes, a stateful
-// use-after-free, a patched divide-by-zero, and the mmap input channel).
+// use-after-free, a patched divide-by-zero, the mmap input channel, and
+// a pair symex cannot reach without the fuzz rung).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_util.h"
 #include "core/octopocs.h"
@@ -16,13 +15,16 @@ using namespace octopocs;
 
 int main(int argc, char** argv) {
   unsigned jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+  bench::Args args(argc, argv);
+  while (args.Next()) {
+    if (args.flag() == "--jobs") {
+      jobs = static_cast<unsigned>(args.Count(1, 256));
+    } else {
+      args.Unknown();
     }
   }
 
-  std::printf("=== Extended corpus (pairs 16-21, beyond the paper) ===\n\n");
+  std::printf("=== Extended corpus (pairs 16-22, beyond the paper) ===\n\n");
 
   bench::TextTable table({"Idx", "S", "T", "Scenario", "CWE", "poc'",
                           "Verdict", "Type", "Time(ms)"});
@@ -30,7 +32,8 @@ int main(int argc, char** argv) {
   static const char* kScenario[] = {
       "double container wrap", "renamed clone (detector)",
       "three ep encounters",   "stateful use-after-free",
-      "patched divisor",       "mmap input channel"};
+      "patched divisor",       "mmap input channel",
+      "symex-dead, fuzzable"};
 
   int expected_matches = 0;
   const auto pairs = corpus::BuildExtendedCorpus();

@@ -19,11 +19,7 @@
 //   throughput  pairs/sec for the 15-pair corpus, serial vs. --jobs,
 //               with a determinism cross-check: every verdict, type,
 //               and reformed-PoC byte must match between the two runs.
-//               The parallel leg feeds the serial run's per-pair wall
-//               times back into VerifyCorpus as cost hints, so pairs
-//               launch longest-first (LPT) — the fix for the tail-pair
-//               convoy that made --jobs *slower* than serial when the
-//               longest pair started last.
+//               The parallel leg is reported, not gated.
 //   artifacts   the content-addressed store (DESIGN.md §11): a cold
 //               corpus pass (cross-pair reuse only — pairs sharing an
 //               origin S or target T hit each other's artifacts) and a
@@ -41,8 +37,6 @@
 //               tests/shortcuts_off_test.cpp.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,13 +154,16 @@ int main(int argc, char** argv) {
   bool smoke = false;
   unsigned jobs = 4;
   std::string out_path = "BENCH_perf.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+  bench::Args args(argc, argv);
+  while (args.Next()) {
+    if (args.flag() == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
+    } else if (args.flag() == "--jobs") {
+      jobs = static_cast<unsigned>(args.Count(1, 256));
+    } else if (args.flag() == "--out") {
+      out_path = args.Value();
+    } else {
+      args.Unknown();
     }
   }
 
@@ -232,10 +229,6 @@ int main(int argc, char** argv) {
               intern_hits, intern_nodes, intern_rate * 100);
 
   // -- Parallel corpus run + determinism cross-check ------------------------
-  // The serial leg just measured every pair, so hand those wall times to
-  // the scheduler: longest pair first keeps the big pair off the tail of
-  // the schedule, where it serializes the whole run behind one worker.
-  //
   // On a single-core host the leg is timing theater — threads just take
   // turns — and the "speedup" it reports (≈1x at best) used to trip
   // regression diffs. So the timing leg only runs with ≥2 hardware
@@ -247,9 +240,7 @@ int main(int argc, char** argv) {
   bool identical = true;
   if (run_parallel) {
     const auto par_start = Clock::now();
-    const auto parallel = core::VerifyCorpus(pairs, opts, jobs,
-                                             /*pair_deadline_ms=*/0,
-                                             &pair_seconds);
+    const auto parallel = core::VerifyCorpus(pairs, opts, jobs);
     parallel_seconds = SecondsSince(par_start);
     identical = ReportsIdentical(serial, parallel);
   }
@@ -257,7 +248,7 @@ int main(int argc, char** argv) {
       parallel_seconds > 0 ? serial_seconds / parallel_seconds : 0;
   if (run_parallel) {
     std::printf("corpus:       %.3f s serial | %.3f s with %u jobs "
-                "(%.2fx, %.1f pairs/s, longest-first)\n",
+                "(%.2fx, %.1f pairs/s)\n",
                 serial_seconds, parallel_seconds, jobs, speedup,
                 parallel_seconds > 0 ? pairs.size() / parallel_seconds : 0);
     std::printf("host:         %u hardware thread%s — wall-clock speedup is "
@@ -423,7 +414,7 @@ int main(int argc, char** argv) {
                  "  \"parallel_leg\": \"%s\",\n"
                  "  \"parallel_seconds\": %.4f,\n"
                  "  \"parallel_jobs\": %u,\n"
-                 "  \"parallel_schedule\": \"longest-first\",\n"
+                 "  \"parallel_schedule\": \"input-order\",\n"
                  "  \"hardware_concurrency\": %u,\n"
                  "  \"parallel_speedup\": %.3f,\n"
                  "  \"parallel_identical_to_serial\": %s,\n"

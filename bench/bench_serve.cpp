@@ -29,13 +29,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/server.h"
 
 using namespace octopocs;
@@ -153,17 +153,19 @@ int main(int argc, char** argv) {
   bool smoke = false;
   int passes = 20;
   std::string out_path = "BENCH_perf.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+  bench::Args args(argc, argv);
+  while (args.Next()) {
+    if (args.flag() == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--passes") == 0 && i + 1 < argc) {
-      passes = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
+    } else if (args.flag() == "--passes") {
+      passes = static_cast<int>(args.Count(1, 1'000'000));
+    } else if (args.flag() == "--out") {
+      out_path = args.Value();
+    } else {
+      args.Unknown();
     }
   }
   if (smoke) passes = 3;
-  if (passes < 1) passes = 1;
 
   const std::string suffix = UniqueSuffix();
   const std::string socket_path = "/tmp/octopocs_bench_" + suffix + ".sock";

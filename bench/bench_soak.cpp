@@ -15,10 +15,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "bench_util.h"
 #include "core/server.h"
 #include "gen/generator.h"
 #include "gen/soak.h"
@@ -61,19 +62,21 @@ int main(int argc, char** argv) {
   int pairs = 300;
   std::uint64_t seed = 1;
   std::string out_path = "BENCH_soak.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+  bench::Args args(argc, argv);
+  while (args.Next()) {
+    if (args.flag() == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--pairs") == 0 && i + 1 < argc) {
-      pairs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
+    } else if (args.flag() == "--pairs") {
+      pairs = static_cast<int>(args.Count(1, 1'000'000));
+    } else if (args.flag() == "--seed") {
+      seed = args.Count(0, std::numeric_limits<std::uint64_t>::max());
+    } else if (args.flag() == "--out") {
+      out_path = args.Value();
+    } else {
+      args.Unknown();
     }
   }
   if (smoke) pairs = 48;
-  if (pairs < 1) pairs = 1;
 
   // -- Generation rate + determinism gate -------------------------------------
   const auto gen_start = Clock::now();

@@ -6,10 +6,7 @@
 // pair, the modelled vulnerability, whether poc' was generated, and the
 // verification outcome.
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_util.h"
 #include "core/octopocs.h"
@@ -19,15 +16,19 @@ using namespace octopocs;
 
 int main(int argc, char** argv) {
   unsigned jobs = 1;
-  // Optional per-pair wall-clock bound: keeps a pathological pair from
-  // stalling a CI run of the bench; over-budget pairs show as Failure.
-  std::uint64_t pair_deadline_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--pair-deadline-ms") == 0 &&
-               i + 1 < argc) {
-      pair_deadline_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+  core::PipelineOptions opts;
+  opts.verify_exec.fuel = 2'000'000;  // generous hang detector
+  bench::Args args(argc, argv);
+  while (args.Next()) {
+    if (args.flag() == "--jobs") {
+      jobs = static_cast<unsigned>(args.Count(1, 256));
+    } else if (args.flag() == "--pair-deadline-ms") {
+      // Optional per-pair wall-clock bound (each pair's pipeline
+      // deadline): keeps a pathological pair from stalling a CI run of
+      // the bench; over-budget pairs show as Failure.
+      opts.deadline_ms = args.Count(0, 0xFFFFFFFFu);
+    } else {
+      args.Unknown();
     }
   }
 
@@ -37,11 +38,9 @@ int main(int argc, char** argv) {
   bench::TextTable table({"Idx", "S", "T", "Vuln", "CWE", "poc'",
                           "Verification", "Type", "Time(s)"});
 
-  core::PipelineOptions opts;
-  opts.verify_exec.fuel = 2'000'000;  // generous hang detector
   const std::vector<corpus::Pair> pairs = corpus::BuildCorpus();
   const auto start = std::chrono::steady_clock::now();
-  const auto reports = core::VerifyCorpus(pairs, opts, jobs, pair_deadline_ms);
+  const auto reports = core::VerifyCorpus(pairs, opts, jobs);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

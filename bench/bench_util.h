@@ -1,13 +1,64 @@
-// Small shared helpers for the table-reproduction benches: fixed-width
-// text table rendering so every bench prints rows shaped like the
-// paper's tables.
+// Small shared helpers for the benches: a strict command-line walker
+// and fixed-width text table rendering so every bench prints rows
+// shaped like the paper's tables.
 #pragma once
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 namespace octopocs::bench {
+
+/// A bench's command line, walked left to right under the CLI's rules
+/// (ParseUnsigned in tools/octopocs_cli.cpp): a count must be all
+/// decimal digits within [lo, hi]. A malformed or missing operand, or
+/// an unknown flag, prints the reason naming the flag and exits 2.
+class Args {
+ public:
+  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
+
+  /// Steps to the next argument; false once they are exhausted.
+  bool Next() {
+    if (next_ >= argc_) return false;
+    flag_ = argv_[next_++];
+    return true;
+  }
+  const std::string& flag() const { return flag_; }
+
+  std::string Value() {
+    if (next_ >= argc_) Fail(flag_ + " wants a value");
+    return argv_[next_++];
+  }
+
+  std::uint64_t Count(std::uint64_t lo, std::uint64_t hi) {
+    const std::string text = Value();
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+      Fail(flag_ + " wants an integer in " + std::to_string(lo) + ".." +
+           std::to_string(hi) + ", got '" + text + "'");
+    }
+    return value;
+  }
+
+  [[noreturn]] void Unknown() const { Fail("unknown option: " + flag_); }
+
+ private:
+  [[noreturn]] static void Fail(const std::string& why) {
+    std::fprintf(stderr, "%s\n", why.c_str());
+    std::exit(2);
+  }
+
+  int argc_;
+  char** argv_;
+  int next_ = 1;  // argv[0] is the program
+  std::string flag_;
+};
 
 class TextTable {
  public:

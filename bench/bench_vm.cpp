@@ -27,8 +27,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -310,11 +308,14 @@ Throughput MeasureWorkload(const Workload& w, int reps) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_vm.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+  bench::Args args(argc, argv);
+  while (args.Next()) {
+    if (args.flag() == "--smoke") {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
+    } else if (args.flag() == "--out") {
+      out_path = args.Value();
+    } else {
+      args.Unknown();
     }
   }
 

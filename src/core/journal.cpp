@@ -35,16 +35,18 @@ std::string Fingerprint64(const std::string& canonical) {
 }  // namespace
 
 std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
-                                     std::size_t pair_count,
-                                     std::uint64_t pair_deadline_ms,
-                                     bool isolate, std::uint64_t rlimit_mb) {
+                                     std::size_t pair_count, bool isolate,
+                                     std::uint64_t rlimit_mb) {
   std::ostringstream ss;
   // v2: the fuzz-fallback rung entered the verdict-bearing option set.
   // Unlike the answer-identical test seams (dispatch, fusion, cycle
   // skip, solver core), the rung and its seed/budget can change a
   // pair's verdict, so they fingerprint — a journal written under a
   // different fuzz configuration must not be resumed.
-  ss << "v2"
+  // v3: the per-phase budgets and the separate per-pair deadline are
+  // gone; `corpus --pair-deadline-ms` is now `dl`, the pipeline
+  // deadline. The tag changes so a pre-v3 journal is refused by name.
+  ss << "v3"
      << "|extended=" << extended << "|pairs=" << pair_count
      << "|ctx=" << o.taint.context_aware << "|theta=" << o.symex.theta
      << "|adaptive=" << o.adaptive_theta << ':' << o.adaptive_theta_max
@@ -58,10 +60,7 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
      << "|steps=" << o.symex.solver.max_steps
      << "|dyncfg=" << o.cfg.use_dynamic
      << "|fixangr=" << o.cfg.resolve_obfuscated_icalls
-     << "|seed=" << o.poc_as_cfg_seed << "|dl=" << o.deadline_ms << ':'
-     << o.preprocess_deadline_ms << ':' << o.p1_deadline_ms << ':'
-     << o.p23_deadline_ms << ':' << o.p4_deadline_ms
-     << "|pairdl=" << pair_deadline_ms
+     << "|seed=" << o.poc_as_cfg_seed << "|dl=" << o.deadline_ms
      << "|cfgfb=" << o.cfg_fallback_to_static
      << "|solretry=" << o.solver_budget_retry
      << "|fuzz=" << o.fuzz_fallback << ':' << o.fuzz_seed << ':'

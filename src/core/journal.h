@@ -35,13 +35,13 @@
 namespace octopocs::core {
 
 /// Canonical fingerprint of everything that affects corpus verdicts:
-/// the verdict-bearing PipelineOptions knobs, the pair set (extended or
-/// paper corpus, pair count), the per-pair deadline, and the isolation
-/// memory cap. Deliberately excludes jobs / tracing / the artifact
-/// cache / the backend knobs — all proven byte-identical elsewhere.
+/// the verdict-bearing PipelineOptions knobs (the pipeline deadline,
+/// which is the per-pair deadline, among them), the pair set (extended
+/// or paper corpus, pair count), and the isolation memory cap.
+/// Deliberately excludes jobs / tracing / the artifact cache / the
+/// backend knobs — all proven byte-identical elsewhere.
 std::string CorpusOptionsFingerprint(const PipelineOptions& options,
                                      bool extended, std::size_t pair_count,
-                                     std::uint64_t pair_deadline_ms,
                                      bool isolate, std::uint64_t rlimit_mb);
 
 /// Parsed journal contents, as far as the first torn record.

@@ -238,7 +238,7 @@ PhaseStatus CrashPrimitivePhase::Run(PhaseContext& ctx) {
   // -- Preprocessing: locate ep --------------------------------------------
   ctx.attribution = "preprocessing";
   const auto t0 = Clock::now();
-  support::CancelToken pre_tok = ctx.deadlines.Token(DeadlineGroup::kPreprocess);
+  support::CancelToken pre_tok = ctx.deadlines.Token();
 
   std::optional<vm::FuncId> ep_s;
   ArtifactKey ep_key{};
@@ -292,7 +292,7 @@ PhaseStatus CrashPrimitivePhase::Run(PhaseContext& ctx) {
   // -- P1: crash primitives --------------------------------------------------
   ctx.attribution = "P1";
   const auto t1 = Clock::now();
-  support::CancelToken p1_tok = ctx.deadlines.Token(DeadlineGroup::kP1);
+  support::CancelToken p1_tok = ctx.deadlines.Token();
 
   ArtifactKey p1_key{};
   if (ctx.artifacts != nullptr) {
@@ -340,7 +340,7 @@ PhaseStatus GuidingInputPhase::Run(PhaseContext& ctx) {
 
   ctx.attribution = "cfg";
   const auto t0 = Clock::now();
-  support::CancelToken p23_tok = ctx.deadlines.Token(DeadlineGroup::kP23);
+  support::CancelToken p23_tok = ctx.deadlines.Token();
   cfg::CfgOptions cfg_opts = ctx.options.cfg;
   if (ctx.options.poc_as_cfg_seed) cfg_opts.seed_inputs.push_back(ctx.poc);
   cfg_opts.exec.cancel = p23_tok;
@@ -402,7 +402,7 @@ PhaseStatus CombinePhase::Run(PhaseContext& ctx) {
 
   ctx.attribution = "P2/P3";
   const auto t0 = Clock::now();
-  support::CancelToken p23_tok = ctx.deadlines.Token(DeadlineGroup::kP23);
+  support::CancelToken p23_tok = ctx.deadlines.Token();
   if (!sym_opts_) {
     sym_opts_ = ctx.options.symex;
     // Hint the solver with the original PoC so reformed PoCs stay as
@@ -413,7 +413,7 @@ PhaseStatus CombinePhase::Run(PhaseContext& ctx) {
     sym_opts_->tracer = ctx.tracer;
   }
   // Tokens are sticky value types: retries must re-request one so a
-  // fresh attempt polls the live group deadline, not a spent copy.
+  // fresh attempt polls the live pipeline deadline, not a spent copy.
   sym_opts_->cancel = p23_tok;
   sym_opts_->solver.cancel = p23_tok;
 
@@ -522,7 +522,7 @@ PhaseStatus FuzzFallbackPhase::Run(PhaseContext& ctx) {
   // rung enabled. That staged verdict survives verbatim unless a
   // campaign crash at ep is confirmed by a P4 re-run below.
   ctx.attribution = "fuzz";
-  support::CancelToken fuzz_tok = ctx.deadlines.Token(DeadlineGroup::kFuzz);
+  support::CancelToken fuzz_tok = ctx.deadlines.FuzzToken();
 
   report.fuzz_attempted = true;
   report.fuzz_seed = ctx.options.fuzz_seed;
@@ -560,7 +560,7 @@ PhaseStatus FuzzFallbackPhase::Run(PhaseContext& ctx) {
     // options — the campaign's exec fuel differs from verify_exec's,
     // and only the pipeline's executor decides verdicts.
     ctx.attribution = "P4";
-    support::CancelToken p4_tok = ctx.deadlines.Token(DeadlineGroup::kP4);
+    support::CancelToken p4_tok = ctx.deadlines.Token();
     vm::ExecOptions verify_exec = ctx.options.verify_exec;
     verify_exec.cancel = p4_tok;
     const vm::ExecResult verify =
@@ -597,7 +597,7 @@ PhaseStatus ConcreteVerifyPhase::Run(PhaseContext& ctx) {
 
   ctx.attribution = "P4";
   const auto t0 = Clock::now();
-  support::CancelToken p4_tok = ctx.deadlines.Token(DeadlineGroup::kP4);
+  support::CancelToken p4_tok = ctx.deadlines.Token();
   vm::ExecOptions verify_exec = ctx.options.verify_exec;
   verify_exec.cancel = p4_tok;
   const vm::ExecResult verify =

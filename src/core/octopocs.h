@@ -177,16 +177,10 @@ struct PipelineOptions {
   /// Tripping yields kFailure with deadline_expired set and failed_phase
   /// naming the phase that was running.
   std::uint64_t deadline_ms = 0;
-  /// Per-phase budgets (milliseconds, 0 = none). Each phase runs under
-  /// Deadline::Sooner(whole-pipeline budget, its own budget).
-  std::uint64_t preprocess_deadline_ms = 0;
-  std::uint64_t p1_deadline_ms = 0;
-  std::uint64_t p23_deadline_ms = 0;
-  std::uint64_t p4_deadline_ms = 0;
-  /// External kill switch (the corpus watchdog's reaping mechanism),
-  /// polled alongside every deadline. Not owned; may be null; must
-  /// outlive Verify().
-  const std::atomic<bool>* cancel_flag = nullptr;
+  /// External kill switch, polled alongside the deadline; trips on
+  /// nonzero (the CLI stores the signal number). Not owned; may be
+  /// null; must outlive Verify().
+  const std::atomic<int>* cancel_flag = nullptr;
 
   // -- Graceful degradation --------------------------------------------------
 
@@ -217,8 +211,9 @@ struct PipelineOptions {
   std::uint64_t fuzz_seed = 1;
   /// Fallback execution budget (count, not wall clock).
   std::uint64_t fuzz_execs = 200'000;
-  /// Wall-clock budget for the fuzz deadline group (0 = none). Only
-  /// ever abandons a campaign early; never changes its search order.
+  /// Wall-clock budget for the fuzz rung (0 = none), anchored when the
+  /// rung starts and capped by deadline_ms. Only ever abandons a
+  /// campaign early; never changes its search order.
   std::uint64_t fuzz_deadline_ms = 0;
 
   // -- Observability and artifact reuse (DESIGN.md §11) ---------------------

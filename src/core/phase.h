@@ -8,10 +8,9 @@
 // place each:
 //
 //   DeadlinePolicy   owns every deadline: the whole-pipeline budget is
-//                    anchored once at construction; each phase *group*
-//                    anchors its own budget lazily on first use, so the
-//                    CFG build and the symbolic run share one P2/P3
-//                    budget exactly as the monolith did.
+//                    anchored once at construction and every phase
+//                    polls it; the fuzz rung's own budget anchors
+//                    lazily when the rung first runs.
 //   PhaseContext     the blackboard between phases: the pair under
 //                    verification, the report being filled, the slots
 //                    one phase produces and the next consumes, and the
@@ -31,8 +30,7 @@
 //                         "P1" internally (the report's failed_phase
 //                         vocabulary is unchanged).
 //   GuidingInputPhase     builds T's CFG — the precondition for
-//                         backward path finding ("cfg" attribution,
-//                         P2/P3 deadline group).
+//                         backward path finding ("cfg" attribution).
 //   CombinePhase          P2+P3: directed symbolic execution with
 //                         inline bunch pinning, then the final solve.
 //                         Adaptive-θ and solver-budget retries surface
@@ -40,7 +38,7 @@
 //   FuzzFallbackPhase     the trace-guided fuzzing rung (DESIGN.md
 //                         §16): inert unless fuzz_fallback is on and
 //                         CombinePhase dead-ended ("fuzz" attribution,
-//                         its own kFuzz deadline group).
+//                         its own fuzz_deadline_ms budget).
 //   ConcreteVerifyPhase   P4: run T concretely on poc' and classify.
 //
 // Phases read and publish origin-side artifacts through an optional
@@ -72,18 +70,12 @@ enum class PhaseStatus : std::uint8_t {
   kRetry,     // re-run this phase (it adjusted its own knobs)
 };
 
-/// Deadline groups. cfg and P2/P3 deliberately share kP23: the CFG
-/// build is P2's precondition and the paper budgets them together.
-/// kFuzz is the fallback rung's own budget — wall clock there only
-/// abandons the campaign, it never alters the (execution-counted)
-/// search, so the rung's verdict stays reproducible.
-enum class DeadlineGroup : std::uint8_t { kPreprocess, kP1, kP23, kP4, kFuzz };
-
-/// Owns every wall-clock budget of one Verify() run. The whole-pipeline
-/// deadline starts ticking at construction; a group's own budget starts
-/// ticking the first time any phase asks for that group's token, and
-/// later requests for the same group see the same anchor (retries and
-/// group-mates spend from one budget, they do not refresh it).
+/// Owns the wall-clock budgets of one Verify() run: the whole-pipeline
+/// deadline, which starts ticking at construction, and the fuzz rung's
+/// own budget, which starts ticking the first time the rung asks for
+/// its token. Wall clock there only abandons the campaign, it never
+/// alters the (execution-counted) search, so the rung's verdict stays
+/// reproducible. Tokens are sticky, so a retry must ask for a new one.
 class DeadlinePolicy {
  public:
   explicit DeadlinePolicy(const PipelineOptions& options)
@@ -91,28 +83,29 @@ class DeadlinePolicy {
                    ? support::Deadline::Never()
                    : support::Deadline::AfterMillis(options.deadline_ms)),
         cancel_flag_(options.cancel_flag),
-        budgets_ms_{options.preprocess_deadline_ms, options.p1_deadline_ms,
-                    options.p23_deadline_ms, options.p4_deadline_ms,
-                    options.fuzz_deadline_ms} {}
+        fuzz_budget_ms_(options.fuzz_deadline_ms) {}
 
-  support::CancelToken Token(DeadlineGroup group) {
-    const auto i = static_cast<std::size_t>(group);
-    if (!anchored_[i]) {
-      group_[i] = budgets_ms_[i] == 0
-                      ? support::Deadline::Never()
-                      : support::Deadline::AfterMillis(budgets_ms_[i]);
-      anchored_[i] = true;
+  support::CancelToken Token() const {
+    return support::CancelToken(whole_, cancel_flag_);
+  }
+
+  support::CancelToken FuzzToken() {
+    if (!fuzz_anchored_) {
+      fuzz_ = fuzz_budget_ms_ == 0
+                  ? support::Deadline::Never()
+                  : support::Deadline::AfterMillis(fuzz_budget_ms_);
+      fuzz_anchored_ = true;
     }
-    return support::CancelToken(support::Deadline::Sooner(whole_, group_[i]),
+    return support::CancelToken(support::Deadline::Sooner(whole_, fuzz_),
                                 cancel_flag_);
   }
 
  private:
   const support::Deadline whole_;
-  const std::atomic<bool>* cancel_flag_;
-  std::uint64_t budgets_ms_[5];
-  support::Deadline group_[5];
-  bool anchored_[5] = {false, false, false, false, false};
+  const std::atomic<int>* cancel_flag_;
+  const std::uint64_t fuzz_budget_ms_;
+  support::Deadline fuzz_;
+  bool fuzz_anchored_ = false;
 };
 
 /// The blackboard shared by the phases of one Verify() run.

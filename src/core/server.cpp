@@ -369,10 +369,6 @@ ArtifactKey Server::ReportKey(const corpus::Pair& pair,
   if (request.fuzz_seed != 0) semantic.fuzz_seed = request.fuzz_seed;
   if (request.fuzz_execs != 0) semantic.fuzz_execs = request.fuzz_execs;
   semantic.deadline_ms = 0;
-  semantic.preprocess_deadline_ms = 0;
-  semantic.p1_deadline_ms = 0;
-  semantic.p23_deadline_ms = 0;
-  semantic.p4_deadline_ms = 0;
   semantic.fuzz_deadline_ms = 0;
   ArtifactHasher hasher;
   hasher.Program(pair.s).Program(pair.t);
@@ -383,7 +379,6 @@ ArtifactKey Server::ReportKey(const corpus::Pair& pair,
   hasher.Bytes(pair.poc.data(), pair.poc.size());
   hasher.Str(CorpusOptionsFingerprint(semantic, /*extended=*/false,
                                       /*pair_count=*/0,
-                                      /*pair_deadline_ms=*/0,
                                       /*isolate=*/false, /*rlimit_mb=*/0));
   return hasher.Finish("served-report");
 }

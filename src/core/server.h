@@ -41,7 +41,10 @@
 //
 // Shutdown: Drain() (the SIGINT/SIGTERM path) stops accepting, lets
 // queued and in-flight requests finish and respond, flushes the disk
-// store, and joins every thread. A SIGKILL instead loses nothing
+// store, and joins every thread. `octopocs serve` also makes the signal
+// flag the pipeline's cancel_flag, so there a drained request is reaped
+// at its first poll and answered with a deadline_expired Failure, which
+// is never persisted. A SIGKILL instead loses nothing
 // durable: the disk tier heals its torn tail on the next Open, exactly
 // like the crash journal.
 #pragma once

@@ -50,8 +50,8 @@ struct DirectedFuzzOptions {
   std::uint64_t base_energy = 64;
   /// P1 bunch byte offsets (poc coordinates) the mutator must preserve.
   std::vector<std::uint32_t> pinned_offsets;
-  /// Wall-clock abandon switch (deadline group kFuzz + the corpus kill
-  /// switch). Tripping never changes the search order — the campaign is
+  /// Wall-clock abandon switch (the fuzz budget, the pipeline deadline
+  /// and the pipeline's cancel flag). Tripping never changes the search order — the campaign is
   /// simply cut short and reports cancelled.
   support::CancelToken cancel;
 };

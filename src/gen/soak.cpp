@@ -169,8 +169,8 @@ std::string JournalFingerprint(const SoakOptions& o, std::size_t pair_count) {
   // fingerprint: a journal written under seed A must never resume under
   // seed B.
   return core::CorpusOptionsFingerprint(BasePipeline(o), /*extended=*/false,
-                                        pair_count, /*pair_deadline_ms=*/0,
-                                        /*isolate=*/true, /*rlimit_mb=*/0) +
+                                        pair_count, /*isolate=*/true,
+                                        /*rlimit_mb=*/0) +
          "-g" + std::to_string(o.seed);
 }
 

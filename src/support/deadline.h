@@ -5,7 +5,8 @@
 // scale one pathological pair must not be able to stall the whole run.
 // Cancellation here is cooperative: every hot loop polls a CancelToken,
 // which trips either when its monotonic-clock Deadline passes or when an
-// external flag (the corpus watchdog's kill switch) is raised.
+// external flag (a SIGINT/SIGTERM drain, or a test's kill switch) goes
+// nonzero.
 //
 // The poll is engineered to cost ~nothing on the hot path: ShouldStop()
 // increments a local counter and only consults the clock / the atomic
@@ -13,9 +14,8 @@
 // increment-and-mask per instruction. Once tripped a token stays
 // tripped (sticky), so callers may poll freely after reporting.
 //
-// Deadlines compose: a per-phase budget is Deadline::Sooner(pipeline
-// deadline, phase deadline), which is how PipelineOptions turns one
-// whole-pipeline wall-clock budget into per-phase budgets.
+// Deadlines compose: the fuzz rung's budget is Deadline::Sooner(pipeline
+// deadline, fuzz deadline), so it can only ever shorten a run.
 #pragma once
 
 #include <atomic>
@@ -72,15 +72,17 @@ class Deadline {
 };
 
 /// Pollable stop condition: a Deadline plus an optional shared kill
-/// switch. Value type — each loop owns its copy (the poll counter is
-/// per-copy; the flag is shared). The referenced flag must outlive
-/// every token copy that points at it.
+/// switch that trips on nonzero (the int type every interrupt in the
+/// tree shares, so a signal number can be stored as is). Value type —
+/// each loop owns its copy (the poll counter is per-copy; the flag is
+/// shared). The referenced flag must outlive every token copy that
+/// points at it.
 class CancelToken {
  public:
   CancelToken() = default;
 
   explicit CancelToken(Deadline deadline,
-                       const std::atomic<bool>* flag = nullptr)
+                       const std::atomic<int>* flag = nullptr)
       : deadline_(deadline), flag_(flag) {}
 
   /// True when this token can ever trip — lets callers skip bookkeeping
@@ -101,7 +103,7 @@ class CancelToken {
   /// Immediate check (phase boundaries, failure attribution). Sticky.
   bool Check() {
     if (stopped_) return true;
-    if (flag_ != nullptr && flag_->load(std::memory_order_relaxed)) {
+    if (flag_ != nullptr && flag_->load(std::memory_order_relaxed) != 0) {
       stopped_ = true;
     } else if (deadline_.Expired()) {
       stopped_ = true;
@@ -115,7 +117,7 @@ class CancelToken {
   static constexpr std::uint32_t kStride = 512;
 
   Deadline deadline_;
-  const std::atomic<bool>* flag_ = nullptr;
+  const std::atomic<int>* flag_ = nullptr;
   std::uint32_t polls_ = 0;
   bool stopped_ = false;
 };

@@ -342,15 +342,15 @@ TEST(FuelExactness, BudgetLandsMidFusedEntryAtEveryOffset) {
 
 class FlagRaiser : public ExecutionObserver {
  public:
-  FlagRaiser(std::atomic<bool>* flag, std::uint64_t at) : flag_(flag),
-                                                          at_(at) {}
+  FlagRaiser(std::atomic<int>* flag, std::uint64_t at) : flag_(flag),
+                                                         at_(at) {}
   void OnInstr(FuncId, BlockId, std::size_t, const Instr&, std::uint64_t,
                std::uint64_t) override {
-    if (++seen_ == at_) flag_->store(true, std::memory_order_relaxed);
+    if (++seen_ == at_) flag_->store(1, std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<bool>* flag_;
+  std::atomic<int>* flag_;
   std::uint64_t at_;
   std::uint64_t seen_ = 0;
 };
@@ -369,7 +369,7 @@ void ExpectDeadlineWithinStride(DispatchMode mode, bool fuse) {
   // Raise the kill flag at a retired-instruction count that is NOT a
   // checkpoint; the backend must still observe it within one stride.
   const std::uint64_t raise_at = kInterpCheckStride + 37;
-  std::atomic<bool> flag{false};
+  std::atomic<int> flag{0};
   FlagRaiser raiser(&flag, raise_at);
   ExecOptions exec;
   exec.dispatch = mode;
@@ -404,7 +404,7 @@ TEST(DeadlineStride, PreTrippedTokenStopsBeforeTheFirstInstruction) {
       "    jmp L0\n");
   for (const DispatchMode mode :
        {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
-    std::atomic<bool> flag{true};
+    std::atomic<int> flag{1};
     ExecOptions exec;
     exec.dispatch = mode;
     exec.cancel = support::CancelToken(support::Deadline::Never(), &flag);

@@ -220,12 +220,13 @@ std::string ServingWorker(const std::string& name,
 /// own, exactly like `corpus --isolate`.
 std::vector<VerificationReport> RunIsolated(
     const IsolationOptions& iso, const std::vector<corpus::Pair>& pairs,
-    const std::atomic<int>* interrupt = nullptr) {
+    const std::atomic<int>* cancel_flag = nullptr) {
   CorpusRunConfig config;
   config.jobs = 2;
   config.isolation = &iso;
-  config.interrupt = interrupt;
-  return VerifyCorpus(pairs, PipelineOptions{}, config);
+  PipelineOptions options;
+  options.cancel_flag = cancel_flag;
+  return VerifyCorpus(pairs, options, config);
 }
 
 TEST(SupervisorTest, CleanWorkerReportIsReturnedVerbatim) {
@@ -313,17 +314,19 @@ TEST(SupervisorTest, InterruptDrainsWithoutSpawning) {
 
 TEST(JournalTest, FingerprintCoversVerdictBearingKnobs) {
   const PipelineOptions base;
-  const std::string fp =
-      CorpusOptionsFingerprint(base, false, 15, 0, false, 0);
-  EXPECT_EQ(fp, CorpusOptionsFingerprint(base, false, 15, 0, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, true, 15, 0, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 6, 0, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, 500, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, 0, true, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, 0, true, 256));
+  const std::string fp = CorpusOptionsFingerprint(base, false, 15, false, 0);
+  EXPECT_EQ(fp, CorpusOptionsFingerprint(base, false, 15, false, 0));
+  EXPECT_NE(fp, CorpusOptionsFingerprint(base, true, 15, false, 0));
+  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 6, false, 0));
+  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, true, 0));
+  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, true, 256));
+  // `corpus --pair-deadline-ms 500` is the pipeline deadline.
+  PipelineOptions deadline = base;
+  deadline.deadline_ms = 500;
+  EXPECT_NE(fp, CorpusOptionsFingerprint(deadline, false, 15, false, 0));
   PipelineOptions tweaked = base;
   tweaked.adaptive_theta = true;
-  EXPECT_NE(fp, CorpusOptionsFingerprint(tweaked, false, 15, 0, false, 0));
+  EXPECT_NE(fp, CorpusOptionsFingerprint(tweaked, false, 15, false, 0));
 }
 
 #ifndef _WIN32
@@ -442,10 +445,11 @@ TEST(JournalTest, CorpusRunJournalsAndResumeReplaysWithoutRerunning) {
   // Resume with every pair finished and a 1ms pair deadline: only a
   // replay (no re-execution) can reproduce the original reports — a
   // re-run would come back deadline_expired.
+  PipelineOptions tight = options;
+  tight.deadline_ms = 1;
   CorpusRunConfig resume;
-  resume.pair_deadline_ms = 1;
   resume.resume_finished = &state->finished;
-  const auto replayed = VerifyCorpus(pairs, options, resume);
+  const auto replayed = VerifyCorpus(pairs, tight, resume);
   ASSERT_EQ(replayed.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     ExpectReportsEqual(first[i], replayed[i]);

@@ -10,7 +10,7 @@
 
 #include "core/parallel_verify.h"
 #include "corpus/pairs.h"
-#include "support/thread_pool.h"
+#include "support/parallel_for.h"
 
 namespace octopocs {
 namespace {
@@ -32,19 +32,24 @@ TEST(ParallelForTest, SerialPathRunsInline) {
 }
 
 TEST(ParallelForTest, WorkerExceptionIsRethrown) {
-  EXPECT_THROW(support::ParallelFor(
-                   8, 4,
-                   [](std::size_t i) {
-                     if (i == 3) throw std::runtime_error("boom");
-                   }),
-               std::runtime_error);
-  // Serial path too.
-  EXPECT_THROW(support::ParallelFor(
-                   8, 1,
-                   [](std::size_t i) {
-                     if (i == 3) throw std::runtime_error("boom");
-                   }),
-               std::runtime_error);
+  // On both the parallel and the serial path the throw is rethrown to
+  // the caller, and only after every other index ran: one failing pair
+  // must not abandon the pairs behind it.
+  for (const unsigned jobs : {4u, 1u}) {
+    SCOPED_TRACE(jobs);
+    std::vector<std::atomic<int>> visits(8);
+    EXPECT_THROW(support::ParallelFor(8, jobs,
+                                      [&](std::size_t i) {
+                                        visits[i].fetch_add(1);
+                                        if (i == 3) {
+                                          throw std::runtime_error("boom");
+                                        }
+                                      }),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+    }
+  }
 }
 
 TEST(ParallelForTest, ZeroCountIsANoOp) {
@@ -71,45 +76,6 @@ TEST(ParallelVerifyTest, ParallelIsByteIdenticalToSerial) {
     EXPECT_EQ(serial[i].bunch_count, parallel[i].bunch_count);
     EXPECT_EQ(serial[i].reformed_poc, parallel[i].reformed_poc);
     EXPECT_EQ(serial[i].bunch_offsets, parallel[i].bunch_offsets);
-  }
-}
-
-TEST(ParallelVerifyTest, CostHintsChangeScheduleNotResults) {
-  // Longest-pair-first scheduling consumes recorded wall times that may
-  // be stale — or outright garbage — so the hints must only permute the
-  // launch order, never the per-slot report. Reports are written by
-  // input index, which is what makes any permutation safe.
-  const std::vector<corpus::Pair> pairs = corpus::BuildCorpus();
-  const core::PipelineOptions opts;
-
-  const auto baseline = core::VerifyCorpus(pairs, opts, 4);
-
-  // Reverse-sorted, uniform, and nonsense hints (wrong sign, NaN-free
-  // but meaningless) must all reproduce the baseline byte for byte.
-  std::vector<std::vector<double>> hint_sets;
-  std::vector<double> ascending, uniform, garbage;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ascending.push_back(static_cast<double>(i));
-    uniform.push_back(1.0);
-    garbage.push_back(i % 2 == 0 ? -7.5 : 1e18);
-  }
-  hint_sets.push_back(ascending);
-  hint_sets.push_back(uniform);
-  hint_sets.push_back(garbage);
-  hint_sets.push_back({1.0, 2.0});  // wrong size: hints ignored entirely
-
-  for (std::size_t h = 0; h < hint_sets.size(); ++h) {
-    SCOPED_TRACE("hint set " + std::to_string(h));
-    const auto hinted = core::VerifyCorpus(pairs, opts, 4, 0, &hint_sets[h]);
-    ASSERT_EQ(hinted.size(), baseline.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      SCOPED_TRACE(pairs[i].s_name);
-      EXPECT_EQ(baseline[i].verdict, hinted[i].verdict);
-      EXPECT_EQ(baseline[i].type, hinted[i].type);
-      EXPECT_EQ(baseline[i].detail, hinted[i].detail);
-      EXPECT_EQ(baseline[i].reformed_poc, hinted[i].reformed_poc);
-      EXPECT_EQ(baseline[i].bunch_offsets, hinted[i].bunch_offsets);
-    }
   }
 }
 

@@ -10,19 +10,22 @@
 // search is astronomically large) so that only the clock can end them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <set>
-#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/journal.h"
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
 #include "corpus/pairs.h"
 #include "support/deadline.h"
 #include "support/fault.h"
-#include "support/thread_pool.h"
 #include "vm/asm.h"
 
 namespace octopocs::core {
@@ -221,13 +224,13 @@ TEST(CancelTokenUnit, ExpiredDeadlineTripsWithinOneStride) {
 }
 
 TEST(CancelTokenUnit, KillSwitchFlagTripIsSticky) {
-  std::atomic<bool> flag{false};
+  std::atomic<int> flag{0};
   CancelToken tok{Deadline::Never(), &flag};
   EXPECT_TRUE(tok.CanExpire());
   EXPECT_FALSE(tok.Check());
-  flag.store(true);
+  flag.store(15);  // any nonzero value (a signal number) trips it
   EXPECT_TRUE(tok.Check());
-  flag.store(false);  // lowering the flag does not un-trip the token
+  flag.store(0);  // lowering the flag does not un-trip the token
   EXPECT_TRUE(tok.Check());
 }
 
@@ -283,29 +286,6 @@ TEST_F(FaultRegistryTest, SeededArmIsReproducibleAndCoversSites) {
     seen.insert(support::fault::ArmSeeded(seed));
   }
   EXPECT_GT(seen.size(), 1u) << "seeded arming is stuck on one site";
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool exception capture (beyond the ParallelFor coverage in
-// parallel_verify_test).
-
-TEST(ThreadPoolTest, ThrowingJobIsRethrownAtWaitAndPoolStaysUsable) {
-  support::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&ran, i] {
-      if (i == 1) throw std::runtime_error("injected job failure");
-      ran.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 3);  // the other jobs were not abandoned
-
-  // The error was consumed: the pool keeps serving jobs and a clean
-  // Wait() does not re-throw the stale exception.
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(ran.load(), 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,7 +430,7 @@ TEST(PipelineDeadlineTest, PhaseDeadlineReapsThePathologicalSolve) {
   PipelineOptions opts;
   // The step budget must not fire first — this test is about the clock.
   opts.symex.solver.max_steps = 4'000'000'000ULL;
-  opts.p23_deadline_ms = 150;
+  opts.deadline_ms = 150;
 
   const auto start = std::chrono::steady_clock::now();
   const VerificationReport report = VerifyPair(pair, opts);
@@ -458,8 +438,9 @@ TEST(PipelineDeadlineTest, PhaseDeadlineReapsThePathologicalSolve) {
   EXPECT_LT(ElapsedSeconds(start), 30.0) << "deadline did not bound the run";
   EXPECT_EQ(report.verdict, Verdict::kFailure);
   EXPECT_TRUE(report.deadline_expired);
-  // The p23 token covers CFG construction and P2/P3; on any sane
-  // machine the tiny CFG finishes and the CSP search eats the budget.
+  // Preprocessing and P1 on these tiny programs take microseconds; on
+  // any sane machine the tiny CFG finishes too and the CSP search eats
+  // the budget.
   EXPECT_TRUE(report.failed_phase == "P2/P3" || report.failed_phase == "cfg")
       << report.failed_phase;
   EXPECT_NE(report.detail.find("deadline"), std::string::npos)
@@ -470,7 +451,7 @@ TEST(PipelineDeadlineTest, RaisedKillSwitchReapsTheRunImmediately) {
   const vm::Program hang = vm::AssembleParts({kHangProgram});
   PipelineOptions opts;
   opts.verify_exec.fuel = 2'000'000'000ULL;
-  std::atomic<bool> kill{true};  // already raised — reap at first poll
+  std::atomic<int> kill{1};  // already raised — reap at first poll
   opts.cancel_flag = &kill;
 
   const auto start = std::chrono::steady_clock::now();
@@ -483,7 +464,7 @@ TEST(PipelineDeadlineTest, RaisedKillSwitchReapsTheRunImmediately) {
   EXPECT_EQ(report.failed_phase, "preprocessing");
 }
 
-TEST(PipelineDeadlineTest, CorpusWatchdogReapsOnlyTheStalledPair) {
+TEST(PipelineDeadlineTest, PerPairDeadlineReapsOnlyTheStalledPair) {
   std::vector<corpus::Pair> pairs = {corpus::BuildPair(1), HardSolverPair(),
                                      corpus::BuildPair(2)};
   PipelineOptions opts;
@@ -492,8 +473,11 @@ TEST(PipelineDeadlineTest, CorpusWatchdogReapsOnlyTheStalledPair) {
   const auto clean0 = VerifyPair(pairs[0], opts);
   const auto clean2 = VerifyPair(pairs[2], opts);
 
+  // The pipeline deadline is per pair: each pair's clock starts when
+  // that pair does (what `corpus --pair-deadline-ms` sets).
+  opts.deadline_ms = 3000;
   const auto start = std::chrono::steady_clock::now();
-  const auto reports = VerifyCorpus(pairs, opts, 2, /*pair_deadline_ms=*/3000);
+  const auto reports = VerifyCorpus(pairs, opts, 2);
   ASSERT_EQ(reports.size(), 3u);
 
   EXPECT_LT(ElapsedSeconds(start), 120.0);
@@ -586,13 +570,108 @@ TEST(DegradationTest, AdaptiveThetaCeilingIsAttributedToP23) {
 }
 
 // ---------------------------------------------------------------------------
+// Draining an in-process corpus run: the cancel flag (the CLI's signal
+// flag) is the only drain switch. Pairs not yet started never start,
+// the running pair is reaped at its next poll, and nothing cancelled
+// reaches the journal as finished.
+
+#ifndef _WIN32
+
+std::string TempJournal(const std::string& name) {
+  return testing::TempDir() + "octopocs_drain_" + name + ".jsonl";
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(CorpusDrainTest, PreRaisedCancelFlagStartsNoPairAndJournalsNothing) {
+  const std::string path = TempJournal("before_start");
+  const std::vector<corpus::Pair> pairs = {corpus::BuildPair(1),
+                                           corpus::BuildPair(4)};
+  std::atomic<int> cancel{15};
+  PipelineOptions opts;
+  opts.cancel_flag = &cancel;
+
+  std::string error;
+  std::vector<VerificationReport> reports;
+  {
+    auto journal = Journal::Create(path, "d7a10000", pairs.size(), &error);
+    ASSERT_NE(journal, nullptr) << error;
+    CorpusRunConfig config;
+    config.jobs = 2;
+    config.journal = journal.get();
+    reports = VerifyCorpus(pairs, opts, config);
+  }
+
+  ASSERT_EQ(reports.size(), pairs.size());
+  for (const VerificationReport& r : reports) {
+    EXPECT_EQ(r.verdict, Verdict::kFailure);
+    EXPECT_TRUE(r.deadline_expired);
+    EXPECT_EQ(r.detail, "interrupted before start");
+  }
+  // The header is the journal's only line: no pair was even started.
+  const std::string text = ReadText(path);
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  const auto state = LoadJournal(path, &error);
+  ASSERT_TRUE(state.has_value()) << error;
+  EXPECT_TRUE(state->finished.empty());
+  EXPECT_TRUE(state->started_unfinished.empty());
+}
+
+TEST(CorpusDrainTest, CancelMidRunReapsTheRunningPairAndJournalsItUnfinished) {
+  const std::string path = TempJournal("mid_run");
+  const std::vector<corpus::Pair> pairs = {corpus::BuildPair(1),
+                                           HardSolverPair()};
+  PipelineOptions opts;
+  // The step budget must not end the hard pair: only the flag may.
+  opts.symex.solver.max_steps = 4'000'000'000ULL;
+  const VerificationReport clean = VerifyPair(pairs[0], opts);
+  std::atomic<int> cancel{0};
+  opts.cancel_flag = &cancel;
+
+  std::string error;
+  std::vector<VerificationReport> reports;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    auto journal = Journal::Create(path, "d7a10001", pairs.size(), &error);
+    ASSERT_NE(journal, nullptr) << error;
+    CorpusRunConfig config;  // serial: pair 1 runs first, then the hard one
+    config.journal = journal.get();
+    std::thread raiser([&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      cancel.store(2, std::memory_order_relaxed);
+    });
+    reports = VerifyCorpus(pairs, opts, config);
+    raiser.join();
+  }
+
+  EXPECT_LT(ElapsedSeconds(start), 30.0) << "the flag did not reap the pair";
+  ASSERT_EQ(reports.size(), pairs.size());
+  ExpectSameOutcome(reports[0], clean);
+  EXPECT_FALSE(reports[0].deadline_expired);
+  EXPECT_EQ(reports[1].verdict, Verdict::kFailure);
+  EXPECT_TRUE(reports[1].deadline_expired);
+
+  const auto state = LoadJournal(path, &error);
+  ASSERT_TRUE(state.has_value()) << error;
+  ASSERT_EQ(state->finished.size(), 1u);
+  ASSERT_EQ(state->finished.count(pairs[0].idx), 1u);
+  ExpectSameOutcome(state->finished.at(pairs[0].idx), clean);
+  // The hard pair started, but its cancelled report is never a
+  // statement about the pair: a resume re-runs it.
+  EXPECT_EQ(state->started_unfinished.count(pairs[1].idx), 1u);
+}
+
+#endif  // !_WIN32
+
+// ---------------------------------------------------------------------------
 // VerifyCorpus edge cases.
 
 TEST(CorpusEdgeTest, EmptyPairListReturnsEmptyWithoutWorkerMachinery) {
   const std::vector<corpus::Pair> none;
   EXPECT_TRUE(VerifyCorpus(none, {}, 8).empty());
-  // The watchdog path must cope with zero pairs too.
-  EXPECT_TRUE(VerifyCorpus(none, {}, 8, /*pair_deadline_ms=*/50).empty());
 }
 
 TEST(CorpusEdgeTest, ZeroJobsRunsSeriallyLikeOne) {

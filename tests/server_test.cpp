@@ -258,7 +258,7 @@ TEST(ServerTest, ExpiredDeadlineIsServedNotPersistedAndDegradeRetriesOnce) {
   options.workers = 1;
   options.request_deadline_ms = 60'000;
   options.cache_dir = TempCache("deadline");
-  std::atomic<bool> kill{true};
+  std::atomic<int> kill{1};
   options.pipeline.cancel_flag = &kill;
   Server server(options);
   std::string error;

@@ -41,9 +41,10 @@
 //       --extended) with N pipeline runs in flight at once. Reports are
 //       printed in pair order and are byte-identical to a serial run
 //       regardless of N. --pair-deadline-ms bounds each pair's
-//       wall-clock time; a pair over budget degrades to Failure while
-//       the rest of the corpus finishes. Each pair's own P2/P3 search
-//       is one serial loop; --jobs parallelizes across pairs only.
+//       wall-clock time (it is each pair's pipeline deadline); a pair
+//       over budget degrades to Failure while the rest of the corpus
+//       finishes. Each pair's own P2/P3 search is one serial loop;
+//       --jobs parallelizes across pairs only.
 //       --artifact-cache=on shares origin-side artifacts (ep, crash
 //       primitives, CFG edges) across pairs with a common S or T; the
 //       summary then reports the store's hit/miss counts. --trace-out
@@ -81,7 +82,11 @@
 //       structured RETRY_AFTER (lowest-priority queued work is displaced
 //       first). --request-deadline-ms caps each request server-side; a
 //       tighter client deadline wins (sooner-rule). SIGINT/SIGTERM
-//       drains: queued and in-flight requests finish and are answered.
+//       drains: the daemon stops accepting, and every queued or
+//       in-flight request is still answered, but the signal is also
+//       the pipeline's cancel flag, so a request that needs a pipeline
+//       run is reaped at its first poll and answered with a
+//       deadline_expired Failure, which is never persisted.
 //   client --socket PATH <pair-idx> [--poc FILE] [--priority N]
 //          [--deadline-ms N] [--cfg-fallback] [--solver-retry]
 //          [--fuzz-fallback] [--fuzz-seed N] [--fuzz-execs N]
@@ -171,20 +176,17 @@ namespace {
 
 // -- Graceful interruption ----------------------------------------------------
 //
-// The handler only touches lock-free atomics (async-signal-safe); the
-// actual drain is cooperative: `verify` polls g_cancel through its
-// cancellation tokens, `corpus` additionally fans the flag out to every
-// running pair's kill switch and to worker processes (SIGKILLed by
-// their supervisors), and the main thread then flushes trace buffers,
-// prints a partial summary, and exits 128+signal — an interrupt no
-// longer loses the whole trace file or the finished pairs' results.
+// The handler only stores the signal number in a lock-free atomic
+// (async-signal-safe); the actual drain is cooperative: `verify`,
+// `corpus` and `serve` hand g_signal to the pipeline as its cancel
+// flag, so every pair's cancellation tokens trip at their next poll,
+// and `corpus --isolate` hands it to the worker pool, which SIGKILLs
+// busy workers. The main thread then flushes trace buffers, prints a
+// partial summary, and exits 128+signal — an interrupt no longer loses
+// the whole trace file or the finished pairs' results.
 std::atomic<int> g_signal{0};
-std::atomic<bool> g_cancel{false};
 
-void OnSignal(int sig) {
-  g_signal.store(sig, std::memory_order_relaxed);
-  g_cancel.store(true, std::memory_order_relaxed);
-}
+void OnSignal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
 
 void InstallSignalHandlers() {
   std::signal(SIGINT, OnSignal);
@@ -502,7 +504,7 @@ int CmdVerify(int argc, char** argv) {
   core::ArtifactStore store;
   obs.Wire(opts, tracer, store);
   InstallSignalHandlers();
-  opts.cancel_flag = &g_cancel;
+  opts.cancel_flag = &g_signal;
   core::Octopocs pipeline(s, t, shared, poc, opts, name_map);
   const core::VerificationReport r = pipeline.Verify();
 
@@ -730,7 +732,6 @@ int CmdCorpus(int argc, char** argv) {
   unsigned jobs = 1;
   bool extended = false;
   bool isolate = false;
-  std::uint64_t pair_deadline_ms = 0;
   std::uint64_t rlimit_mb = 0;
   unsigned max_retries = 2;
   std::string journal_path;
@@ -749,7 +750,8 @@ int CmdCorpus(int argc, char** argv) {
     } else if (arg == "--extended") {
       extended = true;
     } else if (arg == "--pair-deadline-ms") {
-      pair_deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
+      // Each pair's pipeline deadline: its clock starts with the pair.
+      opts.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
     } else if (arg == "--isolate") {
       isolate = true;
     } else if (arg == "--rlimit-mb") {
@@ -787,10 +789,9 @@ int CmdCorpus(int argc, char** argv) {
   const std::vector<corpus::Pair> pairs =
       extended ? corpus::BuildExtendedCorpus() : corpus::BuildCorpus();
 
+  opts.cancel_flag = &g_signal;
   core::CorpusRunConfig config;
   config.jobs = jobs;
-  config.pair_deadline_ms = pair_deadline_ms;
-  config.interrupt = &g_signal;
 
   core::IsolationOptions isolation;
   if (isolate) {
@@ -798,13 +799,13 @@ int CmdCorpus(int argc, char** argv) {
     isolation.worker_args = forwarded;
     isolation.max_retries = max_retries;
     isolation.rlimit_mb = rlimit_mb;
-    if (pair_deadline_ms > 0) {
+    if (opts.deadline_ms > 0) {
       // The worker honors the budget cooperatively via its in-pipeline
       // deadline; the supervisor's SIGKILL backstop sits 2s above it
       // for workers too wedged to poll.
       isolation.worker_args.push_back("--deadline-ms");
-      isolation.worker_args.push_back(std::to_string(pair_deadline_ms));
-      isolation.deadline_ms = pair_deadline_ms + 2000;
+      isolation.worker_args.push_back(std::to_string(opts.deadline_ms));
+      isolation.deadline_ms = opts.deadline_ms + 2000;
     }
     if (!worker_fault.empty()) {
       isolation.worker_args.push_back("--abort-fault");
@@ -825,7 +826,7 @@ int CmdCorpus(int argc, char** argv) {
   // resume against different options is refused instead of splicing
   // incomparable verdicts into one result set.
   const std::string fingerprint = core::CorpusOptionsFingerprint(
-      opts, extended, pairs.size(), pair_deadline_ms, isolate, rlimit_mb);
+      opts, extended, pairs.size(), isolate, rlimit_mb);
   std::unique_ptr<core::Journal> journal;
   core::JournalState resume_state;
   if (!resume_path.empty()) {
@@ -892,21 +893,23 @@ int CmdCorpus(int argc, char** argv) {
     const bool as_expected = std::string(core::ResultTypeName(r.type)) ==
                              std::string(corpus::ExpectedResultName(pair.expected));
     const bool infra = r.deadline_expired || r.exception_contained;
-    // On a drain, an unexpected deadline/worker failure says nothing
-    // about the pair — the interrupt killed it, not the budget.
-    const bool interrupted = sig != 0 && !as_expected && infra;
+    // On a drain, a deadline report says nothing about the pair — the
+    // interrupt may have cut it, not the budget — even where it matches
+    // an expected Failure row. This is the rule VerifyCorpus uses to
+    // keep such a report out of the journal.
+    const bool interrupted = sig != 0 && r.deadline_expired;
     if (r.verdict != core::Verdict::kFailure) ++decisive;
-    if (as_expected) {
-      ++expected_matches;
-    } else if (interrupted) {
+    if (interrupted) {
       ++interrupted_pairs;
+    } else if (as_expected) {
+      ++expected_matches;
     } else if (infra) {
       ++infra_failures;
     } else {
       ++wrong_verdicts;
     }
-    const char* marker = as_expected  ? ""
-                         : interrupted ? "  [INTERRUPTED]"
+    const char* marker = interrupted   ? "  [INTERRUPTED]"
+                         : as_expected ? ""
                          : infra       ? (r.deadline_expired
                                               ? "  [TIMEOUT]"
                                               : "  [FAULT]")
@@ -1024,7 +1027,7 @@ int CmdServe(int argc, char** argv) {
   support::Tracer tracer;
   if (!trace_out.empty()) serve.tracer = &tracer;
   serve.interrupt = &g_signal;
-  serve.pipeline.cancel_flag = &g_cancel;
+  serve.pipeline.cancel_flag = &g_signal;
 
   core::Server server(std::move(serve));
   std::string err;
