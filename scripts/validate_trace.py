@@ -31,7 +31,12 @@ trace-mode check plus:
     "verify" span (the pipeline ran), an "artifact_disk_hit" counter
     (served from the persistent tier), or a "request_failed" counter
     (rejected) — a request that produced none of these fell through the
-    daemon without being handled.
+    daemon without being handled;
+  - a "request" span holds at most one "verify" span directly (the
+    pipeline's own "verify" span nests inside it), unless a
+    "serve_contained_retry" counter comes before the second one: each
+    request gets one pipeline run, and a contained tooling exception's
+    single retry is the only re-run.
 
 Soak mode (--soak, a trace written by `octopocs soak --trace-out`) runs
 every trace-mode check plus:
@@ -74,7 +79,7 @@ REPORT_KEYS = {
     "ep_encounters_in_s", "bunch_count", "crash_primitive_bytes",
     "symex_status", "poc_generated", "reformed_poc", "bunch_offsets",
     "observed_trap", "failed_phase", "deadline_expired",
-    "exception_contained", "cfg_static_fallback", "solver_budget_retried",
+    "exception_contained",
     "preprocess_seconds", "p1_seconds", "p23_seconds", "p4_seconds",
     "total_seconds",
 }
@@ -194,12 +199,13 @@ def main():
     last_seq = -1
     stacks = {}  # tid -> [open span names]
     counts = {"begin": 0, "end": 0, "counter": 0}
-    # Server mode: per-tid stack of [request_satisfied] flags mirroring
-    # the open "request" spans, so nesting is handled like the span
-    # stack itself.
+    # Server mode: per-tid stack of state mirroring the open "request"
+    # spans, so nesting is handled like the span stack itself.
     request_spans = 0
     fuzz_spans = 0
-    open_requests = {}  # tid -> [bool: saw verify/disk-hit/failed]
+    # tid -> [{"handled": saw verify/disk-hit/failed, "runs": direct
+    #          verify spans, "retries": serve_contained_retry counters}]
+    open_requests = {}
     HANDLED_COUNTERS = {"artifact_disk_hit", "request_failed"}
     # Soak mode state.
     gen_spans = 0
@@ -241,6 +247,9 @@ def main():
             last_seq = ev["seq"]
 
             stack = stacks.setdefault(ev["tid"], [])
+            # Read before the push below: is this span a direct child of
+            # the innermost open request?
+            in_request = bool(stack) and stack[-1] == "request"
             if kind == "begin":
                 if ev["name"] == "fuzz_fallback":
                     if "verify" not in stack:
@@ -289,17 +298,29 @@ def main():
                     fail(lineno, f"queue_depth went negative "
                                  f"({ev['value']})")
                 if kind == "begin" and ev["name"] == "request":
-                    reqs.append(False)
+                    reqs.append({"handled": False, "runs": 0, "retries": 0})
                     request_spans += 1
-                elif reqs and (
-                        (kind == "begin" and ev["name"] == "verify") or
-                        (kind == "counter"
-                         and ev["name"] in HANDLED_COUNTERS)):
-                    reqs[-1] = True
+                elif reqs and kind == "begin" and ev["name"] == "verify":
+                    req = reqs[-1]
+                    req["handled"] = True
+                    if in_request:
+                        # One run, plus one per contained-retry counter.
+                        if req["runs"] > req["retries"]:
+                            fail(lineno, "request span holds a second "
+                                         "verify span without a "
+                                         "serve_contained_retry counter "
+                                         "before it")
+                        req["runs"] += 1
+                elif reqs and kind == "counter" \
+                        and ev["name"] == "serve_contained_retry":
+                    reqs[-1]["retries"] += 1
+                elif reqs and kind == "counter" \
+                        and ev["name"] in HANDLED_COUNTERS:
+                    reqs[-1]["handled"] = True
                 elif kind == "end" and ev["name"] == "request":
                     if not reqs:
                         fail(lineno, "request end without a request begin")
-                    if not reqs.pop():
+                    if not reqs.pop()["handled"]:
                         fail(lineno, "request span ended without a verify "
                                      "span, a disk hit, or a recorded "
                                      "failure")

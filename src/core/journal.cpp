@@ -46,7 +46,9 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
   // v3: the per-phase budgets and the separate per-pair deadline are
   // gone; `corpus --pair-deadline-ms` is now `dl`, the pipeline
   // deadline. The tag changes so a pre-v3 journal is refused by name.
-  ss << "v3"
+  // v4: the static-CFG and solver-budget retry rungs are gone, and
+  // their cfgfb= / solretry= terms with them.
+  ss << "v4"
      << "|extended=" << extended << "|pairs=" << pair_count
      << "|ctx=" << o.taint.context_aware << "|theta=" << o.symex.theta
      << "|adaptive=" << o.adaptive_theta << ':' << o.adaptive_theta_max
@@ -61,8 +63,6 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
      << "|dyncfg=" << o.cfg.use_dynamic
      << "|fixangr=" << o.cfg.resolve_obfuscated_icalls
      << "|seed=" << o.poc_as_cfg_seed << "|dl=" << o.deadline_ms
-     << "|cfgfb=" << o.cfg_fallback_to_static
-     << "|solretry=" << o.solver_budget_retry
      << "|fuzz=" << o.fuzz_fallback << ':' << o.fuzz_seed << ':'
      << o.fuzz_execs << ':' << o.fuzz_deadline_ms << "|iso=" << isolate
      << "|rlimit=" << rlimit_mb;

@@ -368,26 +368,10 @@ PhaseStatus GuidingInputPhase::Run(PhaseContext& ctx) {
         ctx.FailDeadline("cfg");
         return PhaseStatus::kDone;
       }
-      if (!ctx.options.cfg_fallback_to_static || !cfg_opts.use_dynamic) {
-        // The paper's Idx-15 outcome: CFG recovery failed, verification
-        // is impossible (a tooling failure, not a verdict about T).
-        ctx.FailTool("cfg", e.what());
-        return PhaseStatus::kDone;
-      }
-      // Degradation ladder, rung 1: retry with static edges only. The
-      // static CFG misses dynamically-discovered indirect-call edges, so
-      // the verdict may weaken — the report records the substitution.
-      // Fallback builds are never published to the artifact store.
-      report.cfg_static_fallback = true;
-      cfg::CfgOptions static_opts = cfg_opts;
-      static_opts.use_dynamic = false;
-      try {
-        ctx.graph.emplace(cfg::Cfg::Build(ctx.t, static_opts));
-      } catch (const cfg::CfgError& e2) {
-        ctx.FailTool("cfg", std::string(e.what()) +
-                                "; static fallback also failed: " + e2.what());
-        return PhaseStatus::kDone;
-      }
+      // The paper's Idx-15 outcome: CFG recovery failed, verification
+      // is impossible (a tooling failure, not a verdict about T).
+      ctx.FailTool("cfg", e.what());
+      return PhaseStatus::kDone;
     }
   }
   report.timings.p23_seconds += Seconds(t0, Clock::now());
@@ -435,14 +419,6 @@ PhaseStatus CombinePhase::Run(PhaseContext& ctx) {
         sym_opts_->theta *= 2;
         return PhaseStatus::kRetry;
       }
-    } else if (ctx.options.solver_budget_retry && !solver_retried_ &&
-               sym.status == symex::SymexStatus::kSolverFailure) {
-      // Degradation ladder, rung 2: a solver step-budget failure gets
-      // one retry with the budget doubled before the pipeline gives up.
-      solver_retried_ = true;
-      report.solver_budget_retried = true;
-      sym_opts_->solver.max_steps *= 2;
-      return PhaseStatus::kRetry;
     }
   }
 

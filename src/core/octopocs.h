@@ -126,12 +126,6 @@ struct VerificationReport {
   /// A phase threw and the exception was contained into this report
   /// instead of escaping (tooling crash / injected fault).
   bool exception_contained = false;
-  /// Dynamic CFG construction failed and the pipeline retried with a
-  /// static-only CFG; the rest of the report describes the retry.
-  bool cfg_static_fallback = false;
-  /// The final constraint solve ran out of steps and was retried once
-  /// with a doubled step budget.
-  bool solver_budget_retried = false;
 
   // -- Fuzz-fallback record (DESIGN.md §16) ---------------------------------
   // Serialized sparsely: these keys only appear in a report when the
@@ -182,24 +176,13 @@ struct PipelineOptions {
   /// null; must outlive Verify().
   const std::atomic<int>* cancel_flag = nullptr;
 
-  // -- Graceful degradation --------------------------------------------------
+  // -- Fuzz-fallback rung ----------------------------------------------------
 
-  /// Retry a failed dynamic-CFG build once with static edges only
-  /// (recorded as cfg_static_fallback). Off by default: the static CFG
-  /// lacks indirect-call edges, so the fallback trades the paper's
-  /// faithful Idx-15 Failure row for a best-effort (possibly weaker)
-  /// verdict — callers opt in.
-  bool cfg_fallback_to_static = false;
-  /// Retry a solver-budget (kUnknown) symex failure once with
-  /// solver.max_steps doubled (recorded as solver_budget_retried). Off
-  /// by default so budget-sensitivity experiments see the configured
-  /// budget exactly.
-  bool solver_budget_retry = false;
   /// Trace-guided fuzzing fallback (DESIGN.md §16): when P2/P3 ends
   /// program-dead or exhausts its budgets, run a directed fuzz campaign
   /// seeded from the original PoC — bunch bytes pinned, candidates
   /// scored by distance-to-ep — and, on a confirmed crash at ep, report
-  /// kTriggeredByFuzzing. Off by default like the other rungs; the rung
+  /// kTriggeredByFuzzing. Off by default; the rung
   /// can upgrade a dead-end verdict but never touches a pair the
   /// pipeline already decided (Triggered or a proven NotTriggerable).
   bool fuzz_fallback = false;

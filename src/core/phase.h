@@ -178,8 +178,7 @@ class GuidingInputPhase : public Phase {
 };
 
 /// P2+P3: directed symex, inline combining, final solve. Holds the
-/// retry state (doubled θ, doubled solver budget) across kRetry
-/// re-entries.
+/// adaptive-θ retry state (doubled θ) across kRetry re-entries.
 class CombinePhase : public Phase {
  public:
   const char* name() const override { return "combine"; }
@@ -187,7 +186,6 @@ class CombinePhase : public Phase {
 
  private:
   std::optional<symex::ExecutorOptions> sym_opts_;
-  bool solver_retried_ = false;
 };
 
 /// The trace-guided fuzzing fallback rung (DESIGN.md §16). Inert — an

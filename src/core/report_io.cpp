@@ -331,8 +331,6 @@ std::string SerializeReport(const VerificationReport& r) {
   AppendField(&out, "failed_phase", r.failed_phase);
   AppendField(&out, "deadline_expired", r.deadline_expired);
   AppendField(&out, "exception_contained", r.exception_contained);
-  AppendField(&out, "cfg_static_fallback", r.cfg_static_fallback);
-  AppendField(&out, "solver_budget_retried", r.solver_budget_retried);
   // The fuzz-fallback record is sparse: a report from a run without the
   // rung serializes byte-identically to one from a pipeline that never
   // had the rung at all. When any fuzz key is present, all of them are
@@ -440,12 +438,6 @@ bool ParseReport(const minijson::Value& json, VerificationReport* out,
   }
   if (const auto* v = get("exception_contained")) {
     out->exception_contained = v->boolean;
-  }
-  if (const auto* v = get("cfg_static_fallback")) {
-    out->cfg_static_fallback = v->boolean;
-  }
-  if (const auto* v = get("solver_budget_retried")) {
-    out->solver_budget_retried = v->boolean;
   }
   // Fuzz-fallback stats are all-or-nothing: a frame carrying only a
   // subset was truncated or tampered with — reject it rather than

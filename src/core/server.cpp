@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 
 #include "core/journal.h"
@@ -24,6 +25,11 @@ std::uint64_t NowMs() {
 }
 
 GenPairLoader g_gen_loader = nullptr;
+
+/// Largest client deadline a request may carry (~49 days): the ceiling
+/// the CLI's deadline flags enforce, so deadline arithmetic cannot wrap.
+constexpr std::uint64_t kMaxServeDeadlineMs =
+    std::numeric_limits<std::uint32_t>::max();
 
 corpus::Pair BuildAnyPair(int idx, std::uint64_t gen_seed) {
   if (gen_seed != 0) {
@@ -60,27 +66,34 @@ bool ParseServeRequest(std::string_view json, ServeRequest* out,
     return false;
   }
   *out = ServeRequest{};
-  if (const auto* v = value.Find("pair")) out->pair = static_cast<int>(v->AsInt());
+  // Numeric keys take JSON integers in [0, hi] only: a fraction, a
+  // negative or an out-of-range value is a BAD_REQUEST, never truncated
+  // or wrapped into some other pair, seed or budget.
+  const auto uint_field = [&](const char* key, std::uint64_t hi,
+                              std::uint64_t* dst) {
+    const minijson::Value* v = value.Find(key);
+    if (v == nullptr) return true;
+    if (v->kind != minijson::Value::Kind::kInt || v->integer < 0 ||
+        static_cast<std::uint64_t>(v->integer) > hi) {
+      if (error != nullptr) *error = std::string("invalid ") + key;
+      return false;
+    }
+    *dst = static_cast<std::uint64_t>(v->integer);
+    return true;
+  };
+  constexpr std::uint64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  std::uint64_t pair = 0;
+  if (!uint_field("pair", std::numeric_limits<int>::max(), &pair) ||
+      !uint_field("deadline_ms", kMaxServeDeadlineMs, &out->deadline_ms) ||
+      !uint_field("fuzz_seed", kInt64Max, &out->fuzz_seed) ||
+      !uint_field("fuzz_execs", kInt64Max, &out->fuzz_execs) ||
+      !uint_field("gen_seed", kInt64Max, &out->gen_seed)) {
+    return false;
+  }
+  out->pair = static_cast<int>(pair);
   if (const auto* v = value.Find("id")) out->id = v->text;
-  if (const auto* v = value.Find("priority")) {
-    out->priority = static_cast<int>(v->AsInt());
-  }
-  if (const auto* v = value.Find("deadline_ms")) {
-    out->deadline_ms = static_cast<std::uint64_t>(v->AsInt());
-  }
-  if (const auto* v = value.Find("cfg_fallback")) out->cfg_fallback = v->boolean;
-  if (const auto* v = value.Find("solver_retry")) out->solver_retry = v->boolean;
   if (const auto* v = value.Find("fuzz_fallback")) {
     out->fuzz_fallback = v->boolean;
-  }
-  if (const auto* v = value.Find("fuzz_seed")) {
-    out->fuzz_seed = static_cast<std::uint64_t>(v->AsInt());
-  }
-  if (const auto* v = value.Find("fuzz_execs")) {
-    out->fuzz_execs = static_cast<std::uint64_t>(v->AsInt());
-  }
-  if (const auto* v = value.Find("degrade_on_timeout")) {
-    out->degrade_on_timeout = v->boolean;
   }
   if (const auto* v = value.Find("poc")) {
     if (v->text.size() > 2 * kMaxReformedPocBytes) {
@@ -94,9 +107,6 @@ bool ParseServeRequest(std::string_view json, ServeRequest* out,
       return false;
     }
   }
-  if (const auto* v = value.Find("gen_seed")) {
-    out->gen_seed = static_cast<std::uint64_t>(v->AsInt());
-  }
   if (out->pair < 1) {
     if (error != nullptr) *error = "missing or invalid pair index";
     return false;
@@ -107,18 +117,14 @@ bool ParseServeRequest(std::string_view json, ServeRequest* out,
 std::string SerializeServeRequest(const ServeRequest& r) {
   std::string out = "{\"pair\":" + std::to_string(r.pair);
   if (!r.id.empty()) out += ",\"id\":\"" + minijson::Escape(r.id) + '"';
-  if (r.priority != 0) out += ",\"priority\":" + std::to_string(r.priority);
   if (r.deadline_ms != 0) {
     out += ",\"deadline_ms\":" + std::to_string(r.deadline_ms);
   }
-  if (r.cfg_fallback) out += ",\"cfg_fallback\":true";
-  if (r.solver_retry) out += ",\"solver_retry\":true";
   if (r.fuzz_fallback) out += ",\"fuzz_fallback\":true";
   if (r.fuzz_seed != 0) out += ",\"fuzz_seed\":" + std::to_string(r.fuzz_seed);
   if (r.fuzz_execs != 0) {
     out += ",\"fuzz_execs\":" + std::to_string(r.fuzz_execs);
   }
-  if (r.degrade_on_timeout) out += ",\"degrade_on_timeout\":true";
   if (!r.poc_override.empty()) {
     out += ",\"poc\":\"" + ToHex(r.poc_override) + '"';
   }
@@ -272,37 +278,19 @@ void Server::HandleConnection(int fd) {
     return;
   }
 
-  // Admission. Decisions happen under the lock; the resulting socket
-  // writes happen after it, so a slow client never blocks admission.
-  std::optional<Queued> victim;
+  // Admission: a bounded FIFO. Decisions happen under the lock; the
+  // resulting socket writes happen after it, so a slow client never
+  // blocks admission.
   std::uint64_t retry_after = 0;
   bool admitted = false;
-  bool admission_fault =
+  const bool admission_fault =
       support::fault::Poll(support::FaultSite::kAdmission);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.accepted;
-    if (admission_fault || draining_) {
+    if (admission_fault || draining_ ||
+        queue_.size() >= options_.queue_depth) {
       retry_after = EstimateRetryAfterMs();
-      ++stats_.shed;
-    } else if (queue_.size() >= options_.queue_depth) {
-      // Full. Shed by priority: displace the lowest-priority queued
-      // request (oldest among equals) when the newcomer outranks it,
-      // else shed the newcomer.
-      auto lowest = std::min_element(
-          queue_.begin(), queue_.end(), [](const Queued& a, const Queued& b) {
-            return a.request.priority != b.request.priority
-                       ? a.request.priority < b.request.priority
-                       : a.seq < b.seq;
-          });
-      retry_after = EstimateRetryAfterMs();
-      if (lowest != queue_.end() &&
-          lowest->request.priority < request.priority) {
-        victim = std::move(*lowest);
-        queue_.erase(lowest);
-        queue_.push_back(Queued{std::move(request), fd, NowMs(), next_seq_++});
-        admitted = true;
-      }
       ++stats_.shed;
     } else {
       queue_.push_back(Queued{std::move(request), fd, NowMs(), next_seq_++});
@@ -311,16 +299,8 @@ void Server::HandleConnection(int fd) {
     if (options_.tracer != nullptr) {
       options_.tracer->Counter("queue_depth",
                                static_cast<std::int64_t>(queue_.size()));
-      if (admitted) options_.tracer->Counter("serve_admitted", 1);
-      if (!admitted || victim.has_value()) {
-        options_.tracer->Counter("serve_shed", 1);
-      }
+      options_.tracer->Counter(admitted ? "serve_admitted" : "serve_shed", 1);
     }
-  }
-  if (victim.has_value()) {
-    RespondError(victim->fd,
-                 {"RETRY_AFTER", retry_after, "displaced by higher priority"});
-    support::CloseFd(victim->fd);
   }
   if (!admitted) {
     RespondError(fd, {"RETRY_AFTER", retry_after,
@@ -339,15 +319,8 @@ void Server::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
       if (queue_.empty()) return;  // draining and nothing left to serve
-      // Highest priority first, FIFO among equals.
-      auto best = std::max_element(
-          queue_.begin(), queue_.end(), [](const Queued& a, const Queued& b) {
-            return a.request.priority != b.request.priority
-                       ? a.request.priority < b.request.priority
-                       : a.seq > b.seq;
-          });
-      item = std::move(*best);
-      queue_.erase(best);
+      item = std::move(queue_.front());
+      queue_.pop_front();
     }
     ServeOne(std::move(item));
   }
@@ -361,8 +334,6 @@ ArtifactKey Server::ReportKey(const corpus::Pair& pair,
   // completion under any budget is byte-identical to the unbudgeted
   // run, which is exactly the cold-vs-warm identity CI enforces.
   PipelineOptions semantic = options_.pipeline;
-  semantic.cfg_fallback_to_static |= request.cfg_fallback;
-  semantic.solver_budget_retry |= request.solver_retry;
   // The fuzz rung and its seed/budget are verdict-bearing, so they key
   // the cache; its wall-clock budget is a deadline like any other.
   semantic.fuzz_fallback |= request.fuzz_fallback;
@@ -387,8 +358,6 @@ VerificationReport Server::RunRequest(const corpus::Pair& pair,
                                       const ServeRequest& request) {
   PipelineOptions opts = options_.pipeline;
   opts.tracer = options_.tracer;
-  opts.cfg_fallback_to_static |= request.cfg_fallback;
-  opts.solver_budget_retry |= request.solver_retry;
   opts.fuzz_fallback |= request.fuzz_fallback;
   if (request.fuzz_seed != 0) opts.fuzz_seed = request.fuzz_seed;
   if (request.fuzz_execs != 0) opts.fuzz_execs = request.fuzz_execs;
@@ -399,24 +368,7 @@ VerificationReport Server::RunRequest(const corpus::Pair& pair,
   VerificationReport report = VerifyPair(pair, opts);
   if (options_.tracer != nullptr) options_.tracer->End("verify", pair.idx);
 
-  if (report.deadline_expired && request.degrade_on_timeout &&
-      !(opts.cfg_fallback_to_static && opts.solver_budget_retry)) {
-    // Second attempt with every degradation rung enabled — the
-    // "degraded answer beats no answer" contract, opted into per
-    // request.
-    opts.cfg_fallback_to_static = true;
-    opts.solver_budget_retry = true;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.degraded_retries;
-    }
-    if (options_.tracer != nullptr) {
-      options_.tracer->Counter("serve_degraded_retry", 1);
-      options_.tracer->Begin("verify", pair.idx);
-    }
-    report = VerifyPair(pair, opts);
-    if (options_.tracer != nullptr) options_.tracer->End("verify", pair.idx);
-  } else if (report.exception_contained) {
+  if (report.exception_contained) {
     // Contained tooling faults are transient by classification — retry
     // once after the supervisor's capped-exponential backoff.
     std::this_thread::sleep_for(

@@ -11,33 +11,30 @@
 // Request protocol (one request per connection; framing constants in
 // core/report_io.h):
 //
-//   client -> server   OCTO-REQ {"pair":8,"priority":1,...}\n
+//   client -> server   OCTO-REQ {"pair":8,"deadline_ms":5000,...}\n
 //   server -> client   OCTO-REPORT {...}\nOCTO-DONE\n        (success)
 //                      OCTO-ERR {"code":"RETRY_AFTER",...}\nOCTO-DONE\n
 //
 // Success responses reuse the worker wire framing verbatim, so clients
 // parse them with UnmarshalWorkerReport.
 //
-// Admission control: a bounded queue of queue_depth requests. When the
-// queue is full, a new request either displaces the lowest-priority
-// queued request (strictly lower priority than the newcomer; that
-// victim is answered RETRY_AFTER) or — when nothing queued is lower
-// priority — is itself answered RETRY_AFTER. retry_after_ms is derived
-// from the observed service rate, so clients back off proportionally to
-// real load instead of hammering a saturated daemon.
+// Admission control: a bounded FIFO queue of queue_depth requests,
+// served in arrival order. A request that arrives at a full queue is
+// answered RETRY_AFTER "queue full"; retry_after_ms is derived from the
+// observed service rate, so clients back off proportionally to real
+// load instead of hammering a saturated daemon.
 //
 // Deadlines: every request runs under
 // Deadline::Sooner(server request_deadline_ms, client deadline_ms),
-// realized by giving the pipeline the smaller of the two budgets. A
-// first attempt that trips its deadline is retried once with the
-// graceful-degradation rungs (cfg_fallback_to_static,
-// solver_budget_retry) enabled when the request opted in with
-// degrade_on_timeout; a contained tooling exception is retried once
-// after a RetryBackoffMs nap (the supervisor's capped-exponential
-// policy). Reports that completed cleanly — no tripped deadline, no
-// contained exception — are persisted to the disk tier keyed by
-// content (programs, PoC, semantics-affecting options), which is what
-// makes cold-vs-warm verdicts byte-identical by construction.
+// realized by giving the pipeline the smaller of the two budgets. Each
+// request gets one pipeline run under the options it asked for; the
+// only re-run is for a contained tooling exception, retried once after
+// a RetryBackoffMs nap (the supervisor's capped-exponential policy). A
+// tripped deadline is answered as it stands. Reports that completed
+// cleanly — no tripped deadline, no contained exception — are persisted
+// to the disk tier keyed by content (programs, PoC, semantics-affecting
+// options), which is what makes cold-vs-warm verdicts byte-identical by
+// construction.
 //
 // Shutdown: Drain() (the SIGINT/SIGTERM path) stops accepting, lets
 // queued and in-flight requests finish and respond, flushes the disk
@@ -55,7 +52,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,23 +70,20 @@ namespace octopocs::core {
 // -- Request / response payloads ----------------------------------------------
 
 /// One parsed OCTO-REQ line. Unknown JSON keys are ignored (forward
-/// compatibility), missing keys keep these defaults.
+/// compatibility) — including the keys of the retired priority,
+/// fallback-rung and degrade-on-timeout request policies that older
+/// clients send (DESIGN.md §14.1) — and missing keys keep these
+/// defaults.
 struct ServeRequest {
   int pair = 0;               // corpus pair index (1-based, Table II)
   std::string id;             // client-chosen correlation id (trace arg)
-  int priority = 0;           // higher = sheds lower-priority work
   std::uint64_t deadline_ms = 0;  // client budget (0 = server cap only)
-  bool cfg_fallback = false;      // enable the static-CFG rung outright
-  bool solver_retry = false;      // enable the solver-budget rung outright
   /// Enable the fuzz-fallback rung for this request (DESIGN.md §16).
   /// Verdict-bearing: folds into the served-report cache key, unlike
   /// the deadline knobs.
   bool fuzz_fallback = false;
   std::uint64_t fuzz_seed = 0;    // 0 = the daemon's configured seed
   std::uint64_t fuzz_execs = 0;   // 0 = the daemon's configured budget
-  /// Retry once with both degradation rungs enabled when the first
-  /// attempt trips its deadline.
-  bool degrade_on_timeout = false;
   /// Optional PoC override (raw bytes; wire format is hex). Empty means
   /// the pair's own corpus PoC.
   Bytes poc_override;
@@ -110,7 +103,9 @@ void SetGenPairLoader(GenPairLoader loader);
 GenPairLoader GetGenPairLoader();
 
 /// Parses the JSON payload of an OCTO-REQ line. False (with *error set)
-/// on malformed JSON, an out-of-range pair index, or bad hex.
+/// on malformed JSON, bad hex, or a numeric key that is not a JSON
+/// integer in range: pair in [1, INT_MAX], deadline_ms at most
+/// 2^32-1 ms, fuzz_seed / fuzz_execs / gen_seed non-negative.
 bool ParseServeRequest(std::string_view json, ServeRequest* out,
                        std::string* error);
 std::string SerializeServeRequest(const ServeRequest& request);
@@ -158,11 +153,10 @@ struct ServeOptions {
 struct ServeStats {
   std::uint64_t accepted = 0;        // connections whose request was read
   std::uint64_t served = 0;          // OCTO-REPORT responses written
-  std::uint64_t shed = 0;            // RETRY_AFTER (queue full / displaced)
+  std::uint64_t shed = 0;            // RETRY_AFTER (queue full / draining)
   std::uint64_t rejected = 0;        // BAD_REQUEST / INTERNAL
   std::uint64_t disk_hits = 0;       // served straight from the disk tier
   std::uint64_t disk_stores = 0;     // reports persisted
-  std::uint64_t degraded_retries = 0;  // second attempts with rungs on
   std::uint64_t contained_retries = 0; // second attempts after contained
   std::uint64_t response_drops = 0;  // response write failed (peer gone)
 };
@@ -199,7 +193,7 @@ class Server {
     ServeRequest request;
     int fd = -1;
     std::uint64_t enqueued_at_ms = 0;
-    std::uint64_t seq = 0;  // admission order, for FIFO among equals
+    std::uint64_t seq = 0;  // admission order (the request span's id)
   };
 
   void AcceptLoop();

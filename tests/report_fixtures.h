@@ -30,8 +30,6 @@ inline VerificationReport FullReport() {
   r.failed_phase = "P2/P3";
   r.deadline_expired = true;
   r.exception_contained = true;
-  r.cfg_static_fallback = true;
-  r.solver_budget_retried = true;
   r.timings.preprocess_seconds = 0.125;
   r.timings.p1_seconds = 1.5;
   r.timings.p23_seconds = 2.25;
@@ -59,8 +57,6 @@ inline void ExpectReportsEqual(const VerificationReport& a,
   EXPECT_EQ(a.failed_phase, b.failed_phase);
   EXPECT_EQ(a.deadline_expired, b.deadline_expired);
   EXPECT_EQ(a.exception_contained, b.exception_contained);
-  EXPECT_EQ(a.cfg_static_fallback, b.cfg_static_fallback);
-  EXPECT_EQ(a.solver_budget_retried, b.solver_budget_retried);
   EXPECT_DOUBLE_EQ(a.timings.preprocess_seconds, b.timings.preprocess_seconds);
   EXPECT_DOUBLE_EQ(a.timings.p1_seconds, b.timings.p1_seconds);
   EXPECT_DOUBLE_EQ(a.timings.p23_seconds, b.timings.p23_seconds);

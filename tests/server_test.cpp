@@ -1,6 +1,6 @@
 // The verification daemon (core/server.h): request round-trips,
-// admission control and priority shedding, deadline composition with
-// graceful degradation, per-site fault containment, drain semantics,
+// request validation, FIFO admission control and shedding, deadline
+// composition, per-site fault containment, drain semantics,
 // and the cold-vs-warm byte-identity the persistent tier guarantees.
 //
 // Every test runs the Server in-process on a unix socket under
@@ -51,12 +51,12 @@ TEST(ServeRequestWire, RoundTripsEveryField) {
   ServeRequest request;
   request.pair = 8;
   request.id = "req \"42\"";
-  request.priority = 3;
   request.deadline_ms = 1500;
-  request.cfg_fallback = true;
-  request.solver_retry = true;
-  request.degrade_on_timeout = true;
+  request.fuzz_fallback = true;
+  request.fuzz_seed = 7;
+  request.fuzz_execs = 900;
   request.poc_override = {0x00, 0x41, 0xff};
+  request.gen_seed = 6000;
 
   ServeRequest parsed;
   std::string error;
@@ -65,12 +65,12 @@ TEST(ServeRequestWire, RoundTripsEveryField) {
       << error;
   EXPECT_EQ(parsed.pair, request.pair);
   EXPECT_EQ(parsed.id, request.id);
-  EXPECT_EQ(parsed.priority, request.priority);
   EXPECT_EQ(parsed.deadline_ms, request.deadline_ms);
-  EXPECT_EQ(parsed.cfg_fallback, request.cfg_fallback);
-  EXPECT_EQ(parsed.solver_retry, request.solver_retry);
-  EXPECT_EQ(parsed.degrade_on_timeout, request.degrade_on_timeout);
+  EXPECT_EQ(parsed.fuzz_fallback, request.fuzz_fallback);
+  EXPECT_EQ(parsed.fuzz_seed, request.fuzz_seed);
+  EXPECT_EQ(parsed.fuzz_execs, request.fuzz_execs);
   EXPECT_EQ(parsed.poc_override, request.poc_override);
+  EXPECT_EQ(parsed.gen_seed, request.gen_seed);
 
   EXPECT_FALSE(ParseServeRequest("{\"pair\":0}", &parsed, &error));
   EXPECT_FALSE(ParseServeRequest("not json", &parsed, &error));
@@ -84,6 +84,44 @@ TEST(ServeRequestWire, RoundTripsEveryField) {
   EXPECT_EQ(parsed_err.code, "RETRY_AFTER");
   EXPECT_EQ(parsed_err.retry_after_ms, 250u);
   EXPECT_EQ(parsed_err.detail, "queue full");
+}
+
+TEST(ServeRequestWire, RejectsMalformedNumbers) {
+  ServeRequest parsed;
+  std::string error;
+  // Each of these used to be truncated or wrapped into a servable
+  // request (pair 8, or a deadline already in the past).
+  for (const char* bad : {
+           "{\"pair\":4294967304}",      // 2^32 + 8
+           "{\"pair\":8.9}",
+           "{\"pair\":2147483648}",      // INT_MAX + 1
+           "{\"pair\":-8}",
+           "{\"pair\":\"8\"}",
+           "{\"pair\":8,\"deadline_ms\":-1}",
+           "{\"pair\":8,\"deadline_ms\":4294967296}",  // 2^32
+           "{\"pair\":8,\"deadline_ms\":1.5}",
+           "{\"pair\":8,\"fuzz_seed\":-1}",
+           "{\"pair\":8,\"fuzz_execs\":-1}",
+           "{\"pair\":8,\"fuzz_execs\":1e3}",
+           "{\"pair\":8,\"gen_seed\":-1}",
+       }) {
+    EXPECT_FALSE(ParseServeRequest(bad, &parsed, &error)) << bad;
+  }
+  // The edges of each range still parse.
+  ASSERT_TRUE(ParseServeRequest(
+      "{\"pair\":2147483647,\"deadline_ms\":4294967295,\"fuzz_seed\":0,"
+      "\"fuzz_execs\":0,\"gen_seed\":0}",
+      &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.pair, 2147483647);
+  EXPECT_EQ(parsed.deadline_ms, 4294967295u);
+  // Keys of retired request policies are ignored like any unknown key.
+  ASSERT_TRUE(ParseServeRequest(
+      "{\"pair\":8,\"priority\":5,\"cfg_fallback\":true,"
+      "\"solver_retry\":true}",
+      &parsed, &error))
+      << error;
+  EXPECT_EQ(SerializeServeRequest(parsed), "{\"pair\":8}");
 }
 
 TEST(ServerTest, RoundTripMatchesInProcessVerdict) {
@@ -125,6 +163,20 @@ TEST(ServerTest, MalformedAndUnknownRequestsAreRejectedCleanly) {
     EXPECT_NE(frame.find("BAD_REQUEST"), std::string::npos) << frame;
     support::CloseFd(fd);
   }
+  // A pair index that would wrap to pair 8 if it were truncated.
+  {
+    int fd = support::ConnectUnix(socket_path, &error);
+    ASSERT_GE(fd, 0) << error;
+    ASSERT_TRUE(support::WriteAll(
+        fd, std::string(kServeRequestPrefix) + "{\"pair\":4294967304}\n"));
+    support::FdReader reader(fd);
+    std::string frame;
+    ASSERT_EQ(reader.ReadFrame(kWorkerDoneSentinel, 5000, nullptr, &frame),
+              support::FdReader::Status::kOk);
+    EXPECT_NE(frame.find("BAD_REQUEST"), std::string::npos) << frame;
+    EXPECT_NE(frame.find("invalid pair"), std::string::npos) << frame;
+    support::CloseFd(fd);
+  }
   // A pair index the corpus does not contain.
   {
     ServeRequest request;
@@ -141,7 +193,8 @@ TEST(ServerTest, MalformedAndUnknownRequestsAreRejectedCleanly) {
     EXPECT_TRUE(SendRequest(socket_path, request).ok);
   }
   server.Drain();
-  EXPECT_EQ(server.stats().rejected, 2u);
+  EXPECT_EQ(server.stats().rejected, 3u);
+  EXPECT_EQ(server.stats().served, 1u);
 }
 
 TEST(ServerTest, OverloadShedsWithStructuredRetryAfter) {
@@ -192,54 +245,6 @@ TEST(ServerTest, OverloadShedsWithStructuredRetryAfter) {
   EXPECT_EQ(st.shed, static_cast<std::uint64_t>(shed));
 }
 
-TEST(ServerTest, HigherPriorityDisplacesQueuedLowPriorityWork) {
-  // Wedge the single worker on a slow request, fill the depth-1 queue
-  // with a low-priority request, then send a high-priority one: the
-  // queued low-priority request must be the one shed ("displaced"),
-  // and the high-priority request must be served.
-  const std::string socket_path = TempSocket("priority");
-  ServeOptions options = BaseOptions(socket_path);
-  options.workers = 1;
-  options.queue_depth = 1;
-  // CWE-835 pair with adaptive theta: long enough to hold the worker
-  // busy while the queue fills behind it.
-  options.pipeline.adaptive_theta = true;
-  Server server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  ClientResult slow_result, low_result, high_result;
-  std::thread slow([&] {
-    ServeRequest request;
-    request.pair = 12;
-    slow_result = SendRequest(socket_path, request);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  std::thread low([&] {
-    ServeRequest request;
-    request.pair = 1;
-    request.priority = 0;
-    low_result = SendRequest(socket_path, request);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  ServeRequest high;
-  high.pair = 1;
-  high.priority = 5;
-  high_result = SendRequest(socket_path, high);
-  slow.join();
-  low.join();
-  server.Drain();
-
-  EXPECT_TRUE(slow_result.ok) << slow_result.transport_error;
-  EXPECT_TRUE(high_result.ok) << high_result.transport_error;
-  // Exact timing can vary under load; when displacement did happen the
-  // victim must carry the structured reason.
-  if (!low_result.ok) {
-    EXPECT_EQ(low_result.error.code, "RETRY_AFTER");
-    EXPECT_NE(low_result.error.detail.find("displaced"), std::string::npos);
-  }
-}
-
 TEST(ServeDeadline, ComposesSoonerWinsWithZeroAsUnbounded) {
   EXPECT_EQ(ComposeDeadlineMs(0, 0), 0u);      // neither side bounds
   EXPECT_EQ(ComposeDeadlineMs(0, 250), 250u);  // client budget alone
@@ -248,10 +253,10 @@ TEST(ServeDeadline, ComposesSoonerWinsWithZeroAsUnbounded) {
   EXPECT_EQ(ComposeDeadlineMs(250, 500), 250u);  // server cap is sooner
 }
 
-TEST(ServerTest, ExpiredDeadlineIsServedNotPersistedAndDegradeRetriesOnce) {
+TEST(ServerTest, ExpiredDeadlineIsServedNotPersisted) {
   // Warm corpus pairs run far below any millisecond budget, so a real
   // wall-clock expiry cannot be staged reliably; a raised kill switch
-  // reaps every attempt at its first poll and reports it through the
+  // reaps the run at its first poll and reports it through the
   // same deadline_expired path (see PipelineDeadlineTest).
   const std::string socket_path = TempSocket("deadline");
   ServeOptions options = BaseOptions(socket_path);
@@ -265,30 +270,15 @@ TEST(ServerTest, ExpiredDeadlineIsServedNotPersistedAndDegradeRetriesOnce) {
   ASSERT_TRUE(server.Start(&error)) << error;
 
   // The expired report is still served to the client...
-  {
-    ServeRequest request;
-    request.pair = 8;
-    request.deadline_ms = 1;
-    const ClientResult result = SendRequest(socket_path, request);
-    ASSERT_TRUE(result.ok) << result.transport_error;
-    EXPECT_TRUE(result.report.deadline_expired);
-    EXPECT_EQ(result.report.verdict, Verdict::kFailure);
-  }
-  EXPECT_EQ(server.stats().degraded_retries, 0u);
-  // ...and degrade_on_timeout buys exactly one retry with the rungs
-  // enabled (here the retry is reaped too — the point is that exactly
-  // one was attempted and the client still got an answer).
-  {
-    ServeRequest request;
-    request.pair = 8;
-    request.deadline_ms = 1;
-    request.degrade_on_timeout = true;
-    const ClientResult result = SendRequest(socket_path, request);
-    ASSERT_TRUE(result.ok) << result.transport_error;
-    EXPECT_TRUE(result.report.deadline_expired);
-  }
+  ServeRequest request;
+  request.pair = 8;
+  request.deadline_ms = 1;
+  const ClientResult result = SendRequest(socket_path, request);
+  ASSERT_TRUE(result.ok) << result.transport_error;
+  EXPECT_TRUE(result.report.deadline_expired);
+  EXPECT_EQ(result.report.verdict, Verdict::kFailure);
   server.Drain();
-  EXPECT_EQ(server.stats().degraded_retries, 1u);
+  EXPECT_EQ(server.stats().served, 1u);
   // A budget verdict is about this run, not the pair: nothing reached
   // the persistent tier.
   EXPECT_EQ(server.stats().disk_stores, 0u);

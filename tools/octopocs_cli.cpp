@@ -18,8 +18,7 @@
 //                              are byte-identical either way
 //       [pipeline flags] are the kPipelineFlags table below, shared by
 //       verify, corpus, serve and pool-worker and printed
-//       by each usage message: θ and the Table III / CFG ablation
-//       knobs, the --cfg-fallback / --solver-retry degradation rungs,
+//       by each usage message: θ, the Table III / CFG ablation knobs,
 //       and the --fuzz-fallback rung with its determinism knobs
 //       (DESIGN.md §16).
 //   detect <s.asm> <t.asm>
@@ -78,20 +77,20 @@
 //       the phase graph with warm in-memory artifacts, and persists
 //       completed reports under --cache-dir so a restarted (or SIGKILLed
 //       and restarted) daemon answers repeat requests from disk.
-//       --queue-depth bounds admission; beyond it requests shed with a
-//       structured RETRY_AFTER (lowest-priority queued work is displaced
-//       first). --request-deadline-ms caps each request server-side; a
-//       tighter client deadline wins (sooner-rule). SIGINT/SIGTERM
+//       Requests are served in arrival order; --queue-depth bounds the
+//       FIFO admission queue, and a request arriving at a full queue is
+//       shed with a structured RETRY_AFTER. Each request gets one
+//       pipeline run (a contained tooling exception is retried once).
+//       --request-deadline-ms caps each request server-side; a tighter
+//       client deadline wins (sooner-rule). SIGINT/SIGTERM
 //       drains: the daemon stops accepting, and every queued or
 //       in-flight request is still answered, but the signal is also
 //       the pipeline's cancel flag, so a request that needs a pipeline
 //       run is reaped at its first poll and answered with a
 //       deadline_expired Failure, which is never persisted.
-//   client --socket PATH <pair-idx> [--poc FILE] [--priority N]
-//          [--deadline-ms N] [--cfg-fallback] [--solver-retry]
+//   client --socket PATH <pair-idx> [--poc FILE] [--deadline-ms N]
 //          [--fuzz-fallback] [--fuzz-seed N] [--fuzz-execs N]
-//          [--degrade-on-timeout] [--timeout-ms N] [--id STR]
-//          [--retry N] [--gen-seed N]
+//          [--timeout-ms N] [--id STR] [--retry N] [--gen-seed N]
 //       Send one verification request to a running daemon and print the
 //       result in the exact per-pair format `corpus` uses (so a served
 //       corpus diffs byte-identically against a batch run). Exit 0 on a
@@ -101,7 +100,10 @@
 //       backoff) and re-sends up to N times; the default stays one-shot
 //       so scripts driving the backoff themselves keep exit 5.
 //       --gen-seed routes generated pair indices (999 and >= 1000) to
-//       the synthetic-pair generator.
+//       the synthetic-pair generator. The daemon ignores the keys of
+//       the retired priority, fallback-rung and degrade-on-timeout
+//       request policies that older clients send, like any unknown
+//       request key (DESIGN.md §14.1).
 //   gen [--seed N] [--count N] [--out FILE]
 //       Emit the deterministic manifest of a generated synthetic corpus
 //       (src/gen): one taxonomy + label + content-hash line per pair.
@@ -260,6 +262,10 @@ constexpr std::uint64_t kMaxParallel = 256;
 /// Cap for every millisecond budget (~49 days), so deadline arithmetic
 /// cannot overflow.
 constexpr std::uint64_t kMaxMs = kU32;
+/// Cap for every number `client` sends: an OCTO-REQ integer must fit
+/// the daemon's signed 64-bit JSON integers.
+constexpr std::uint64_t kMaxWireInt =
+    std::numeric_limits<std::int64_t>::max();
 
 /// The one parser behind every numeric flag and operand: `text` must be
 /// all decimal digits and lie in [lo, hi]. A sign, a suffix, an empty
@@ -340,12 +346,6 @@ const PipelineFlag kPipelineFlags[] = {
        o.cfg.resolve_obfuscated_icalls = true;
      },
      "resolve obfuscated indirect calls"},
-    {"--cfg-fallback", nullptr, 0,
-     [](Pipeline& o, std::uint64_t) { o.cfg_fallback_to_static = true; },
-     "retry a failed dynamic CFG with a static one"},
-    {"--solver-retry", nullptr, 0,
-     [](Pipeline& o, std::uint64_t) { o.solver_budget_retry = true; },
-     "retry a solver-budget failure once with twice the steps"},
     {"--fuzz-fallback", nullptr, 0,
      [](Pipeline& o, std::uint64_t) { o.fuzz_fallback = true; },
      "fuzz from the PoC when symex dead-ends (TriggeredByFuzzing)"},
@@ -541,18 +541,10 @@ int CmdVerify(int argc, char** argv) {
                 static_cast<unsigned long long>(r.fuzz_seed));
   }
   std::printf("detail:    %s\n", r.detail.c_str());
-  // A retry rung can succeed (empty failed_phase but the substitution
-  // happened) — the verdict then rests on weaker footing and the user
-  // must see that.
-  if (!r.failed_phase.empty() || r.cfg_static_fallback ||
-      r.solver_budget_retried) {
-    std::printf("degraded:  %s%s%s%s%s\n",
-                r.failed_phase.empty() ? "completed"
-                                       : ("phase " + r.failed_phase).c_str(),
+  if (!r.failed_phase.empty()) {
+    std::printf("degraded:  phase %s%s%s\n", r.failed_phase.c_str(),
                 r.deadline_expired ? " | deadline expired" : "",
-                r.exception_contained ? " | exception contained" : "",
-                r.cfg_static_fallback ? " | static-CFG fallback" : "",
-                r.solver_budget_retried ? " | solver budget retried" : "");
+                r.exception_contained ? " | exception contained" : "");
   }
   std::printf("time:      %.3f ms\n", r.timings.total_seconds * 1e3);
   if (obs.artifact_cache) {
@@ -1056,8 +1048,7 @@ int CmdServe(int argc, char** argv) {
               static_cast<unsigned long long>(st.shed),
               static_cast<unsigned long long>(st.rejected),
               static_cast<unsigned long long>(st.response_drops));
-  std::printf("retries:   %llu degraded / %llu contained\n",
-              static_cast<unsigned long long>(st.degraded_retries),
+  std::printf("retries:   %llu contained\n",
               static_cast<unsigned long long>(st.contained_retries));
   if (const core::DiskArtifactStore* disk = server.disk_store()) {
     const core::DiskArtifactStore::Stats ds = disk->stats();
@@ -1096,24 +1087,16 @@ int CmdClient(int argc, char** argv) {
     } else if (arg == "--retry") {
       retries = args.Count<int>(0, 100);
     } else if (arg == "--gen-seed") {
-      request.gen_seed = args.Count<std::uint64_t>();
+      request.gen_seed = args.Count<std::uint64_t>(0, kMaxWireInt);
       g_gen_seed = request.gen_seed;
-    } else if (arg == "--priority") {
-      request.priority = args.Count<int>();
     } else if (arg == "--deadline-ms") {
       request.deadline_ms = args.Count<std::uint64_t>(0, kMaxMs);
-    } else if (arg == "--cfg-fallback") {
-      request.cfg_fallback = true;
-    } else if (arg == "--solver-retry") {
-      request.solver_retry = true;
     } else if (arg == "--fuzz-fallback") {
       request.fuzz_fallback = true;
     } else if (arg == "--fuzz-seed") {
-      request.fuzz_seed = args.Count<std::uint64_t>();
+      request.fuzz_seed = args.Count<std::uint64_t>(0, kMaxWireInt);
     } else if (arg == "--fuzz-execs") {
-      request.fuzz_execs = args.Count<std::uint64_t>();
-    } else if (arg == "--degrade-on-timeout") {
-      request.degrade_on_timeout = true;
+      request.fuzz_execs = args.Count<std::uint64_t>(0, kMaxWireInt);
     } else if (arg == "--timeout-ms") {
       timeout_ms = args.Count<std::uint64_t>(0, kMaxMs);
     } else if (arg == "--id") {
@@ -1127,11 +1110,10 @@ int CmdClient(int argc, char** argv) {
   }
   if (socket_path.empty() || request.pair < 1) {
     std::fprintf(stderr, "usage: octopocs client --socket PATH <pair-idx> "
-                         "[--poc FILE] [--priority N] [--deadline-ms N] "
-                         "[--cfg-fallback] [--solver-retry] "
+                         "[--poc FILE] [--deadline-ms N] "
                          "[--fuzz-fallback] [--fuzz-seed N] [--fuzz-execs N] "
-                         "[--degrade-on-timeout] [--timeout-ms N] "
-                         "[--id STR] [--retry N] [--gen-seed N]\n");
+                         "[--timeout-ms N] [--id STR] [--retry N] "
+                         "[--gen-seed N]\n");
     return 2;
   }
   if (!poc_path.empty()) request.poc_override = ReadBinaryFile(poc_path);
