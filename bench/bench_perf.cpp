@@ -30,7 +30,7 @@
 //   oracle legs pair 3 (the hung-loop pair) and pair 14 (the
 //               solver-heavy combine pair), each timed best-of-N under
 //               the defaults and under oracle::ShortcutsOff (backtrack
-//               core, switch dispatch, no fusion, no cycle skip). Pair
+//               core, no cycle skip). Pair
 //               3's ratio is gated as pair3_speedup; both pairs' reports
 //               must be byte-identical across the two configurations.
 //               The whole-corpus differential lives in

@@ -39,10 +39,10 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
                                      std::uint64_t rlimit_mb) {
   std::ostringstream ss;
   // v2: the fuzz-fallback rung entered the verdict-bearing option set.
-  // Unlike the answer-identical test seams (dispatch, fusion, cycle
-  // skip, solver core), the rung and its seed/budget can change a
-  // pair's verdict, so they fingerprint — a journal written under a
-  // different fuzz configuration must not be resumed.
+  // Unlike the answer-identical test seams (cycle skip, solver core),
+  // the rung and its seed/budget can change a pair's verdict, so they
+  // fingerprint — a journal written under a different fuzz
+  // configuration must not be resumed.
   // v3: the per-phase budgets and the separate per-pair deadline are
   // gone; `corpus --pair-deadline-ms` is now `dl`, the pipeline
   // deadline. The tag changes so a pre-v3 journal is refused by name.

@@ -71,12 +71,12 @@ struct EpArtifact {
 };
 
 void HashExec(ArtifactHasher& h, const vm::ExecOptions& exec) {
-  // dispatch/fuse/cycle_skip are deliberately excluded: they produce
-  // byte-identical results, so cached artifacts stay valid across
-  // dispatch modes and with fusion or the cycle fast-forward on or off
-  // (the shortcut-off differential in tests/ depends on it). The same
-  // policy covers SolverOptions::backend — no artifact key hashes
-  // SolverOptions, so the solver core can never split identical keys.
+  // cycle_skip is deliberately excluded: it produces byte-identical
+  // results, so cached artifacts stay valid with the cycle fast-forward
+  // on or off (the shortcut-off differential in tests/ depends on it).
+  // The same policy covers SolverOptions::backend — no artifact key
+  // hashes SolverOptions, so the solver core can never split identical
+  // keys.
   h.U64(exec.fuel).U64(exec.max_call_depth).U64(exec.heap_limit);
 }
 

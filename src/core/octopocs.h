@@ -190,7 +190,7 @@ struct PipelineOptions {
   /// makes the rung's verdict byte-reproducible (the determinism
   /// contract CI gates). Verdict-bearing: enters journal fingerprints
   /// and serve cache keys, unlike the answer-identical test seams
-  /// (interpreter dispatch, fusion, cycle skip, solver core).
+  /// (cycle skip, solver core).
   std::uint64_t fuzz_seed = 1;
   /// Fallback execution budget (count, not wall clock).
   std::uint64_t fuzz_execs = 200'000;

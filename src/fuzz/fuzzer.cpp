@@ -11,7 +11,6 @@ GreyboxFuzzer::GreyboxFuzzer(const vm::Program& target, vm::FuncId target_fn,
     : target_(target),
       target_fn_(target_fn),
       options_(options),
-      decoded_target_(vm::DecodeProgram(target, /*fuse=*/true)),
       initial_seeds_(std::move(seeds)),
       mutator_(options.rng_seed) {
   mutator_.PinOffsets(options.pinned_offsets);
@@ -28,7 +27,6 @@ GreyboxFuzzer::ExecOutcome GreyboxFuzzer::Execute(const Bytes& input) {
   CoverageObserver cov;
   vm::ExecOptions exec;
   exec.fuel = options_.exec_fuel;
-  exec.predecoded = &decoded_target_;
   vm::Interpreter interp(target_, input, exec);
   interp.AddObserver(&cov);
   const vm::ExecResult run = interp.Run();

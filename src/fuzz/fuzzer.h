@@ -29,7 +29,6 @@
 #include "fuzz/mutator.h"
 #include "support/bytes.h"
 #include "support/deadline.h"
-#include "vm/fusion.h"
 #include "vm/interp.h"
 
 namespace octopocs::fuzz {
@@ -118,9 +117,6 @@ class GreyboxFuzzer {
   ExecOutcome Execute(const Bytes& input);
 
   FuzzOptions options_;
-  /// Decoded once per campaign; every Execute() reuses it instead of
-  /// re-running the decode/fusion pass per input.
-  vm::DecodedProgram decoded_target_;
   std::vector<Seed> queue_;
   std::vector<Bytes> initial_seeds_;
   CoverageMap coverage_;

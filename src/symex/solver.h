@@ -168,7 +168,7 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
 /// on any measured workload: per-slice caching over independence
 /// slices, a pool of UNSAT cores whose subsets proved superset queries
 /// UNSAT, and cross-query nogoods recorded by the propagate core
-/// (DESIGN.md §10.1, §10.2, §15.2).
+/// (EXPERIMENTS.md "Retired solver tiers", DESIGN.md §15.2).
 ///
 /// The cache must not outlive the expressions it indexes: one cache per
 /// executor run, like the interning scope whose lifetime it matches.

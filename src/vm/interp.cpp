@@ -1,50 +1,11 @@
 #include "vm/interp.h"
 
-#include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "support/fault.h"
-#include "vm/fusion.h"
 #include "vm/op_info.h"
 
-// Direct-threaded dispatch needs the GNU computed-goto extension
-// (address-of-label). Elsewhere the threaded backend degrades to a dense
-// switch over the same decoded handler ids — still decoded and fused,
-// just without the per-handler indirect branches.
-#if defined(__GNUC__) || defined(__clang__)
-#define OCTO_VM_COMPUTED_GOTO 1
-#else
-#define OCTO_VM_COMPUTED_GOTO 0
-#endif
-
 namespace octopocs::vm {
-
-namespace {
-
-// Handler ids for the threaded dispatch table, in table order: plain
-// opcodes (enum order), superinstructions (FusedOp order), terminators.
-// The layout must agree with fusion.h's HandlerForOp/HandlerForFused.
-enum : std::uint16_t {
-#define OCTOPOCS_VM_OP_HID(name, mnemonic) kHandler_##name,
-  OCTOPOCS_VM_OPCODES(OCTOPOCS_VM_OP_HID)
-#undef OCTOPOCS_VM_OP_HID
-  kHandler_FuseMovImmAluB,
-  kHandler_FuseMovImmAluC,
-  kHandler_FuseAddImmLoad,
-  kHandler_FuseCmpBranch,
-  kHandler_FuseMovImmCmpBranch,
-  kHandler_TermJump,
-  kHandler_TermBranch,
-  kHandler_TermReturn,
-};
-static_assert(kHandler_FuseMovImmAluB == kHandlerFusedBase);
-static_assert(kHandler_TermJump == kHandlerTermJump);
-static_assert(kHandler_TermBranch == kHandlerTermBranch);
-static_assert(kHandler_TermReturn == kHandlerTermReturn);
-static_assert(kHandler_TermReturn + 1 == kDispatchTableSize);
-
-}  // namespace
 
 std::string_view TrapName(TrapKind kind) {
   switch (kind) {
@@ -63,8 +24,6 @@ std::string_view TrapName(TrapKind kind) {
   }
   return "?";
 }
-
-std::size_t ThreadedDispatchTableSize() { return kDispatchTableSize; }
 
 /// Armed deep snapshot for exact-cycle detection (ExecOptions::
 /// cycle_skip). Holds a complete copy of the machine state plus every
@@ -176,15 +135,6 @@ void Interpreter::CycleProbe() {
 Interpreter::Interpreter(const Program& program, ByteView input,
                          ExecOptions opts)
     : program_(program), input_(input.begin(), input.end()), opts_(opts) {
-  if (opts_.dispatch == DispatchMode::kThreaded) {
-    if (opts_.predecoded != nullptr && opts_.predecoded->source == &program_) {
-      decoded_ = opts_.predecoded;
-    } else {
-      decoded_owned_ =
-          std::make_unique<DecodedProgram>(DecodeProgram(program_, opts_.fuse));
-      decoded_ = decoded_owned_.get();
-    }
-  }
   Frame entry;
   entry.fn = program_.entry;
   entry.regs.assign(program_.Fn(program_.entry).num_regs, 0);
@@ -204,7 +154,6 @@ void Interpreter::SetTrap(TrapKind kind, std::uint64_t fault_addr,
   result_.fault_addr = fault_addr;
   result_.trap_message = std::move(message);
   CaptureBacktrace();
-  done_ = true;
 }
 
 void Interpreter::CaptureBacktrace() {
@@ -298,10 +247,8 @@ bool Interpreter::CheckInterrupts() {
       SetTrap(TrapKind::kDeadline, 0, "wall-clock deadline expired");
       return false;
     }
-    // Both backends call this at every stride-aligned count, so probes
-    // (and any skip) happen at identical points regardless of dispatch
-    // mode. A skip advances the count by a multiple of the period, which
-    // is itself a multiple of the stride, preserving alignment.
+    // A skip advances the count by a multiple of the period, which is
+    // itself a multiple of the stride, preserving alignment.
     if (cycle_ != nullptr) {
       CycleProbe();
       if (result_.instructions >= opts_.fuel) {
@@ -313,7 +260,10 @@ bool Interpreter::CheckInterrupts() {
   return true;
 }
 
-bool Interpreter::ExecTerminator(Frame& frame, const Terminator& t) {
+// ExecTerminator and ExecInstr are inlined into Run, their one caller: an
+// out-of-line call per instruction halved the ALU loop's throughput.
+[[gnu::always_inline]] inline bool Interpreter::ExecTerminator(
+    Frame& frame, const Terminator& t) {
   switch (t.kind) {
     case TermKind::kJump: {
       const BlockId from = frame.block;
@@ -340,7 +290,6 @@ bool Interpreter::ExecTerminator(Frame& frame, const Terminator& t) {
       }
       if (frames_.empty()) {
         result_.return_value = ret;
-        done_ = true;
         return false;
       }
       frames_.back().regs[ret_reg] = ret;
@@ -350,28 +299,18 @@ bool Interpreter::ExecTerminator(Frame& frame, const Terminator& t) {
   return true;
 }
 
-bool Interpreter::ExecInstr(Frame& frame, const Instr& ins, std::size_t ip) {
+[[gnu::always_inline]] inline bool Interpreter::ExecInstr(
+    Frame& frame, const Instr& ins, std::size_t ip) {
   auto& regs = frame.regs;
   std::uint64_t eff_addr = 0;
   std::uint64_t value = 0;
+  // Each binary-ALU case passes its own constant op, so the shared
+  // evaluator (vm/op_info.h) folds to the one operation.
+  const auto alu = [&](Op op) {
+    value = regs[ins.a] = EvalAlu(op, regs[ins.b], regs[ins.c]);
+  };
 
-  // Binary-ALU forms share one evaluator (vm/op_info.h); only the
-  // division-by-zero trap is interpreter-specific and must fire before
-  // EvalAlu's total-function fallback (which yields 0) could mask it.
-  if (GetOpInfo(ins.op).is_binary_alu) {
-    if ((ins.op == Op::kDivU || ins.op == Op::kRemU) && regs[ins.c] == 0) {
-      SetTrap(TrapKind::kDivByZero, 0,
-              ins.op == Op::kDivU ? "division by zero" : "remainder by zero");
-      return false;
-    }
-    value = regs[ins.a] = EvalAlu(ins.op, regs[ins.b], regs[ins.c]);
-    for (auto* o : observers_) {
-      o->OnInstr(frames_.back().fn, frames_.back().block, ip, ins, eff_addr,
-                 value);
-    }
-    return true;
-  }
-
+  // No default: -Werror=switch makes an Op without a case a build error.
   switch (ins.op) {
     case Op::kMovImm:
       value = regs[ins.a] = ins.imm;
@@ -379,12 +318,42 @@ bool Interpreter::ExecInstr(Frame& frame, const Instr& ins, std::size_t ip) {
     case Op::kMov:
       value = regs[ins.a] = regs[ins.b];
       break;
+    case Op::kAdd: alu(Op::kAdd); break;
+    case Op::kSub: alu(Op::kSub); break;
+    case Op::kMul: alu(Op::kMul); break;
+    // The zero-divisor traps fire before EvalAlu's total-function
+    // fallback (0) could mask them.
+    case Op::kDivU:
+      if (regs[ins.c] == 0) {
+        SetTrap(TrapKind::kDivByZero, 0, "division by zero");
+        return false;
+      }
+      alu(Op::kDivU);
+      break;
+    case Op::kRemU:
+      if (regs[ins.c] == 0) {
+        SetTrap(TrapKind::kDivByZero, 0, "remainder by zero");
+        return false;
+      }
+      alu(Op::kRemU);
+      break;
+    case Op::kAnd: alu(Op::kAnd); break;
+    case Op::kOr: alu(Op::kOr); break;
+    case Op::kXor: alu(Op::kXor); break;
+    case Op::kShl: alu(Op::kShl); break;
+    case Op::kShr: alu(Op::kShr); break;
     case Op::kNot:
       value = regs[ins.a] = ~regs[ins.b];
       break;
     case Op::kAddImm:
       value = regs[ins.a] = regs[ins.b] + ins.imm;
       break;
+    case Op::kCmpEq: alu(Op::kCmpEq); break;
+    case Op::kCmpNe: alu(Op::kCmpNe); break;
+    case Op::kCmpLtU: alu(Op::kCmpLtU); break;
+    case Op::kCmpLeU: alu(Op::kCmpLeU); break;
+    case Op::kCmpGtU: alu(Op::kCmpGtU); break;
+    case Op::kCmpGeU: alu(Op::kCmpGeU); break;
     case Op::kLoad: {
       eff_addr = regs[ins.b] + ins.imm;
       if (!ResolveAccess(eff_addr, ins.width)) return false;
@@ -484,7 +453,8 @@ bool Interpreter::ExecInstr(Frame& frame, const Instr& ins, std::size_t ip) {
         }
       }
       const Function& callee_fn = program_.Fn(callee);
-      if (ins.args.size() != callee_fn.num_params) {
+      const std::size_t nargs = ins.args.size();
+      if (nargs != callee_fn.num_params) {
         SetTrap(TrapKind::kBadIndirectCall, callee,
                 "argument count mismatch calling " + callee_fn.name);
         return false;
@@ -497,15 +467,13 @@ bool Interpreter::ExecInstr(Frame& frame, const Instr& ins, std::size_t ip) {
       next.fn = callee;
       next.ret_reg = ins.a;
       next.regs.assign(callee_fn.num_regs, 0);
-      std::vector<std::uint64_t> args(ins.args.size());
-      for (std::size_t i = 0; i < ins.args.size(); ++i) {
-        args[i] = regs[ins.args[i]];
-        next.regs[i] = args[i];
-      }
+      for (std::size_t i = 0; i < nargs; ++i) next.regs[i] = regs[ins.args[i]];
+      // Invalidates `frame` and `regs`; Run refreshes its cached frame.
       frames_.push_back(std::move(next));
-      for (auto* o : observers_) {
-        o->OnCallEnter(callee, std::span<const std::uint64_t>(args), &ins);
-      }
+      // The callee's first nargs registers hold the argument values.
+      const std::span<const std::uint64_t> args(frames_.back().regs.data(),
+                                                nargs);
+      for (auto* o : observers_) o->OnCallEnter(callee, args, &ins);
       return true;  // no OnInstr for calls; enter/exit events cover them
     }
     case Op::kFnAddr:
@@ -522,438 +490,51 @@ bool Interpreter::ExecInstr(Frame& frame, const Instr& ins, std::size_t ip) {
       return false;
     case Op::kNop:
       break;
-    default:
-      break;  // binary ALU handled above the switch
   }
 
-  // `frame` may have been invalidated by frames_ growth only on call paths,
-  // which returned above; safe to use captured locations here.
   for (auto* o : observers_) {
-    o->OnInstr(frames_.back().fn, frames_.back().block, ip, ins, eff_addr,
-               value);
+    o->OnInstr(frame.fn, frame.block, ip, ins, eff_addr, value);
   }
   return true;
 }
 
-bool Interpreter::StepSlow() {
-  if (!CheckInterrupts()) return false;
-  ++result_.instructions;
-
-  Frame& frame = frames_.back();
-  const Function& fn = program_.Fn(frame.fn);
-  const Block& block = fn.blocks[frame.block];
-
-  if (frame.ip >= block.instrs.size()) {
-    return ExecTerminator(frame, block.term);
-  }
-
-  const Instr& ins = block.instrs[frame.ip];
-  const std::size_t ip = frame.ip;
-  ++frame.ip;
-  return ExecInstr(frame, ins, ip);
-}
-
-ExecResult Interpreter::RunSwitch() {
-  while (!done_ && StepSlow()) {
-  }
-  return result_;
-}
-
-// The direct-threaded loop.
+// The one dispatch loop.
 //
-// Execution state is cached in locals (frame/regs/decoded-entry
-// pointers) and only written back where another component can observe
-// it: frame.ip is maintained *lazily* — it is guaranteed current at
-// every point a backtrace can be captured (each potentially-trapping
-// handler stores it first), at call sites (resume position), and on
-// entry to the slow path. Fast-path handlers skip the store entirely.
-//
-// `budget` counts instructions until the next checkpoint (a
-// kInterpCheckStride multiple or the fuel bound). The dispatch site
-// debits each entry's full length up front — matching the switch
-// backend, which counts a unit before executing it — and a checkpoint
-// that would land inside a fused entry routes through StepSlow, retiring
-// constituents one at a time so fuel exhaustion and deadline polls fire
-// at exactly the instruction counts the switch backend produces.
-ExecResult Interpreter::RunThreaded() {
-  const DecodedProgram& dp = *decoded_;
-  Frame* frame = nullptr;
-  const DecodedBlock* db = nullptr;
-  const DecodedInstr* de = nullptr;
-  std::uint64_t* regs = nullptr;
-  std::uint64_t budget = 0;
-
-#if OCTO_VM_COMPUTED_GOTO
-  static const void* const kLabels[] = {
-#define OCTOPOCS_VM_OP_LABEL(name, mnemonic) &&lbl_##name,
-      OCTOPOCS_VM_OPCODES(OCTOPOCS_VM_OP_LABEL)
-#undef OCTOPOCS_VM_OP_LABEL
-      &&lbl_FuseMovImmAluB,
-      &&lbl_FuseMovImmAluC,
-      &&lbl_FuseAddImmLoad,
-      &&lbl_FuseCmpBranch,
-      &&lbl_FuseMovImmCmpBranch,
-      &&lbl_TermJump,
-      &&lbl_TermBranch,
-      &&lbl_TermReturn,
-  };
-  // The dispatch-exhaustiveness guard for this backend: a missing
-  // handler label is a compile error (via the && references above), and
-  // a count mismatch with the handler id space fails here.
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kDispatchTableSize,
-                "threaded dispatch label table out of sync with the op set");
-#define VM_CASE(name) lbl_##name:
-#define VM_DISPATCH_BEGIN goto* kLabels[de->handler];
-#define VM_DISPATCH_END
-#else
-#define VM_CASE(name) case kHandler_##name:
-#define VM_DISPATCH_BEGIN   \
-  switch (de->handler) {    \
-    default:                \
-      std::abort();
-#define VM_DISPATCH_END }
-#endif
-
-// Fires the constituent OnInstr events fused handlers owe their
-// observers; `frame` is current by construction on every path here.
-#define VM_EMIT_INSTR(insptr, ipval, effv, valv)                            \
-  do {                                                                      \
-    if (!observers_.empty()) {                                              \
-      for (auto* o : observers_) {                                          \
-        o->OnInstr(frame->fn, frame->block, (ipval), *(insptr), (effv),     \
-                   (valv));                                                 \
-      }                                                                     \
-    }                                                                       \
-  } while (0)
-
-  goto reenter;
-
-dispatch:
-  if (budget < de->len) goto boundary;
-  budget -= de->len;
-  result_.instructions += de->len;
-  VM_DISPATCH_BEGIN
-
-  VM_CASE(MovImm) {
-    const Instr& I = *de->i1;
-    regs[I.a] = I.imm;
-    VM_EMIT_INSTR(&I, de->ip, 0, I.imm);
-    ++de;
-    goto dispatch;
-  }
-  VM_CASE(Mov) {
-    const Instr& I = *de->i1;
-    const std::uint64_t val = regs[I.b];
-    regs[I.a] = val;
-    VM_EMIT_INSTR(&I, de->ip, 0, val);
-    ++de;
-    goto dispatch;
-  }
-  VM_CASE(Not) {
-    const Instr& I = *de->i1;
-    const std::uint64_t val = ~regs[I.b];
-    regs[I.a] = val;
-    VM_EMIT_INSTR(&I, de->ip, 0, val);
-    ++de;
-    goto dispatch;
-  }
-  VM_CASE(AddImm) {
-    const Instr& I = *de->i1;
-    const std::uint64_t val = regs[I.b] + I.imm;
-    regs[I.a] = val;
-    VM_EMIT_INSTR(&I, de->ip, 0, val);
-    ++de;
-    goto dispatch;
-  }
-
-#define VM_ALU_CASE(name, expr)                           \
-  VM_CASE(name) {                                         \
-    const Instr& I = *de->i1;                             \
-    const std::uint64_t bv = regs[I.b];                   \
-    const std::uint64_t cv = regs[I.c];                   \
-    const std::uint64_t val = (expr);                     \
-    regs[I.a] = val;                                      \
-    VM_EMIT_INSTR(&I, de->ip, 0, val);                    \
-    ++de;                                                 \
-    goto dispatch;                                        \
-  }
-  VM_ALU_CASE(Add, bv + cv)
-  VM_ALU_CASE(Sub, bv - cv)
-  VM_ALU_CASE(Mul, bv* cv)
-  VM_ALU_CASE(And, bv& cv)
-  VM_ALU_CASE(Or, bv | cv)
-  VM_ALU_CASE(Xor, bv ^ cv)
-  VM_ALU_CASE(Shl, bv << (cv & 63))
-  VM_ALU_CASE(Shr, bv >> (cv & 63))
-  VM_ALU_CASE(CmpEq, bv == cv ? 1 : 0)
-  VM_ALU_CASE(CmpNe, bv != cv ? 1 : 0)
-  VM_ALU_CASE(CmpLtU, bv < cv ? 1 : 0)
-  VM_ALU_CASE(CmpLeU, bv <= cv ? 1 : 0)
-  VM_ALU_CASE(CmpGtU, bv > cv ? 1 : 0)
-  VM_ALU_CASE(CmpGeU, bv >= cv ? 1 : 0)
-#undef VM_ALU_CASE
-
-  VM_CASE(DivU) {
-    const Instr& I = *de->i1;
-    const std::uint64_t cv = regs[I.c];
-    if (cv == 0) {
-      frame->ip = de->ip + 1;
-      SetTrap(TrapKind::kDivByZero, 0, "division by zero");
-      goto finish;
-    }
-    const std::uint64_t val = regs[I.b] / cv;
-    regs[I.a] = val;
-    VM_EMIT_INSTR(&I, de->ip, 0, val);
-    ++de;
-    goto dispatch;
-  }
-  VM_CASE(RemU) {
-    const Instr& I = *de->i1;
-    const std::uint64_t cv = regs[I.c];
-    if (cv == 0) {
-      frame->ip = de->ip + 1;
-      SetTrap(TrapKind::kDivByZero, 0, "remainder by zero");
-      goto finish;
-    }
-    const std::uint64_t val = regs[I.b] % cv;
-    regs[I.a] = val;
-    VM_EMIT_INSTR(&I, de->ip, 0, val);
-    ++de;
-    goto dispatch;
-  }
-
-  VM_CASE(Load) {
-    const Instr& I = *de->i1;
-    const std::uint64_t eff = regs[I.b] + I.imm;
-    frame->ip = de->ip + 1;
-    if (!ResolveAccess(eff, I.width)) goto finish;
-    const std::uint64_t val = LoadMem(eff, I.width);
-    regs[I.a] = val;
-    VM_EMIT_INSTR(&I, de->ip, eff, val);
-    ++de;
-    goto dispatch;
-  }
-  VM_CASE(Store) {
-    const Instr& I = *de->i1;
-    const std::uint64_t eff = regs[I.b] + I.imm;
-    frame->ip = de->ip + 1;
-    if (eff >= kRodataBase && eff < kHeapBase) {
-      SetTrap(TrapKind::kOutOfBounds, eff, "write to rodata");
-      goto finish;
-    }
-    if (eff >= kMmapBase) {
-      SetTrap(TrapKind::kOutOfBounds, eff,
-              "write to the read-only file mapping");
-      goto finish;
-    }
-    if (!ResolveAccess(eff, I.width)) goto finish;
-    const std::uint64_t val = regs[I.a];
-    StoreMem(eff, I.width, val);
-    VM_EMIT_INSTR(&I, de->ip, eff, val);
-    ++de;
-    goto dispatch;
-  }
-
-  // Rare / heavyweight ops delegate to the shared single-instruction
-  // executor: one out-of-line call per dispatch keeps their semantics in
-  // exactly one place while leaving the hot ops inline above.
-  VM_CASE(Alloc)
-  VM_CASE(Free)
-  VM_CASE(Read)
-  VM_CASE(MMap)
-  VM_CASE(Seek)
-  VM_CASE(Tell)
-  VM_CASE(FileSize)
-  VM_CASE(FnAddr)
-  VM_CASE(Assert)
-  VM_CASE(Trap)
-  VM_CASE(Nop) {
-    frame->ip = de->ip + 1;
-    if (!ExecInstr(*frame, *de->i1, de->ip)) goto finish;
-    ++de;
-    goto dispatch;
-  }
-
-  VM_CASE(Call)
-  VM_CASE(ICall) {
-    frame->ip = de->ip + 1;  // resume position in the caller
-    if (!ExecInstr(*frame, *de->i1, de->ip)) goto finish;
-    goto reenter;  // a frame was pushed; reload all cached state
-  }
-
-  VM_CASE(FuseMovImmAluB)
-  VM_CASE(FuseMovImmAluC) {
-    // movi x,C ; alu/cmp a,b,c (x feeding b or c). Operands are read
-    // back from the register file after the movi write, so aliasing
-    // (b == x, c == x, a == x) behaves exactly as unfused execution.
-    const Instr& m = *de->i1;
-    const Instr& A = *de->i2;
-    regs[m.a] = m.imm;
-    VM_EMIT_INSTR(&m, de->ip, 0, m.imm);
-    const std::uint64_t val = EvalAlu(A.op, regs[A.b], regs[A.c]);
-    regs[A.a] = val;
-    VM_EMIT_INSTR(&A, de->ip + 1, 0, val);
-    ++de;
-    goto dispatch;
-  }
-
-  VM_CASE(FuseAddImmLoad) {
-    // addi x,b,C ; load a,x,off — the pointer-bump-then-load shape. The
-    // load may trap, so the position is committed first.
-    const Instr& ai = *de->i1;
-    const Instr& ld = *de->i2;
-    const std::uint64_t ptr = regs[ai.b] + ai.imm;
-    regs[ai.a] = ptr;
-    VM_EMIT_INSTR(&ai, de->ip, 0, ptr);
-    const std::uint64_t eff = regs[ld.b] + ld.imm;
-    frame->ip = de->ip + 2;
-    if (!ResolveAccess(eff, ld.width)) goto finish;
-    const std::uint64_t val = LoadMem(eff, ld.width);
-    regs[ld.a] = val;
-    VM_EMIT_INSTR(&ld, de->ip + 1, eff, val);
-    ++de;
-    goto dispatch;
-  }
-
-  VM_CASE(FuseCmpBranch) {
-    // cmp a,b,c ; br a — the loop back-edge shape. The branch reads the
-    // value the compare just produced.
-    const Instr& C = *de->i1;
-    const Terminator& t = *de->term;
-    const std::uint64_t val = EvalAlu(C.op, regs[C.b], regs[C.c]);
-    regs[C.a] = val;
-    VM_EMIT_INSTR(&C, de->ip, 0, val);
-    const BlockId from = frame->block;
-    const BlockId to = val != 0 ? t.target : t.fallthrough;
-    frame->block = to;
-    frame->ip = 0;
-    if (!observers_.empty()) {
-      for (auto* o : observers_) o->OnBlockTransfer(frame->fn, from, to);
-    }
-    db = &dp.fns[frame->fn].blocks[to];
-    de = db->code.data();
-    goto dispatch;
-  }
-
-  VM_CASE(FuseMovImmCmpBranch) {
-    // movi x,C ; cmp a,b,x ; br a — the constant-guard loop tail.
-    const Instr& m = *de->i1;
-    const Instr& C = *de->i2;
-    const Terminator& t = *de->term;
-    regs[m.a] = m.imm;
-    VM_EMIT_INSTR(&m, de->ip, 0, m.imm);
-    const std::uint64_t val = EvalAlu(C.op, regs[C.b], regs[C.c]);
-    regs[C.a] = val;
-    VM_EMIT_INSTR(&C, de->ip + 1, 0, val);
-    const BlockId from = frame->block;
-    const BlockId to = val != 0 ? t.target : t.fallthrough;
-    frame->block = to;
-    frame->ip = 0;
-    if (!observers_.empty()) {
-      for (auto* o : observers_) o->OnBlockTransfer(frame->fn, from, to);
-    }
-    db = &dp.fns[frame->fn].blocks[to];
-    de = db->code.data();
-    goto dispatch;
-  }
-
-  VM_CASE(TermJump) {
-    const Terminator& t = *de->term;
-    const BlockId from = frame->block;
-    frame->block = t.target;
-    frame->ip = 0;
-    if (!observers_.empty()) {
-      for (auto* o : observers_) o->OnBlockTransfer(frame->fn, from, t.target);
-    }
-    db = &dp.fns[frame->fn].blocks[t.target];
-    de = db->code.data();
-    goto dispatch;
-  }
-  VM_CASE(TermBranch) {
-    const Terminator& t = *de->term;
-    const BlockId from = frame->block;
-    const BlockId to = regs[t.cond] != 0 ? t.target : t.fallthrough;
-    frame->block = to;
-    frame->ip = 0;
-    if (!observers_.empty()) {
-      for (auto* o : observers_) o->OnBlockTransfer(frame->fn, from, to);
-    }
-    db = &dp.fns[frame->fn].blocks[to];
-    de = db->code.data();
-    goto dispatch;
-  }
-  VM_CASE(TermReturn) {
-    const Terminator& t = *de->term;
-    const std::uint64_t ret = t.returns_value ? regs[t.cond] : 0;
-    const FuncId callee = frame->fn;
-    const Reg ret_reg = frame->ret_reg;
-    frames_.pop_back();
-    if (!observers_.empty()) {
-      for (auto* o : observers_) {
-        o->OnCallExit(callee, ret, t.returns_value, t.cond, ret_reg);
-      }
-    }
-    if (frames_.empty()) {
-      result_.return_value = ret;
-      done_ = true;
-      goto finish;
-    }
-    frames_.back().regs[ret_reg] = ret;
-    goto reenter;
-  }
-
-  VM_DISPATCH_END
-
-boundary:
-  // A checkpoint falls on (budget == 0) or inside (0 < budget < len) the
-  // next entry. Commit the position; a mid-entry checkpoint retires
-  // constituents one at a time through the portable backend.
-  frame->ip = de->ip;
-  if (budget != 0) goto slow_single;
-  goto recompute;
-
-slow_single:
-  if (!StepSlow()) goto finish;
-  goto reenter;
-
-reenter:
-  // (Re)load every cached pointer from interpreter state: loop entry,
-  // return-from-call, and slow-path re-alignment all land here.
-  frame = &frames_.back();
-  db = &dp.fns[frame->fn].blocks[frame->block];
-  de = db->code.data() + db->entry_of_ip[frame->ip];
-  regs = frame->regs.data();
-  // A resume point strictly inside a fused entry (possible only after
-  // slow-path stepping split one) keeps single-stepping to the boundary.
-  if (de->ip != frame->ip) goto slow_single;
-
-recompute:
-  if (!CheckInterrupts()) goto finish;
-  {
-    const std::uint64_t next_stride =
-        (result_.instructions | (kInterpCheckStride - 1)) + 1;
-    const std::uint64_t limit =
-        next_stride < opts_.fuel ? next_stride : opts_.fuel;
-    budget = limit - result_.instructions;
-  }
-  goto dispatch;
-
-finish:
-  return result_;
-
-#undef VM_CASE
-#undef VM_DISPATCH_BEGIN
-#undef VM_DISPATCH_END
-#undef VM_EMIT_INSTR
-}
-
+// Execution runs in segments. A segment starts with CheckInterrupts and
+// ends at the next kInterpCheckStride multiple or at the fuel limit,
+// whichever is first, so the per-instruction path carries no fuel,
+// deadline or cycle-probe test, yet each of them fires at exactly the
+// instruction count an every-instruction check would. The frame and
+// block pointers are cached across instructions and refreshed only when
+// they can change: after a terminator and after a kCall/kICall (a push
+// can reallocate frames_).
 ExecResult Interpreter::Run() {
   for (auto* o : observers_) {
     // The entry frame behaves like a call with no arguments.
     o->OnCallEnter(program_.entry, {}, nullptr);
   }
-  return opts_.dispatch == DispatchMode::kThreaded ? RunThreaded()
-                                                   : RunSwitch();
+  Frame* frame = &frames_.back();
+  const Block* block = &program_.Fn(frame->fn).blocks[frame->block];
+  while (CheckInterrupts()) {
+    const std::uint64_t next_stride =
+        (result_.instructions | (kInterpCheckStride - 1)) + 1;
+    const std::uint64_t end =
+        next_stride < opts_.fuel ? next_stride : opts_.fuel;
+    while (result_.instructions < end) {
+      ++result_.instructions;
+      if (frame->ip >= block->instrs.size()) {
+        if (!ExecTerminator(*frame, block->term)) return result_;
+      } else {
+        const Instr& ins = block->instrs[frame->ip];
+        const std::size_t ip = frame->ip++;
+        if (!ExecInstr(*frame, ins, ip)) return result_;
+        if (ins.op != Op::kCall && ins.op != Op::kICall) continue;
+      }
+      frame = &frames_.back();
+      block = &program_.Fn(frame->fn).blocks[frame->block];
+    }
+  }
+  return result_;
 }
 
 ExecResult RunProgram(const Program& program, ByteView input,

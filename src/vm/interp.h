@@ -56,26 +56,11 @@ inline bool IsVulnerabilityCrash(TrapKind kind) {
          kind != TrapKind::kDeadline;
 }
 
-class DecodedProgram;  // vm/fusion.h
-
-/// Interpreter dispatch backend.
-///
-/// kThreaded (the default) pre-decodes each block and runs a
-/// direct-threaded loop — a computed-goto label table under GCC/Clang, a
-/// dense switch over decoded handler ids elsewhere — with
-/// superinstruction fusion (vm/fusion.h) and fuel/deadline checks hoisted
-/// off the per-instruction fast path. kSwitch is the original
-/// instruction-at-a-time switch interpreter, kept as the portable
-/// reference and A/B baseline. Both backends produce byte-identical
-/// ExecResults and observer event streams; the choice is never part of
-/// any artifact-cache key or journal fingerprint.
-enum class DispatchMode : std::uint8_t { kSwitch, kThreaded };
-
-/// Both backends poll the CancelToken when the retired-instruction count
-/// is a multiple of this stride (and always at instruction 0), so a
-/// tripped token surfaces as TrapKind::kDeadline within at most this many
-/// further instructions. Fuel accounting stays exact — the stride applies
-/// only to the wall-clock poll.
+/// The interpreter polls the CancelToken when the retired-instruction
+/// count is a multiple of this stride (and always at instruction 0), so
+/// a tripped token surfaces as TrapKind::kDeadline within at most this
+/// many further instructions. Fuel accounting stays exact: the stride
+/// applies only to the wall-clock poll and the cycle-skip probe.
 inline constexpr std::uint64_t kInterpCheckStride = 1024;
 
 struct ExecOptions {
@@ -86,7 +71,6 @@ struct ExecOptions {
   /// interpreted instructions (~free). Tripping records
   /// TrapKind::kDeadline.
   support::CancelToken cancel;
-  DispatchMode dispatch = DispatchMode::kThreaded;
   /// Exact-cycle fast-forward for hung programs (CWE-835 loops burn the
   /// whole fuel budget otherwise). At instruction-count checkpoints the
   /// interpreter arms a deep snapshot of the complete machine state
@@ -101,14 +85,6 @@ struct ExecOptions {
   /// SnapshotState, or while fault injection is armed (skipping would
   /// move the injection point). Off is the A/B baseline for benches.
   bool cycle_skip = true;
-  /// Superinstruction fusion (threaded backend only). Off yields the
-  /// decoded-but-unfused loop — the A/B point isolating fusion's effect.
-  bool fuse = true;
-  /// Optional pre-decoded form of the *same* program, letting callers
-  /// that execute one program many times (the fuzzer) amortize decoding.
-  /// Ignored unless its `source` matches the interpreted program; the
-  /// caller is responsible for having decoded with the same `fuse` flag.
-  const DecodedProgram* predecoded = nullptr;
 };
 
 /// One entry of the crash callstack (the backtrace(3) substitute used by
@@ -145,8 +121,10 @@ class ExecutionObserver {
     (void)fn; (void)block; (void)ip; (void)instr; (void)eff_addr; (void)value;
   }
   /// After the callee frame is set up, before its first instruction.
-  /// `call_site` is the kCall/kICall instruction (nullptr for the entry
-  /// frame) — taint engines read the caller argument registers off it.
+  /// `args` views the callee's parameter registers and is valid only
+  /// during the callback. `call_site` is the kCall/kICall instruction
+  /// (nullptr for the entry frame) — taint engines read the caller
+  /// argument registers off it.
   virtual void OnCallEnter(FuncId callee, std::span<const std::uint64_t> args,
                            const Instr* call_site) {
     (void)callee; (void)args; (void)call_site;
@@ -197,7 +175,7 @@ class Interpreter {
   /// `input` is copied: the interpreter owns its input so callers may
   /// pass temporaries (PoC files are small; dangling views are not).
   Interpreter(const Program& program, ByteView input, ExecOptions opts = {});
-  ~Interpreter();  // out-of-line: DecodedProgram is incomplete here
+  ~Interpreter();  // out-of-line: CycleDetector is incomplete here
 
   /// Observers are not owned and must outlive Run().
   void AddObserver(ExecutionObserver* observer);
@@ -232,30 +210,23 @@ class Interpreter {
   void SetTrap(TrapKind kind, std::uint64_t fault_addr, std::string message);
   void CaptureBacktrace();
 
-  // Dispatch backends. RunSwitch is the portable reference loop;
-  // RunThreaded executes the pre-decoded (optionally fused) form and
-  // falls back to single-stepping only around fuel/deadline boundaries
-  // and mid-entry resume points.
-  ExecResult RunSwitch();
-  ExecResult RunThreaded();
-
-  /// Fuel check plus the strided CancelToken poll. Called before a unit
-  /// executes, when `result_.instructions` sits at a checkpoint. Returns
-  /// false after recording kFuelExhausted/kDeadline.
+  /// Fuel check plus the strided CancelToken poll and cycle probe.
+  /// Called at the start of each segment (see Run). Returns false after
+  /// recording kFuelExhausted/kDeadline.
   bool CheckInterrupts();
   /// Cycle-skip probe, fired at kInterpCheckStride-aligned instruction
-  /// counts (identically in both dispatch backends, so the skip decision
-  /// is part of neither backend's identity). Arms snapshots on a Brent
-  /// doubling schedule and fast-forwards on an exact state match.
+  /// counts. Arms snapshots on a Brent doubling schedule and
+  /// fast-forwards on an exact state match.
   void CycleProbe();
   bool CycleStateEquals() const;
   void CycleArm();
-  /// One original instruction or terminator with full checks — the
-  /// switch backend's loop body, shared by the threaded slow path.
-  bool StepSlow();
   /// Executes one non-terminator instruction. The caller has counted it
   /// and advanced frame.ip past it (trap backtraces record ip+1).
+  /// Returns false after recording a trap. A kCall/kICall pushes a frame,
+  /// which invalidates `frame`.
   bool ExecInstr(Frame& frame, const Instr& ins, std::size_t ip);
+  /// Returns false when the entry frame returned (the run is over). A
+  /// return pops `frame`.
   bool ExecTerminator(Frame& frame, const Terminator& term);
 
   const Program& program_;
@@ -269,9 +240,6 @@ class Interpreter {
   std::uint64_t live_heap_bytes_ = 0;
   std::uint64_t file_pos_ = 0;
 
-  std::unique_ptr<DecodedProgram> decoded_owned_;
-  const DecodedProgram* decoded_ = nullptr;
-
   /// Deep machine+observer snapshot for cycle detection; null once the
   /// detector is disabled (skip taken, unsupported observer, or
   /// cycle_skip off).
@@ -279,14 +247,7 @@ class Interpreter {
   std::unique_ptr<CycleDetector> cycle_;
 
   ExecResult result_;
-  bool done_ = false;
 };
-
-/// Number of handlers in the threaded backend's dispatch table (one per
-/// Op, per FusedOp, per terminator kind). The table itself is statically
-/// sized against this; exposed so the exhaustiveness test can assert the
-/// three layers (op_info, dispatch, mnemonics) agree on the op set.
-std::size_t ThreadedDispatchTableSize();
 
 /// Convenience wrapper: validate (throws std::invalid_argument on a
 /// malformed program), run, return the result.

@@ -47,11 +47,12 @@ inline constexpr std::uint64_t kHeapBase = 0x100000;
 inline constexpr std::uint64_t kMmapBase = 0x40000000;
 
 // Opcode master list (X-macro). Every table that must stay in lockstep
-// with the opcode set — the Op enum itself, the mnemonic table, the
-// op_info metadata rows, and the threaded-dispatch label table in
-// vm/interp.cpp — is generated from (or statically checked against) this
-// single list, so adding an opcode without updating a backend is a
-// compile-time error rather than a silent fall-through.
+// with the opcode set — the Op enum itself, the mnemonic table and the
+// op_info metadata rows — is generated from (or statically checked
+// against) this single list. The interpreter's ExecInstr switch has one
+// case per Op and no default, and octo_vm builds with -Werror=switch, so
+// adding an opcode without interpreter semantics is a compile-time error
+// rather than a silent no-op.
 //
 // Semantics (registers are per-frame 64-bit slots):
 //   Data movement: kMovImm r[a]=imm; kMov r[a]=r[b].
@@ -121,8 +122,8 @@ enum class Op : std::uint8_t {
 #undef OCTOPOCS_VM_OP_ENUM
 };
 
-/// Number of opcodes. Dispatch/metadata tables are sized by this and
-/// statically checked against it.
+/// Number of opcodes. Metadata tables are sized by this and statically
+/// checked against it.
 inline constexpr std::size_t kOpCount = 0
 #define OCTOPOCS_VM_OP_COUNT(name, mnemonic) +1
     OCTOPOCS_VM_OPCODES(OCTOPOCS_VM_OP_COUNT)

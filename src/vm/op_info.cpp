@@ -108,26 +108,4 @@ const OpInfo& GetOpInfo(Op op) {
 
 bool OpInfoTableComplete() { return AllRowsSpecified(kTable); }
 
-std::uint64_t EvalAlu(Op op, std::uint64_t a, std::uint64_t b) {
-  switch (op) {
-    case Op::kAdd: return a + b;
-    case Op::kSub: return a - b;
-    case Op::kMul: return a * b;
-    case Op::kDivU: return b == 0 ? 0 : a / b;
-    case Op::kRemU: return b == 0 ? 0 : a % b;
-    case Op::kAnd: return a & b;
-    case Op::kOr: return a | b;
-    case Op::kXor: return a ^ b;
-    case Op::kShl: return a << (b & 63);
-    case Op::kShr: return a >> (b & 63);
-    case Op::kCmpEq: return a == b ? 1 : 0;
-    case Op::kCmpNe: return a != b ? 1 : 0;
-    case Op::kCmpLtU: return a < b ? 1 : 0;
-    case Op::kCmpLeU: return a <= b ? 1 : 0;
-    case Op::kCmpGtU: return a > b ? 1 : 0;
-    case Op::kCmpGeU: return a >= b ? 1 : 0;
-    default: return 0;
-  }
-}
-
 }  // namespace octopocs::vm

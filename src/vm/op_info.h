@@ -85,13 +85,35 @@ const OpInfo& GetOpInfo(Op op);
 
 /// True iff every Op enumerator has an explicitly-specified OpInfo row.
 /// Always true (the table is also checked at compile time); exposed so
-/// the dispatch-exhaustiveness test can assert it table-driven.
+/// the exhaustiveness test can assert it table-driven.
 bool OpInfoTableComplete();
 
 /// Shared concrete semantics of the binary-ALU forms. Division and
 /// remainder by zero yield 0 here — the concrete interpreter traps
 /// *before* evaluating, and the symbolic evaluator's total function
 /// needs a defined value (the solver guards the divisor separately).
-std::uint64_t EvalAlu(Op op, std::uint64_t a, std::uint64_t b);
+/// Inline so the interpreter's per-op cases, which pass a constant
+/// `op`, fold to the single operation.
+inline std::uint64_t EvalAlu(Op op, std::uint64_t a, std::uint64_t b) {
+  switch (op) {
+    case Op::kAdd: return a + b;
+    case Op::kSub: return a - b;
+    case Op::kMul: return a * b;
+    case Op::kDivU: return b == 0 ? 0 : a / b;
+    case Op::kRemU: return b == 0 ? 0 : a % b;
+    case Op::kAnd: return a & b;
+    case Op::kOr: return a | b;
+    case Op::kXor: return a ^ b;
+    case Op::kShl: return a << (b & 63);
+    case Op::kShr: return a >> (b & 63);
+    case Op::kCmpEq: return a == b ? 1 : 0;
+    case Op::kCmpNe: return a != b ? 1 : 0;
+    case Op::kCmpLtU: return a < b ? 1 : 0;
+    case Op::kCmpLeU: return a <= b ? 1 : 0;
+    case Op::kCmpGtU: return a > b ? 1 : 0;
+    case Op::kCmpGeU: return a >= b ? 1 : 0;
+    default: return 0;  // not a binary-ALU op
+  }
+}
 
 }  // namespace octopocs::vm

@@ -1,6 +1,5 @@
 #include "vm/trace.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace octopocs::vm {
@@ -98,37 +97,6 @@ void ExecutionTracer::OnBlockTransfer(FuncId fn, BlockId from, BlockId to) {
   std::snprintf(buf, sizeof buf, "-> %s:b%u (from b%u)",
                 FnName(fn).c_str(), to, from);
   Emit(buf);
-}
-
-// -- OpcodeHistogram ----------------------------------------------------------
-
-void OpcodeHistogram::OnInstr(FuncId, BlockId, std::size_t,
-                              const Instr& instr, std::uint64_t,
-                              std::uint64_t) {
-  ++counts_[static_cast<std::size_t>(instr.op)];
-  ++total_;
-}
-
-void OpcodeHistogram::OnCallEnter(FuncId, std::span<const std::uint64_t>,
-                                  const Instr* call_site) {
-  // The entry frame's OnCallEnter has no call site and retires nothing.
-  if (call_site == nullptr) return;
-  ++counts_[static_cast<std::size_t>(call_site->op)];
-  ++total_;
-}
-
-std::vector<std::pair<Op, std::uint64_t>> OpcodeHistogram::Sorted() const {
-  std::vector<std::pair<Op, std::uint64_t>> rows;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] != 0) {
-      rows.emplace_back(static_cast<Op>(i), counts_[i]);
-    }
-  }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  return rows;
 }
 
 }  // namespace octopocs::vm

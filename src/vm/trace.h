@@ -11,9 +11,7 @@
 //   std::cout << tracer.text();
 #pragma once
 
-#include <array>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "vm/interp.h"
@@ -54,35 +52,6 @@ class ExecutionTracer : public ExecutionObserver {
   std::size_t max_lines_;
   std::size_t depth_ = 0;
   bool truncated_ = false;
-};
-
-/// Per-opcode retirement counts, fed by the observer stream — so the
-/// histogram is dispatch-agnostic by construction: fused
-/// superinstructions report their constituent instructions one by one,
-/// and a run counted under any backend yields the same histogram.
-/// Calls (which fire OnCallEnter instead of OnInstr) are counted off
-/// their call-site instruction.
-class OpcodeHistogram : public ExecutionObserver {
- public:
-  void OnInstr(FuncId fn, BlockId block, std::size_t ip, const Instr& instr,
-               std::uint64_t eff_addr, std::uint64_t value) override;
-  void OnCallEnter(FuncId callee, std::span<const std::uint64_t> args,
-                   const Instr* call_site) override;
-
-  std::uint64_t count(Op op) const {
-    return counts_[static_cast<std::size_t>(op)];
-  }
-  /// Instructions counted (excludes terminators, which are not
-  /// instructions and have no opcode).
-  std::uint64_t total() const { return total_; }
-
-  /// (op, count) rows with nonzero counts, descending by count; ties in
-  /// opcode order.
-  std::vector<std::pair<Op, std::uint64_t>> Sorted() const;
-
- private:
-  std::array<std::uint64_t, kOpCount> counts_{};
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace octopocs::vm

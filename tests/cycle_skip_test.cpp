@@ -24,11 +24,9 @@ namespace octopocs::vm {
 namespace {
 
 ExecResult Execute(const Program& program, const Bytes& input, bool cycle_skip,
-               DispatchMode mode, std::uint64_t fuel,
-               taint::TaintEngine* taint = nullptr) {
+                   std::uint64_t fuel, taint::TaintEngine* taint = nullptr) {
   ExecOptions exec;
   exec.fuel = fuel;
-  exec.dispatch = mode;
   exec.cycle_skip = cycle_skip;
   Interpreter interp(program, ByteView(input), exec);
   if (taint != nullptr) interp.AddObserver(taint);
@@ -69,14 +67,11 @@ Program HungLoop() {
 
 TEST(CycleSkip, HungLoopFuelTrapIsByteIdentical) {
   const Program p = HungLoop();
-  for (const DispatchMode mode :
-       {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
-    const ExecResult off = Execute(p, {}, /*cycle_skip=*/false, mode, 200'000);
-    const ExecResult on = Execute(p, {}, /*cycle_skip=*/true, mode, 200'000);
-    ExpectSameResult(off, on, "skip off vs on");
-    EXPECT_EQ(on.trap, TrapKind::kFuelExhausted);
-    EXPECT_EQ(on.instructions, 200'000u);
-  }
+  const ExecResult off = Execute(p, {}, /*cycle_skip=*/false, 200'000);
+  const ExecResult on = Execute(p, {}, /*cycle_skip=*/true, 200'000);
+  ExpectSameResult(off, on, "skip off vs on");
+  EXPECT_EQ(on.trap, TrapKind::kFuelExhausted);
+  EXPECT_EQ(on.instructions, 200'000u);
 }
 
 TEST(CycleSkip, FuelResidualLandsMidPeriod) {
@@ -85,9 +80,8 @@ TEST(CycleSkip, FuelResidualLandsMidPeriod) {
   // retired count and trap must match the unskipped run each time.
   const Program p = HungLoop();
   for (std::uint64_t fuel = 50'000; fuel < 50'012; ++fuel) {
-    const ExecResult off =
-        Execute(p, {}, false, DispatchMode::kThreaded, fuel);
-    const ExecResult on = Execute(p, {}, true, DispatchMode::kThreaded, fuel);
+    const ExecResult off = Execute(p, {}, false, fuel);
+    const ExecResult on = Execute(p, {}, true, fuel);
     ExpectSameResult(off, on, "mid-period residual");
     EXPECT_EQ(on.instructions, fuel);
   }
@@ -112,11 +106,11 @@ TEST(CycleSkip, HungFileReadLoopWithTaintObserverIsIdentical) {
   const Bytes input = {0x41, 0x42};
 
   taint::TaintEngine off_engine(p);
-  const ExecResult off = Execute(p, input, /*cycle_skip=*/false,
-                             DispatchMode::kThreaded, 100'000, &off_engine);
+  const ExecResult off =
+      Execute(p, input, /*cycle_skip=*/false, 100'000, &off_engine);
   taint::TaintEngine on_engine(p);
-  const ExecResult on = Execute(p, input, /*cycle_skip=*/true,
-                            DispatchMode::kThreaded, 100'000, &on_engine);
+  const ExecResult on =
+      Execute(p, input, /*cycle_skip=*/true, 100'000, &on_engine);
 
   ExpectSameResult(off, on, "hung read loop");
   EXPECT_EQ(on.trap, TrapKind::kFuelExhausted);
@@ -143,8 +137,8 @@ TEST(CycleSkip, TerminatingProgramIsUntouched) {
       "    br %c, L1, L2\n"
       "  L2:\n"
       "    ret %acc\n");
-  const ExecResult off = Execute(p, {}, false, DispatchMode::kThreaded, 100'000);
-  const ExecResult on = Execute(p, {}, true, DispatchMode::kThreaded, 100'000);
+  const ExecResult off = Execute(p, {}, false, 100'000);
+  const ExecResult on = Execute(p, {}, true, 100'000);
   ExpectSameResult(off, on, "terminating program");
   EXPECT_EQ(on.trap, TrapKind::kNone);
   EXPECT_EQ(on.return_value, 15'000u);

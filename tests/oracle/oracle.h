@@ -16,8 +16,8 @@ const symex::SolverBackend& BacktrackSolver();
 
 /// Turns off every answer-preserving shortcut the pipeline takes: the
 /// backtrack oracle answers fresh solver queries, every concrete
-/// execution runs the switch interpreter without fusion or cycle skip,
-/// and no artifact store is consulted. Reports under these options
+/// execution runs without cycle skip, and no artifact store is
+/// consulted. Reports under these options
 /// must be byte-identical to the defaults'.
 void ShortcutsOff(core::PipelineOptions* options);
 

@@ -2,11 +2,10 @@
 // shortcut is checked against.
 //
 // The default pipeline takes shortcuts that must never change a report:
-// the propagate solver core, threaded dispatch with superinstruction
-// fusion, the interpreter's exact-cycle fast-forward, and artifact-store
-// hits. Each slice below is verified three times — under the defaults
-// with one shared ArtifactStore, cold and then warm, and under
-// oracle::ShortcutsOff (backtrack core, switch dispatch, no fusion, no
+// the propagate solver core, the interpreter's exact-cycle
+// fast-forward, and artifact-store hits. Each slice below is verified
+// three times — under the defaults with one shared ArtifactStore, cold
+// and then warm, and under oracle::ShortcutsOff (backtrack core, no
 // cycle skip, no store) — and every report must serialize byte for byte
 // the same with its wall-clock timings zeroed. The solver cache tiers
 // stay on in both runs; solver_cache_test and node_program_test hold
