@@ -48,7 +48,9 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
   // deadline. The tag changes so a pre-v3 journal is refused by name.
   // v4: the static-CFG and solver-budget retry rungs are gone, and
   // their cfgfb= / solretry= terms with them.
-  ss << "v4"
+  // v5: the fuzz rung's separate wall-clock budget is gone, and the
+  // fourth field of its fuzz= term with it.
+  ss << "v5"
      << "|extended=" << extended << "|pairs=" << pair_count
      << "|ctx=" << o.taint.context_aware << "|theta=" << o.symex.theta
      << "|adaptive=" << o.adaptive_theta << ':' << o.adaptive_theta_max
@@ -64,7 +66,7 @@ std::string CorpusOptionsFingerprint(const PipelineOptions& o, bool extended,
      << "|fixangr=" << o.cfg.resolve_obfuscated_icalls
      << "|seed=" << o.poc_as_cfg_seed << "|dl=" << o.deadline_ms
      << "|fuzz=" << o.fuzz_fallback << ':' << o.fuzz_seed << ':'
-     << o.fuzz_execs << ':' << o.fuzz_deadline_ms << "|iso=" << isolate
+     << o.fuzz_execs << "|iso=" << isolate
      << "|rlimit=" << rlimit_mb;
   return Fingerprint64(ss.str());
 }

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <set>
 #include <type_traits>
 
 #include "core/artifact_store.h"
-#include "core/phase.h"
 #include "fuzz/directed.h"
 #include "support/trace.h"
 
@@ -84,39 +84,42 @@ void HashBytes(ArtifactHasher& h, const Bytes& bytes) {
   h.U64(bytes.size()).Bytes(bytes.data(), bytes.size());
 }
 
-ArtifactKey EpKey(const PhaseContext& ctx) {
+ArtifactKey EpKey(const vm::Program& s, const Bytes& poc,
+                  const std::vector<std::string>& shared,
+                  const vm::ExecOptions& verify_exec) {
   ArtifactHasher h;
-  h.Program(ctx.s);
-  HashBytes(h, ctx.poc);
+  h.Program(s);
+  HashBytes(h, poc);
   // ep discovery treats ℓ as a set; sort so the caller's ordering
   // cannot split otherwise identical keys.
-  std::vector<std::string> names(ctx.shared);
+  std::vector<std::string> names(shared);
   std::sort(names.begin(), names.end());
   h.U64(names.size());
   for (const std::string& name : names) h.Str(name);
-  HashExec(h, ctx.options.verify_exec);
+  HashExec(h, verify_exec);
   return h.Finish("ep");
 }
 
-ArtifactKey P1Key(const PhaseContext& ctx, vm::FuncId ep_in_s) {
+ArtifactKey P1Key(const vm::Program& s, const Bytes& poc, vm::FuncId ep_in_s,
+                  const PipelineOptions& options) {
   ArtifactHasher h;
-  h.Program(ctx.s);
-  HashBytes(h, ctx.poc);
+  h.Program(s);
+  HashBytes(h, poc);
   h.U32(ep_in_s);
-  h.Bool(ctx.options.taint.context_aware);
+  h.Bool(options.taint.context_aware);
   // Mirror ExtractPrimitives' fuel clamp so the key matches the options
   // the extraction actually ran with.
-  vm::ExecOptions exec = ctx.options.taint.exec;
-  if (exec.fuel < ctx.options.verify_exec.fuel) {
-    exec.fuel = ctx.options.verify_exec.fuel;
+  vm::ExecOptions exec = options.taint.exec;
+  if (exec.fuel < options.verify_exec.fuel) {
+    exec.fuel = options.verify_exec.fuel;
   }
   HashExec(h, exec);
   return h.Finish("p1");
 }
 
-ArtifactKey CfgKey(const PhaseContext& ctx, const cfg::CfgOptions& opts) {
+ArtifactKey CfgKey(const vm::Program& t, const cfg::CfgOptions& opts) {
   ArtifactHasher h;
-  h.Program(ctx.t);
+  h.Program(t);
   h.Bool(opts.use_dynamic);
   h.Bool(opts.resolve_obfuscated_icalls);
   h.U64(opts.seed_inputs.size());
@@ -125,8 +128,27 @@ ArtifactKey CfgKey(const PhaseContext& ctx, const cfg::CfgOptions& opts) {
   return h.Finish("cfg");
 }
 
-void CountArtifact(PhaseContext& ctx, const char* name) {
-  if (ctx.tracer != nullptr) ctx.tracer->Counter(name, 1);
+void CountArtifact(support::Tracer* tracer, const char* name) {
+  if (tracer != nullptr) tracer->Counter(name, 1);
+}
+
+/// Wall-clock failure: the pipeline deadline (or the kill switch)
+/// tripped during stage `which` before a verdict.
+void FailDeadline(VerificationReport& report, const std::string& which) {
+  report.verdict = Verdict::kFailure;
+  report.type = ResultType::kFailure;
+  report.failed_phase = which;
+  report.deadline_expired = true;
+  report.detail = "wall-clock deadline expired during " + which;
+}
+
+/// Tooling failure: stage `which` could not decide the pair.
+void FailTool(VerificationReport& report, const std::string& which,
+              std::string detail) {
+  report.verdict = Verdict::kFailure;
+  report.type = ResultType::kFailure;
+  report.failed_phase = which;
+  report.detail = std::move(detail);
 }
 
 /// Type-I/II classification of a Triggered verdict (paper Table II).
@@ -229,229 +251,252 @@ taint::ExtractionResult Octopocs::ExtractPrimitives(vm::FuncId ep_in_s,
   return taint::ExtractCrashPrimitives(s_, poc_, ep_in_s, opts);
 }
 
-// -- CrashPrimitivePhase: Preprocessing + P1 ---------------------------------
-
-PhaseStatus CrashPrimitivePhase::Run(PhaseContext& ctx) {
+VerificationReport Octopocs::Verify() {
   using Clock = std::chrono::steady_clock;
-  VerificationReport& report = ctx.report;
-
-  // -- Preprocessing: locate ep --------------------------------------------
-  ctx.attribution = "preprocessing";
   const auto t0 = Clock::now();
-  support::CancelToken pre_tok = ctx.deadlines.Token();
+  VerificationReport report;
+  // One wall-clock budget over the whole pipeline, anchored here.
+  const support::Deadline deadline =
+      options_.deadline_ms == 0
+          ? support::Deadline::Never()
+          : support::Deadline::AfterMillis(options_.deadline_ms);
+  // Names the stage that is running, in the report's failed_phase
+  // vocabulary: the containment boundary below charges an exception to
+  // it.
+  std::string attribution = "preprocessing";
 
-  std::optional<vm::FuncId> ep_s;
-  ArtifactKey ep_key{};
-  bool resolved = false;
-  if (ctx.artifacts != nullptr) {
-    ep_key = EpKey(ctx);
-    if (auto hit = ctx.artifacts->Get<EpArtifact>(ep_key)) {
-      if (hit->found) ep_s = hit->ep;
-      resolved = true;
-      CountArtifact(ctx, "artifact.ep.hit");
-    } else {
-      CountArtifact(ctx, "artifact.ep.miss");
-    }
+  support::TraceSpan verify_span(options_.tracer, "verify");
+  try {
+    RunStages(deadline, report, attribution);
+  } catch (const std::exception& e) {
+    // Containment boundary: any stage exception — a tooling crash, an
+    // injected FaultError — degrades to a well-formed kFailure report
+    // that keeps whatever stats the completed stages already recorded.
+    report.verdict = Verdict::kFailure;
+    report.type = ResultType::kFailure;
+    report.failed_phase = attribution;
+    report.exception_contained = true;
+    report.detail =
+        "contained exception during " + attribution + ": " + e.what();
+  } catch (...) {
+    report.verdict = Verdict::kFailure;
+    report.type = ResultType::kFailure;
+    report.failed_phase = attribution;
+    report.exception_contained = true;
+    report.detail = "contained non-standard exception during " + attribution;
   }
-  if (!resolved) {
-    ep_s = ctx.pipeline.DiscoverEp(pre_tok);
-    // "Not found" is a deterministic statement about (S, poc) and is
-    // cached too — but only when the clock did not cut the run short.
-    if (ctx.artifacts != nullptr && !pre_tok.Check()) {
-      ctx.artifacts->Put(ep_key,
-                         EpArtifact{ep_s.has_value(),
-                                    ep_s.value_or(vm::kInvalidFunc)});
-    }
-  }
-  report.timings.preprocess_seconds = Seconds(t0, Clock::now());
-  if (!ep_s) {
-    // A cancelled run ends in kDeadline, which is not a crash, so ep
-    // discovery comes back empty — attribute that to the clock, not to
-    // the PoC.
-    if (pre_tok.Check()) {
-      ctx.FailDeadline("preprocessing");
-      return PhaseStatus::kDone;
-    }
-    ctx.FailTool("preprocessing",
-                 "preprocessing failed: the PoC does not crash S inside ℓ");
-    return PhaseStatus::kDone;
-  }
-  report.ep_in_s = *ep_s;
-  report.ep_name = ctx.s.Fn(*ep_s).name;
-  const auto renamed = ctx.t_names.find(report.ep_name);
-  report.ep_in_t = ctx.t.FindFunction(
-      renamed != ctx.t_names.end() ? renamed->second : report.ep_name);
-  if (report.ep_in_t == vm::kInvalidFunc) {
-    // The clone is not even present — trivially not triggerable.
-    report.verdict = Verdict::kNotTriggerable;
-    report.type = ResultType::kTypeIII;
-    report.detail = "ep '" + report.ep_name + "' does not exist in T";
-    return PhaseStatus::kDone;
-  }
-
-  // -- P1: crash primitives --------------------------------------------------
-  ctx.attribution = "P1";
-  const auto t1 = Clock::now();
-  support::CancelToken p1_tok = ctx.deadlines.Token();
-
-  ArtifactKey p1_key{};
-  if (ctx.artifacts != nullptr) {
-    p1_key = P1Key(ctx, *ep_s);
-    if (auto hit = ctx.artifacts->Get<taint::ExtractionResult>(p1_key)) {
-      ctx.primitives = std::move(hit);
-      CountArtifact(ctx, "artifact.p1.hit");
-    } else {
-      CountArtifact(ctx, "artifact.p1.miss");
-    }
-  }
-  if (ctx.primitives == nullptr) {
-    taint::ExtractionResult extracted =
-        ctx.pipeline.ExtractPrimitives(*ep_s, p1_tok);
-    if (ctx.artifacts != nullptr && !p1_tok.Check()) {
-      ctx.primitives = ctx.artifacts->Put(p1_key, std::move(extracted));
-    } else {
-      ctx.primitives = std::make_shared<const taint::ExtractionResult>(
-          std::move(extracted));
-    }
-  }
-  const taint::ExtractionResult& p1 = *ctx.primitives;
-  report.timings.p1_seconds = Seconds(t1, Clock::now());
-  report.ep_encounters_in_s = p1.ep_encounters;
-  report.bunch_count = p1.bunches.size();
-  for (const taint::Bunch& b : p1.bunches) {
-    report.crash_primitive_bytes += b.size();
-  }
-  if (!p1.Crashed() || p1.bunches.empty()) {
-    if (p1_tok.Check()) {
-      ctx.FailDeadline("P1");
-      return PhaseStatus::kDone;
-    }
-    ctx.FailTool("P1", "P1 failed: no crash primitives extracted");
-    return PhaseStatus::kDone;
-  }
-  return PhaseStatus::kContinue;
+  report.timings.total_seconds = Seconds(t0, Clock::now());
+  return report;
 }
 
-// -- GuidingInputPhase: CFG of T (P2 precondition) ---------------------------
-
-PhaseStatus GuidingInputPhase::Run(PhaseContext& ctx) {
+void Octopocs::RunStages(const support::Deadline& deadline,
+                         VerificationReport& report,
+                         std::string& attribution) {
   using Clock = std::chrono::steady_clock;
-  VerificationReport& report = ctx.report;
+  support::Tracer* const tracer = options_.tracer;
+  ArtifactStore* const artifacts = options_.artifacts;
+  // Tokens are sticky value types, so each stage (and each θ attempt)
+  // polls the live deadline through a fresh one, never a spent copy.
+  const auto token = [&] {
+    return support::CancelToken(deadline, options_.cancel_flag);
+  };
 
-  ctx.attribution = "cfg";
-  const auto t0 = Clock::now();
-  support::CancelToken p23_tok = ctx.deadlines.Token();
-  cfg::CfgOptions cfg_opts = ctx.options.cfg;
-  if (ctx.options.poc_as_cfg_seed) cfg_opts.seed_inputs.push_back(ctx.poc);
-  cfg_opts.exec.cancel = p23_tok;
+  // P1 output (shared with the artifact store on a cache hit).
+  std::shared_ptr<const taint::ExtractionResult> primitives;
+  {
+    support::TraceSpan span(tracer, "crash_primitive");
 
-  ArtifactKey cfg_key{};
-  bool rehydrated = false;
-  if (ctx.artifacts != nullptr) {
-    cfg_key = CfgKey(ctx, cfg_opts);
-    if (auto hit = ctx.artifacts->Get<cfg::Cfg::Edges>(cfg_key)) {
-      ctx.graph.emplace(cfg::Cfg::FromEdges(ctx.t, *hit));
-      rehydrated = true;
-      CountArtifact(ctx, "artifact.cfg.hit");
-    } else {
-      CountArtifact(ctx, "artifact.cfg.miss");
-    }
-  }
-  if (!rehydrated) {
-    try {
-      ctx.graph.emplace(cfg::Cfg::Build(ctx.t, cfg_opts));
-      if (ctx.artifacts != nullptr && !p23_tok.Check()) {
-        ctx.artifacts->Put(cfg_key, ctx.graph->ExportEdges());
-      }
-    } catch (const cfg::CfgError& e) {
-      if (p23_tok.Check()) {
-        ctx.FailDeadline("cfg");
-        return PhaseStatus::kDone;
-      }
-      // The paper's Idx-15 outcome: CFG recovery failed, verification
-      // is impossible (a tooling failure, not a verdict about T).
-      ctx.FailTool("cfg", e.what());
-      return PhaseStatus::kDone;
-    }
-  }
-  report.timings.p23_seconds += Seconds(t0, Clock::now());
-  return PhaseStatus::kContinue;
-}
+    // -- Preprocessing: locate ep ------------------------------------------
+    attribution = "preprocessing";
+    const auto t0 = Clock::now();
+    support::CancelToken pre_tok = token();
 
-// -- CombinePhase: P2 + P3 ---------------------------------------------------
-
-PhaseStatus CombinePhase::Run(PhaseContext& ctx) {
-  using Clock = std::chrono::steady_clock;
-  VerificationReport& report = ctx.report;
-
-  ctx.attribution = "P2/P3";
-  const auto t0 = Clock::now();
-  support::CancelToken p23_tok = ctx.deadlines.Token();
-  if (!sym_opts_) {
-    sym_opts_ = ctx.options.symex;
-    // Hint the solver with the original PoC so reformed PoCs stay as
-    // close to the original as the constraints allow.
-    for (std::uint32_t off = 0; off < ctx.poc.size(); ++off) {
-      sym_opts_->solver.hints.emplace(off, ctx.poc[off]);
-    }
-    sym_opts_->tracer = ctx.tracer;
-  }
-  // Tokens are sticky value types: retries must re-request one so a
-  // fresh attempt polls the live pipeline deadline, not a spent copy.
-  sym_opts_->cancel = p23_tok;
-  sym_opts_->solver.cancel = p23_tok;
-
-  symex::SymExecutor executor(ctx.t, *ctx.graph, report.ep_in_t, *sym_opts_);
-  symex::SymexResult sym = executor.GeneratePoc(ctx.primitives->bunches);
-  report.timings.p23_seconds += Seconds(t0, Clock::now());
-
-  bool theta_ceiling_hit = false;
-  // Out of wall-clock: no retry of any kind can run to completion.
-  if (sym.status != symex::SymexStatus::kDeadline) {
-    // Adaptive θ: a program-dead verdict caused (possibly) by the loop
-    // cap is retried with a doubled cap until the verdict stabilises.
-    if (ctx.options.adaptive_theta &&
-        sym.status == symex::SymexStatus::kProgramDead &&
-        sym.loop_dead_observed) {
-      if (sym_opts_->theta >= ctx.options.adaptive_theta_max) {
-        theta_ceiling_hit = true;
+    std::optional<vm::FuncId> ep_s;
+    ArtifactKey ep_key{};
+    bool resolved = false;
+    if (artifacts != nullptr) {
+      ep_key = EpKey(s_, poc_, shared_, options_.verify_exec);
+      if (auto hit = artifacts->Get<EpArtifact>(ep_key)) {
+        if (hit->found) ep_s = hit->ep;
+        resolved = true;
+        CountArtifact(tracer, "artifact.ep.hit");
       } else {
-        sym_opts_->theta *= 2;
-        return PhaseStatus::kRetry;
+        CountArtifact(tracer, "artifact.ep.miss");
       }
     }
+    if (!resolved) {
+      ep_s = DiscoverEp(pre_tok);
+      // "Not found" is a deterministic statement about (S, poc) and is
+      // cached too — but only when the clock did not cut the run short.
+      if (artifacts != nullptr && !pre_tok.Check()) {
+        artifacts->Put(ep_key, EpArtifact{ep_s.has_value(),
+                                          ep_s.value_or(vm::kInvalidFunc)});
+      }
+    }
+    report.timings.preprocess_seconds = Seconds(t0, Clock::now());
+    if (!ep_s) {
+      // A cancelled run ends in kDeadline, which is not a crash, so ep
+      // discovery comes back empty — attribute that to the clock, not to
+      // the PoC.
+      if (pre_tok.Check()) {
+        FailDeadline(report, "preprocessing");
+        return;
+      }
+      FailTool(report, "preprocessing",
+               "preprocessing failed: the PoC does not crash S inside ℓ");
+      return;
+    }
+    report.ep_in_s = *ep_s;
+    report.ep_name = s_.Fn(*ep_s).name;
+    const auto renamed = t_names_.find(report.ep_name);
+    report.ep_in_t = t_.FindFunction(
+        renamed != t_names_.end() ? renamed->second : report.ep_name);
+    if (report.ep_in_t == vm::kInvalidFunc) {
+      // The clone is not even present — trivially not triggerable.
+      report.verdict = Verdict::kNotTriggerable;
+      report.type = ResultType::kTypeIII;
+      report.detail = "ep '" + report.ep_name + "' does not exist in T";
+      return;
+    }
+
+    // -- P1: crash primitives ----------------------------------------------
+    attribution = "P1";
+    const auto t1 = Clock::now();
+    support::CancelToken p1_tok = token();
+
+    ArtifactKey p1_key{};
+    if (artifacts != nullptr) {
+      p1_key = P1Key(s_, poc_, *ep_s, options_);
+      if (auto hit = artifacts->Get<taint::ExtractionResult>(p1_key)) {
+        primitives = std::move(hit);
+        CountArtifact(tracer, "artifact.p1.hit");
+      } else {
+        CountArtifact(tracer, "artifact.p1.miss");
+      }
+    }
+    if (primitives == nullptr) {
+      taint::ExtractionResult extracted = ExtractPrimitives(*ep_s, p1_tok);
+      if (artifacts != nullptr && !p1_tok.Check()) {
+        primitives = artifacts->Put(p1_key, std::move(extracted));
+      } else {
+        primitives = std::make_shared<const taint::ExtractionResult>(
+            std::move(extracted));
+      }
+    }
+    const taint::ExtractionResult& p1 = *primitives;
+    report.timings.p1_seconds = Seconds(t1, Clock::now());
+    report.ep_encounters_in_s = p1.ep_encounters;
+    report.bunch_count = p1.bunches.size();
+    for (const taint::Bunch& b : p1.bunches) {
+      report.crash_primitive_bytes += b.size();
+    }
+    if (!p1.Crashed() || p1.bunches.empty()) {
+      if (p1_tok.Check()) {
+        FailDeadline(report, "P1");
+        return;
+      }
+      FailTool(report, "P1", "P1 failed: no crash primitives extracted");
+      return;
+    }
+  }
+  const std::vector<taint::Bunch>& bunches = primitives->bunches;
+
+  // -- T's CFG: the precondition for backward path finding -----------------
+  // (rehydrated from cached edges on a store hit).
+  std::optional<cfg::Cfg> graph;
+  {
+    support::TraceSpan span(tracer, "guiding_input");
+    attribution = "cfg";
+    const auto t0 = Clock::now();
+    support::CancelToken p23_tok = token();
+    cfg::CfgOptions cfg_opts = options_.cfg;
+    if (options_.poc_as_cfg_seed) cfg_opts.seed_inputs.push_back(poc_);
+    cfg_opts.exec.cancel = p23_tok;
+
+    ArtifactKey cfg_key{};
+    if (artifacts != nullptr) {
+      cfg_key = CfgKey(t_, cfg_opts);
+      if (auto hit = artifacts->Get<cfg::Cfg::Edges>(cfg_key)) {
+        graph.emplace(cfg::Cfg::FromEdges(t_, *hit));
+        CountArtifact(tracer, "artifact.cfg.hit");
+      } else {
+        CountArtifact(tracer, "artifact.cfg.miss");
+      }
+    }
+    if (!graph) {
+      try {
+        graph.emplace(cfg::Cfg::Build(t_, cfg_opts));
+        if (artifacts != nullptr && !p23_tok.Check()) {
+          artifacts->Put(cfg_key, graph->ExportEdges());
+        }
+      } catch (const cfg::CfgError& e) {
+        if (p23_tok.Check()) {
+          FailDeadline(report, "cfg");
+          return;
+        }
+        // The paper's Idx-15 outcome: CFG recovery failed, verification
+        // is impossible (a tooling failure, not a verdict about T).
+        FailTool(report, "cfg", e.what());
+        return;
+      }
+    }
+    report.timings.p23_seconds += Seconds(t0, Clock::now());
+  }
+
+  // -- P2 + P3: directed symex, inline bunch pinning, final solve ----------
+  symex::ExecutorOptions sym_opts = options_.symex;
+  // Hint the solver with the original PoC so reformed PoCs stay as close
+  // to the original as the constraints allow.
+  for (std::uint32_t off = 0; off < poc_.size(); ++off) {
+    sym_opts.solver.hints.emplace(off, poc_[off]);
+  }
+  sym_opts.tracer = tracer;
+  symex::SymexResult sym;
+  bool theta_ceiling_hit = false;
+  // Adaptive θ: a program-dead verdict caused (possibly) by the loop cap
+  // is retried with a doubled cap until the verdict stabilises. Each
+  // attempt gets its own `combine` span; a `phase.retry` counter sits
+  // between two attempts.
+  for (std::int64_t attempt = 0;; ++attempt) {
+    if (attempt > 0 && tracer != nullptr) tracer->Counter("phase.retry", 1);
+    support::TraceSpan span(tracer, "combine", attempt);
+    attribution = "P2/P3";
+    const auto t0 = Clock::now();
+    support::CancelToken p23_tok = token();
+    sym_opts.cancel = p23_tok;
+    sym_opts.solver.cancel = p23_tok;
+    symex::SymExecutor executor(t_, *graph, report.ep_in_t, sym_opts);
+    sym = executor.GeneratePoc(bunches);
+    report.timings.p23_seconds += Seconds(t0, Clock::now());
+    if (!options_.adaptive_theta ||
+        sym.status != symex::SymexStatus::kProgramDead ||
+        !sym.loop_dead_observed) {
+      break;
+    }
+    if (sym_opts.theta >= options_.adaptive_theta_max) {
+      theta_ceiling_hit = true;
+      break;
+    }
+    sym_opts.theta *= 2;
   }
 
   report.symex_status = sym.status;
   report.symex_stats = sym.stats;
   report.detail = sym.detail;
-
-  // Dead ends — program-dead and budget exhaustion — may hand control
-  // to the fuzz-fallback rung (DESIGN.md §16): the usual verdict is
-  // *staged* in the report exactly as it would have been final, and the
-  // answer becomes kContinue so FuzzFallbackPhase can try to upgrade
-  // it. Proof verdicts (ep unreachable, unsat) and wall-clock failures
-  // stay kDone: the rung must never second-guess a proof, and a spent
-  // clock cannot fund a campaign.
-  const auto stage_or_done = [&ctx]() {
-    return ctx.options.fuzz_fallback ? PhaseStatus::kContinue
-                                     : PhaseStatus::kDone;
-  };
-
   switch (sym.status) {
     case symex::SymexStatus::kPocGenerated:
       break;  // proceed to P4
     case symex::SymexStatus::kCfgUnreachable:
       report.verdict = Verdict::kNotTriggerable;  // case (ii)
       report.type = ResultType::kTypeIII;
-      return PhaseStatus::kDone;
+      return;
     case symex::SymexStatus::kProgramDead:  // case (iii)
       if (theta_ceiling_hit) {
         // The search was cut by the loop cap even at the adaptive
         // ceiling: refusing to call this NotTriggerable avoids the
         // wrong-verdict failure mode §VII warns about.
-        ctx.FailTool("P2/P3", "loop cap ceiling reached without a verdict");
-        return stage_or_done();
+        FailTool(report, "P2/P3", "loop cap ceiling reached without a verdict");
+        break;
       }
       // Program-dead is a dead end, not an unsat proof: every state
       // died, but a θ cut (without adaptive mode) or incomplete forking
@@ -459,136 +504,62 @@ PhaseStatus CombinePhase::Run(PhaseContext& ctx) {
       // overrule it.
       report.verdict = Verdict::kNotTriggerable;
       report.type = ResultType::kTypeIII;
-      return stage_or_done();
-    case symex::SymexStatus::kUnsat:        // P3.3 / parameter mismatch
+      break;
+    case symex::SymexStatus::kUnsat:  // P3.3 / parameter mismatch
       report.verdict = Verdict::kNotTriggerable;
       report.type = ResultType::kTypeIII;
-      return PhaseStatus::kDone;
+      return;
     case symex::SymexStatus::kBudget:
     case symex::SymexStatus::kSolverFailure:
       report.verdict = Verdict::kFailure;
       report.type = ResultType::kFailure;
       report.failed_phase = "P2/P3";
-      return stage_or_done();
+      break;
     case symex::SymexStatus::kReachedEp:
       report.verdict = Verdict::kFailure;
       report.type = ResultType::kFailure;
       report.failed_phase = "P2/P3";
-      return PhaseStatus::kDone;
+      return;
     case symex::SymexStatus::kDeadline:
-      ctx.FailDeadline("P2/P3");
+      FailDeadline(report, "P2/P3");
       if (!sym.detail.empty()) report.detail += " (" + sym.detail + ")";
-      return PhaseStatus::kDone;
+      return;
   }
 
+  if (sym.status != symex::SymexStatus::kPocGenerated) {
+    // A dead end — program-dead or budget exhaustion. Its verdict above
+    // is final unless the fuzz rung (DESIGN.md §16) upgrades it. Proof
+    // verdicts (ep unreachable, unsat) and wall-clock failures returned
+    // above: the rung never second-guesses a proof, and a spent clock
+    // cannot fund a campaign.
+    if (options_.fuzz_fallback) {
+      support::TraceSpan span(tracer, "fuzz_fallback");
+      RunFuzzRung(deadline, *graph, bunches, report, attribution);
+    }
+    return;
+  }
   report.poc_generated = true;
   report.reformed_poc = std::move(sym.poc);
   report.bunch_offsets = std::move(sym.bunch_offsets);
-  return PhaseStatus::kContinue;
-}
 
-// -- FuzzFallbackPhase: the trace-guided fuzzing rung (DESIGN.md §16) --------
-
-PhaseStatus FuzzFallbackPhase::Run(PhaseContext& ctx) {
-  VerificationReport& report = ctx.report;
-  // P2/P3 produced a poc' — the paper pipeline proceeds untouched.
-  if (report.poc_generated) return PhaseStatus::kContinue;
-
-  // Only reachable when CombinePhase staged a dead-end verdict with the
-  // rung enabled. That staged verdict survives verbatim unless a
-  // campaign crash at ep is confirmed by a P4 re-run below.
-  ctx.attribution = "fuzz";
-  support::CancelToken fuzz_tok = ctx.deadlines.FuzzToken();
-
-  report.fuzz_attempted = true;
-  report.fuzz_seed = ctx.options.fuzz_seed;
-
-  fuzz::DirectedFuzzOptions fuzz_opts;
-  fuzz_opts.max_execs = ctx.options.fuzz_execs;
-  fuzz_opts.rng_seed = ctx.options.fuzz_seed;
-  fuzz_opts.cancel = fuzz_tok;
-  // Pin every P1 bunch byte: the crash primitives are the part of the
-  // historical trace worth carrying over verbatim — mutation effort
-  // goes into the container around them.
-  for (const taint::Bunch& bunch : ctx.primitives->bunches) {
-    for (const auto& [offset, value] : bunch.bytes) {
-      fuzz_opts.pinned_offsets.push_back(offset);
-    }
-  }
-
-  // Score candidates with the backward distance map of the CFG the
-  // guiding phase already built (exported, not rebuilt).
-  const cfg::DistanceMap distances =
-      ctx.graph->BackwardReachability(report.ep_in_t);
-  const fuzz::DirectedFuzzResult run =
-      fuzz::RunDirectedFuzz(ctx.t, report.ep_in_t, distances, ctx.poc,
-                            fuzz_opts);
-
-  report.fuzz_execs = run.execs;
-  report.fuzz_execs_to_crash = run.execs_to_crash;
-  report.fuzz_best_distance = run.best_distance;
-  if (ctx.tracer != nullptr) {
-    ctx.tracer->Counter("fuzz.execs", static_cast<std::int64_t>(run.execs));
-  }
-
-  if (run.crash_found) {
-    // Re-run P4 concrete verification under the pipeline's own P4
-    // options — the campaign's exec fuel differs from verify_exec's,
-    // and only the pipeline's executor decides verdicts.
-    ctx.attribution = "P4";
-    support::CancelToken p4_tok = ctx.deadlines.Token();
-    vm::ExecOptions verify_exec = ctx.options.verify_exec;
-    verify_exec.cancel = p4_tok;
-    const vm::ExecResult verify =
-        vm::RunProgram(ctx.t, run.crashing_input, verify_exec);
-    bool ep_on_stack = false;
-    for (const vm::BacktraceEntry& frame : verify.backtrace) {
-      if (frame.fn == report.ep_in_t) {
-        ep_on_stack = true;
-        break;
-      }
-    }
-    if (vm::IsVulnerabilityCrash(verify.trap) && ep_on_stack) {
-      report.verdict = Verdict::kTriggeredByFuzzing;
-      report.type = ResultType::kFuzzed;
-      report.failed_phase.clear();
-      report.observed_trap = verify.trap;
-      report.reformed_poc = run.crashing_input;
-      report.detail = "fuzz fallback crashed T at ep: " +
-                      std::string(vm::TrapName(verify.trap)) + " (" +
-                      verify.trap_message + ")";
-    }
-  }
-  // The rung is terminal either way: an unconfirmed campaign keeps the
-  // staged dead-end verdict, and ConcreteVerifyPhase must never run on
-  // a fuzzed candidate.
-  return PhaseStatus::kDone;
-}
-
-// -- ConcreteVerifyPhase: P4 -------------------------------------------------
-
-PhaseStatus ConcreteVerifyPhase::Run(PhaseContext& ctx) {
-  using Clock = std::chrono::steady_clock;
-  VerificationReport& report = ctx.report;
-
-  ctx.attribution = "P4";
+  // -- P4: concrete verification of poc' and Type-I/II classification ------
+  support::TraceSpan span(tracer, "concrete_verify");
+  attribution = "P4";
   const auto t0 = Clock::now();
-  support::CancelToken p4_tok = ctx.deadlines.Token();
-  vm::ExecOptions verify_exec = ctx.options.verify_exec;
-  verify_exec.cancel = p4_tok;
+  vm::ExecOptions verify_exec = options_.verify_exec;
+  verify_exec.cancel = token();
   const vm::ExecResult verify =
-      vm::RunProgram(ctx.t, report.reformed_poc, verify_exec);
+      vm::RunProgram(t_, report.reformed_poc, verify_exec);
   report.timings.p4_seconds = Seconds(t0, Clock::now());
   report.observed_trap = verify.trap;
   if (verify.trap == vm::TrapKind::kDeadline) {
-    ctx.FailDeadline("P4");
-    return PhaseStatus::kDone;
+    FailDeadline(report, "P4");
+    return;
   }
   if (vm::IsVulnerabilityCrash(verify.trap)) {
     report.verdict = Verdict::kTriggered;  // case (i)
-    report.type = ClassifyReformed(ctx.poc, report.reformed_poc,
-                                   report.bunch_offsets,
-                                   ctx.primitives->bunches);
+    report.type = ClassifyReformed(poc_, report.reformed_poc,
+                                   report.bunch_offsets, bunches);
     report.detail = "poc' crashed T: " + std::string(vm::TrapName(verify.trap)) +
                     " (" + verify.trap_message + ")";
   } else {
@@ -597,79 +568,74 @@ PhaseStatus ConcreteVerifyPhase::Run(PhaseContext& ctx) {
     report.failed_phase = "P4";
     report.detail = "generated poc' did not reproduce the crash in T";
   }
-  return PhaseStatus::kDone;
 }
 
-// -- Driver ------------------------------------------------------------------
+void Octopocs::RunFuzzRung(const support::Deadline& deadline,
+                           const cfg::Cfg& graph,
+                           const std::vector<taint::Bunch>& bunches,
+                           VerificationReport& report,
+                           std::string& attribution) {
+  // The dead-end verdict already in `report` survives verbatim unless a
+  // campaign crash at ep is confirmed by a P4 re-run below.
+  attribution = "fuzz";
+  report.fuzz_attempted = true;
+  report.fuzz_seed = options_.fuzz_seed;
 
-void RunPhaseGraph(PhaseContext& ctx, std::span<Phase* const> phases) {
-  for (Phase* phase : phases) {
-    for (std::int64_t attempt = 0;; ++attempt) {
-      PhaseStatus status;
-      {
-        support::TraceSpan span(ctx.tracer, phase->name(), attempt);
-        status = phase->Run(ctx);
-      }
-      if (status == PhaseStatus::kRetry) {
-        if (ctx.tracer != nullptr) ctx.tracer->Counter("phase.retry", 1);
-        continue;
-      }
-      if (status == PhaseStatus::kDone) return;
-      break;  // kContinue → next phase
+  fuzz::DirectedFuzzOptions fuzz_opts;
+  fuzz_opts.max_execs = options_.fuzz_execs;
+  fuzz_opts.rng_seed = options_.fuzz_seed;
+  fuzz_opts.cancel = support::CancelToken(deadline, options_.cancel_flag);
+  // Pin every P1 bunch byte: the crash primitives are the part of the
+  // historical trace worth carrying over verbatim — mutation effort
+  // goes into the container around them.
+  for (const taint::Bunch& bunch : bunches) {
+    for (const auto& [offset, value] : bunch.bytes) {
+      fuzz_opts.pinned_offsets.push_back(offset);
     }
   }
-}
 
-VerificationReport Octopocs::Verify() {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  VerificationReport report;
-  DeadlinePolicy deadlines(options_);
-  PhaseContext ctx{*this,
-                   s_,
-                   t_,
-                   shared_,
-                   poc_,
-                   t_names_,
-                   options_,
-                   report,
-                   deadlines,
-                   options_.tracer,
-                   options_.artifacts,
-                   /*primitives=*/nullptr,
-                   /*graph=*/std::nullopt,
-                   /*attribution=*/"preprocessing"};
+  // Score candidates with the backward distance map of the CFG the
+  // pipeline already built (exported, not rebuilt).
+  const cfg::DistanceMap distances = graph.BackwardReachability(report.ep_in_t);
+  const fuzz::DirectedFuzzResult run =
+      fuzz::RunDirectedFuzz(t_, report.ep_in_t, distances, poc_, fuzz_opts);
 
-  CrashPrimitivePhase crash_primitive;
-  GuidingInputPhase guiding_input;
-  CombinePhase combine;
-  FuzzFallbackPhase fuzz_fallback;
-  ConcreteVerifyPhase concrete_verify;
-  Phase* const phases[] = {&crash_primitive, &guiding_input, &combine,
-                           &fuzz_fallback, &concrete_verify};
-
-  support::TraceSpan verify_span(options_.tracer, "verify");
-  try {
-    RunPhaseGraph(ctx, phases);
-  } catch (const std::exception& e) {
-    // Containment boundary: any phase exception — a tooling crash, an
-    // injected FaultError — degrades to a well-formed kFailure report
-    // that keeps whatever stats the completed phases already recorded.
-    report.verdict = Verdict::kFailure;
-    report.type = ResultType::kFailure;
-    report.failed_phase = ctx.attribution;
-    report.exception_contained = true;
-    report.detail =
-        "contained exception during " + ctx.attribution + ": " + e.what();
-  } catch (...) {
-    report.verdict = Verdict::kFailure;
-    report.type = ResultType::kFailure;
-    report.failed_phase = ctx.attribution;
-    report.exception_contained = true;
-    report.detail = "contained non-standard exception during " + ctx.attribution;
+  report.fuzz_execs = run.execs;
+  report.fuzz_execs_to_crash = run.execs_to_crash;
+  report.fuzz_best_distance = run.best_distance;
+  if (options_.tracer != nullptr) {
+    options_.tracer->Counter("fuzz.execs",
+                             static_cast<std::int64_t>(run.execs));
   }
-  report.timings.total_seconds = Seconds(t0, Clock::now());
-  return report;
+  if (!run.crash_found) return;
+
+  // Re-run P4 concrete verification under the pipeline's own P4 options
+  // — the campaign's exec fuel differs from verify_exec's, and only the
+  // pipeline's executor decides verdicts. The fuzzed candidate never
+  // goes through the paper's P4 classification: it gets the rung's own
+  // kFuzzed row.
+  attribution = "P4";
+  vm::ExecOptions verify_exec = options_.verify_exec;
+  verify_exec.cancel = support::CancelToken(deadline, options_.cancel_flag);
+  const vm::ExecResult verify =
+      vm::RunProgram(t_, run.crashing_input, verify_exec);
+  bool ep_on_stack = false;
+  for (const vm::BacktraceEntry& frame : verify.backtrace) {
+    if (frame.fn == report.ep_in_t) {
+      ep_on_stack = true;
+      break;
+    }
+  }
+  if (vm::IsVulnerabilityCrash(verify.trap) && ep_on_stack) {
+    report.verdict = Verdict::kTriggeredByFuzzing;
+    report.type = ResultType::kFuzzed;
+    report.failed_phase.clear();
+    report.observed_trap = verify.trap;
+    report.reformed_poc = run.crashing_input;
+    report.detail = "fuzz fallback crashed T at ep: " +
+                    std::string(vm::TrapName(verify.trap)) + " (" +
+                    verify.trap_message + ")";
+  }
 }
 
 VerificationReport VerifyPair(const corpus::Pair& pair,

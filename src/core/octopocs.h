@@ -118,7 +118,8 @@ struct VerificationReport {
   // -- Degradation record (DESIGN.md §9) ------------------------------------
 
   /// Phase that produced a kFailure verdict: "preprocessing", "P1",
-  /// "cfg", "P2/P3" or "P4". Empty for success verdicts.
+  /// "cfg", "P2/P3", "fuzz" (an exception inside the fuzz rung) or
+  /// "P4". Empty for success verdicts.
   std::string failed_phase;
   /// The failure is a wall-clock timeout (deadline or kill switch), not
   /// a statement about the pair.
@@ -194,10 +195,6 @@ struct PipelineOptions {
   std::uint64_t fuzz_seed = 1;
   /// Fallback execution budget (count, not wall clock).
   std::uint64_t fuzz_execs = 200'000;
-  /// Wall-clock budget for the fuzz rung (0 = none), anchored when the
-  /// rung starts and capped by deadline_ms. Only ever abandons a
-  /// campaign early; never changes its search order.
-  std::uint64_t fuzz_deadline_ms = 0;
 
   // -- Observability and artifact reuse (DESIGN.md §11) ---------------------
 
@@ -226,11 +223,12 @@ class Octopocs {
            PipelineOptions options = {},
            std::map<std::string, std::string> t_names = {});
 
-  /// Runs the full pipeline by executing the phase graph (core/phase.h):
-  /// CrashPrimitivePhase → GuidingInputPhase → CombinePhase →
-  /// FuzzFallbackPhase → ConcreteVerifyPhase, under one
-  /// deadline/containment policy. The fuzz phase is inert unless
-  /// options.fuzz_fallback is set *and* P2/P3 dead-ended.
+  /// Runs the full pipeline as one straight line: preprocessing → P1 →
+  /// T's CFG → P2/P3 (retried with a doubled θ under adaptive_theta) →
+  /// P4, stopping at the first verdict. A P2/P3 dead end (program-dead,
+  /// budget) runs the fuzz rung instead of P4 when options.fuzz_fallback
+  /// is set. One deadline covers the whole run, and an exception from
+  /// any stage is contained into a kFailure report naming that stage.
   VerificationReport Verify();
 
   // -- Individual phases, exposed for the ablation benches ------------------
@@ -246,6 +244,17 @@ class Octopocs {
                                             support::CancelToken cancel = {});
 
  private:
+  /// Verify()'s stages in order; fills `report` and returns at the first
+  /// verdict, keeping `attribution` on the stage that is running.
+  void RunStages(const support::Deadline& deadline, VerificationReport& report,
+                 std::string& attribution);
+  /// The fuzz rung (DESIGN.md §16) on a P2/P3 dead end: upgrades the
+  /// dead-end verdict in `report` to kTriggeredByFuzzing when a campaign
+  /// crash at ep is confirmed by a P4 re-run, and leaves it otherwise.
+  void RunFuzzRung(const support::Deadline& deadline, const cfg::Cfg& graph,
+                   const std::vector<taint::Bunch>& bunches,
+                   VerificationReport& report, std::string& attribution);
+
   const vm::Program& s_;
   const vm::Program& t_;
   std::vector<std::string> shared_;

@@ -56,6 +56,8 @@ std::string Escape(std::string_view raw) {
 namespace {
 
 struct Parser {
+  explicit Parser(std::string_view input) : text(input) {}
+
   std::string_view text;
   std::size_t pos = 0;
   std::size_t depth = 0;

@@ -335,12 +335,11 @@ ArtifactKey Server::ReportKey(const corpus::Pair& pair,
   // run, which is exactly the cold-vs-warm identity CI enforces.
   PipelineOptions semantic = options_.pipeline;
   // The fuzz rung and its seed/budget are verdict-bearing, so they key
-  // the cache; its wall-clock budget is a deadline like any other.
+  // the cache.
   semantic.fuzz_fallback |= request.fuzz_fallback;
   if (request.fuzz_seed != 0) semantic.fuzz_seed = request.fuzz_seed;
   if (request.fuzz_execs != 0) semantic.fuzz_execs = request.fuzz_execs;
   semantic.deadline_ms = 0;
-  semantic.fuzz_deadline_ms = 0;
   ArtifactHasher hasher;
   hasher.Program(pair.s).Program(pair.t);
   for (const auto& name : pair.shared_functions) hasher.Str(name);

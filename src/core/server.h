@@ -3,7 +3,7 @@
 // Batch `corpus` pays pipeline warmup (ep discovery, crash primitives,
 // CFG edges) once per process and then dies with its caches. The server
 // keeps a process alive: it accepts verification requests over a
-// unix-domain socket, runs them through the same phase graph, and keeps
+// unix-domain socket, runs them through the same pipeline, and keeps
 // both artifact tiers warm — the in-memory ArtifactStore across
 // requests, and the on-disk DiskArtifactStore across restarts and
 // crashes.

@@ -534,7 +534,7 @@ Pair BuildExtendedPair(int idx) {
            vm::AssembleParts({kSharedMj2kDecoder, kBareJ2kMain}),
            vm::AssembleParts({kSharedMj2kDecoder, kDocBrowserMain}),
            formats::Mj2kZeroComponentPoc(),
-           {"mj2k_decode", "mj2k_components"}};
+           {"mj2k_decode", "mj2k_components"}, {}};
       break;
     case 17: {
       const std::string renamed = ReplaceAll(
@@ -554,7 +554,7 @@ Pair BuildExtendedPair(int idx) {
            ExpectedResult::kTypeI, TrapKind::kOutOfBounds,
            vm::AssembleParts({kSharedStreamCopy, kStreamToolMain}),
            vm::AssembleParts({kSharedStreamCopy, kObsMain}),
-           TripleChunkPoc(), {"stream_copy"}};
+           TripleChunkPoc(), {"stream_copy"}, {}};
       break;
     case 19:
       p = {idx, "rectool", "1.4", "rectool-ng", "2.0",
@@ -562,7 +562,7 @@ Pair BuildExtendedPair(int idx) {
            TrapKind::kUseAfterFree,
            vm::AssembleParts({kSharedUafProcessor, kRecToolMain}),
            vm::AssembleParts({kSharedUafProcessor, kRecToolNgMain}),
-           UafPoc(), {"rec_process"}};
+           UafPoc(), {"rec_process"}, {}};
       break;
     case 20:
       p = {idx, "thumbnailer", "3.2", "thumbnailer-hardened", "3.3",
@@ -570,7 +570,7 @@ Pair BuildExtendedPair(int idx) {
            TrapKind::kDivByZero,
            vm::AssembleParts({kSharedScaler, kThumbnailerMain}),
            vm::AssembleParts({kSharedScaler, kThumbnailerHardenedMain}),
-           DivZeroPoc(), {"img_scale"}};
+           DivZeroPoc(), {"img_scale"}, {}};
       break;
     case 21:
       p = {idx, "exiftool", "12.1", "thumbcache", "4.4",
@@ -578,10 +578,10 @@ Pair BuildExtendedPair(int idx) {
            TrapKind::kOutOfBounds,
            vm::AssembleParts({kSharedExifWalk, kExiftoolMain}),
            vm::AssembleParts({kSharedExifWalk, kThumbcacheMain}),
-           ExifPoc(), {"exif_walk"}};
+           ExifPoc(), {"exif_walk"}, {}};
       break;
     case 22:
-      // The warm-up loop makes P2/P3 end program-dead (a staged
+      // The warm-up loop makes P2/P3 end program-dead (a dead-end
       // NotTriggerable), so the registry expects Type-III from the
       // stock pipeline; with --fuzz-fallback the directed campaign
       // cracks the count header and upgrades it to TriggeredByFuzzing.
@@ -590,7 +590,7 @@ Pair BuildExtendedPair(int idx) {
            TrapKind::kOutOfBounds,
            vm::AssembleParts({kSharedTagStore, kTagToolMain}),
            vm::AssembleParts({kSharedTagStore, kTagCacheMain}),
-           TagPoc(), {"tag_store"}};
+           TagPoc(), {"tag_store"}, {}};
       break;
     default:
       throw std::out_of_range("extended pair index must be in [16, 22]");

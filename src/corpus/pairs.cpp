@@ -1106,7 +1106,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedMjpgDecoder, kJpegCompressorMain),
            Link(kSharedMjpgDecoder, kLibgdxMain), MjpgQuantIndexPoc(),
-           {"mjpg_decode", "mjpg_quant", "mjpg_scan"}};
+           {"mjpg_decode", "mjpg_quant", "mjpg_scan"}, {}};
       break;
     case 2:
       p = {idx, "JPEG-compressor", "N/A", "zxing", "@0a32109",
@@ -1114,7 +1114,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedMjpgDecoder, kJpegCompressorMain),
            Link(kSharedMjpgDecoder, kZxingMain), MjpgQuantIndexPoc(),
-           {"mjpg_decode", "mjpg_quant", "mjpg_scan"}};
+           {"mjpg_decode", "mjpg_quant", "mjpg_scan"}, {}};
       break;
     case 3:
       p = {idx, "pdftops (Poppler)", "0.59", "pdftops (Xpdf)", "4.02",
@@ -1122,14 +1122,14 @@ Pair BuildPair(int idx) {
            TrapKind::kFuelExhausted,
            Link(kSharedPdfWalkPages, kPopplerPdftopsMain),
            Link(kSharedPdfWalkPages, kXpdfPdftopsMain), MpdfCyclePoc(),
-           {"pdf_walk_pages"}};
+           {"pdf_walk_pages"}, {}};
       break;
     case 4:
       p = {idx, "avconv", "12.3", "ffmpeg", "1.0", "CVE-2018-11102",
            "CWE-119", ExpectedResult::kTypeI, TrapKind::kOutOfBounds,
            Link(kSharedStreamCopy, kAvconvMain),
            Link(kSharedStreamCopy, kFfmpegMain), MjpgStreamChunkPoc(),
-           {"stream_copy"}};
+           {"stream_copy"}, {}};
       break;
     case 5:
       p = {idx, "tjbench (libjpeg-turbo)", "2.0.1", "tjbench (mozjpeg)",
@@ -1137,14 +1137,14 @@ Pair BuildPair(int idx) {
            ExpectedResult::kTypeI, TrapKind::kOutOfBounds,
            Link(kSharedTjDecompress, kTjbenchMain),
            Link(kSharedTjDecompress, kMozjpegMain), MjpgDimsOverflowPoc(),
-           {"tj_decompress"}};
+           {"tj_decompress"}, {}};
       break;
     case 6:
       p = {idx, "pdfalto", "0.2", "pdfinfo (Xpdf)", "4.0.0",
            "CVE-2019-9878", "CWE-119", ExpectedResult::kTypeI,
            TrapKind::kOutOfBounds, Link(kSharedPdfMetaCopy, kPdfaltoMain),
            Link(kSharedPdfMetaCopy, kXpdfPdfinfoMain),
-           MpdfMetaOverflowPoc(), {"pdf_meta_copy"}};
+           MpdfMetaOverflowPoc(), {"pdf_meta_copy"}, {}};
       break;
     case 7:
       p = {idx, "ghostscript", "9.26", "opj_dump", "2.1.1",
@@ -1152,14 +1152,14 @@ Pair BuildPair(int idx) {
            TrapKind::kNullDeref,
            Link(kSharedMj2kDecoder, kGhostscriptMain),
            Link(kSharedMj2kDecoder, kOpjDumpMain), MpdfEmbeddedJ2kPoc(),
-           {"mj2k_decode", "mj2k_components"}};
+           {"mj2k_decode", "mj2k_components"}, {}};
       break;
     case 8:
       p = {idx, "opj_dump", "2.1.1", "MuPDF", "1.9",
            "ghostscript-BZ697463", "No-CWE", ExpectedResult::kTypeII,
            TrapKind::kNullDeref, Link(kSharedMj2kDecoder, kOpjDumpMain),
            Link(kSharedMj2kDecoder, kMupdfMain), Mj2kZeroComponentPoc(),
-           {"mj2k_decode", "mj2k_components"}};
+           {"mj2k_decode", "mj2k_components"}, {}};
       break;
     case 9:
       p = {idx, "gif2png", "2.5.8", "gif2png (artificial)", "N/A",
@@ -1167,7 +1167,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedGifReadImage, kGif2pngMain),
            Link(kSharedGifReadImage, kGif2pngStrictMain),
-           MgifCodeSizePoc(), {"gif_read_image"}};
+           MgifCodeSizePoc(), {"gif_read_image"}, {}};
       break;
     case 10:
       p = {idx, "tiffsplit", "4.0.6", "opj_compress", "2.3.1",
@@ -1175,7 +1175,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedTifVGetField, kTiffsplitMain),
            Link(kSharedTifVGetField, kOpjCompressMain), MtifPageNamePoc(),
-           {"tif_vget"}};
+           {"tif_vget"}, {}};
       break;
     case 11:
       p = {idx, "tiffsplit", "4.0.6", "libsdl2", "2.0.12",
@@ -1183,7 +1183,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedTifVGetField, kTiffsplitMain),
            Link(kSharedTifVGetField, kLibsdl2Main), MtifPageNamePoc(),
-           {"tif_vget"}};
+           {"tif_vget"}, {}};
       break;
     case 12:
       p = {idx, "tiffsplit", "4.0.6", "libgdiplus", "6.0.5",
@@ -1191,7 +1191,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedTifVGetField, kTiffsplitMain),
            Link(kSharedTifVGetField, kLibgdiplusMain), MtifPageNamePoc(),
-           {"tif_vget"}};
+           {"tif_vget"}, {}};
       break;
     case 13:
       p = {idx, "ghostscript", "9.26", "opj_dump", "2.2.0",
@@ -1199,14 +1199,14 @@ Pair BuildPair(int idx) {
            TrapKind::kNullDeref,
            Link(kSharedMj2kDecoder, kGhostscriptMain),
            Link(kSharedMj2kDecoder, kOpjDumpPatchedMain),
-           MpdfEmbeddedJ2kPoc(), {"mj2k_decode", "mj2k_components"}};
+           MpdfEmbeddedJ2kPoc(), {"mj2k_decode", "mj2k_components"}, {}};
       break;
     case 14:
       p = {idx, "pdfalto", "0.2", "pdftops (Xpdf)", "4.1.1",
            "CVE-2019-9878", "CWE-119", ExpectedResult::kTypeIII,
            TrapKind::kOutOfBounds, Link(kSharedPdfMetaCopy, kPdfaltoMain),
            Link(kSharedPdfMetaCopy, kXpdfPdftopsPatchedMain),
-           MpdfMetaOverflowPoc(), {"pdf_meta_copy"}};
+           MpdfMetaOverflowPoc(), {"pdf_meta_copy"}, {}};
       break;
     case 15:
       p = {idx, "pdf2htmlEX", "0.14.6", "pdfinfo (Poppler)", "0.41.0",
@@ -1214,7 +1214,7 @@ Pair BuildPair(int idx) {
            TrapKind::kOutOfBounds,
            Link(kSharedPdfMetaWrap, kPdf2htmlexMain),
            Link(kSharedPdfMetaWrap, kPopplerPdfinfoMain), MpdfMetaWrapPoc(),
-           {"pdf_meta_wrap"}};
+           {"pdf_meta_wrap"}, {}};
       break;
     default:
       throw std::out_of_range("corpus pair index must be in [1, 15]");

@@ -14,8 +14,8 @@
 // increment-and-mask per instruction. Once tripped a token stays
 // tripped (sticky), so callers may poll freely after reporting.
 //
-// Deadlines compose: the fuzz rung's budget is Deadline::Sooner(pipeline
-// deadline, fuzz deadline), so it can only ever shorten a run.
+// Deadlines compose: Deadline::Sooner(a, b) is the tighter of two
+// budgets, so composing one in can only ever shorten a run.
 #pragma once
 
 #include <atomic>

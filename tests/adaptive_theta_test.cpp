@@ -1,8 +1,15 @@
 // Adaptive loop cap (the paper's §III-D future-work item, implemented
-// as PipelineOptions::adaptive_theta).
+// as PipelineOptions::adaptive_theta), and the trace shape Verify()
+// emits around its stages: one span per stage, one `combine` span per
+// θ attempt, and a `fuzz_fallback` span only when the rung runs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/octopocs.h"
+#include "corpus/extended.h"
+#include "support/trace.h"
 #include "vm/asm.h"
 
 namespace octopocs::core {
@@ -108,6 +115,90 @@ TEST(AdaptiveTheta, DoesNotDisturbGenuineTypeIII) {
   opts.adaptive_theta = true;
   const auto report = VerifyPair(pair, opts);
   EXPECT_EQ(report.verdict, Verdict::kNotTriggerable);
+}
+
+// -- Trace shape -------------------------------------------------------------
+
+using support::TraceEventKind;
+
+/// The stage-level events of a traced run, one token each: "B<name>:<arg>"
+/// for a span begin, "E<name>" for its end, "C<name>" for a counter.
+/// Events named outside `names` (executor counters, the verify span) are
+/// dropped.
+std::vector<std::string> StageEvents(const support::Tracer& tracer,
+                                     const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  for (const support::TraceEvent& ev : tracer.Snapshot()) {
+    const std::string name = ev.name;
+    bool wanted = false;
+    for (const std::string& n : names) wanted = wanted || n == name;
+    if (!wanted) continue;
+    switch (ev.kind) {
+      case TraceEventKind::kBegin:
+        out.push_back("B" + name + ":" + std::to_string(ev.value));
+        break;
+      case TraceEventKind::kEnd:
+        out.push_back("E" + name);
+        break;
+      case TraceEventKind::kCounter:
+        out.push_back("C" + name);
+        break;
+    }
+  }
+  return out;
+}
+
+TEST(VerifyTrace, AdaptiveThetaAttemptsAreSeparatedByRetryCounters) {
+  const vm::Program s = vm::AssembleParts({kShared, kSMain});
+  const vm::Program t = vm::AssembleParts({kShared, kTMain});
+  support::Tracer tracer;
+  PipelineOptions opts;
+  opts.symex.theta = 8;
+  opts.adaptive_theta = true;  // 8 → 16 → 32 → 64: four attempts
+  opts.tracer = &tracer;
+  Octopocs pipeline(s, t, {"vuln"}, Bytes{0xF7}, opts);
+  ASSERT_EQ(pipeline.Verify().verdict, Verdict::kTriggered);
+
+  const std::vector<std::string> expected = {
+      "Bcombine:0", "Ecombine", "Cphase.retry",
+      "Bcombine:1", "Ecombine", "Cphase.retry",
+      "Bcombine:2", "Ecombine", "Cphase.retry",
+      "Bcombine:3", "Ecombine"};
+  EXPECT_EQ(StageEvents(tracer, {"combine", "phase.retry"}), expected);
+}
+
+TEST(VerifyTrace, FuzzRungHoldsItsCounterAndSkipsConcreteVerify) {
+  const corpus::Pair pair = corpus::BuildExtendedPair(22);
+  support::Tracer tracer;
+  PipelineOptions opts;
+  opts.fuzz_fallback = true;
+  opts.tracer = &tracer;
+  ASSERT_EQ(VerifyPair(pair, opts).verdict, Verdict::kTriggeredByFuzzing);
+
+  const std::vector<std::string> expected = {
+      "Bfuzz_fallback:0", "Cfuzz.execs", "Efuzz_fallback"};
+  EXPECT_EQ(StageEvents(tracer, {"fuzz_fallback", "fuzz.execs",
+                                 "concrete_verify"}),
+            expected);
+}
+
+TEST(VerifyTrace, TriggeredPairOpensOneSpanPerStageAndNoFuzzSpan) {
+  const corpus::Pair pair = corpus::BuildPair(1);
+  support::Tracer tracer;
+  PipelineOptions opts;
+  opts.fuzz_fallback = true;  // on, but P2/P3 succeeds: the rung never runs
+  opts.tracer = &tracer;
+  ASSERT_EQ(VerifyPair(pair, opts).verdict, Verdict::kTriggered);
+
+  const std::vector<std::string> expected = {
+      "Bcrash_primitive:0", "Ecrash_primitive",
+      "Bguiding_input:0",   "Eguiding_input",
+      "Bcombine:0",         "Ecombine",
+      "Bconcrete_verify:0", "Econcrete_verify"};
+  EXPECT_EQ(StageEvents(tracer, {"crash_primitive", "guiding_input",
+                                 "combine", "fuzz_fallback",
+                                 "concrete_verify"}),
+            expected);
 }
 
 }  // namespace

@@ -13,9 +13,17 @@
 //
 // The three slices (Table II's 15 pairs, the 7 extended pairs and 64
 // generated pairs) compare 86 pairs in all; each TEST is its own ctest
-// entry so `ctest -j` spreads them.
+// entry so `ctest -j` spreads them. The generated slice comes from seed
+// 4001 unless a nonempty OCTO_SHORTCUTS_SEED names another, so a soak
+// job can point the oracle at its own corpus:
+//
+//   OCTO_SHORTCUTS_SEED=7 shortcuts_off_test --gtest_filter='*Generated*'
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -93,9 +101,19 @@ TEST(ShortcutsOffDifferential, GeneratedSlice) {
   rung.fuzz_seed = 1;
   rung.fuzz_execs = 20000;
 
+  std::uint64_t seed = 4001;
+  const char* env = std::getenv("OCTO_SHORTCUTS_SEED");
+  if (env != nullptr && *env != '\0') {
+    const char* end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, seed);
+    ASSERT_TRUE(ec == std::errc() && ptr == end && ptr != env)
+        << "OCTO_SHORTCUTS_SEED is not an unsigned integer: '" << env << "'";
+  }
+  SCOPED_TRACE("generator seed " + std::to_string(seed));
+
   std::vector<corpus::Pair> pairs;
   bool has_fuel_loop = false;
-  for (gen::GeneratedPair& g : gen::GenerateCorpus(4001, 64)) {
+  for (gen::GeneratedPair& g : gen::GenerateCorpus(seed, 64)) {
     has_fuel_loop |= g.vuln_class == "fuel-loop";
     pairs.push_back(std::move(g.pair));
   }

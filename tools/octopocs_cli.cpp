@@ -74,7 +74,7 @@
 //         [pipeline flags]
 //       Long-running verification daemon (DESIGN.md §14): accepts
 //       OCTO-REQ requests over a unix-domain socket, runs them through
-//       the phase graph with warm in-memory artifacts, and persists
+//       the pipeline with warm in-memory artifacts, and persists
 //       completed reports under --cache-dir so a restarted (or SIGKILLed
 //       and restarted) daemon answers repeat requests from disk.
 //       Requests are served in arrival order; --queue-depth bounds the
@@ -355,9 +355,6 @@ const PipelineFlag kPipelineFlags[] = {
     {"--fuzz-execs", "N", kU64,
      [](Pipeline& o, std::uint64_t v) { o.fuzz_execs = v; },
      "fuzz budget in executions, not wall clock (default 200000)"},
-    {"--fuzz-deadline-ms", "N", kMaxMs,
-     [](Pipeline& o, std::uint64_t v) { o.fuzz_deadline_ms = v; },
-     "wall-clock backstop that abandons the campaign"},
 };
 
 /// Applies args.flag() when it is in kPipelineFlags and returns true;
