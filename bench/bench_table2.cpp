@@ -54,7 +54,8 @@ int main(int argc, char** argv) {
     const bool ok = report.verdict != core::Verdict::kFailure;
     if (ok) ++verified;
     switch (report.verdict) {
-      case core::Verdict::kTriggered: ++triggered; break;
+      case core::Verdict::kTriggered:
+      case core::Verdict::kTriggeredByFuzzing: ++triggered; break;
       case core::Verdict::kNotTriggerable: ++not_triggerable; break;
       case core::Verdict::kFailure: ++failures; break;
     }

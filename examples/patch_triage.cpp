@@ -45,6 +45,7 @@ int main() {
     const char* heading = "";
     switch (f.report.verdict) {
       case core::Verdict::kTriggered:
+      case core::Verdict::kTriggeredByFuzzing:
         heading = "PATCH IMMEDIATELY — exploit input generated";
         break;
       case core::Verdict::kNotTriggerable:

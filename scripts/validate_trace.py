@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Validate a structured-trace or crash-journal JSONL file.
+"""Validate a structured-trace JSONL file or a report cache directory.
 
 Usage: validate_trace.py TRACE.jsonl
        validate_trace.py --server TRACE.jsonl
        validate_trace.py --soak TRACE.jsonl
-       validate_trace.py --journal JOURNAL.jsonl
+       validate_trace.py --cache DIR
 
 Trace mode (support/trace.h schema) checks, line by line:
   - each line is a standalone JSON object;
@@ -48,22 +48,24 @@ every trace-mode check plus:
   - the final "soak.violations" counter exists and is exactly 0 — the
     run upheld every invariant.
 
-Journal mode (core/journal.h schema) checks:
-  - line 1 is a header with version 1, a non-empty options_hash, and a
-    positive pair_count; no other header appears;
-  - every other record is "started" {pair, attempt} or "finished"
-    {pair, report}, with positive integer pair indices;
-  - every finished report carries the full serialized
-    VerificationReport key set (core/report_io.h);
-  - no pair finishes twice (resume must replay, never re-run);
-  - matching core::LoadJournal, a torn *final* record (the writer died
-    mid-write) is reported but tolerated; a malformed record anywhere
-    else fails.
+Cache mode (--cache, a `corpus --cache-dir` or `serve --cache-dir`
+directory; core/artifact_disk.h layout) checks:
+  - index.dat starts with the 12-byte header "OCTODISK" + version 1;
+  - the rest of the index is 40-byte records, each with the "OCXI"
+    magic; as in DiskArtifactStore::Open, a torn record (a partial
+    record, a bad magic, or a payload past the end of segments.dat) is
+    tolerated only at the tail;
+  - no key is stored twice;
+  - every record's FNV-1a checksum matches its bytes in segments.dat;
+  - every payload parses as a serialized VerificationReport carrying
+    the full key set (core/report_io.h).
 
 Exits 0 and prints a summary on success, 1 with the first offending
 line otherwise.
 """
 import json
+import os
+import struct
 import sys
 
 
@@ -95,89 +97,80 @@ FUZZ_REPORT_KEYS = {
 }
 
 
-def validate_journal(path):
-    started = {}   # pair -> attempts seen
-    finished = set()
-    header = None
+INDEX_MAGIC = b"OCTODISK"
+RECORD_MAGIC = 0x4F435849  # "OCXI"
+HEADER_BYTES = 12
+RECORD_BYTES = 40
+
+
+def fnv1a(data):
+    h = 1469598103934665603
+    for b in data:
+        h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def cache_fail(where, msg):
+    print(f"FAIL {where}: {msg}")
+    sys.exit(1)
+
+
+def validate_cache(directory):
+    with open(os.path.join(directory, "index.dat"), "rb") as f:
+        index = f.read()
+    with open(os.path.join(directory, "segments.dat"), "rb") as f:
+        segment = f.read()
+    if len(index) < HEADER_BYTES or index[:8] != INDEX_MAGIC:
+        cache_fail("index header", "index.dat does not start with OCTODISK")
+    version, = struct.unpack_from("<I", index, 8)
+    if version != 1:
+        cache_fail("index header", f"unsupported index version {version}")
+
+    keys = set()
     torn = False
-
-    with open(path, "rb") as f:
-        data = f.read()
-    lines = data.split(b"\n")
-    # A file ending in \n splits into [.., b""]; anything else means the
-    # writer died mid-record.
-    complete, tail = lines[:-1], lines[-1]
-
-    for lineno, raw in enumerate(complete, 1):
-        is_last = lineno == len(complete) and not tail
-        try:
-            rec = json.loads(raw.decode("utf-8"))
-            if not isinstance(rec, dict):
-                raise ValueError("record is not a JSON object")
-        except (ValueError, UnicodeDecodeError) as e:
-            # Same tolerance as core::LoadJournal: garbage is only
-            # acceptable as the very last record (a torn write).
+    at = HEADER_BYTES
+    count = (len(index) - HEADER_BYTES) // RECORD_BYTES
+    for n in range(1, count + 1):
+        is_last = at + RECORD_BYTES == len(index)
+        magic, hi, lo, offset, length, checksum = struct.unpack_from(
+            "<IQQQIQ", index, at)
+        where = f"index record {n}"
+        if magic != RECORD_MAGIC or offset + length > len(segment):
             if is_last:
                 torn = True
                 break
-            fail(lineno, f"malformed journal record: {e}")
-
-        kind = rec.get("type")
-        if lineno == 1:
-            if kind != "header":
-                fail(lineno, f"first record must be the header, got {kind!r}")
-            if rec.get("version") != 1:
-                fail(lineno, f"unsupported journal version {rec.get('version')!r}")
-            if not isinstance(rec.get("options_hash"), str) or not rec["options_hash"]:
-                fail(lineno, "header options_hash must be a non-empty string")
-            if not isinstance(rec.get("pair_count"), int) or rec["pair_count"] <= 0:
-                fail(lineno, "header pair_count must be a positive integer")
-            header = rec
-            continue
-        if kind == "header":
-            fail(lineno, "duplicate header record")
-        if kind == "started":
-            pair = rec.get("pair")
-            if not isinstance(pair, int) or pair < 1:
-                fail(lineno, f"started record with bad pair {pair!r}")
-            if not isinstance(rec.get("attempt"), int) or rec["attempt"] < 1:
-                fail(lineno, "started record with bad attempt")
-            started[pair] = started.get(pair, 0) + 1
-        elif kind == "finished":
-            pair = rec.get("pair")
-            if not isinstance(pair, int) or pair < 1:
-                fail(lineno, f"finished record with bad pair {pair!r}")
-            if pair in finished:
-                fail(lineno, f"pair {pair} finished twice")
-            report = rec.get("report")
+            cache_fail(where, "bad magic or payload past the segment's end "
+                        "before the tail")
+        if (hi, lo) in keys:
+            cache_fail(where, f"key {hi:016x}{lo:016x} stored twice")
+        keys.add((hi, lo))
+        payload = segment[offset:offset + length]
+        if fnv1a(payload) != checksum:
+            cache_fail(where, "checksum does not match segments.dat")
+        try:
+            report = json.loads(payload.decode("utf-8"))
             if not isinstance(report, dict):
-                fail(lineno, f"finished record for pair {pair} without a report")
-            missing = REPORT_KEYS - set(report)
-            if missing:
-                fail(lineno, f"pair {pair} report missing keys {sorted(missing)}")
-            fuzz_present = FUZZ_REPORT_KEYS & set(report)
-            if fuzz_present and fuzz_present != FUZZ_REPORT_KEYS:
-                fail(lineno, f"pair {pair} report has truncated fuzz stats "
-                             f"{sorted(fuzz_present)}")
-            finished.add(pair)
-        else:
-            fail(lineno, f"unknown journal record type {kind!r}")
-
-    if header is None:
-        fail(1, "journal has no header record")
-    if tail:
+                raise ValueError("payload is not a JSON object")
+        except (ValueError, UnicodeDecodeError) as e:
+            cache_fail(where, f"payload is not a report: {e}")
+        missing = REPORT_KEYS - set(report)
+        if missing:
+            cache_fail(where, f"report missing keys {sorted(missing)}")
+        fuzz_present = FUZZ_REPORT_KEYS & set(report)
+        if fuzz_present and fuzz_present != FUZZ_REPORT_KEYS:
+            cache_fail(where, f"report has truncated fuzz stats "
+                        f"{sorted(fuzz_present)}")
+        at += RECORD_BYTES
+    if (len(index) - HEADER_BYTES) % RECORD_BYTES != 0:
         torn = True
 
-    in_flight = sorted(set(started) - finished)
-    print(f"OK: journal for {header['pair_count']} pair(s), options "
-          f"{header['options_hash']} — {len(finished)} finished, "
-          f"{len(in_flight)} in flight{' ' + str(in_flight) if in_flight else ''}"
-          f"{', torn tail (healed on resume)' if torn else ''}")
+    print(f"OK: cache with {len(keys)} report(s), every key unique"
+          f"{', torn tail (healed on reopen)' if torn else ''}")
 
 
 def main():
-    if len(sys.argv) == 3 and sys.argv[1] == "--journal":
-        validate_journal(sys.argv[2])
+    if len(sys.argv) == 3 and sys.argv[1] == "--cache":
+        validate_cache(sys.argv[2])
         return
     server_mode = False
     soak_mode = False

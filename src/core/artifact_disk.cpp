@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -9,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include "core/report_io.h"
 #include "support/fault.h"
 
 namespace octopocs::core {
@@ -182,7 +184,7 @@ std::unique_ptr<DiskArtifactStore> DiskArtifactStore::Open(
     if (GetU32(rec) != kRecordMagic) {
       // A non-record where a record should be. Tolerable only as the
       // tail (a torn write); garbage followed by more records means the
-      // file was corrupted in place — refuse it like the journal does.
+      // file was corrupted in place — refuse it.
       if (at + kRecordBytes < index_bytes) {
         if (error != nullptr) {
           *error = "malformed artifact index record at offset " +
@@ -215,8 +217,7 @@ std::unique_ptr<DiskArtifactStore> DiskArtifactStore::Open(
       return nullptr;
     }
     // Without this, a power cut after the heal could resurrect the torn
-    // bytes underneath records appended since — the same write-ahead
-    // discipline the journal's Resume follows.
+    // bytes underneath records appended since.
     FsyncFileAndDir(idx_fd, dir);
     store->stats_.healed_records +=
         (tail + kRecordBytes - 1) / kRecordBytes;
@@ -335,6 +336,58 @@ DiskArtifactStore::Stats DiskArtifactStore::stats() const {
 std::size_t DiskArtifactStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
+}
+
+ArtifactKey ReportKey(const corpus::Pair& pair, const PipelineOptions& o) {
+  // v6: the key serve and corpus share. The corpus selection, pair
+  // count and process-model terms are gone (the pair's content covers
+  // the first two, and isolation is answer-invisible), and so is the
+  // deadline: only clean completions are stored.
+  std::ostringstream options;
+  options << "v6"
+          << "|ctx=" << o.taint.context_aware << "|theta=" << o.symex.theta
+          << "|adaptive=" << o.adaptive_theta << ':' << o.adaptive_theta_max
+          << "|live=" << o.symex.max_live_states
+          << "|mem=" << o.symex.max_memory_bytes
+          << "|instr=" << o.symex.max_instructions << ':'
+          << o.symex.max_state_instructions
+          << "|depth=" << o.symex.max_call_depth
+          << "|input=" << o.symex.max_input_size
+          << "|epargs=" << o.symex.check_ep_args
+          << "|steps=" << o.symex.solver.max_steps
+          << "|dyncfg=" << o.cfg.use_dynamic
+          << "|fixangr=" << o.cfg.resolve_obfuscated_icalls
+          << "|seed=" << o.poc_as_cfg_seed << "|fuzz=" << o.fuzz_fallback
+          << ':' << o.fuzz_seed << ':' << o.fuzz_execs;
+  ArtifactHasher hasher;
+  hasher.Program(pair.s).Program(pair.t);
+  for (const auto& name : pair.shared_functions) hasher.Str(name);
+  for (const auto& [s_name, t_name] : pair.t_names) {
+    hasher.Str(s_name).Str(t_name);
+  }
+  hasher.Bytes(pair.poc.data(), pair.poc.size());
+  hasher.Str(options.str());
+  return hasher.Finish("report");
+}
+
+std::optional<VerificationReport> GetReport(DiskArtifactStore& store,
+                                            const ArtifactKey& key) {
+  const std::optional<Bytes> payload = store.Get(key);
+  if (!payload) return std::nullopt;
+  VerificationReport report;
+  const std::string_view json(reinterpret_cast<const char*>(payload->data()),
+                              payload->size());
+  if (!ParseReport(json, &report, nullptr)) return std::nullopt;
+  return report;
+}
+
+bool PutReport(DiskArtifactStore& store, const ArtifactKey& key,
+               const VerificationReport& report) {
+  if (report.deadline_expired || report.exception_contained) return false;
+  const std::string json = SerializeReport(report);
+  return store.Put(key, ByteView(reinterpret_cast<const std::uint8_t*>(
+                                     json.data()),
+                                 json.size()));
 }
 
 }  // namespace octopocs::core

@@ -12,20 +12,21 @@
 //                        ArtifactKey to (offset, length, checksum) in
 //                        the segment file, fsync'd per record
 //
-// Crash safety mirrors core/journal.h: every Put appends the payload,
-// fsyncs the segment, then appends + fsyncs one index record — so after
-// a crash the index tail is at worst one torn record pointing at fully
-// durable bytes. Open() tolerates exactly that: a partial trailing
-// index record, or a trailing record whose payload extends past the
-// segment's end or fails its checksum, is truncated away (healed); a
-// malformed record anywhere else is refused. Get() re-verifies the
+// Crash safety: every Put appends the payload, fsyncs the segment, then
+// appends + fsyncs one index record — so after a crash the index tail
+// is at worst one torn record pointing at fully durable bytes. Open()
+// tolerates exactly that: a partial trailing index record, or a
+// trailing record whose payload extends past the segment's end or
+// fails its checksum, is truncated away (healed); a malformed record
+// anywhere else is refused. Get() re-verifies the
 // payload checksum on every read, so a corrupt artifact is reported as
 // a miss, never served.
 //
-// The store is single-owner (one daemon per cache dir) and thread-safe
-// within that owner. Values are opaque byte blobs: callers serialize
-// (core/report_io.h for verification reports) and own the key scheme
-// (ArtifactHasher with a kind tag, exactly like the in-memory tier).
+// The store is single-owner (one process per cache dir) and thread-safe
+// within that owner. Values are opaque byte blobs. Verification reports
+// go through the helpers at the bottom of this header, which hold the
+// one key scheme and the one store rule that `corpus --cache-dir` and
+// `serve --cache-dir` share (DESIGN.md §12.3).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@
 #include <string>
 
 #include "core/artifact_store.h"
+#include "core/octopocs.h"
 #include "support/bytes.h"
 
 namespace octopocs::core {
@@ -98,5 +100,29 @@ class DiskArtifactStore {
   std::map<ArtifactKey, IndexEntry> entries_;
   Stats stats_;
 };
+
+// -- Verification reports on the disk tier ------------------------------------
+
+/// The key of `pair`'s report under `options`: ArtifactHasher over S, T,
+/// the shared-function wiring, the poc and the verdict-bearing option
+/// knobs. Deadlines, jobs, tracing, the in-memory artifact cache and
+/// the process model stay out: only clean completions are stored, and
+/// a clean completion is byte-identical under any budget and in any
+/// process (CI diffs `corpus` against `corpus --isolate`).
+ArtifactKey ReportKey(const corpus::Pair& pair, const PipelineOptions& options);
+
+/// The stored report under `key`, or nullopt on a miss (a payload that
+/// fails its checksum or does not parse is a miss too).
+std::optional<VerificationReport> GetReport(DiskArtifactStore& store,
+                                            const ArtifactKey& key);
+
+/// The store rule: persists `report` only when it is a clean completion
+/// (neither deadline_expired nor exception_contained), since a budget
+/// or fault verdict is a statement about one run, not about the pair.
+/// Every supervisor infrastructure failure and every drained pair sets
+/// one of the two flags, so none is ever stored. True when the report
+/// is now in the store.
+bool PutReport(DiskArtifactStore& store, const ArtifactKey& key,
+               const VerificationReport& report);
 
 }  // namespace octopocs::core

@@ -607,6 +607,12 @@ void Octopocs::RunFuzzRung(const support::Deadline& deadline,
     options_.tracer->Counter("fuzz.execs",
                              static_cast<std::int64_t>(run.execs));
   }
+  // A campaign the clock or the drain cut short is a statement about
+  // this run, not the pair: it must not pass for a spent budget.
+  if (run.cancelled) {
+    FailDeadline(report, "fuzz");
+    return;
+  }
   if (!run.crash_found) return;
 
   // Re-run P4 concrete verification under the pipeline's own P4 options
@@ -619,6 +625,10 @@ void Octopocs::RunFuzzRung(const support::Deadline& deadline,
   verify_exec.cancel = support::CancelToken(deadline, options_.cancel_flag);
   const vm::ExecResult verify =
       vm::RunProgram(t_, run.crashing_input, verify_exec);
+  if (verify.trap == vm::TrapKind::kDeadline) {
+    FailDeadline(report, "P4");
+    return;
+  }
   bool ep_on_stack = false;
   for (const vm::BacktraceEntry& frame : verify.backtrace) {
     if (frame.fn == report.ep_in_t) {

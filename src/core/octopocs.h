@@ -189,9 +189,9 @@ struct PipelineOptions {
   bool fuzz_fallback = false;
   /// Fallback campaign rng seed — with the execution budget below this
   /// makes the rung's verdict byte-reproducible (the determinism
-  /// contract CI gates). Verdict-bearing: enters journal fingerprints
-  /// and serve cache keys, unlike the answer-identical test seams
-  /// (cycle skip, solver core).
+  /// contract CI gates). Verdict-bearing: enters the stored-report key
+  /// (ReportKey), unlike the answer-identical test seams (cycle skip,
+  /// solver core).
   std::uint64_t fuzz_seed = 1;
   /// Fallback execution budget (count, not wall clock).
   std::uint64_t fuzz_execs = 200'000;

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <memory>
 
-#include "core/journal.h"
+#include "core/artifact_disk.h"
 #include "core/supervisor.h"
 #include "support/parallel_for.h"
 #include "support/trace.h"
@@ -36,8 +36,9 @@ std::vector<VerificationReport> VerifyCorpus(
 
   const bool isolated = config.isolation != nullptr;
   // Isolated pairs run on the caller's worker pool, or on one local to
-  // this run: workers spawn lazily, so a fully resumed run forks none,
-  // and the pool's destructor reaps them before this function returns.
+  // this run: workers spawn lazily, so a run served wholly from the
+  // cache forks none, and the pool's destructor reaps them before this
+  // function returns.
   std::unique_ptr<WorkerPool> local_pool;
   WorkerPool* pool = config.worker_pool;
   if (isolated && pool == nullptr) {
@@ -48,24 +49,23 @@ std::vector<VerificationReport> VerifyCorpus(
   support::ParallelFor(pairs.size(), config.jobs, [&](std::size_t i) {
     const corpus::Pair& pair = pairs[i];
 
-    // Resumed pairs replay their journaled report: no execution, no
-    // journal records, no span — the pair never ran in this process.
-    if (config.resume_finished != nullptr) {
-      const auto it = config.resume_finished->find(pair.idx);
-      if (it != config.resume_finished->end()) {
-        reports[i] = it->second;
+    // A stored pair replays its report: no execution, no span — the
+    // pair never ran in this process.
+    ArtifactKey key;
+    if (config.cache != nullptr) {
+      key = ReportKey(pair, options);
+      if (std::optional<VerificationReport> stored =
+              GetReport(*config.cache, key)) {
+        reports[i] = std::move(*stored);
         return;
       }
     }
 
-    // Draining: pairs not yet started stay unstarted (and unjournaled,
-    // so a resume re-runs them).
+    // Draining: pairs not yet started stay unstarted.
     if (Tripped(options.cancel_flag)) {
       reports[i] = InterruptedReport();
       return;
     }
-
-    if (config.journal != nullptr) config.journal->Started(pair.idx, 1);
 
     // One span per pair, tagged with the input-order index, so a trace
     // of a corpus run shows which pair each nested phase span belongs
@@ -73,22 +73,11 @@ std::vector<VerificationReport> VerifyCorpus(
     support::TraceSpan pair_span(options.tracer, "pair",
                                  static_cast<std::int64_t>(i));
 
-    bool cancelled = false;
-    if (isolated) {
-      const SupervisedResult supervised =
-          pool->RunPair(pair, options.cancel_flag);
-      reports[i] = supervised.report;
-      cancelled = supervised.interrupted;
-    } else {
-      reports[i] = VerifyPair(pair, options);
-      // A deadline report produced while draining is an artifact of the
-      // interrupt, not a statement about the pair — never journal it.
-      cancelled = Tripped(options.cancel_flag) && reports[i].deadline_expired;
-    }
-
-    if (config.journal != nullptr && !cancelled) {
-      config.journal->Finished(pair.idx, reports[i]);
-    }
+    // A pair cancelled by the drain reports deadline_expired, in process
+    // and from the pool alike, so the store rule keeps it out.
+    reports[i] = isolated ? pool->RunPair(pair, options.cancel_flag).report
+                          : VerifyPair(pair, options);
+    if (config.cache != nullptr) PutReport(*config.cache, key, reports[i]);
   });
   return reports;
 }

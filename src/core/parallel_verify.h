@@ -31,16 +31,16 @@
 //     in-process; a worker takes its budget from its own flags
 //     (IsolationOptions), and the pool takes `options.cancel_flag` as
 //     its interrupt;
-//   - journal: a write-ahead crash journal records started/finished
-//     pairs (core/journal.h);
-//   - resume: pairs already finished in a previous journal are replayed
-//     without re-running.
+//   - cache: the disk tier (core/artifact_disk.h) under `corpus
+//     --cache-dir`. A pair whose report is stored is replayed from it
+//     without running; every other pair runs and its report is stored
+//     when it is a clean completion. Resuming a killed run is rerunning
+//     over the same directory.
 // Once `options.cancel_flag` is raised the run drains: in-flight pairs
 // are reaped at their next poll (or their workers killed), pending
-// pairs never start, and nothing cancelled is journaled as finished.
+// pairs never start, and nothing cancelled is stored.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "core/octopocs.h"
@@ -48,8 +48,8 @@
 
 namespace octopocs::core {
 
+class DiskArtifactStore;
 struct IsolationOptions;
-class Journal;
 class WorkerPool;
 
 struct CorpusRunConfig {
@@ -63,11 +63,9 @@ struct CorpusRunConfig {
   /// (to read its stats afterwards, or to keep workers warm across
   /// runs). Ignored without `isolation`.
   WorkerPool* worker_pool = nullptr;
-  /// Non-null journals started/finished records per pair.
-  Journal* journal = nullptr;
-  /// Pairs (by pair.idx) already finished in a resumed journal: their
-  /// reports are copied into the result without re-running.
-  const std::map<int, VerificationReport>* resume_finished = nullptr;
+  /// Non-null looks each pair's ReportKey up before running it and
+  /// stores what PutReport's rule allows. Null computes no key.
+  DiskArtifactStore* cache = nullptr;
 };
 
 /// Verifies `pairs[i]` into slot i of the result under `config` (see
@@ -77,7 +75,7 @@ std::vector<VerificationReport> VerifyCorpus(
     const std::vector<corpus::Pair>& pairs, const PipelineOptions& options,
     const CorpusRunConfig& config);
 
-/// Classic form: in-process, `jobs` at a time, no journal.
+/// Classic form: in-process, `jobs` at a time, no cache.
 std::vector<VerificationReport> VerifyCorpus(
     const std::vector<corpus::Pair>& pairs, const PipelineOptions& options,
     unsigned jobs);

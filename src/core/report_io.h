@@ -1,9 +1,10 @@
-// VerificationReport marshaling for process isolation and journaling.
+// VerificationReport marshaling for process isolation and the disk tier.
 //
 // An isolated worker (CLI `pool-worker` mode) runs pairs and must hand
-// each VerificationReport back to the supervisor over a pipe; the
-// crash journal must persist finished reports so `corpus --resume` can
-// reprint them without re-running the pair. Both speak the same format:
+// each VerificationReport back to the supervisor over a pipe; the disk
+// tier (core/artifact_disk.h) persists finished reports so a rerun of
+// `corpus` or `serve` can replay them without re-running the pair.
+// Both speak the same format:
 // one JSON object per report, covering every verdict-bearing field
 // (verdict, type, detail, ep, P1/P2/P3/P4 outcomes, the degradation
 // record, timings). Executor cache counters (SymexStats) are

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/journal.h"
 #include "core/report_io.h"
 #include "core/supervisor.h"
 #include "corpus/extended.h"
@@ -46,8 +45,7 @@ corpus::Pair BuildAnyPair(int idx, std::uint64_t gen_seed) {
 void SetGenPairLoader(GenPairLoader loader) { g_gen_loader = loader; }
 GenPairLoader GetGenPairLoader() { return g_gen_loader; }
 
-// Smaller of two budgets where 0 means "unbounded" — the Deadline::
-// Sooner rule applied to millisecond knobs.
+// Smaller of two millisecond budgets, where 0 means "unbounded".
 std::uint64_t ComposeDeadlineMs(std::uint64_t server_cap_ms,
                                 std::uint64_t client_ms) {
   if (server_cap_ms == 0) return client_ms;
@@ -326,43 +324,21 @@ void Server::WorkerLoop() {
   }
 }
 
-ArtifactKey Server::ReportKey(const corpus::Pair& pair,
-                              const ServeRequest& request) const {
-  // Content only: programs, PoC, shared-function wiring, and the
-  // semantics-affecting option knobs — never deadlines. Deadlines stay
-  // out because only clean completions are stored (below), and a clean
-  // completion under any budget is byte-identical to the unbudgeted
-  // run, which is exactly the cold-vs-warm identity CI enforces.
-  PipelineOptions semantic = options_.pipeline;
-  // The fuzz rung and its seed/budget are verdict-bearing, so they key
-  // the cache.
-  semantic.fuzz_fallback |= request.fuzz_fallback;
-  if (request.fuzz_seed != 0) semantic.fuzz_seed = request.fuzz_seed;
-  if (request.fuzz_execs != 0) semantic.fuzz_execs = request.fuzz_execs;
-  semantic.deadline_ms = 0;
-  ArtifactHasher hasher;
-  hasher.Program(pair.s).Program(pair.t);
-  for (const auto& name : pair.shared_functions) hasher.Str(name);
-  for (const auto& [s_name, t_name] : pair.t_names) {
-    hasher.Str(s_name).Str(t_name);
-  }
-  hasher.Bytes(pair.poc.data(), pair.poc.size());
-  hasher.Str(CorpusOptionsFingerprint(semantic, /*extended=*/false,
-                                      /*pair_count=*/0,
-                                      /*isolate=*/false, /*rlimit_mb=*/0));
-  return hasher.Finish("served-report");
-}
-
-VerificationReport Server::RunRequest(const corpus::Pair& pair,
-                                      const ServeRequest& request) {
+PipelineOptions Server::RequestOptions(const ServeRequest& request) const {
   PipelineOptions opts = options_.pipeline;
   opts.tracer = options_.tracer;
+  // The fuzz rung and its seed/budget are verdict-bearing, so they also
+  // key the stored report (ReportKey); the deadline does not.
   opts.fuzz_fallback |= request.fuzz_fallback;
   if (request.fuzz_seed != 0) opts.fuzz_seed = request.fuzz_seed;
   if (request.fuzz_execs != 0) opts.fuzz_execs = request.fuzz_execs;
   opts.deadline_ms = ComposeDeadlineMs(options_.request_deadline_ms,
                                        request.deadline_ms);
+  return opts;
+}
 
+VerificationReport Server::RunRequest(const corpus::Pair& pair,
+                                      const PipelineOptions& opts) {
   if (options_.tracer != nullptr) options_.tracer->Begin("verify", pair.idx);
   VerificationReport report = VerifyPair(pair, opts);
   if (options_.tracer != nullptr) options_.tracer->End("verify", pair.idx);
@@ -404,38 +380,26 @@ void Server::ServeOne(Queued item) {
     if (!item.request.poc_override.empty()) {
       pair.poc = item.request.poc_override;
     }
-    const ArtifactKey key = ReportKey(pair, item.request);
+    const PipelineOptions opts = RequestOptions(item.request);
 
-    VerificationReport report;
-    bool have_report = false;
+    std::optional<VerificationReport> report;
+    ArtifactKey key;
     if (disk_ != nullptr) {
-      if (auto cached = disk_->Get(key)) {
-        std::string parse_error;
-        const std::string_view json(
-            reinterpret_cast<const char*>(cached->data()), cached->size());
-        if (ParseReport(json, &report, &parse_error)) {
-          have_report = true;
-          from_disk = true;
-          if (tracer != nullptr) tracer->Counter("artifact_disk_hit", 1);
-        }
+      key = ReportKey(pair, opts);
+      report = GetReport(*disk_, key);
+      from_disk = report.has_value();
+      if (from_disk && tracer != nullptr) {
+        tracer->Counter("artifact_disk_hit", 1);
       }
     }
-    if (!have_report) {
-      report = RunRequest(pair, item.request);
-      // Persist only clean completions: a tripped deadline or a
-      // contained fault is a statement about this run's budget/luck,
-      // not about the pair, and must never be replayed as the answer.
-      if (disk_ != nullptr && !report.deadline_expired &&
-          !report.exception_contained) {
-        const std::string json = SerializeReport(report);
-        const auto* bytes = reinterpret_cast<const std::uint8_t*>(json.data());
-        if (disk_->Put(key, ByteView(bytes, json.size()))) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.disk_stores;
-        }
+    if (!report) {
+      report = RunRequest(pair, opts);
+      if (disk_ != nullptr && PutReport(*disk_, key, *report)) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.disk_stores;
       }
     }
-    responded = RespondReport(item.fd, report);
+    responded = RespondReport(item.fd, *report);
   } catch (const std::out_of_range&) {
     RespondError(item.fd, {"BAD_REQUEST", 0,
                            "unknown pair index " +

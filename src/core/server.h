@@ -24,26 +24,25 @@
 // observed service rate, so clients back off proportionally to real
 // load instead of hammering a saturated daemon.
 //
-// Deadlines: every request runs under
-// Deadline::Sooner(server request_deadline_ms, client deadline_ms),
-// realized by giving the pipeline the smaller of the two budgets. Each
-// request gets one pipeline run under the options it asked for; the
-// only re-run is for a contained tooling exception, retried once after
-// a RetryBackoffMs nap (the supervisor's capped-exponential policy). A
-// tripped deadline is answered as it stands. Reports that completed
-// cleanly — no tripped deadline, no contained exception — are persisted
-// to the disk tier keyed by content (programs, PoC, semantics-affecting
-// options), which is what makes cold-vs-warm verdicts byte-identical by
-// construction.
+// Deadlines: every request's pipeline budget is
+// ComposeDeadlineMs(server request_deadline_ms, client deadline_ms),
+// the smaller of the two where 0 means unbounded. Each request gets one
+// pipeline run under the options it asked for; the only re-run is for a
+// contained tooling exception, retried once after a RetryBackoffMs nap
+// (the supervisor's capped-exponential policy). A tripped deadline is
+// answered as it stands. Reports are persisted to the disk tier under
+// the store rule and key that `corpus --cache-dir` shares (ReportKey /
+// PutReport in core/artifact_disk.h): clean completions only, keyed by
+// content (programs, PoC, verdict-bearing options), which is what makes
+// cold-vs-warm verdicts byte-identical by construction.
 //
 // Shutdown: Drain() (the SIGINT/SIGTERM path) stops accepting, lets
 // queued and in-flight requests finish and respond, flushes the disk
 // store, and joins every thread. `octopocs serve` also makes the signal
 // flag the pipeline's cancel_flag, so there a drained request is reaped
 // at its first poll and answered with a deadline_expired Failure, which
-// is never persisted. A SIGKILL instead loses nothing
-// durable: the disk tier heals its torn tail on the next Open, exactly
-// like the crash journal.
+// is never persisted. A SIGKILL instead loses nothing durable: the disk
+// tier heals its torn tail on the next Open.
 #pragma once
 
 #include <atomic>
@@ -202,10 +201,11 @@ class Server {
   void HandleConnection(int fd);
   /// Runs one admitted request to a response. Never throws.
   void ServeOne(Queued item);
+  /// The daemon's pipeline options with the request's overrides and
+  /// its composed deadline.
+  PipelineOptions RequestOptions(const ServeRequest& request) const;
   VerificationReport RunRequest(const corpus::Pair& pair,
-                                const ServeRequest& request);
-  ArtifactKey ReportKey(const corpus::Pair& pair,
-                        const ServeRequest& request) const;
+                                const PipelineOptions& opts);
   std::uint64_t EstimateRetryAfterMs();
   void RespondError(int fd, const ServeError& error);
   bool RespondReport(int fd, const VerificationReport& report);

@@ -193,7 +193,6 @@ SupervisedResult WorkerPool::RunPair(const corpus::Pair& pair,
       result.report = InfraFailureReport(
           "interrupted before the worker could start", true, false);
       result.last_outcome = ChildOutcome::kInterrupted;
-      result.interrupted = true;
       break;
     }
 
@@ -297,7 +296,6 @@ SupervisedResult WorkerPool::RunPair(const corpus::Pair& pair,
       case ChildOutcome::kInterrupted:
         result.report = InfraFailureReport(
             "interrupted mid-pair; worker killed", true, false);
-        result.interrupted = true;
         Release(slot);
         return result;
       default:

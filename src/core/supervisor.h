@@ -94,7 +94,6 @@ struct SupervisedResult {
   unsigned attempts = 0;  // dispatches + failed spawns, incl. the last
   ChildOutcome last_outcome = ChildOutcome::kSpawnError;
   bool quarantined = false;
-  bool interrupted = false;
 };
 
 /// A fleet of persistent `pool-worker` processes (the AFL forkserver
@@ -131,9 +130,9 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Verifies `pair` on a pooled worker. `interrupt`, when non-null and
-  /// nonzero, drains promptly: the running worker is SIGKILLed and the
-  /// result is marked interrupted (callers must not journal it as
-  /// finished).
+  /// nonzero, drains promptly: the running worker is SIGKILLed, the
+  /// result's last_outcome is kInterrupted, and its report is
+  /// deadline_expired, so the store rule never persists it.
   SupervisedResult RunPair(const corpus::Pair& pair,
                            const std::atomic<int>* interrupt);
 

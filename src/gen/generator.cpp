@@ -863,8 +863,7 @@ struct PairPlan {
 
 // Deterministically plans ordinal's taxonomy. Chains (hops at
 // o%16==14/15) restrict the mutation to the always-triggering transforms.
-PairPlan PlanPair(std::uint64_t seed, int ordinal, Rng& rng,
-                  int* chain_hop) {
+PairPlan PlanPair(int ordinal, Rng& rng, int* chain_hop) {
   PairPlan plan{};
   *chain_hop = 0;
   int slot = ordinal % 16;
@@ -920,7 +919,7 @@ GeneratedPair BuildChainHop2(std::uint64_t seed, int ordinal) {
   Rng rng(Mix(seed, static_cast<std::uint64_t>(ordinal)));
   Rng hop1_rng(Mix(seed, static_cast<std::uint64_t>(ordinal - 1)));
   int hop1_chain = 0;
-  PairPlan hop1_plan = PlanPair(seed, ordinal - 1, hop1_rng, &hop1_chain);
+  PairPlan hop1_plan = PlanPair(ordinal - 1, hop1_rng, &hop1_chain);
   if (hop1_chain != 1)
     throw std::logic_error("chain hop 2 must follow a hop-1 ordinal");
 
@@ -986,7 +985,7 @@ GeneratedPair BuildOnePair(std::uint64_t seed, int ordinal) {
   if (ordinal % 16 == 15) return BuildChainHop2(seed, ordinal);
   Rng rng(Mix(seed, static_cast<std::uint64_t>(ordinal)));
   int chain_hop = 0;
-  PairPlan plan = PlanPair(seed, ordinal, rng, &chain_hop);
+  PairPlan plan = PlanPair(ordinal, rng, &chain_hop);
   const Skeleton& sk = *plan.sk;
   const VulnClass& vc = *plan.vc;
   int mutation = plan.mutation;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -11,7 +12,7 @@
 #include <unistd.h>
 #endif
 
-#include "core/journal.h"
+#include "core/artifact_disk.h"
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
 #include "core/server.h"
@@ -161,21 +162,10 @@ void RunChainLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
   CountVerified(o, *verified);
 }
 
-// -- Legs C/D: pooled workers, journal exactly-once, resume -------------------
-
-std::string JournalFingerprint(const SoakOptions& o, std::size_t pair_count) {
-  // The generator seed is verdict-bearing for a generated corpus exactly
-  // like the fuzz knobs are for the stock one, so it rides the journal
-  // fingerprint: a journal written under seed A must never resume under
-  // seed B.
-  return core::CorpusOptionsFingerprint(BasePipeline(o), /*extended=*/false,
-                                        pair_count, /*isolate=*/true,
-                                        /*rlimit_mb=*/0) +
-         "-g" + std::to_string(o.seed);
-}
+// -- Legs C/D: pooled workers over the report cache, then a rerun -----------
 
 void RunIsolatedLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
-                    const std::string& journal_path, SoakReport* report,
+                    const std::string& cache_dir, SoakReport* report,
                     int* verified) {
   LegSpan span(o.tracer, 3);
   std::vector<corpus::Pair> pairs;
@@ -199,19 +189,22 @@ void RunIsolatedLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
     ++report->chaos_faults_armed;
   }
 
+  // A fresh cache: a workdir reused from an earlier soak must not turn
+  // this leg's pool run into a replay.
+  std::error_code ec;
+  std::filesystem::remove_all(cache_dir, ec);
   std::string err;
-  auto journal = core::Journal::Create(
-      journal_path, JournalFingerprint(o, pairs.size()), pairs.size(), &err);
-  if (journal == nullptr) {
-    Violate(report, "isolated: cannot create journal: " + err);
+  auto cache = core::DiskArtifactStore::Open(cache_dir, &err);
+  if (cache == nullptr) {
+    Violate(report, "isolated: cannot open the cache: " + err);
     return;
   }
   core::CorpusRunConfig config;
   config.jobs = o.jobs;
   config.isolation = &iso;
-  config.journal = journal.get();
+  config.cache = cache.get();
   const auto reports = core::VerifyCorpus(pairs, BasePipeline(o), config);
-  journal.reset();  // close + final fsync before replaying it
+  cache.reset();  // close + final fsync before reopening it
   ++report->legs_run;
 
   if (reports.size() != pairs.size()) {
@@ -227,49 +220,35 @@ void RunIsolatedLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
   *verified += static_cast<int>(gen.size());
   CountVerified(o, *verified);
 
-  // Exactly-once, proven from the durable record: every pair finished
-  // in the journal exactly once (LoadJournal rejects duplicates), none
-  // lost, no torn tail after a clean close.
-  auto state = core::LoadJournal(journal_path, &err);
-  if (!state) {
-    Violate(report, "isolated: journal unreadable after the run: " + err);
+  // Nothing lost, proven from the durable record: every pair's key is
+  // stored (Put never stores a key twice), and the clean close left no
+  // torn record for the reopen to heal.
+  cache = core::DiskArtifactStore::Open(cache_dir, &err);
+  if (cache == nullptr) {
+    Violate(report, "isolated: cache unreadable after the run: " + err);
     return;
   }
-  if (state->torn_tail) {
-    Violate(report, "isolated: torn journal tail after a clean close");
-  }
-  if (state->finished.size() != pairs.size()) {
-    Violate(report, "isolated: journal finished " +
-                        std::to_string(state->finished.size()) + "/" +
-                        std::to_string(pairs.size()) + " pairs");
+  if (cache->stats().healed_records != 0) {
+    Violate(report, "isolated: torn cache record after a clean close");
   }
   for (const corpus::Pair& p : pairs) {
-    if (state->finished.count(p.idx) == 0) {
+    if (!cache->Contains(core::ReportKey(p, BasePipeline(o)))) {
       Violate(report, "isolated: pair " + std::to_string(p.idx) +
-                          " lost from the journal");
+                          " lost from the cache");
     }
   }
 }
 
 void RunResumeLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
-                  const std::string& journal_path, SoakReport* report) {
+                  const std::string& cache_dir, SoakReport* report) {
   LegSpan span(o.tracer, 4);
   std::vector<corpus::Pair> pairs;
   pairs.reserve(gen.size());
   for (const GeneratedPair& g : gen) pairs.push_back(g.pair);
   std::string err;
-  auto state = core::LoadJournal(journal_path, &err);
-  if (!state) {
-    Violate(report, "resume: cannot load journal: " + err);
-    return;
-  }
-  if (state->options_hash != JournalFingerprint(o, pairs.size())) {
-    Violate(report, "resume: journal fingerprint drifted");
-    return;
-  }
-  auto journal = core::Journal::Resume(journal_path, *state, &err);
-  if (journal == nullptr) {
-    Violate(report, "resume: cannot reopen journal: " + err);
+  auto cache = core::DiskArtifactStore::Open(cache_dir, &err);
+  if (cache == nullptr) {
+    Violate(report, "resume: cannot open the cache: " + err);
     return;
   }
 
@@ -282,17 +261,16 @@ void RunResumeLeg(const SoakOptions& o, const std::vector<GeneratedPair>& gen,
   config.jobs = o.jobs;
   config.isolation = &iso;
   config.worker_pool = &pool;
-  config.journal = journal.get();
-  config.resume_finished = &state->finished;
+  config.cache = cache.get();
   const auto reports = core::VerifyCorpus(pairs, BasePipeline(o), config);
   ++report->legs_run;
 
-  // A warm restart replays, it does not re-run: with every pair already
-  // finished, the pool must never have been handed work.
+  // A warm rerun replays, it does not re-run: with every pair already
+  // stored, the pool must never have been handed work.
   report->resume_dispatches = pool.stats().dispatches;
   if (report->resume_dispatches != 0) {
     Violate(report, "resume: " + std::to_string(report->resume_dispatches) +
-                        " pair(s) re-dispatched on a fully finished journal");
+                        " pair(s) re-dispatched on a fully stored cache");
   }
   for (std::size_t i = 0; i < gen.size() && i < reports.size(); ++i) {
     if (reports[i].verdict != gen[i].expected_verdict) {
@@ -611,20 +589,20 @@ SoakReport RunSoak(const SoakOptions& options) {
       SkipLeg(&report, "chain", "disabled");
     }
 
-    const std::string journal_path = options.workdir + "/soak.journal";
+    const std::string cache_dir = options.workdir + "/corpus-cache";
     if (!options.run_isolated) {
       SkipLeg(&report, "isolated", "disabled");
     } else if (!have_workdir || !have_binary) {
       SkipLeg(&report, "isolated", "needs workdir + worker binary");
     } else {
-      RunIsolatedLeg(options, gen, journal_path, &report, &verified);
+      RunIsolatedLeg(options, gen, cache_dir, &report, &verified);
     }
     if (!options.run_resume) {
       SkipLeg(&report, "resume", "disabled");
     } else if (!have_workdir || !have_binary || !options.run_isolated) {
-      SkipLeg(&report, "resume", "needs the isolated leg's journal");
+      SkipLeg(&report, "resume", "needs the isolated leg's cache");
     } else {
-      RunResumeLeg(options, gen, journal_path, &report);
+      RunResumeLeg(options, gen, cache_dir, &report);
     }
     if (!options.run_rlimit) {
       SkipLeg(&report, "rlimit", "disabled");

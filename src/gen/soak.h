@@ -1,10 +1,10 @@
 // Chaos soak harness: streams a generated corpus (gen/generator.h)
 // through every execution surface the project has — in-process parallel
-// batch, the supervised persistent worker pool, journal resume, the
-// serve daemon (in-process and as a SIGKILLed-and-restarted
-// subprocess) — under a seeded chaos schedule that arms every
-// support::FaultSite, and mechanically checks the crash-tolerance
-// invariants the design documents promise:
+// batch, the supervised persistent worker pool over a report cache, a
+// rerun served from that cache, the serve daemon (in-process and as a
+// SIGKILLed-and-restarted subprocess) — under a seeded chaos schedule
+// that arms every support::FaultSite, and mechanically checks the
+// crash-tolerance invariants the design documents promise:
 //
 //   - every generated pair ends with exactly one verdict per leg;
 //   - every verdict matches the generator's label (including
@@ -13,8 +13,8 @@
 //   - the same seed yields byte-identical corpora and byte-identical
 //     canonical reports across runs (SerializeSoakReport is the
 //     diffable artifact);
-//   - a journal written under worker chaos replays every pair exactly
-//     once, and a resume re-dispatches nothing;
+//   - a report cache written under worker chaos holds every pair's
+//     key, and a rerun over it re-dispatches nothing;
 //   - a SIGKILLed daemon restarted on the same cache dir loses no
 //     verdict and answers every repeat request identically;
 //   - the resource-hog pair dies to its rlimit, classified as a
@@ -45,7 +45,7 @@ struct SoakOptions {
   /// Arm fault sites / abort workers during the legs. Off = a plain
   /// correctness soak (still checks every label).
   bool chaos = true;
-  /// Scratch directory for journals, caches, sockets and stamp files.
+  /// Scratch directory for caches, sockets and stamp files.
   /// Required by every leg except the pure in-process ones.
   std::string workdir;
   /// Path of the octopocs CLI for worker/daemon legs; empty skips them.
@@ -59,8 +59,8 @@ struct SoakOptions {
   // Leg switches (CI's smoke preset runs all of them).
   bool run_batch = true;     // A: in-process VerifyCorpus
   bool run_chain = true;     // B: transitive S→T→U chains
-  bool run_isolated = true;  // C: worker pool + journal, chaos
-  bool run_resume = true;    // D: journal replay through a worker pool
+  bool run_isolated = true;  // C: worker pool + report cache, chaos
+  bool run_resume = true;    // D: cache replay through a worker pool
   bool run_rlimit = true;    // E: hog pair vs RLIMIT_CPU
   bool run_serve = true;     // F: in-process daemon + retrying clients
   bool run_daemon = true;    // G: subprocess daemon, SIGKILL mid-load

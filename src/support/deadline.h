@@ -13,9 +13,6 @@
 // flag once every kStride calls, so a tight interpreter loop pays one
 // increment-and-mask per instruction. Once tripped a token stays
 // tripped (sticky), so callers may poll freely after reporting.
-//
-// Deadlines compose: Deadline::Sooner(a, b) is the tighter of two
-// budgets, so composing one in can only ever shorten a run.
 #pragma once
 
 #include <atomic>
@@ -40,20 +37,6 @@ class Deadline {
     d.unlimited_ = false;
     d.at_ = Clock::now() + std::chrono::milliseconds(ms);
     return d;
-  }
-
-  static Deadline At(Clock::time_point tp) {
-    Deadline d;
-    d.unlimited_ = false;
-    d.at_ = tp;
-    return d;
-  }
-
-  /// The tighter of the two deadlines.
-  static Deadline Sooner(const Deadline& a, const Deadline& b) {
-    if (a.unlimited_) return b;
-    if (b.unlimited_) return a;
-    return At(a.at_ < b.at_ ? a.at_ : b.at_);
   }
 
   bool unlimited() const { return unlimited_; }

@@ -1,6 +1,6 @@
 // Persistent artifact tier (core/artifact_disk.h): durability and heal
-// rules, mirroring the journal's torn-write property test byte for
-// byte. A store that survived a SIGKILL must reopen with at worst its
+// rules, with a torn-write property test over every byte truncation of
+// the index. A store that survived a SIGKILL must reopen with at worst its
 // torn trailing index record dropped; a corrupt payload must read as a
 // miss, never as data; and a warm reopen must return the exact bytes
 // the cold store was given.
@@ -131,8 +131,7 @@ TEST(DiskArtifactStore, EveryTruncationOfTheIndexHealsOnReopen) {
 TEST(DiskArtifactStore, MidFileCorruptionIsRefusedNotHealed) {
   // Garbage in the middle of the index is not a torn tail — it means
   // the file was damaged in place, and silently dropping the suffix
-  // would serve an artifact set that never existed. Refuse, like the
-  // journal refuses mid-file corruption.
+  // would serve an artifact set that never existed. Refuse.
   const std::string dir = TempDir("midfile");
   std::string error;
   {

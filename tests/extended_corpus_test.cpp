@@ -187,8 +187,8 @@ TEST(Extended, FuzzFallbackUpgradesSymexDeadPair) {
 
 TEST(Extended, FuzzFallbackNeverFlipsDecidedPairs) {
   // The rung must be a no-op for pairs the pipeline already decides:
-  // proofs stay kDone before the fuzz phase runs, and a generated poc'
-  // passes straight through it.
+  // Verify returns on a proof verdict before it reaches the rung, and a
+  // pair whose search generates a poc' skips the rung and goes on to P4.
   core::PipelineOptions opts;
   opts.fuzz_fallback = true;
   for (const int idx : {20, 21}) {

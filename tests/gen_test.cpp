@@ -64,8 +64,12 @@ TEST(GenTest, EveryMutationClassRecoversSharedArea) {
     } else {
       EXPECT_EQ(g.expected_verdict, core::Verdict::kTriggered);
     }
-    if (ordinal % 16 == 14) EXPECT_EQ(g.chain_hop, 1);
-    if (ordinal % 16 == 15) EXPECT_EQ(g.chain_hop, 2);
+    if (ordinal % 16 == 14) {
+      EXPECT_EQ(g.chain_hop, 1);
+    }
+    if (ordinal % 16 == 15) {
+      EXPECT_EQ(g.chain_hop, 2);
+    }
   }
   for (const char* m : {"rename-locals", "reorder-blocks", "outline-helper",
                         "inline-helper", "guard-insert", "symex-hostile",

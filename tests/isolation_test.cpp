@@ -1,4 +1,4 @@
-// Process isolation, supervision, and crash journaling (DESIGN.md §12).
+// Process isolation, supervision, and the report cache (DESIGN.md §12).
 //
 // Two layers under test (the process primitive and the pool loop
 // itself are in pool_test.cpp):
@@ -9,15 +9,18 @@
 //     reports cleanly must be retried to success; a pair whose worker
 //     always crashes must be quarantined into a contained kFailure
 //     report while the other pairs still get their verdicts);
-//   - core/journal.h + core/report_io.h: report serialization must
-//     round-trip every verdict-bearing field, and the journal loader
-//     must replay finished pairs, tolerate a torn trailing record at
-//     *any* byte truncation point (the torn-write property test), and
-//     refuse corruption anywhere else.
+//   - core/report_io.h: report serialization must round-trip every
+//     verdict-bearing field;
+//   - the report cache over core/artifact_disk.h: the key must cover
+//     every verdict-bearing knob but no budget, and a rerun over the
+//     cache must replay stored pairs without running them, in process
+//     or on the pool alike. The store's torn-write and corruption rules
+//     are artifact_disk_test.cpp's.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,7 +29,7 @@
 #include <sys/stat.h>
 #endif
 
-#include "core/journal.h"
+#include "core/artifact_disk.h"
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
 #include "core/report_io.h"
@@ -310,119 +313,41 @@ TEST(SupervisorTest, InterruptDrainsWithoutSpawning) {
 
 #endif  // !_WIN32
 
-// -- Crash journal ------------------------------------------------------------
+// -- The report cache (corpus --cache-dir) ----------------------------------
 
-TEST(JournalTest, FingerprintCoversVerdictBearingKnobs) {
+TEST(ReportCacheTest, KeyCoversVerdictBearingKnobs) {
+  const corpus::Pair pair = corpus::BuildPair(8);
   const PipelineOptions base;
-  const std::string fp = CorpusOptionsFingerprint(base, false, 15, false, 0);
-  EXPECT_EQ(fp, CorpusOptionsFingerprint(base, false, 15, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, true, 15, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 6, false, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, true, 0));
-  EXPECT_NE(fp, CorpusOptionsFingerprint(base, false, 15, true, 256));
-  // `corpus --pair-deadline-ms 500` is the pipeline deadline.
-  PipelineOptions deadline = base;
-  deadline.deadline_ms = 500;
-  EXPECT_NE(fp, CorpusOptionsFingerprint(deadline, false, 15, false, 0));
+  const ArtifactKey key = ReportKey(pair, base);
+  EXPECT_EQ(key, ReportKey(pair, base));
   PipelineOptions tweaked = base;
   tweaked.adaptive_theta = true;
-  EXPECT_NE(fp, CorpusOptionsFingerprint(tweaked, false, 15, false, 0));
+  EXPECT_NE(key, ReportKey(pair, tweaked));
+  PipelineOptions fuzzed = base;
+  fuzzed.fuzz_fallback = true;
+  EXPECT_NE(key, ReportKey(pair, fuzzed));
+  // Only clean completions are stored, and a clean completion is the
+  // same under any budget: `corpus --pair-deadline-ms 500` keys alike.
+  PipelineOptions deadline = base;
+  deadline.deadline_ms = 500;
+  EXPECT_EQ(key, ReportKey(pair, deadline));
+  // The pair's content is the rest of the key.
+  EXPECT_NE(key, ReportKey(corpus::BuildPair(9), base));
+  corpus::Pair other_poc = pair;
+  other_poc.poc.push_back(0);
+  EXPECT_NE(key, ReportKey(other_poc, base));
 }
 
 #ifndef _WIN32
 
-TEST(JournalTest, WritesAndReloadsStartedAndFinished) {
-  const std::string path = TempPath("basic.jsonl");
-  std::string error;
-  auto journal = Journal::Create(path, "cafe0123", 15, &error);
-  ASSERT_NE(journal, nullptr) << error;
-  journal->Started(1, 1);
-  journal->Finished(1, FullReport());
-  journal->Started(2, 1);
-  journal.reset();  // close + final fsync
-
-  const auto state = LoadJournal(path, &error);
-  ASSERT_TRUE(state.has_value()) << error;
-  EXPECT_EQ(state->options_hash, "cafe0123");
-  EXPECT_EQ(state->pair_count, 15u);
-  EXPECT_FALSE(state->torn_tail);
-  ASSERT_EQ(state->finished.size(), 1u);
-  ExpectReportsEqual(FullReport(), state->finished.at(1));
-  ASSERT_EQ(state->started_unfinished.size(), 1u);
-  EXPECT_EQ(state->started_unfinished.count(2), 1u);
+std::string FreshCacheDir(const std::string& name) {
+  const std::string dir = TempPath(name + "_cache");
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
-TEST(JournalTest, RefusesCorruptionAwayFromTheTail) {
-  const std::string path = TempPath("corrupt.jsonl");
-  std::string error;
-
-  WriteText(path, "not json\n{\"type\":\"started\",\"pair\":1}\n");
-  EXPECT_FALSE(LoadJournal(path, &error).has_value());
-
-  WriteText(path,
-            "{\"type\":\"header\",\"version\":1,\"options_hash\":\"x\","
-            "\"pair_count\":2}\n"
-            "garbage record\n"
-            "{\"type\":\"started\",\"pair\":1,\"attempt\":1}\n");
-  EXPECT_FALSE(LoadJournal(path, &error).has_value());
-  EXPECT_NE(error.find("malformed"), std::string::npos);
-
-  // Wrong version, duplicate finished, unknown type: all hard errors.
-  WriteText(path,
-            "{\"type\":\"header\",\"version\":99,\"options_hash\":\"x\","
-            "\"pair_count\":2}\n");
-  EXPECT_FALSE(LoadJournal(path, &error).has_value());
-  WriteText(path,
-            "{\"type\":\"header\",\"version\":1,\"options_hash\":\"x\","
-            "\"pair_count\":2}\n"
-            "{\"type\":\"mystery\"}\n"
-            "{\"type\":\"started\",\"pair\":1,\"attempt\":1}\n");
-  EXPECT_FALSE(LoadJournal(path, &error).has_value());
-}
-
-TEST(JournalTest, EveryTruncationOfTheTailRecordResumesCleanly) {
-  // Build a reference journal, then replay every possible torn write of
-  // its final record: load must succeed, report the torn tail, and
-  // Resume must heal it so an appended record lands on a clean line.
-  const std::string path = TempPath("torn.jsonl");
-  std::string error;
-  {
-    auto journal = Journal::Create(path, "feedbeef", 15, &error);
-    ASSERT_NE(journal, nullptr) << error;
-    journal->Started(1, 1);
-    journal->Finished(1, FullReport());
-    journal->Started(2, 1);
-    journal->Finished(2, FullReport());
-  }
-  const std::string full = ReadText(path);
-  ASSERT_FALSE(full.empty());
-  // Offset where the last record begins (after the 4th newline).
-  std::size_t tail_start = full.size() - 1;
-  while (tail_start > 0 && full[tail_start - 1] != '\n') --tail_start;
-
-  for (std::size_t keep = tail_start; keep < full.size(); ++keep) {
-    WriteText(path, full.substr(0, keep));
-    auto state = LoadJournal(path, &error);
-    ASSERT_TRUE(state.has_value())
-        << "truncation at " << keep << ": " << error;
-    EXPECT_EQ(state->torn_tail, keep != tail_start) << keep;
-    EXPECT_EQ(state->valid_bytes, tail_start) << keep;
-    ASSERT_EQ(state->finished.size(), 1u) << keep;
-    EXPECT_EQ(state->started_unfinished.count(2), 1u) << keep;
-
-    auto journal = Journal::Resume(path, *state, &error);
-    ASSERT_NE(journal, nullptr) << error;
-    journal->Finished(2, FullReport());
-    journal.reset();
-    auto healed = LoadJournal(path, &error);
-    ASSERT_TRUE(healed.has_value()) << error;
-    EXPECT_FALSE(healed->torn_tail);
-    EXPECT_EQ(healed->finished.size(), 2u);
-  }
-}
-
-TEST(JournalTest, CorpusRunJournalsAndResumeReplaysWithoutRerunning) {
-  const std::string path = TempPath("corpus.jsonl");
+TEST(ReportCacheTest, CorpusRunStoresAndRerunReplaysWithoutRerunning) {
+  const std::string dir = FreshCacheDir("corpus");
   const std::vector<corpus::Pair> pairs = {corpus::BuildPair(1),
                                            corpus::BuildPair(4)};
   const PipelineOptions options;
@@ -430,29 +355,66 @@ TEST(JournalTest, CorpusRunJournalsAndResumeReplaysWithoutRerunning) {
 
   std::vector<VerificationReport> first;
   {
-    auto journal = Journal::Create(path, "deadf00d", pairs.size(), &error);
-    ASSERT_NE(journal, nullptr) << error;
+    auto cache = DiskArtifactStore::Open(dir, &error);
+    ASSERT_NE(cache, nullptr) << error;
     CorpusRunConfig config;
-    config.journal = journal.get();
+    config.cache = cache.get();
     first = VerifyCorpus(pairs, options, config);
+    EXPECT_EQ(cache->stats().stores, pairs.size());
   }
 
-  auto state = LoadJournal(path, &error);
-  ASSERT_TRUE(state.has_value()) << error;
-  ASSERT_EQ(state->finished.size(), pairs.size());
-  EXPECT_TRUE(state->started_unfinished.empty());
-
-  // Resume with every pair finished and a 1ms pair deadline: only a
-  // replay (no re-execution) can reproduce the original reports — a
-  // re-run would come back deadline_expired.
+  // Rerun with a 1ms pair deadline: only a replay (no re-execution) can
+  // reproduce the original reports — a re-run would come back
+  // deadline_expired.
+  auto cache = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(cache, nullptr) << error;
+  EXPECT_EQ(cache->stats().loaded_records, pairs.size());
   PipelineOptions tight = options;
   tight.deadline_ms = 1;
-  CorpusRunConfig resume;
-  resume.resume_finished = &state->finished;
-  const auto replayed = VerifyCorpus(pairs, tight, resume);
+  CorpusRunConfig rerun;
+  rerun.cache = cache.get();
+  const auto replayed = VerifyCorpus(pairs, tight, rerun);
   ASSERT_EQ(replayed.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     ExpectReportsEqual(first[i], replayed[i]);
+  }
+  EXPECT_EQ(cache->stats().hits, pairs.size());
+  EXPECT_EQ(cache->stats().stores, 0u);
+}
+
+TEST(ReportCacheTest, InProcessStoresServeAnIsolatedRunWithoutDispatching) {
+  // One key for every process model: reports stored by an in-process
+  // run answer an isolated run over the same directory, and its pool
+  // is never handed a pair.
+  const std::string dir = FreshCacheDir("shared");
+  const std::vector<corpus::Pair> pairs = {corpus::BuildPair(1),
+                                           corpus::BuildPair(4)};
+  std::string error;
+  std::vector<VerificationReport> in_process;
+  {
+    auto cache = DiskArtifactStore::Open(dir, &error);
+    ASSERT_NE(cache, nullptr) << error;
+    CorpusRunConfig config;
+    config.cache = cache.get();
+    in_process = VerifyCorpus(pairs, {}, config);
+  }
+
+  auto cache = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(cache, nullptr) << error;
+  IsolationOptions iso;
+  iso.worker_binary = ServingWorker("cache_unused");
+  WorkerPool pool(iso, 2);
+  CorpusRunConfig config;
+  config.jobs = 2;
+  config.isolation = &iso;
+  config.worker_pool = &pool;
+  config.cache = cache.get();
+  const auto isolated = VerifyCorpus(pairs, {}, config);
+  EXPECT_EQ(pool.stats().spawns, 0u);
+  EXPECT_EQ(pool.stats().dispatches, 0u);
+  ASSERT_EQ(isolated.size(), in_process.size());
+  for (std::size_t i = 0; i < in_process.size(); ++i) {
+    ExpectReportsEqual(in_process[i], isolated[i]);
   }
 }
 

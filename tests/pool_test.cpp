@@ -476,7 +476,7 @@ TEST(WorkerPoolTest, InterruptDrainsWithoutDispatching) {
   WorkerPool pool(iso, /*size=*/1);
   const std::atomic<int> interrupt{1};
   const SupervisedResult r = pool.RunPair(TinyPair(), &interrupt);
-  EXPECT_TRUE(r.interrupted);
+  EXPECT_EQ(r.last_outcome, ChildOutcome::kInterrupted);
   EXPECT_EQ(r.attempts, 0u);
   EXPECT_EQ(pool.stats().dispatches, 0u);
   EXPECT_EQ(pool.stats().spawns, 0u) << "workers spawn lazily";

@@ -10,17 +10,16 @@
 // search is astronomically large) so that only the clock can end them.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
-#include <iterator>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/journal.h"
+#include "core/artifact_disk.h"
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
 #include "corpus/pairs.h"
@@ -163,42 +162,6 @@ TEST(DeadlineUnit, ZeroBudgetExpiresImmediately) {
   EXPECT_FALSE(d.unlimited());
   EXPECT_TRUE(d.Expired());
   EXPECT_LE(d.RemainingSeconds(), 0.0);
-}
-
-TEST(DeadlineUnit, SoonerPicksTheTighterBudget) {
-  EXPECT_TRUE(Deadline::Sooner(Deadline::Never(), Deadline::Never())
-                  .unlimited());
-  EXPECT_TRUE(
-      Deadline::Sooner(Deadline::Never(), Deadline::AfterMillis(0))
-          .Expired());
-  EXPECT_TRUE(
-      Deadline::Sooner(Deadline::AfterMillis(0), Deadline::Never())
-          .Expired());
-  // Expired vs. one-hour-away: the expired one must win either way.
-  const Deadline hour = Deadline::AfterMillis(3'600'000);
-  EXPECT_TRUE(Deadline::Sooner(hour, Deadline::AfterMillis(0)).Expired());
-  EXPECT_TRUE(Deadline::Sooner(Deadline::AfterMillis(0), hour).Expired());
-}
-
-TEST(DeadlineUnit, SoonerOfTwoBoundedBudgetsKeepsTheTighterPoint) {
-  // Sooner must select one of its operands, not synthesize a new
-  // instant: the result expires within the tighter operand's hour, in
-  // either argument order.
-  const auto now = Deadline::Clock::now();
-  const Deadline one_hour = Deadline::At(now + std::chrono::hours(1));
-  const Deadline two_hours = Deadline::At(now + std::chrono::hours(2));
-  for (const Deadline& sooner : {Deadline::Sooner(one_hour, two_hours),
-                                 Deadline::Sooner(two_hours, one_hour)}) {
-    EXPECT_FALSE(sooner.unlimited());
-    EXPECT_FALSE(sooner.Expired());
-    EXPECT_NEAR(sooner.RemainingSeconds(), 3600.0, 5.0);
-  }
-  // One bounded side: the bounded one comes back however far away it is.
-  EXPECT_FALSE(Deadline::Sooner(two_hours, Deadline::Never()).unlimited());
-  EXPECT_FALSE(Deadline::Sooner(Deadline::Never(), two_hours).Expired());
-  // Two equal instants collapse to that same instant.
-  EXPECT_NEAR(Deadline::Sooner(one_hour, one_hour).RemainingSeconds(),
-              3600.0, 5.0);
 }
 
 TEST(CancelTokenUnit, DefaultTokenNeverTrips) {
@@ -488,6 +451,23 @@ TEST(PipelineDeadlineTest, PerPairDeadlineReapsOnlyTheStalledPair) {
   ExpectSameOutcome(reports[2], clean2);
 }
 
+TEST(PipelineDeadlineTest, FuzzCampaignCutByTheDeadlineIsADeadlineFailure) {
+  // Pair 14 dead-ends in P2/P3 within a few hundred ms, and its fuzz
+  // campaign never crashes T, so with an execution budget no deadline
+  // can fund only the clock ends the campaign. A cut campaign must not
+  // pass for the dead-end verdict: the disk tier, whose key holds no
+  // deadline, would store it as the pair's answer.
+  PipelineOptions opts;
+  opts.fuzz_fallback = true;
+  opts.fuzz_execs = 2'000'000'000ULL;
+  opts.deadline_ms = 2500;
+  const VerificationReport report = VerifyPair(corpus::BuildPair(14), opts);
+  EXPECT_TRUE(report.fuzz_attempted);
+  EXPECT_EQ(report.verdict, Verdict::kFailure);
+  EXPECT_TRUE(report.deadline_expired);
+  EXPECT_EQ(report.failed_phase, "fuzz");
+}
+
 // ---------------------------------------------------------------------------
 // Failure attribution: a dead end names its phase and stays a Failure.
 
@@ -557,37 +537,32 @@ TEST(DegradationTest, AdaptiveThetaCeilingIsAttributedToP23) {
 // Draining an in-process corpus run: the cancel flag (the CLI's signal
 // flag) is the only drain switch. Pairs not yet started never start,
 // the running pair is reaped at its next poll, and nothing cancelled
-// reaches the journal as finished.
+// reaches the report cache.
 
 #ifndef _WIN32
 
-std::string TempJournal(const std::string& name) {
-  return testing::TempDir() + "octopocs_drain_" + name + ".jsonl";
+std::unique_ptr<DiskArtifactStore> FreshCache(const std::string& name) {
+  const std::string dir = testing::TempDir() + "octopocs_drain_" + name;
+  std::filesystem::remove_all(dir);
+  std::string error;
+  auto cache = DiskArtifactStore::Open(dir, &error);
+  EXPECT_NE(cache, nullptr) << error;
+  return cache;
 }
 
-std::string ReadText(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-TEST(CorpusDrainTest, PreRaisedCancelFlagStartsNoPairAndJournalsNothing) {
-  const std::string path = TempJournal("before_start");
+TEST(CorpusDrainTest, PreRaisedCancelFlagStartsNoPairAndStoresNothing) {
   const std::vector<corpus::Pair> pairs = {corpus::BuildPair(1),
                                            corpus::BuildPair(4)};
   std::atomic<int> cancel{15};
   PipelineOptions opts;
   opts.cancel_flag = &cancel;
 
-  std::string error;
-  std::vector<VerificationReport> reports;
-  {
-    auto journal = Journal::Create(path, "d7a10000", pairs.size(), &error);
-    ASSERT_NE(journal, nullptr) << error;
-    CorpusRunConfig config;
-    config.jobs = 2;
-    config.journal = journal.get();
-    reports = VerifyCorpus(pairs, opts, config);
-  }
+  auto cache = FreshCache("before_start");
+  ASSERT_NE(cache, nullptr);
+  CorpusRunConfig config;
+  config.jobs = 2;
+  config.cache = cache.get();
+  const auto reports = VerifyCorpus(pairs, opts, config);
 
   ASSERT_EQ(reports.size(), pairs.size());
   for (const VerificationReport& r : reports) {
@@ -595,17 +570,11 @@ TEST(CorpusDrainTest, PreRaisedCancelFlagStartsNoPairAndJournalsNothing) {
     EXPECT_TRUE(r.deadline_expired);
     EXPECT_EQ(r.detail, "interrupted before start");
   }
-  // The header is the journal's only line: no pair was even started.
-  const std::string text = ReadText(path);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
-  const auto state = LoadJournal(path, &error);
-  ASSERT_TRUE(state.has_value()) << error;
-  EXPECT_TRUE(state->finished.empty());
-  EXPECT_TRUE(state->started_unfinished.empty());
+  EXPECT_EQ(cache->size(), 0u);
+  EXPECT_EQ(cache->stats().store_errors, 0u);
 }
 
-TEST(CorpusDrainTest, CancelMidRunReapsTheRunningPairAndJournalsItUnfinished) {
-  const std::string path = TempJournal("mid_run");
+TEST(CorpusDrainTest, CancelMidRunReapsTheRunningPairWithoutStoringIt) {
   const std::vector<corpus::Pair> pairs = {corpus::BuildPair(1),
                                            HardSolverPair()};
   PipelineOptions opts;
@@ -615,21 +584,17 @@ TEST(CorpusDrainTest, CancelMidRunReapsTheRunningPairAndJournalsItUnfinished) {
   std::atomic<int> cancel{0};
   opts.cancel_flag = &cancel;
 
-  std::string error;
-  std::vector<VerificationReport> reports;
+  auto cache = FreshCache("mid_run");
+  ASSERT_NE(cache, nullptr);
   const auto start = std::chrono::steady_clock::now();
-  {
-    auto journal = Journal::Create(path, "d7a10001", pairs.size(), &error);
-    ASSERT_NE(journal, nullptr) << error;
-    CorpusRunConfig config;  // serial: pair 1 runs first, then the hard one
-    config.journal = journal.get();
-    std::thread raiser([&cancel] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      cancel.store(2, std::memory_order_relaxed);
-    });
-    reports = VerifyCorpus(pairs, opts, config);
-    raiser.join();
-  }
+  CorpusRunConfig config;  // serial: pair 1 runs first, then the hard one
+  config.cache = cache.get();
+  std::thread raiser([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    cancel.store(2, std::memory_order_relaxed);
+  });
+  const auto reports = VerifyCorpus(pairs, opts, config);
+  raiser.join();
 
   EXPECT_LT(ElapsedSeconds(start), 30.0) << "the flag did not reap the pair";
   ASSERT_EQ(reports.size(), pairs.size());
@@ -638,14 +603,14 @@ TEST(CorpusDrainTest, CancelMidRunReapsTheRunningPairAndJournalsItUnfinished) {
   EXPECT_EQ(reports[1].verdict, Verdict::kFailure);
   EXPECT_TRUE(reports[1].deadline_expired);
 
-  const auto state = LoadJournal(path, &error);
-  ASSERT_TRUE(state.has_value()) << error;
-  ASSERT_EQ(state->finished.size(), 1u);
-  ASSERT_EQ(state->finished.count(pairs[0].idx), 1u);
-  ExpectSameOutcome(state->finished.at(pairs[0].idx), clean);
-  // The hard pair started, but its cancelled report is never a
-  // statement about the pair: a resume re-runs it.
-  EXPECT_EQ(state->started_unfinished.count(pairs[1].idx), 1u);
+  // The finished pair is stored; the hard pair started, but its
+  // cancelled report is never a statement about the pair, so a rerun
+  // runs it again.
+  EXPECT_EQ(cache->size(), 1u);
+  const auto stored = GetReport(*cache, ReportKey(pairs[0], opts));
+  ASSERT_TRUE(stored.has_value());
+  ExpectSameOutcome(*stored, clean);
+  EXPECT_FALSE(cache->Contains(ReportKey(pairs[1], opts)));
 }
 
 #endif  // !_WIN32

@@ -92,7 +92,9 @@ TEST(TracerTest, ThreadsMergeWithDistinctTidsAndGlobalOrder) {
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads * kPerThread));
   std::vector<bool> tid_seen(kThreads, false);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) EXPECT_LT(events[i - 1].seq, events[i].seq);
+    if (i > 0) {
+      EXPECT_LT(events[i - 1].seq, events[i].seq);
+    }
     ASSERT_LT(events[i].tid, static_cast<std::uint32_t>(kThreads));
     tid_seen[events[i].tid] = true;
   }

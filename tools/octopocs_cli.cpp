@@ -34,8 +34,8 @@
 //       shared.txt so the other subcommands can chew on it.
 //   corpus [--jobs N] [--extended] [--pair-deadline-ms N]
 //          [--trace-out FILE] [--artifact-cache=on|off] [--isolate]
-//          [--rlimit-mb N] [--max-retries N] [--journal FILE]
-//          [--resume FILE] [pipeline flags]
+//          [--rlimit-mb N] [--max-retries N] [--cache-dir DIR]
+//          [pipeline flags]
 //       Verify the whole built-in corpus (pairs 1-15, or 16-22 with
 //       --extended) with N pipeline runs in flight at once. Reports are
 //       printed in pair order and are byte-identical to a serial run
@@ -55,12 +55,14 @@
 //       pair is retried on a respawned worker with backoff and
 //       quarantined after --max-retries, never taking the run down;
 //       --rlimit-mb caps each worker's address space. Verdicts are
-//       byte-identical to in-process runs. --journal FILE records a
-//       write-ahead fsync'd JSONL crash journal; --resume FILE replays
-//       the finished pairs of an interrupted run (same options only —
-//       the journal's fingerprint is checked) and re-runs the rest,
-//       appending to the journal. Isolated workers receive the
-//       pipeline flags verbatim.
+//       byte-identical to in-process runs. --cache-dir DIR keeps every
+//       cleanly completed report in the fsync'd disk tier `serve` uses,
+//       under the same content key: a pair already stored there is
+//       replayed instead of run, so rerunning a killed run over the
+//       same directory resumes it (a run with different options
+//       simply misses). The summary then prints the cache's hits,
+//       misses and stores. Isolated workers receive the pipeline flags
+//       verbatim.
 //   pool-worker [--deadline-ms N] [--gen-seed N]
 //               [--abort-fault SITE:SKIP:STAMP] [pipeline flags]
 //       Internal: serves `OCTO-PAIR <idx>` requests off stdin until
@@ -113,10 +115,10 @@
 //        [--no-chaos] [--daemon-kills N] [--fuzz-execs N] [--out FILE]
 //        [--trace-out FILE]
 //       Generate a corpus and stream it through every execution surface
-//       — in-process batch, supervised workers with a crash journal,
-//       journal resume, the serve daemon in-process under a full fault
-//       schedule, and a subprocess daemon SIGKILLed and restarted
-//       mid-load — checking the crash-tolerance invariants
+//       — in-process batch, supervised workers over a report cache, a
+//       rerun served from that cache, the serve daemon in-process under
+//       a full fault schedule, and a subprocess daemon SIGKILLed and
+//       restarted mid-load — checking the crash-tolerance invariants
 //       (src/gen/soak.h). Exits 0 only when every invariant held; --out
 //       writes the deterministic report CI byte-diffs across two
 //       same-seed runs.
@@ -155,7 +157,7 @@
 
 #include "clone/detector.h"
 #include "core/artifact_store.h"
-#include "core/journal.h"
+#include "core/artifact_disk.h"
 #include "core/minimize.h"
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
@@ -723,8 +725,7 @@ int CmdCorpus(int argc, char** argv) {
   bool isolate = false;
   std::uint64_t rlimit_mb = 0;
   unsigned max_retries = 2;
-  std::string journal_path;
-  std::string resume_path;
+  std::string cache_dir;
   std::string worker_fault;
   core::PipelineOptions opts;
   ObservabilityFlags obs;
@@ -747,10 +748,8 @@ int CmdCorpus(int argc, char** argv) {
       rlimit_mb = args.Count<std::uint64_t>(0, kU32);
     } else if (arg == "--max-retries") {
       max_retries = args.Count<unsigned>(0, 100);
-    } else if (arg == "--journal") {
-      journal_path = args.Value();
-    } else if (arg == "--resume") {
-      resume_path = args.Value();
+    } else if (arg == "--cache-dir") {
+      cache_dir = args.Value();
     } else if (arg == "--worker-fault") {
       // Test hook (CI fault leg): forwarded to workers as
       // --abort-fault SITE:SKIP:STAMP — the first worker to see the
@@ -760,12 +759,6 @@ int CmdCorpus(int argc, char** argv) {
                !obs.Parse(args)) {
       throw UsageError("unknown option: " + arg);
     }
-  }
-  if ((!journal_path.empty() || !resume_path.empty()) &&
-      !(journal_path.empty() || resume_path.empty())) {
-    std::fprintf(stderr, "--journal and --resume are exclusive "
-                         "(--resume appends to the resumed journal)\n");
-    return 2;
   }
   if (!worker_fault.empty() && !isolate) {
     std::fprintf(stderr, "--worker-fault requires --isolate\n");
@@ -811,57 +804,19 @@ int CmdCorpus(int argc, char** argv) {
     config.worker_pool = worker_pool.get();
   }
 
-  // The journal fingerprint covers every verdict-bearing knob, so a
-  // resume against different options is refused instead of splicing
-  // incomparable verdicts into one result set.
-  const std::string fingerprint = core::CorpusOptionsFingerprint(
-      opts, extended, pairs.size(), isolate, rlimit_mb);
-  std::unique_ptr<core::Journal> journal;
-  core::JournalState resume_state;
-  if (!resume_path.empty()) {
+  // The key covers every verdict-bearing knob, so a rerun under other
+  // options misses instead of splicing incomparable verdicts into one
+  // result set.
+  std::unique_ptr<core::DiskArtifactStore> cache;
+  if (!cache_dir.empty()) {
     std::string err;
-    auto state = core::LoadJournal(resume_path, &err);
-    if (!state) {
-      std::fprintf(stderr, "cannot resume: %s\n", err.c_str());
-      return 2;
-    }
-    if (state->options_hash != fingerprint) {
-      std::fprintf(stderr,
-                   "refusing to resume %s: journal options fingerprint %s "
-                   "does not match this invocation's %s\n",
-                   resume_path.c_str(), state->options_hash.c_str(),
-                   fingerprint.c_str());
-      return 2;
-    }
-    if (state->pair_count != pairs.size()) {
-      std::fprintf(stderr,
-                   "refusing to resume %s: journal covers %zu pair(s), "
-                   "this invocation runs %zu\n",
-                   resume_path.c_str(), state->pair_count, pairs.size());
-      return 2;
-    }
-    resume_state = std::move(*state);
-    journal = core::Journal::Resume(resume_path, resume_state, &err);
-    if (!journal) {
+    cache = core::DiskArtifactStore::Open(cache_dir, &err);
+    if (!cache) {
       std::fprintf(stderr, "%s\n", err.c_str());
       return 2;
     }
-    config.resume_finished = &resume_state.finished;
-    std::printf("resume:    %zu finished pair(s) replayed, %zu in flight "
-                "at the crash re-run%s\n",
-                resume_state.finished.size(),
-                resume_state.started_unfinished.size(),
-                resume_state.torn_tail ? " (torn tail healed)" : "");
-  } else if (!journal_path.empty()) {
-    std::string err;
-    journal = core::Journal::Create(journal_path, fingerprint, pairs.size(),
-                                    &err);
-    if (!journal) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
+    config.cache = cache.get();
   }
-  config.journal = journal.get();
 
   InstallSignalHandlers();
   const auto start = std::chrono::steady_clock::now();
@@ -884,8 +839,8 @@ int CmdCorpus(int argc, char** argv) {
     const bool infra = r.deadline_expired || r.exception_contained;
     // On a drain, a deadline report says nothing about the pair — the
     // interrupt may have cut it, not the budget — even where it matches
-    // an expected Failure row. This is the rule VerifyCorpus uses to
-    // keep such a report out of the journal.
+    // an expected Failure row. The store rule (PutReport) keeps such a
+    // report out of the cache.
     const bool interrupted = sig != 0 && r.deadline_expired;
     if (r.verdict != core::Verdict::kFailure) ++decisive;
     if (interrupted) {
@@ -949,23 +904,29 @@ int CmdCorpus(int argc, char** argv) {
                 static_cast<unsigned long long>(st.insertions),
                 static_cast<unsigned long long>(st.evictions));
   }
-  if (config.resume_finished != nullptr) {
-    // Replayed pairs were reprinted from the journal verbatim;
-    // everything else above actually re-ran this invocation.
-    std::printf("resume:    %zu pair(s) replayed from journal, %zu re-run\n",
-                resume_state.finished.size(),
-                pairs.size() - resume_state.finished.size());
+  if (cache != nullptr) {
+    // Hits were replayed verbatim; every miss ran in this invocation.
+    const core::DiskArtifactStore::Stats cs = cache->stats();
+    std::printf("cache:     %llu hit(s) / %llu miss(es) / %llu store(s) / "
+                "%llu healed\n",
+                static_cast<unsigned long long>(cs.hits),
+                static_cast<unsigned long long>(cs.misses),
+                static_cast<unsigned long long>(cs.stores),
+                static_cast<unsigned long long>(cs.healed_records));
   }
   obs.FinishTrace(tracer);
   // A graceful drain supersedes the verdict-based codes: the partial
-  // summary above is informational (journaled pairs survive for
-  // --resume), and 128+signal tells the caller why the run is partial.
+  // summary above is informational (stored pairs survive for a rerun
+  // over the same --cache-dir), and 128+signal tells the caller why the
+  // run is partial.
   if (sig != 0) {
     std::printf("interrupted by signal %d: %d/%zu pair(s) finished, %d "
                 "cancelled or never started%s\n",
                 sig, expected_matches + infra_failures + wrong_verdicts,
                 pairs.size(), interrupted_pairs,
-                journal != nullptr ? " — resume with --resume" : "");
+                cache != nullptr
+                    ? " — rerun with the same --cache-dir to resume"
+                    : "");
     return 128 + sig;
   }
   // Exit status keys off the registry's expected result types: the
@@ -1256,7 +1217,7 @@ int CmdSoak(int argc, char** argv) {
     }
   }
   if (o.workdir.empty()) {
-    std::fprintf(stderr, "soak: --workdir is required (journals, caches, "
+    std::fprintf(stderr, "soak: --workdir is required (caches, "
                          "sockets and stamp files live there)\n");
     return 2;
   }
