@@ -83,9 +83,16 @@ void BM_CrashPrimitiveExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_CrashPrimitiveExtraction);
 
+/// One query on a fresh cache and an empty context, the way a new
+/// executor state asks its first.
+symex::SolveResult SolveOnce(const std::vector<symex::ExprRef>& constraints) {
+  symex::SolverCache cache;
+  symex::SolveContext ctx;
+  return cache.Solve(constraints, {}, {}, ctx);
+}
+
 void BM_SolverMagicEquality(benchmark::State& state) {
   for (auto _ : state) {
-    symex::ByteSolver solver;
     auto field = symex::MakeInput(0);
     for (unsigned i = 1; i < 4; ++i) {
       field = symex::MakeBinOp(
@@ -93,8 +100,8 @@ void BM_SolverMagicEquality(benchmark::State& state) {
           symex::MakeBinOp(vm::Op::kShl, symex::MakeInput(i),
                            symex::MakeConst(8 * i)));
     }
-    solver.AddEq(field, 0x4650444D);
-    const auto r = solver.Solve();
+    const auto r = SolveOnce({symex::MakeBinOp(
+        vm::Op::kCmpEq, field, symex::MakeConst(0x4650444D))});
     benchmark::DoNotOptimize(r.status);
   }
 }
@@ -102,15 +109,13 @@ BENCHMARK(BM_SolverMagicEquality);
 
 void BM_SolverUnsatProof(benchmark::State& state) {
   for (auto _ : state) {
-    symex::ByteSolver solver;
     const auto len = symex::MakeBinOp(
         vm::Op::kOr, symex::MakeInput(0),
         symex::MakeBinOp(vm::Op::kShl, symex::MakeInput(1),
                          symex::MakeConst(8)));
-    solver.AddEq(len, 0x100);
-    solver.Add(symex::MakeBinOp(vm::Op::kCmpLtU, len,
-                                symex::MakeConst(65)));
-    const auto r = solver.Solve();
+    const auto r = SolveOnce(
+        {symex::MakeBinOp(vm::Op::kCmpEq, len, symex::MakeConst(0x100)),
+         symex::MakeBinOp(vm::Op::kCmpLtU, len, symex::MakeConst(65))});
     benchmark::DoNotOptimize(r.status);
   }
 }

@@ -30,7 +30,8 @@
 //   oracle legs pair 3 (the hung-loop pair) and pair 14 (the
 //               solver-heavy combine pair), each timed best-of-N under
 //               the defaults and under oracle::ShortcutsOff (backtrack
-//               core, no cycle skip). Pair
+//               core with no solver cache tier or context seeding, no
+//               cycle skip). Pair
 //               3's ratio is gated as pair3_speedup; both pairs' reports
 //               must be byte-identical across the two configurations.
 //               The whole-corpus differential lives in
@@ -353,8 +354,8 @@ int main(int argc, char** argv) {
 
   // Pair idx 14 spends nearly all its time in P2/P3 solver queries. Its
   // leg times the defaults against every shortcut off (the backtrack
-  // oracle answering each query), best of five each; the time is
-  // informational, report identity is gated.
+  // oracle answering each query, with no solver cache tier), best of
+  // five each; the time is informational, report identity is gated.
   std::size_t pair14 = pairs.size();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (pairs[i].idx == 14) pair14 = i;

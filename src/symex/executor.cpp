@@ -171,7 +171,7 @@ struct SymExecutor::Run {
   /// (see SolverCache::Solve).
   SolveResult SolveConstraints(SymState& s) {
     SolveResult r =
-        cache.Solve(s.constraints, s.pinned, opts.solver, &s.solve_ctx);
+        cache.Solve(s.constraints, s.pinned, opts.solver, s.solve_ctx);
     // Cache hits report zero steps, so each real search is counted once.
     solver_steps_total += r.steps;
     return r;
@@ -189,7 +189,7 @@ struct SymExecutor::Run {
   SolveStatus BranchFeasible(SymState& s, const ExprRef& constraint) {
     s.constraints.push_back(constraint);
     const SolveResult r =
-        cache.Solve(s.constraints, s.pinned, opts.solver, &s.solve_ctx);
+        cache.Solve(s.constraints, s.pinned, opts.solver, s.solve_ctx);
     s.constraints.pop_back();
     solver_steps_total += r.steps;
     return r.status;

@@ -12,10 +12,11 @@ namespace octopocs::symex {
 
 namespace {
 
-/// Preprocesses and searches a system of distinct, non-constant
-/// constraints; defined below, next to its preprocessing.
+/// Preprocesses a system of distinct, non-constant constraints and
+/// searches it on `core`; defined below, next to its preprocessing.
 SolveResult SolveDistinct(std::vector<ExprRef> constraints,
-                          const SolverOptions& options);
+                          const SolverOptions& options,
+                          const SolverBackend& core, const SolveContext* ctx);
 
 }  // namespace
 
@@ -115,62 +116,24 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
   return false;
 }
 
-const SolveResult* SolverCache::Lookup(
-    const std::vector<ExprRef>& constraints, const Model& pins,
-    const Model& hints) {
-  if (const Entry* entry = FindExact(constraints)) {
-    ++stats_.hits;
-    ++stats_.exact_hits;
-    return &entry->result;
-  }
-  Model candidate;
-  if (ReuseCertifiedModel(constraints, pins, hints, reuse_models_,
-                          &candidate)) {
-    ++stats_.hits;
-    ++stats_.model_reuse_hits;
-    reuse_scratch_.status = SolveStatus::kSat;
-    reuse_scratch_.model = std::move(candidate);
-    reuse_scratch_.steps = 0;
-    return &reuse_scratch_;
-  }
-  ++stats_.misses;
-  return nullptr;
-}
-
-const SolveResult& SolverCache::StoreEntry(
-    const std::vector<ExprRef>& constraints, SolveResult result) {
+void SolverCache::StoreEntry(const std::vector<ExprRef>& constraints,
+                             const SolveResult& result) {
   Entry entry;
   entry.key.reserve(constraints.size());
   for (const ExprRef& c : constraints) entry.key.push_back(c.get());
-  entry.result = std::move(result);
-  auto& bucket = buckets_[HashKey(constraints)];
-  bucket.push_back(std::move(entry));
+  entry.result = result;
+  buckets_[HashKey(constraints)].push_back(std::move(entry));
   ++entries_;
-  return bucket.back().result;
-}
-
-void SolverCache::RememberModel(const Model& model) {
-  reuse_models_.push_back(model);
-  if (reuse_models_.size() > kMaxReuseModels) {
-    reuse_models_.erase(reuse_models_.begin());
-  }
-}
-
-const SolveResult& SolverCache::Insert(
-    const std::vector<ExprRef>& constraints, SolveResult result) {
-  const SolveResult& stored = StoreEntry(constraints, std::move(result));
-  if (stored.status == SolveStatus::kSat) RememberModel(stored.model);
-  return stored;
 }
 
 SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
                                const Model& pins,
                                const SolverOptions& options,
-                               SolveContext* ctx) {
-  // Normalize the way a fresh ByteSolver would: constant-true
-  // constraints vanish, constant-false poisons the system, duplicate
-  // nodes collapse under pointer identity. The normalized sequence is
-  // the cache key, so a re-asserted pin cannot split the memo.
+                               SolveContext& ctx) {
+  // Normalize: constant-true constraints vanish, constant-false poisons
+  // the system, duplicate nodes collapse under pointer identity. The
+  // normalized sequence is the cache key, so a re-asserted pin cannot
+  // split the memo.
   SolveResult out;
   std::vector<ExprRef> constraints;
   constraints.reserve(raw.size());
@@ -192,6 +155,14 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
     return out;  // vacuously satisfiable; not a cacheable query
   }
 
+  // The oracle's path: no tier, no seeding, the configured core alone.
+  if (options.backend != nullptr) {
+    support::fault::MaybeThrow(support::FaultSite::kSolverStep);
+    ++stats_.misses;
+    return SolveDistinct(std::move(constraints), options, *options.backend,
+                         nullptr);
+  }
+
   // 1. Exact memo. Steps report the work done by *this* call, so a hit
   // contributes zero to the caller's search-effort accounting.
   if (const Entry* entry = FindExact(constraints)) {
@@ -199,9 +170,7 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
     ++stats_.exact_hits;
     out = entry->result;
     out.steps = 0;
-    if (out.status == SolveStatus::kSat && ctx != nullptr) {
-      ctx->NoteModel(out.model);
-    }
+    if (out.status == SolveStatus::kSat) ctx.NoteModel(out.model);
     return out;
   }
 
@@ -209,62 +178,33 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
   // subset of this very query (every applied constraint is a query
   // member by the executor's contract). Verdict-only — no model, no
   // search.
-  if (ctx != nullptr && ctx->known_unsat()) {
+  if (ctx.known_unsat()) {
     ++stats_.hits;
     ++stats_.subsumption_hits;
     out.status = SolveStatus::kUnsat;
     return out;
   }
 
-  // 3. Certified model reuse, from the state's own pool when a context
-  // is supplied (pure per state), else the global most-recent pool.
-  Model candidate;
-  const std::vector<Model>& pool =
-      ctx != nullptr ? ctx->recent_models() : reuse_models_;
-  if (ReuseCertifiedModel(constraints, pins, options.hints, pool,
-                          &candidate)) {
+  // 3. Certified model reuse from the state's own pool.
+  if (ReuseCertifiedModel(constraints, pins, options.hints,
+                          ctx.recent_models(), &out.model)) {
     ++stats_.hits;
     ++stats_.model_reuse_hits;
     out.status = SolveStatus::kSat;
-    out.model = std::move(candidate);
-    if (ctx != nullptr) ctx->NoteModel(out.model);
+    ctx.NoteModel(out.model);
     return out;
   }
 
-  // 4. Fresh search through the configured backend. The normalized
-  // query is already what ByteSolver::SolveWith would build, so it goes
-  // straight to preprocessing.
+  // 4. Fresh search on the propagate core, seeded from the context.
   support::fault::MaybeThrow(support::FaultSite::kSolverStep);
-  SolverOptions fresh_options = options;
-  fresh_options.context = ctx;
-  out = SolveDistinct(constraints, fresh_options);
+  out = SolveDistinct(constraints, options, PropagateBackendInstance(), &ctx);
   ++stats_.misses;
 
   if (out.status == SolveStatus::kSat || out.status == SolveStatus::kUnsat) {
     StoreEntry(constraints, out);
-    if (out.status == SolveStatus::kSat) {
-      if (ctx != nullptr) {
-        ctx->NoteModel(out.model);
-      } else {
-        RememberModel(out.model);
-      }
-    }
+    if (out.status == SolveStatus::kSat) ctx.NoteModel(out.model);
   }
   return out;
-}
-
-void ByteSolver::Add(ExprRef expr) {
-  // A constant constraint either disappears or poisons the system.
-  if (expr->IsConst() && expr->value != 0) return;
-  constraints_.push_back(std::move(expr));
-}
-
-void ByteSolver::AddEq(ExprRef expr, std::uint64_t value) {
-  Add(MakeBinOp(vm::Op::kCmpEq, std::move(expr), MakeConst(value)));
-}
-
-void ByteSolver::Pin(std::uint32_t offset, std::uint8_t value) {
-  AddEq(MakeInput(offset), value);
 }
 
 namespace {
@@ -342,7 +282,8 @@ bool DecomposeConcatEquality(const ExprRef& constraint,
 }
 
 SolveResult SolveDistinct(std::vector<ExprRef> constraints,
-                          const SolverOptions& options) {
+                          const SolverOptions& options,
+                          const SolverBackend& core, const SolveContext* ctx) {
   // Propagation pre-pass: decompose concat equalities into byte pins so
   // unit propagation starts from singleton domains for multi-byte
   // fields. Runs before backend dispatch, so every core sees the same
@@ -357,45 +298,9 @@ SolveResult SolveDistinct(std::vector<ExprRef> constraints,
     }
   }
   constraints.insert(constraints.end(), derived.begin(), derived.end());
-  const SolverBackend& core = options.backend != nullptr
-                                  ? *options.backend
-                                  : PropagateBackendInstance();
-  return core.Solve(constraints, options);
+  return core.Solve(constraints, options, ctx);
 }
 
 }  // namespace
-
-SolveResult ByteSolver::Solve() const { return SolveWith({}); }
-
-SolveResult ByteSolver::SolveWith(const std::vector<ExprRef>& extra) const {
-  support::fault::MaybeThrow(support::FaultSite::kSolverStep);
-  std::vector<ExprRef> all = constraints_;
-  bool poisoned = false;
-  for (const ExprRef& e : extra) {
-    if (e->IsConst()) {
-      if (e->value == 0) poisoned = true;
-      continue;
-    }
-    all.push_back(e);
-  }
-  for (const ExprRef& e : constraints_) {
-    if (e->IsConst()) poisoned = true;  // Add keeps only constant-false
-  }
-  if (poisoned) {
-    SolveResult result;
-    result.status = SolveStatus::kUnsat;
-    return result;
-  }
-  // Interning canonicalizes structurally-equal constraints to one node,
-  // so duplicates (the same pin re-asserted along a path, a re-built
-  // guard) collapse under pointer identity before the search sees them.
-  std::unordered_set<const Expr*> seen;
-  std::size_t kept = 0;
-  for (ExprRef& e : all) {
-    if (seen.insert(e.get()).second) all[kept++] = std::move(e);
-  }
-  all.resize(kept);
-  return SolveDistinct(std::move(all), options_);
-}
 
 }  // namespace octopocs::symex

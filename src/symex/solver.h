@@ -16,9 +16,9 @@
 //   kCancelled — the caller's wall-clock CancelToken tripped mid-search.
 //               Distinct from kUnknown so callers can tell "ran out of
 //               steps, a bigger budget might help" from "out of time,
-//               stop the whole phase" — only the former is worth a
-//               doubled-budget retry, and a cancelled verdict must never
-//               enter the SolverCache.
+//               stop the whole phase" — only the former could change
+//               under a bigger budget, and a cancelled verdict must
+//               never enter the SolverCache.
 //
 // The search core is the propagate core behind the SolverBackend
 // interface (DESIGN.md §15): watched-domain propagation over 256-bit
@@ -26,7 +26,8 @@
 // straight-line program attached to its node (ProgramFor). Its slow
 // reference, the original recursive backtracker over
 // std::array<bool,256> domains with tree-walking Eval, lives in
-// tests/oracle/ and plugs in through SolverOptions::backend. Both walk
+// tests/oracle/ and plugs in through SolverOptions::backend, which also
+// switches every SolverCache tier off. Both walk
 // the same decision tree (variable order, value order, filtering
 // strength), so they return the identical first model, the identical
 // kUnsat verdicts and the same step counts.
@@ -34,7 +35,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "support/deadline.h"
@@ -68,58 +68,28 @@ struct SolverOptions {
   /// Cooperative wall-clock bound, polled inside the search loops.
   /// Tripping aborts with kCancelled.
   support::CancelToken cancel;
-  /// Optional incremental prefix state: seeds the search's per-variable
-  /// domains with filtering work the owning state already did, instead
-  /// of re-evaluating each applied unary constraint 256 times per query.
-  /// Results are bit-identical with or without a context (the search
-  /// always prefilters every unary constraint; the context only skips
-  /// evaluations whose outcome it has already recorded).
-  const SolveContext* context = nullptr;
-  /// Test seam: the search core for fresh solves; null selects the
-  /// propagate core. Not owned. Excluded from every cache and artifact
-  /// key — cores are answer-identical by construction.
+  /// Test seam: null runs the production path (cache tiers, context
+  /// seeding, propagate core). Non-null makes SolverCache::Solve skip
+  /// every tier and hand the query, unseeded, to this core — what
+  /// oracle::ShortcutsOff sets. Not owned. Excluded from every cache and
+  /// artifact key: both paths are answer-identical by construction.
   const SolverBackend* backend = nullptr;
 };
 
 /// One complete search core. `Solve` receives the *preprocessed*
-/// constraint system (deduplicated, concat equalities decomposed,
-/// constant-false screened by ByteSolver) and must be a pure function of
-/// (constraints, options.hints, options.context) for definitive
-/// statuses — that purity is what makes backend choice cache-invisible.
+/// constraint system (deduplicated, constant-free, concat equalities
+/// decomposed) and must be a pure function of (constraints,
+/// options.hints) for definitive statuses — that purity is what makes
+/// backend choice cache-invisible. `ctx`, when non-null, is the
+/// querying state's SolveContext: its domains may seed the unary
+/// prefilter, which must leave the search bit-identical to an unseeded
+/// one (steps included).
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
   virtual SolveResult Solve(const std::vector<ExprRef>& constraints,
-                            const SolverOptions& options) const = 0;
-};
-
-class ByteSolver {
- public:
-  explicit ByteSolver(SolverOptions options = {})
-      : options_(std::move(options)) {}
-
-  /// Adds a constraint: `expr` must evaluate nonzero.
-  void Add(ExprRef expr);
-
-  /// Adds `expr == value` (sugar for the dominant bunch-pinning form).
-  void AddEq(ExprRef expr, std::uint64_t value);
-
-  /// Pre-assigns a variable (pinned byte). Conflicting pins make the
-  /// system unsatisfiable.
-  void Pin(std::uint32_t offset, std::uint8_t value);
-
-  std::size_t constraint_count() const { return constraints_.size(); }
-
-  /// Complete search. Stateless w.r.t. previous Solve calls.
-  SolveResult Solve() const;
-
-  /// Convenience: satisfiability of (current constraints + extra).
-  SolveResult SolveWith(const std::vector<ExprRef>& extra) const;
-
- private:
-  SolverOptions options_;
-  std::vector<ExprRef> constraints_;
-  Model pins_;
+                            const SolverOptions& options,
+                            const SolveContext* ctx) const = 0;
 };
 
 /// Certified model reuse, the SolverCache's third tier. Assembles one
@@ -136,9 +106,9 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
                          const Model& pins, const Model& hints,
                          const std::vector<Model>& pool, Model* out);
 
-/// Memoizes ByteSolver verdicts across the repeated feasibility and
-/// concretization queries a directed executor issues along shared path
-/// prefixes. Three tiers, all sound by construction:
+/// The solver's one front door: memoizes verdicts across the repeated
+/// feasibility and concretization queries a directed executor issues
+/// along shared path prefixes. Three tiers, all sound by construction:
 ///
 ///   exact memo    keyed by the exact sequence of constraint node
 ///                 addresses. Forked states copy their constraint
@@ -148,21 +118,20 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
 ///                 verdict, including kUnsat.
 ///   subsumption   the caller's SolveContext saw a unary constraint wipe
 ///                 out a variable's domain; every applied constraint is
-///                 a member of the query, so the query is UNSAT.
-///                 Verdict-only: no model is fabricated, and SAT can
-///                 never come from this path.
+///                 a member of the query, so the query is UNSAT — and a
+///                 fresh search says so too, since its unary prefilter
+///                 empties the same domain before any step or budget
+///                 check. Verdict-only: no model is fabricated.
 ///   model reuse   a path extends its prefix by appending constraints,
 ///                 so the sequence key misses — but a model that
 ///                 satisfied the prefix often still satisfies the
 ///                 extension. ReuseCertifiedModel overlays the caller's
-///                 pinned bytes onto each candidate model and
-///                 *evaluates* the full constraint set under it; only a
-///                 model that certifies every constraint is returned, as
-///                 kSat. kUnsat can never come from reuse, so a cached
-///                 verdict can never contradict a fresh solve. With a
-///                 SolveContext the candidate pool is the state's own
-///                 (pure, forked-with-the-state) pool; without one, a
-///                 small global most-recent pool.
+///                 pinned bytes onto each model of the state's own
+///                 (forked-with-the-state) pool and *evaluates* the full
+///                 constraint set under it; only a model that certifies
+///                 every constraint is returned, as kSat. kUnsat can
+///                 never come from reuse, so a cached verdict can never
+///                 contradict a fresh solve.
 ///
 /// Three more tiers were retired because they never answered a query
 /// on any measured workload: per-slice caching over independence
@@ -175,8 +144,8 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
 class SolverCache {
  public:
   struct Stats {
-    /// Totals: hits + misses == Solve()/Lookup() queries (trivially
-    /// constant-false queries short-circuit before counting).
+    /// Totals: hits + misses == Solve() queries (trivially constant
+    /// queries short-circuit before counting).
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     /// Per-mechanism breakdown of `hits`.
@@ -185,35 +154,20 @@ class SolverCache {
     std::uint64_t subsumption_hits = 0;
   };
 
-  /// Front door for the executor: answers `constraints` (the caller's
-  /// path condition) through, in order: exact memo → context wipeout →
-  /// certified model reuse → fresh search through the configured
-  /// backend. kSat/kUnsat results are cached; kUnknown is not (a larger
-  /// budget could improve it) and kCancelled never is. The result is a
-  /// pure function of (constraints, hints) — see DESIGN.md §10 — except
-  /// that a context wipeout may answer kUnsat where an uncached search
-  /// would have exhausted its step budget. `ctx` (may be null) is the
-  /// query's SolveContext; the fresh search runs with it in place of
-  /// options.context.
+  /// Answers `constraints` (the caller's path condition) through, in
+  /// order: exact memo → context wipeout → certified model reuse →
+  /// fresh search on the propagate core, seeded from `ctx`. `pins` are
+  /// the caller's already-forced byte values (each also present as an
+  /// equality constraint); `ctx` is the querying state's SolveContext,
+  /// whose applied constraints must all be members of `constraints`.
+  /// kSat/kUnsat results are cached; kUnknown is not (a larger budget
+  /// could improve it) and kCancelled never is. Wherever the fresh
+  /// search finishes, every tier's status is the fresh search's (see
+  /// DESIGN.md §10). With `options.backend` set, every tier is skipped:
+  /// the query goes unseeded to that core and counts as a miss.
   SolveResult Solve(const std::vector<ExprRef>& constraints,
                     const Model& pins, const SolverOptions& options,
-                    SolveContext* ctx);
-
-  /// Cached result for `constraints`, or nullptr. `pins` are the
-  /// caller's already-forced byte values (each also present as an
-  /// equality constraint) and `hints` the solver's value-ordering
-  /// preferences; candidates are assembled per constrained variable
-  /// with priority pins > cached model > hints, mirroring what a fresh
-  /// hint-guided search would try first. The returned model covers only
-  /// variables the constraints mention — the same contract a fresh
-  /// SolveResult has. The pointer is valid until the next Lookup call.
-  const SolveResult* Lookup(const std::vector<ExprRef>& constraints,
-                            const Model& pins, const Model& hints);
-
-  /// Stores `result`; returns the stored copy. SAT models additionally
-  /// join the reuse pool.
-  const SolveResult& Insert(const std::vector<ExprRef>& constraints,
-                            SolveResult result);
+                    SolveContext& ctx);
 
   const Stats& stats() const { return stats_; }
   std::size_t size() const { return entries_; }
@@ -224,22 +178,15 @@ class SolverCache {
     SolveResult result;
   };
 
-  /// Most-recent-first reuse pool cap: candidates beyond this are
-  /// evicted, bounding Lookup's evaluation work.
-  static constexpr std::size_t kMaxReuseModels = 16;
-
   static std::uint64_t HashKey(const std::vector<ExprRef>& constraints);
   static bool KeyEquals(const std::vector<const Expr*>& key,
                         const std::vector<ExprRef>& constraints);
 
   const Entry* FindExact(const std::vector<ExprRef>& constraints) const;
-  const SolveResult& StoreEntry(const std::vector<ExprRef>& constraints,
-                                SolveResult result);
-  void RememberModel(const Model& model);
+  void StoreEntry(const std::vector<ExprRef>& constraints,
+                  const SolveResult& result);
 
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
-  std::vector<Model> reuse_models_;  // most recent at the back
-  SolveResult reuse_scratch_;        // backs model-reuse Lookup returns
   std::size_t entries_ = 0;
   Stats stats_;
 };

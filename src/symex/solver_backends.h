@@ -1,6 +1,6 @@
-// Internal: the production search core's singleton. SolverOptions::backend
-// null selects it; solver_propagate.cpp defines it so solver.cpp can
-// link without a registry.
+// Internal: the production search core's singleton, which
+// SolverCache::Solve runs fresh searches on. solver_propagate.cpp
+// defines it so solver.cpp can link without a registry.
 #pragma once
 
 #include "symex/solver.h"

@@ -51,12 +51,12 @@ void ForEachValue(const ByteDomain& d, F&& f) {
 
 struct PropagateSearch {
   PropagateSearch(const std::vector<ExprRef>& constraints_in,
-                  const SolverOptions& options)
+                  const SolverOptions& options, const SolveContext* ctx_in)
       : constraints(constraints_in),
         hints(options.hints),
         max_steps(options.max_steps),
         cancel(options.cancel),
-        ctx(options.context) {}
+        ctx(ctx_in) {}
 
   const std::vector<ExprRef>& constraints;
   const Model& hints;
@@ -367,8 +367,9 @@ struct PropagateSearch {
 class PropagateBackend final : public SolverBackend {
  public:
   SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const SolverOptions& options) const override {
-    PropagateSearch search(constraints, options);
+                    const SolverOptions& options,
+                    const SolveContext* ctx) const override {
+    PropagateSearch search(constraints, options, ctx);
     const PropagateSearch::Outcome outcome = search.Run();
     SolveResult result;
     result.steps = search.steps;

@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "solve_once.h"
 #include "symex/expr.h"
-#include "symex/solver.h"
 #include "vm/op_info.h"
 
 namespace octopocs::symex {
@@ -253,9 +253,7 @@ TEST(DenseModelReuse, MatchesTheMapOracleOnGrowingQueries) {
         SolverOptions options;
         options.hints = hints;
         options.max_steps = 20'000;
-        ByteSolver solver(options);
-        for (const ExprRef& c : query) solver.Add(c);
-        const SolveResult fresh = solver.Solve();
+        const SolveResult fresh = SolveOnce(query, options);
         if (fresh.status == SolveStatus::kUnsat) break;
         if (fresh.status == SolveStatus::kSat) pool.push_back(fresh.model);
       }

@@ -9,16 +9,18 @@
 namespace octopocs::oracle {
 
 /// The original recursive backtracking search (std::array domains,
-/// tree-walking Eval). Plug it in through SolverOptions::backend; it
-/// must agree with the propagate core on status, first model and step
-/// count for every query.
+/// tree-walking Eval, no SolveContext seeding). Plug it in through
+/// SolverOptions::backend, which also switches every SolverCache tier
+/// off; it must agree with the propagate core on status, first model
+/// and step count for every query.
 const symex::SolverBackend& BacktrackSolver();
 
-/// Turns off every answer-preserving shortcut the pipeline takes: the
-/// backtrack oracle answers fresh solver queries, every concrete
-/// execution runs without cycle skip, and no artifact store is
-/// consulted. Reports under these options
-/// must be byte-identical to the defaults'.
+/// Turns off every answer-preserving shortcut the pipeline takes: every
+/// solver query skips the cache's exact memo, context wipeout and model
+/// reuse and is searched unseeded by the backtrack oracle, every
+/// concrete execution runs without cycle skip, and no artifact store is
+/// consulted. Reports under these options must be byte-identical to the
+/// defaults'.
 void ShortcutsOff(core::PipelineOptions* options);
 
 }  // namespace octopocs::oracle

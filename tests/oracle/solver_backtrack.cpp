@@ -4,7 +4,6 @@
 // core must agree with this one on every definitive answer (status and
 // first model): solver_backend_test holds it to that on random
 // systems, and the shortcut-off differential on whole corpora.
-#include <algorithm>
 #include <array>
 #include <deque>
 #include <map>
@@ -25,19 +24,16 @@ namespace {
 /// picks the smallest-domain variable, trying the hinted value first.
 struct Search {
   Search(const std::vector<ExprRef>& constraints_in, const Model& hints_in,
-         std::uint64_t max_steps_in, support::CancelToken cancel_in,
-         const SolveContext* ctx_in)
+         std::uint64_t max_steps_in, support::CancelToken cancel_in)
       : constraints(constraints_in),
         hints(hints_in),
         max_steps(max_steps_in),
-        cancel(cancel_in),
-        ctx(ctx_in) {}
+        cancel(cancel_in) {}
 
   const std::vector<ExprRef>& constraints;
   const Model& hints;
   std::uint64_t max_steps;
   support::CancelToken cancel;  // local copy; poll counters are ours
-  const SolveContext* ctx;      // optional prefix-domain accelerator
   std::uint64_t steps = 0;
   bool cancelled = false;
 
@@ -96,14 +92,10 @@ struct Search {
 
     // Unary prefilter: every constraint over a single variable folds
     // into that variable's *initial* domain here, rather than through
-    // the propagation queue. When the caller supplies a SolveContext
-    // that already applied some of these constraints, its recorded
-    // domain seeds the fold and those constraints' 256-probe
-    // evaluations are skipped — the incremental-prefix saving. The
-    // final domains are identical either way (filtering is idempotent
-    // and intersection commutes), so context presence cannot change
-    // the search outcome. Prefilter probes are setup, not search, and
-    // do not count toward the step budget.
+    // the propagation queue. Always from scratch: the oracle takes no
+    // SolveContext seed. Prefilter probes are setup, not search, and
+    // do not count toward the step budget, so a wiped-out domain is
+    // kUnsat under any budget.
     prefiltered.assign(constraints.size(), false);
     Model probe;
     for (std::size_t v = 0; v < vars.size(); ++v) {
@@ -117,24 +109,9 @@ struct Search {
       if (!any_unary) continue;
       auto& dom = domain[v];
       const std::uint32_t off = vars[v];
-      const SolveContext::VarEntry* seed =
-          ctx != nullptr ? ctx->Find(off) : nullptr;
-      if (seed != nullptr) {
-        int size = 0;
-        for (int value = 0; value < 256; ++value) {
-          dom[value] = seed->domain.Test(static_cast<unsigned>(value));
-          size += dom[value] ? 1 : 0;
-        }
-        domain_size[v] = size;
-      }
       for (const std::size_t c : var_constraints[v]) {
         if (cvars[c].size() != 1) continue;
         prefiltered[c] = true;
-        if (seed != nullptr &&
-            std::binary_search(seed->applied.begin(), seed->applied.end(),
-                               constraints[c].get())) {
-          continue;  // already folded into the seeded domain
-        }
         int size = 0;
         std::uint8_t& cell = probe[off];
         for (int value = 0; value < 256; ++value) {
@@ -331,9 +308,11 @@ struct Search {
 class BacktrackBackend final : public SolverBackend {
  public:
   SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const SolverOptions& options) const override {
+                    const SolverOptions& options,
+                    const SolveContext* /*ctx: never seeds the oracle*/)
+      const override {
     Search search{constraints, options.hints, options.max_steps,
-                  options.cancel, options.context};
+                  options.cancel};
     const Search::Outcome outcome = search.Run();
     SolveResult result;
     result.steps = search.steps;

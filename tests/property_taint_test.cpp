@@ -10,13 +10,12 @@
 
 #include <string>
 
+#include "solve_once.h"
 #include "support/rng.h"
-#include "symex/solver.h"
 #include "taint/taint_engine.h"
 #include "vm/asm.h"
 
 namespace octopocs::taint {
-using octopocs::symex::ByteSolver;
 namespace {
 
 struct Kernel {
@@ -147,20 +146,23 @@ class UnsatCompleteness : public ::testing::TestWithParam<int> {};
 
 TEST_P(UnsatCompleteness, ContradictionIsProven) {
   Rng rng(55'000 + GetParam());
-  ByteSolver solver;
+  namespace sx = octopocs::symex;
+  std::vector<sx::ExprRef> constraints;
   // Noise: a random satisfiable spread of constraints.
   const unsigned n_vars = 3 + rng.Below(6);
   for (unsigned i = 0; i < n_vars; ++i) {
-    solver.Add(octopocs::symex::MakeBinOp(
-        vm::Op::kCmpLtU, octopocs::symex::MakeInput(i),
-        octopocs::symex::MakeConst(128 + rng.Below(128))));
+    constraints.push_back(sx::MakeBinOp(vm::Op::kCmpLtU, sx::MakeInput(i),
+                                        sx::MakeConst(128 + rng.Below(128))));
   }
   // The contradiction.
   const std::uint32_t victim = static_cast<std::uint32_t>(rng.Below(n_vars));
   const std::uint8_t v = static_cast<std::uint8_t>(rng.Below(100));
-  solver.Pin(victim, v);
-  solver.Pin(victim, static_cast<std::uint8_t>(v + 1));
-  EXPECT_EQ(solver.Solve().status, octopocs::symex::SolveStatus::kUnsat);
+  for (const unsigned pin : {unsigned{v}, v + 1u}) {
+    constraints.push_back(sx::MakeBinOp(vm::Op::kCmpEq,
+                                        sx::MakeInput(victim),
+                                        sx::MakeConst(pin)));
+  }
+  EXPECT_EQ(sx::SolveOnce(constraints).status, sx::SolveStatus::kUnsat);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSystems, UnsatCompleteness,

@@ -6,7 +6,7 @@
 
 #include "cfg/cfg.h"
 #include "fuzz/fuzzer.h"
-#include "symex/solver.h"
+#include "solve_once.h"
 #include "vm/asm.h"
 
 namespace octopocs {
@@ -19,10 +19,10 @@ namespace {
 TEST(SolverHints, HintedValueWinsWhenFeasible) {
   symex::SolverOptions opts;
   opts.hints = {{0, 0x42}};
-  symex::ByteSolver solver(opts);
-  solver.Add(symex::MakeBinOp(vm::Op::kCmpLtU, symex::MakeInput(0),
-                              symex::MakeConst(0x80)));
-  const auto r = solver.Solve();
+  const auto r = symex::SolveOnce({symex::MakeBinOp(
+                                      vm::Op::kCmpLtU, symex::MakeInput(0),
+                                      symex::MakeConst(0x80))},
+                                  opts);
   ASSERT_EQ(r.status, symex::SolveStatus::kSat);
   EXPECT_EQ(r.model.at(0), 0x42);  // not the 0 default order would pick
 }
@@ -30,10 +30,10 @@ TEST(SolverHints, HintedValueWinsWhenFeasible) {
 TEST(SolverHints, InfeasibleHintFallsBack) {
   symex::SolverOptions opts;
   opts.hints = {{0, 0xF0}};  // violates the constraint below
-  symex::ByteSolver solver(opts);
-  solver.Add(symex::MakeBinOp(vm::Op::kCmpLtU, symex::MakeInput(0),
-                              symex::MakeConst(0x10)));
-  const auto r = solver.Solve();
+  const auto r = symex::SolveOnce({symex::MakeBinOp(
+                                      vm::Op::kCmpLtU, symex::MakeInput(0),
+                                      symex::MakeConst(0x10))},
+                                  opts);
   ASSERT_EQ(r.status, symex::SolveStatus::kSat);
   EXPECT_LT(r.model.at(0), 0x10);
 }

@@ -2,14 +2,14 @@
 // shortcut is checked against.
 //
 // The default pipeline takes shortcuts that must never change a report:
-// the propagate solver core, the interpreter's exact-cycle
-// fast-forward, and artifact-store hits. Each slice below is verified
-// three times — under the defaults with one shared ArtifactStore, cold
-// and then warm, and under oracle::ShortcutsOff (backtrack core, no
-// cycle skip, no store) — and every report must serialize byte for byte
-// the same with its wall-clock timings zeroed. The solver cache tiers
-// stay on in both runs; solver_cache_test and node_program_test hold
-// them to their own oracles.
+// the solver cache's exact memo, context wipeout and model reuse,
+// SolveContext seeding, the propagate solver core, the interpreter's
+// exact-cycle fast-forward, and artifact-store hits. Each slice below
+// is verified three times — under the defaults with one shared
+// ArtifactStore, cold and then warm, and under oracle::ShortcutsOff
+// (every solver query searched unseeded by the backtrack core with no
+// cache tier, no cycle skip, no store) — and every report must
+// serialize byte for byte the same with its wall-clock timings zeroed.
 //
 // The three slices (Table II's 15 pairs, the 7 extended pairs and 64
 // generated pairs) compare 86 pairs in all; each TEST is its own ctest

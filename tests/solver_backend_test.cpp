@@ -10,7 +10,8 @@
 // budgets the backends may disagree about *whether* they finished, but
 // never about a definitive answer. With no budget in play the two cores
 // walk the same decision tree step for step, so even their step counts
-// match.
+// match. Both cores run through SolverOptions::backend, so the cache
+// tiers and context seeding stay out of the comparison.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +19,9 @@
 #include <vector>
 
 #include "oracle/oracle.h"
+#include "solve_once.h"
 #include "symex/expr.h"
-#include "symex/solver.h"
+#include "symex/solver_backends.h"
 
 namespace octopocs::symex {
 namespace {
@@ -85,8 +87,8 @@ Model RandomHints(std::mt19937& rng) {
   return hints;
 }
 
-/// The two cores under test: null selects the production propagate core.
-const SolverBackend* const kPropagate = nullptr;
+/// The two cores under test.
+const SolverBackend* const kPropagate = &PropagateBackendInstance();
 const SolverBackend* const kBacktrack = &oracle::BacktrackSolver();
 
 SolveResult SolveUnder(const std::vector<ExprRef>& cs,
@@ -94,9 +96,7 @@ SolveResult SolveUnder(const std::vector<ExprRef>& cs,
                        const SolverOptions& base = {}) {
   SolverOptions options = base;
   options.backend = core;
-  ByteSolver solver(options);
-  for (const ExprRef& c : cs) solver.Add(c);
-  return solver.Solve();
+  return SolveOnce(cs, options);
 }
 
 /// Effective-assignment equality over the constrained variables (absent

@@ -1,18 +1,20 @@
-// Solver memoization: a cached verdict must always equal what a fresh
-// solve would return. Exact-key hits may return any verdict; model-reuse
-// hits must be certificates (the returned model satisfies every
-// constraint) and can never manufacture a kUnsat. Also covers the cache
-// front door (SolverCache::Solve), context-wipeout subsumption, and
-// solve-context seeding.
+// Solver memoization through the front door, SolverCache::Solve: a
+// cached verdict must always equal what a fresh search with every
+// shortcut off would return. Exact-key hits may return any verdict;
+// model-reuse hits must be certificates (the returned model satisfies
+// every constraint) drawn from the querying state's own pool and can
+// never manufacture a kUnsat. Also covers context-wipeout subsumption,
+// solve-context seeding, and the oracle bypass (SolverOptions::backend).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <vector>
 
+#include "oracle/oracle.h"
+#include "solve_once.h"
 #include "symex/expr.h"
-#include "symex/solve_context.h"
-#include "symex/solver.h"
+#include "symex/solver_backends.h"
 
 namespace octopocs::symex {
 namespace {
@@ -23,11 +25,18 @@ ExprRef InputEq(std::uint32_t off, std::uint64_t val) {
   return MakeBinOp(vm::Op::kCmpEq, MakeInput(off), MakeConst(val));
 }
 
+/// The reference answer: no cache tier, no seeding, the backtrack
+/// oracle's search.
 SolveResult FreshSolve(const std::vector<ExprRef>& constraints,
-                       const SolverOptions& options = {}) {
-  ByteSolver solver(options);
-  for (const ExprRef& c : constraints) solver.Add(c);
-  return solver.Solve();
+                       SolverOptions options = {}) {
+  options.backend = &oracle::BacktrackSolver();
+  return SolveOnce(constraints, options);
+}
+
+SolverOptions Hinted(Model hints) {
+  SolverOptions options;
+  options.hints = std::move(hints);
+  return options;
 }
 
 // Byte-level model equality. A model maps only the offsets the producer
@@ -63,149 +72,153 @@ bool Satisfies(const std::vector<ExprRef>& cs, const Model& model) {
 TEST(SolverCacheTest, ExactKeyHitReturnsTheInsertedVerdict) {
   InternScope intern;
   SolverCache cache;
+  SolveContext ctx;
   const std::vector<ExprRef> constraints = {InputEq(0, 65), InputEq(1, 66)};
 
-  EXPECT_EQ(cache.Lookup(constraints, {}, {}), nullptr);
+  const SolveResult fresh = cache.Solve(constraints, {}, {}, ctx);
+  ASSERT_EQ(fresh.status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 1u);
 
-  const SolveResult fresh = FreshSolve(constraints);
-  ASSERT_EQ(fresh.status, SolveStatus::kSat);
-  cache.Insert(constraints, fresh);
-
-  const SolveResult* hit = cache.Lookup(constraints, {}, {});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(hit->status, fresh.status);
-  EXPECT_EQ(hit->model, fresh.model);
+  const SolveResult hit = cache.Solve(constraints, {}, {}, ctx);
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  EXPECT_EQ(hit.status, fresh.status);
+  EXPECT_EQ(hit.model, fresh.model);
+  EXPECT_EQ(hit.steps, 0u) << "cache hits must report zero steps";
 }
 
 TEST(SolverCacheTest, ExactKeyHitMayReturnUnsat) {
   InternScope intern;
   SolverCache cache;
-  // in[0] == 1 && in[0] == 2 is unsatisfiable.
+  // in[0] == 1 && in[0] == 2 is unsatisfiable. The context applies
+  // nothing, so no wipeout answers ahead of the memo.
+  SolveContext ctx;
   const std::vector<ExprRef> constraints = {InputEq(0, 1), InputEq(0, 2)};
-  const SolveResult fresh = FreshSolve(constraints);
-  ASSERT_EQ(fresh.status, SolveStatus::kUnsat);
-  cache.Insert(constraints, fresh);
-
-  const SolveResult* hit = cache.Lookup(constraints, {}, {});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->status, SolveStatus::kUnsat)
+  ASSERT_EQ(cache.Solve(constraints, {}, {}, ctx).status,
+            SolveStatus::kUnsat);
+  EXPECT_EQ(cache.Solve(constraints, {}, {}, ctx).status,
+            SolveStatus::kUnsat)
       << "an exact sequence match is provably the same query";
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
 }
 
 TEST(SolverCacheTest, ModelReuseHitEqualsFreshSolveAndCertifies) {
   InternScope intern;
   SolverCache cache;
+  SolveContext ctx;
   std::vector<ExprRef> prefix = {InputEq(0, 10), InputEq(1, 20)};
-  cache.Insert(prefix, FreshSolve(prefix));
+  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
 
   // Extend the path the way the executor does: append one constraint the
-  // cached model already satisfies (in[0] != 0).
+  // state's pooled model already satisfies (in[0] != 0).
   std::vector<ExprRef> extended = prefix;
   extended.push_back(
       MakeBinOp(vm::Op::kCmpNe, MakeInput(0), MakeConst(0)));
 
-  const SolveResult* hit = cache.Lookup(extended, {}, {});
-  ASSERT_NE(hit, nullptr) << "cached model satisfies the extension";
-  EXPECT_EQ(hit->status, SolveStatus::kSat);
+  const SolveResult hit = cache.Solve(extended, {}, {}, ctx);
+  EXPECT_EQ(cache.stats().model_reuse_hits, 1u)
+      << "the pooled model satisfies the extension";
+  EXPECT_EQ(hit.status, SolveStatus::kSat);
   for (const ExprRef& c : extended) {
-    EXPECT_NE(Eval(c, hit->model), 0u)
+    EXPECT_NE(Eval(c, hit.model), 0u)
         << "a reuse hit must certify every constraint";
   }
-  EXPECT_EQ(hit->status, FreshSolve(extended).status);
+  EXPECT_EQ(hit.status, FreshSolve(extended).status);
 }
 
 TEST(SolverCacheTest, PinsOverrideTheCachedModel) {
   InternScope intern;
   SolverCache cache;
+  SolveContext ctx;
   std::vector<ExprRef> prefix = {
       MakeBinOp(vm::Op::kCmpNe, MakeInput(0), MakeConst(7))};
-  SolveResult seed = FreshSolve(prefix);
-  ASSERT_EQ(seed.status, SolveStatus::kSat);
-  cache.Insert(prefix, std::move(seed));
+  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
 
   // Pin in[1] = 42 and require it in the constraints, the shape P3's
-  // bunch placement produces. The cached model knows nothing about
+  // bunch placement produces. The pooled model knows nothing about
   // in[1]; the pin overlay must supply it.
   std::vector<ExprRef> extended = prefix;
   extended.push_back(InputEq(1, 42));
   const Model pins = {{1, 42}};
 
-  const SolveResult* hit = cache.Lookup(extended, pins, {});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->status, SolveStatus::kSat);
-  EXPECT_EQ(hit->model.at(1), 42);
-  EXPECT_EQ(hit->status, FreshSolve(extended).status);
+  const std::uint64_t reused = cache.stats().model_reuse_hits;
+  const SolveResult hit = cache.Solve(extended, pins, {}, ctx);
+  EXPECT_EQ(cache.stats().model_reuse_hits, reused + 1);
+  EXPECT_EQ(hit.status, SolveStatus::kSat);
+  EXPECT_EQ(hit.model.at(1), 42);
+  EXPECT_EQ(hit.status, FreshSolve(extended).status);
 }
 
 TEST(SolverCacheTest, HintsFillFreshVariablesLikeAFreshSolveWould) {
   InternScope intern;
   SolverCache cache;
+  SolveContext ctx;
   std::vector<ExprRef> prefix = {InputEq(0, 3)};
-  cache.Insert(prefix, FreshSolve(prefix));
+  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
 
-  // The extension constrains a byte no cached model has seen; only the
+  // The extension constrains a byte no pooled model has seen; only the
   // hint (the original PoC's byte) satisfies it.
   std::vector<ExprRef> extended = prefix;
   extended.push_back(InputEq(5, 77));
-  const Model hints = {{5, 77}};
 
-  const SolveResult* hit = cache.Lookup(extended, {}, hints);
-  ASSERT_NE(hit, nullptr) << "hint overlay should certify the extension";
-  EXPECT_EQ(hit->model.at(5), 77);
+  const SolveResult hit = cache.Solve(extended, {}, Hinted({{5, 77}}), ctx);
+  EXPECT_EQ(cache.stats().model_reuse_hits, 1u)
+      << "hint overlay should certify the extension";
+  EXPECT_EQ(hit.model.at(5), 77);
 
   // The returned model covers only constrained variables — a hint for an
   // unconstrained byte must not appear (it would change poc' emission).
-  const Model wide_hints = {{5, 77}, {200, 9}};
-  const SolveResult* hit2 = cache.Lookup(extended, {}, wide_hints);
-  ASSERT_NE(hit2, nullptr);
-  EXPECT_EQ(hit2->model.count(200), 0u);
+  const SolveResult hit2 =
+      cache.Solve(extended, {}, Hinted({{5, 77}, {200, 9}}), ctx);
+  EXPECT_EQ(cache.stats().model_reuse_hits, 2u);
+  EXPECT_EQ(hit2.model.count(200), 0u);
 }
 
 TEST(SolverCacheTest, UnsatisfiableExtensionMissesInsteadOfGuessing) {
   InternScope intern;
   SolverCache cache;
+  SolveContext ctx;
   std::vector<ExprRef> prefix = {InputEq(0, 10)};
-  cache.Insert(prefix, FreshSolve(prefix));
+  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
 
   // The extension contradicts the prefix: no candidate can certify it,
-  // so Lookup must miss — never report kUnsat from reuse.
+  // so reuse must miss — never report kUnsat — and the search decides.
   std::vector<ExprRef> extended = prefix;
   extended.push_back(InputEq(0, 11));
-  EXPECT_EQ(cache.Lookup(extended, {}, {}), nullptr);
+  EXPECT_EQ(cache.Solve(extended, {}, {}, ctx).status, SolveStatus::kUnsat);
+  EXPECT_EQ(cache.stats().model_reuse_hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(FreshSolve(extended).status, SolveStatus::kUnsat);
 }
 
 TEST(SolverCacheTest, CachedVerdictsMatchFreshSolvesAcrossAWorkload) {
   InternScope intern;
   SolverCache cache;
-  // Simulate an executor's query stream: a growing constraint sequence
-  // with occasional pins, checking every cache answer against a fresh
-  // solver on the same system.
+  // Simulate one executor state's query stream: a growing constraint
+  // sequence, each constraint applied to the state's context, with
+  // occasional pins, checking every answer against a fresh search on
+  // the same system.
+  SolveContext ctx;
   std::vector<ExprRef> constraints;
   Model pins;
   Model hints;
   for (std::uint32_t i = 0; i < 24; ++i) hints[i] = static_cast<uint8_t>(i);
+  const SolverOptions options = Hinted(hints);
   for (std::uint32_t i = 0; i < 24; ++i) {
     constraints.push_back(i % 3 == 0
                               ? InputEq(i, i)
                               : MakeBinOp(vm::Op::kCmpNe, MakeInput(i),
                                           MakeConst(255)));
+    ctx.Apply(constraints.back());
     if (i % 5 == 0) pins[i] = static_cast<uint8_t>(i);
 
-    SolveStatus got;
-    if (const SolveResult* hit = cache.Lookup(constraints, pins, hints)) {
-      got = hit->status;
-      if (hit->status == SolveStatus::kSat) {
-        for (const ExprRef& c : constraints) {
-          ASSERT_NE(Eval(c, hit->model), 0u);
-        }
+    const SolveResult got = cache.Solve(constraints, pins, options, ctx);
+    if (got.status == SolveStatus::kSat) {
+      for (const ExprRef& c : constraints) {
+        ASSERT_NE(Eval(c, got.model), 0u);
       }
-    } else {
-      got = cache.Insert(constraints, FreshSolve(constraints)).status;
     }
-    EXPECT_EQ(got, FreshSolve(constraints).status) << "query " << i;
+    EXPECT_EQ(got.status, FreshSolve(constraints, options).status)
+        << "query " << i;
   }
   EXPECT_GT(cache.stats().hits, 0u) << "the workload should produce hits";
 }
@@ -214,8 +227,8 @@ TEST(SolverCacheTest, CachedVerdictsMatchFreshSolvesAcrossAWorkload) {
 //
 // The load-bearing property: every answer the SolverCache front door
 // produces — whichever mechanism produced it — must equal what a fresh
-// monolithic ByteSolver search over the same constraint sequence
-// returns, byte for byte.
+// search with every shortcut off returns over the same constraint
+// sequence, byte for byte.
 
 // Builds a random constraint system over a handful of variables with a
 // mix of unary range checks and binary couplings, spread over several
@@ -260,8 +273,12 @@ TEST(CacheSolveTest, FrontDoorEqualsMonolithicOnRandomSystems) {
     InternScope intern;
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 4) == 3);
     const SolveResult fresh = FreshSolve(cs);
+    // The executor's way: the state's context has applied every
+    // constraint, so forced-UNSAT rounds meet the wipeout tier.
+    SolveContext ctx;
+    for (const ExprRef& c : cs) ctx.Apply(c);
     SolverCache cache;
-    const SolveResult cached = cache.Solve(cs, {}, {}, nullptr);
+    const SolveResult cached = cache.Solve(cs, {}, {}, ctx);
     ASSERT_EQ(cached.status, fresh.status) << "round " << round;
     if (fresh.status == SolveStatus::kSat) {
       EXPECT_TRUE(SameAssignment(cs, cached.model, fresh.model))
@@ -273,7 +290,7 @@ TEST(CacheSolveTest, FrontDoorEqualsMonolithicOnRandomSystems) {
 
 TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
   // The same query through two caches with different histories must
-  // agree: one cold, one warmed with each slice separately.
+  // agree: one cold, one whose state first asked each constraint alone.
   InternScope intern;
   const std::vector<ExprRef> cs = {
       MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(9)),
@@ -281,13 +298,13 @@ TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
       MakeBinOp(vm::Op::kCmpLeU, In(8), In(9)),
   };
   SolverCache cold;
-  const SolveResult a = cold.Solve(cs, {}, {}, nullptr);
+  SolveContext cold_ctx;
+  const SolveResult a = cold.Solve(cs, {}, {}, cold_ctx);
 
   SolverCache warm;
-  (void)warm.Solve({cs[0]}, {}, {}, nullptr);
-  (void)warm.Solve({cs[1]}, {}, {}, nullptr);
-  (void)warm.Solve({cs[2]}, {}, {}, nullptr);
-  const SolveResult b = warm.Solve(cs, {}, {}, nullptr);
+  SolveContext warm_ctx;
+  for (const ExprRef& c : cs) (void)warm.Solve({c}, {}, {}, warm_ctx);
+  const SolveResult b = warm.Solve(cs, {}, {}, warm_ctx);
 
   EXPECT_EQ(a.status, b.status);
   EXPECT_TRUE(SameAssignment(cs, a.model, b.model));
@@ -298,18 +315,25 @@ TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
 // -- Subsumption -----------------------------------------------------------
 
 TEST(SubsumptionTest, NeverFlipsASatisfiableQuery) {
-  // Warm a cache with many UNSAT systems, then stress it with random
-  // *satisfiable* queries: none may come back kUnsat.
+  // Warm a cache with many wiped-out UNSAT systems, then stress it with
+  // random *satisfiable* queries, each from a state whose context
+  // applied the whole query: none may come back kUnsat.
   std::mt19937 rng(99);
   InternScope intern;
   SolverCache cache;
   for (std::uint32_t v = 0; v < 6; ++v) {
-    (void)cache.Solve({InputEq(v, 1), InputEq(v, 2)}, {}, {}, nullptr);
+    SolveContext ctx;
+    const std::vector<ExprRef> cs = {InputEq(v, 1), InputEq(v, 2)};
+    for (const ExprRef& c : cs) ctx.Apply(c);
+    ASSERT_EQ(cache.Solve(cs, {}, {}, ctx).status, SolveStatus::kUnsat);
   }
+  ASSERT_EQ(cache.stats().subsumption_hits, 6u);
   for (int round = 0; round < 40; ++round) {
     const std::vector<ExprRef> cs = RandomSystem(rng, /*force_unsat=*/false);
+    SolveContext ctx;
+    for (const ExprRef& c : cs) ctx.Apply(c);
     const SolveResult fresh = FreshSolve(cs);
-    const SolveResult cached = cache.Solve(cs, {}, {}, nullptr);
+    const SolveResult cached = cache.Solve(cs, {}, {}, ctx);
     ASSERT_EQ(cached.status, fresh.status)
         << "round " << round << ": subsumption flipped a verdict";
     if (fresh.status == SolveStatus::kSat) {
@@ -320,10 +344,38 @@ TEST(SubsumptionTest, NeverFlipsASatisfiableQuery) {
   }
 }
 
+TEST(SubsumptionTest, WipeoutIsUnsatUnderAZeroStepBudget) {
+  // A wiped-out domain is found by the unary prefilter, before any step
+  // or budget check, so the fresh search on either core answers kUnsat
+  // under any budget — the same status the wipeout tier returns.
+  InternScope intern;
+  const ExprRef coupled =
+      MakeBinOp(vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(0), In(1)),
+                MakeConst(300));
+  const std::vector<ExprRef> cs = {coupled, InputEq(3, 10), InputEq(3, 11)};
+  SolverOptions zero;
+  zero.max_steps = 0;
+  ASSERT_EQ(SolveOnce({coupled}, zero).status, SolveStatus::kUnknown)
+      << "without the wipeout the zero budget must bite";
+
+  EXPECT_EQ(SolveOnce(cs, zero).status, SolveStatus::kUnsat)
+      << "propagate core, fresh search";
+  EXPECT_EQ(FreshSolve(cs, zero).status, SolveStatus::kUnsat)
+      << "backtrack core";
+
+  SolveContext ctx;
+  for (const ExprRef& c : cs) ctx.Apply(c);
+  ASSERT_TRUE(ctx.known_unsat());
+  SolverCache cache;
+  EXPECT_EQ(cache.Solve(cs, {}, zero, ctx).status, SolveStatus::kUnsat);
+  EXPECT_EQ(cache.stats().subsumption_hits, 1u);
+}
+
 // -- SolveContext seeding --------------------------------------------------
 
 TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
   std::mt19937 rng(4321);
+  const SolverBackend& core = PropagateBackendInstance();
   for (int round = 0; round < 40; ++round) {
     InternScope intern;
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 5) == 4);
@@ -331,10 +383,10 @@ TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
     SolveContext ctx;
     for (const ExprRef& c : cs) ctx.Apply(c);
 
-    SolverOptions with_ctx;
-    with_ctx.context = &ctx;
-    const SolveResult seeded = FreshSolve(cs, with_ctx);
-    const SolveResult plain = FreshSolve(cs, {});
+    const SolveResult seeded = core.Solve(cs, {}, &ctx);
+    const SolveResult plain = core.Solve(cs, {}, nullptr);
+    const SolveResult reference =
+        oracle::BacktrackSolver().Solve(cs, {}, nullptr);
 
     ASSERT_EQ(seeded.status, plain.status) << "round " << round;
     EXPECT_EQ(seeded.model, plain.model) << "round " << round;
@@ -342,6 +394,8 @@ TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
         << "round " << round
         << ": context seeding may only skip prefilter evaluations, "
            "never change the search";
+    ASSERT_EQ(seeded.status, reference.status) << "round " << round;
+    EXPECT_EQ(seeded.steps, reference.steps) << "round " << round;
   }
 }
 
@@ -356,7 +410,7 @@ TEST(SolveContextTest, WipeoutMarksKnownUnsat) {
   SolverCache cache;
   SolveContext query_ctx = ctx;
   const SolveResult r =
-      cache.Solve({InputEq(3, 10), InputEq(3, 11)}, {}, {}, &query_ctx);
+      cache.Solve({InputEq(3, 10), InputEq(3, 11)}, {}, {}, query_ctx);
   EXPECT_EQ(r.status, SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().subsumption_hits, 1u);
 }
@@ -366,22 +420,25 @@ TEST(SolveContextTest, WipeoutMarksKnownUnsat) {
 TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   InternScope intern;
   SolverCache cache;
+  // One state whose context applies nothing: every tier but the
+  // wipeout can answer.
+  SolveContext ctx;
   const ExprRef a = InputEq(0, 5);
   const ExprRef b = InputEq(1, 7);
 
   // Fresh solve: miss.
-  ASSERT_EQ(cache.Solve({a}, {}, {}, nullptr).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve({a}, {}, {}, ctx).status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
   // Same sequence again: exact hit.
-  ASSERT_EQ(cache.Solve({a}, {}, {}, nullptr).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve({a}, {}, {}, ctx).status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().exact_hits, 1u);
 
   // A new joint query is a fresh search (the slicing tier that once
-  // stitched {a} and {b} answers together is retired), but it caches
-  // the joint model {0:5, 1:7}...
-  ASSERT_EQ(cache.Solve({a, b}, {}, {}, nullptr).status, SolveStatus::kSat);
+  // stitched {a} and {b} answers together is retired), but it pools
+  // the joint model {0:5, 1:7} on the state...
+  ASSERT_EQ(cache.Solve({a, b}, {}, {}, ctx).status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 2u);
 
   // ...which certifies this relaxation without a search: model reuse.
@@ -389,7 +446,7 @@ TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
       MakeBinOp(vm::Op::kCmpLeU, In(0), MakeConst(5)),
       MakeBinOp(vm::Op::kCmpLeU, In(1), MakeConst(7)),
   };
-  const SolveResult reused = cache.Solve(relaxed, {}, {}, nullptr);
+  const SolveResult reused = cache.Solve(relaxed, {}, {}, ctx);
   ASSERT_EQ(reused.status, SolveStatus::kSat);
   EXPECT_EQ(reused.steps, 0u) << "cache hits must report zero steps";
   EXPECT_TRUE(Satisfies(relaxed, reused.model));
@@ -400,27 +457,61 @@ TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   EXPECT_GE(s.model_reuse_hits, 1u)
       << "the relaxed query must be served by certified model reuse";
 
-  // Without a context nothing proves a query UNSAT in advance: a UNSAT
-  // system and a superset of it are both fresh searches.
-  ASSERT_EQ(cache.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, {}, nullptr)
+  // A context that applied nothing proves no query UNSAT in advance: a
+  // UNSAT system and a superset of it are both fresh searches.
+  ASSERT_EQ(cache.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, {}, ctx).status,
+            SolveStatus::kUnsat);
+  ASSERT_EQ(cache.Solve({a, InputEq(2, 1), InputEq(2, 2)}, {}, {}, ctx)
                 .status,
             SolveStatus::kUnsat);
-  ASSERT_EQ(
-      cache.Solve({a, InputEq(2, 1), InputEq(2, 2)}, {}, {}, nullptr).status,
-      SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().misses, 4u);
   EXPECT_EQ(cache.stats().subsumption_hits, 0u);
 
   // A context whose unary domain for in[2] wiped out: subsumption.
-  SolveContext ctx;
-  ctx.Apply(InputEq(2, 1));
-  ctx.Apply(InputEq(2, 2));
-  ASSERT_TRUE(ctx.known_unsat());
-  ASSERT_EQ(cache.Solve({b, InputEq(2, 1), InputEq(2, 2)}, {}, {}, &ctx)
+  SolveContext wiped;
+  wiped.Apply(InputEq(2, 1));
+  wiped.Apply(InputEq(2, 2));
+  ASSERT_TRUE(wiped.known_unsat());
+  ASSERT_EQ(cache.Solve({b, InputEq(2, 1), InputEq(2, 2)}, {}, {}, wiped)
                 .status,
             SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().subsumption_hits, 1u);
   EXPECT_EQ(cache.stats().misses, 4u);
+}
+
+TEST(CacheCountersTest, OracleBackendBypassesEveryTier) {
+  // With SolverOptions::backend set, Solve is the bare search: the same
+  // query twice is two misses, a pooled model is never reused and a
+  // wiped-out context answers nothing. The default path answers the
+  // repeat from the exact memo.
+  InternScope intern;
+  const std::vector<ExprRef> q = {InputEq(0, 5)};
+  SolverOptions off;
+  off.backend = &oracle::BacktrackSolver();
+
+  SolverCache bypass;
+  SolveContext ctx;
+  ASSERT_EQ(bypass.Solve(q, {}, off, ctx).status, SolveStatus::kSat);
+  ASSERT_EQ(bypass.Solve(q, {}, off, ctx).status, SolveStatus::kSat);
+  EXPECT_EQ(bypass.stats().hits, 0u);
+  EXPECT_EQ(bypass.stats().misses, 2u);
+  EXPECT_TRUE(ctx.recent_models().empty()) << "the bypass pools nothing";
+
+  SolveContext wiped;
+  wiped.Apply(InputEq(2, 1));
+  wiped.Apply(InputEq(2, 2));
+  ASSERT_EQ(bypass.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, off, wiped)
+                .status,
+            SolveStatus::kUnsat);
+  EXPECT_EQ(bypass.stats().subsumption_hits, 0u);
+  EXPECT_EQ(bypass.stats().misses, 3u);
+
+  SolverCache cache;
+  SolveContext fresh_ctx;
+  ASSERT_EQ(cache.Solve(q, {}, {}, fresh_ctx).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve(q, {}, {}, fresh_ctx).status, SolveStatus::kSat);
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 }  // namespace

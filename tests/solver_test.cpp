@@ -1,9 +1,10 @@
-// ByteSolver: satisfiable systems produce verifying models; unsatisfiable
-// systems are proven Unsat (that verdict becomes the paper's Type-III).
+// The solver front door: satisfiable systems produce verifying models;
+// unsatisfiable systems are proven Unsat (that verdict becomes the
+// paper's Type-III).
 #include <gtest/gtest.h>
 
+#include "solve_once.h"
 #include "support/rng.h"
-#include "symex/solver.h"
 
 namespace octopocs::symex {
 namespace {
@@ -12,11 +13,16 @@ using vm::Op;
 
 ExprRef In(std::uint32_t o) { return MakeInput(o); }
 ExprRef C(std::uint64_t v) { return MakeConst(v); }
+ExprRef Eq(ExprRef e, std::uint64_t v) {
+  return MakeBinOp(Op::kCmpEq, std::move(e), C(v));
+}
+/// A model byte; absent bytes read as 0, as everywhere a model is used.
+std::uint64_t Byte(const Model& model, std::uint32_t off) {
+  return Eval(In(off), model);
+}
 
 TEST(Solver, DirectEquality) {
-  ByteSolver solver;
-  solver.AddEq(In(3), 0x41);
-  const auto r = solver.Solve();
+  const auto r = SolveOnce({Eq(In(3), 0x41)});
   ASSERT_EQ(r.status, SolveStatus::kSat);
   EXPECT_EQ(r.model.at(3), 0x41);
 }
@@ -24,86 +30,71 @@ TEST(Solver, DirectEquality) {
 TEST(Solver, MultiByteFieldEquality) {
   // Little-endian 16-bit field (in[0] | in[1]<<8) == 0x013D — the TIFF
   // tag shape from the motivating example.
-  ByteSolver solver;
   const auto field =
       MakeBinOp(Op::kOr, In(0), MakeBinOp(Op::kShl, In(1), C(8)));
-  solver.AddEq(field, 0x013D);
-  const auto r = solver.Solve();
+  const auto r = SolveOnce({Eq(field, 0x013D)});
   ASSERT_EQ(r.status, SolveStatus::kSat);
   EXPECT_EQ(r.model.at(0), 0x3D);
   EXPECT_EQ(r.model.at(1), 0x01);
 }
 
 TEST(Solver, SumAcrossBytes) {
-  ByteSolver solver;
-  solver.AddEq(MakeBinOp(Op::kAdd, In(0), In(1)), 0x110);
-  const auto r = solver.Solve();
+  const auto r = SolveOnce({Eq(MakeBinOp(Op::kAdd, In(0), In(1)), 0x110)});
   ASSERT_EQ(r.status, SolveStatus::kSat);
   EXPECT_EQ(r.model.at(0) + r.model.at(1), 0x110);
 }
 
 TEST(Solver, RangeConstraintPrefersZero) {
-  ByteSolver solver;
-  solver.Add(MakeBinOp(Op::kCmpLtU, In(5), C(0x10)));
-  const auto r = solver.Solve();
+  const auto r = SolveOnce({MakeBinOp(Op::kCmpLtU, In(5), C(0x10))});
   ASSERT_EQ(r.status, SolveStatus::kSat);
-  EXPECT_LT(r.model.at(5), 0x10);
+  EXPECT_EQ(Byte(r.model, 5), 0u);
 }
 
 TEST(Solver, ContradictionIsUnsat) {
-  ByteSolver solver;
-  solver.AddEq(In(0), 1);
-  solver.AddEq(In(0), 2);
-  EXPECT_EQ(solver.Solve().status, SolveStatus::kUnsat);
+  EXPECT_EQ(SolveOnce({Eq(In(0), 1), Eq(In(0), 2)}).status,
+            SolveStatus::kUnsat);
 }
 
 TEST(Solver, ImpossibleByteValueIsUnsat) {
-  ByteSolver solver;
-  solver.AddEq(In(0), 0x1234);  // a byte can never equal 0x1234
-  EXPECT_EQ(solver.Solve().status, SolveStatus::kUnsat);
+  // A byte can never equal 0x1234.
+  EXPECT_EQ(SolveOnce({Eq(In(0), 0x1234)}).status, SolveStatus::kUnsat);
 }
 
 TEST(Solver, CrossVariableConflictIsUnsat) {
   // in[0] < in[1], in[1] < in[0] — no ordering satisfies both.
-  ByteSolver solver;
-  solver.Add(MakeBinOp(Op::kCmpLtU, In(0), In(1)));
-  solver.Add(MakeBinOp(Op::kCmpLtU, In(1), In(0)));
-  EXPECT_EQ(solver.Solve().status, SolveStatus::kUnsat);
+  EXPECT_EQ(SolveOnce({MakeBinOp(Op::kCmpLtU, In(0), In(1)),
+                       MakeBinOp(Op::kCmpLtU, In(1), In(0))})
+                .status,
+            SolveStatus::kUnsat);
 }
 
 TEST(Solver, PatchGuardConflictShape) {
   // The Idx-13/14 mechanism: a bunch pins a length field to a large
   // value while the patched T requires it below a bound.
-  ByteSolver solver;
   const auto len =
       MakeBinOp(Op::kOr, In(4), MakeBinOp(Op::kShl, In(5), C(8)));
-  solver.AddEq(len, 0xFFFF);                       // crash primitive
-  solver.Add(MakeBinOp(Op::kCmpLtU, len, C(0x100)));  // patch guard
-  EXPECT_EQ(solver.Solve().status, SolveStatus::kUnsat);
+  EXPECT_EQ(SolveOnce({Eq(len, 0xFFFF),                          // primitive
+                       MakeBinOp(Op::kCmpLtU, len, C(0x100))})  // guard
+                .status,
+            SolveStatus::kUnsat);
 }
 
 TEST(Solver, PinsInteractWithConstraints) {
-  ByteSolver solver;
-  solver.Pin(2, 7);
-  solver.Add(MakeBinOp(Op::kCmpEq, MakeBinOp(Op::kAdd, In(2), In(3)), C(10)));
-  const auto r = solver.Solve();
+  const auto r = SolveOnce(
+      {Eq(In(2), 7), Eq(MakeBinOp(Op::kAdd, In(2), In(3)), 10)});
   ASSERT_EQ(r.status, SolveStatus::kSat);
   EXPECT_EQ(r.model.at(2), 7);
   EXPECT_EQ(r.model.at(3), 3);
 }
 
 TEST(Solver, SolveWithExtraConstraints) {
-  ByteSolver solver;
-  solver.Add(MakeBinOp(Op::kCmpLtU, In(0), C(4)));
-  const auto sat = solver.SolveWith({MakeBinOp(Op::kCmpEq, In(0), C(3))});
-  EXPECT_EQ(sat.status, SolveStatus::kSat);
-  const auto unsat = solver.SolveWith({MakeBinOp(Op::kCmpEq, In(0), C(9))});
-  EXPECT_EQ(unsat.status, SolveStatus::kUnsat);
+  const ExprRef below4 = MakeBinOp(Op::kCmpLtU, In(0), C(4));
+  EXPECT_EQ(SolveOnce({below4, Eq(In(0), 3)}).status, SolveStatus::kSat);
+  EXPECT_EQ(SolveOnce({below4, Eq(In(0), 9)}).status, SolveStatus::kUnsat);
 }
 
 TEST(Solver, EmptySystemIsTriviallySat) {
-  ByteSolver solver;
-  EXPECT_EQ(solver.Solve().status, SolveStatus::kSat);
+  EXPECT_EQ(SolveOnce({}).status, SolveStatus::kSat);
 }
 
 TEST(Solver, BudgetYieldsUnknown) {
@@ -111,13 +102,11 @@ TEST(Solver, BudgetYieldsUnknown) {
   // budget must bail out as Unknown rather than loop forever.
   SolverOptions opts;
   opts.max_steps = 1;
-  ByteSolver solver(opts);
   ExprRef sum = In(0);
   for (std::uint32_t i = 1; i < 5; ++i) {
     sum = MakeBinOp(Op::kAdd, std::move(sum), In(i));
   }
-  solver.AddEq(sum, 600);
-  EXPECT_EQ(solver.Solve().status, SolveStatus::kUnknown);
+  EXPECT_EQ(SolveOnce({Eq(sum, 600)}, opts).status, SolveStatus::kUnknown);
 }
 
 // Property: random satisfiable systems (generated from a hidden model)
@@ -135,7 +124,6 @@ TEST_P(SolverSoundness, ModelVerifies) {
   }
   // Derive constraints that the hidden model satisfies by construction.
   std::vector<ExprRef> constraints;
-  ByteSolver solver;
   const std::size_t n_constraints = 1 + rng.Below(8);
   for (std::size_t c = 0; c < n_constraints; ++c) {
     const auto a = static_cast<std::uint32_t>(rng.Below(n_vars));
@@ -158,9 +146,8 @@ TEST_P(SolverSoundness, ModelVerifies) {
     const std::uint64_t value = Eval(e, hidden);
     const auto constraint = MakeBinOp(Op::kCmpEq, e, C(value));
     constraints.push_back(constraint);
-    solver.Add(constraint);
   }
-  const auto r = solver.Solve();
+  const auto r = SolveOnce(constraints);
   ASSERT_EQ(r.status, SolveStatus::kSat);
   for (const auto& c : constraints) {
     EXPECT_NE(Eval(c, r.model), 0u) << ToString(c);
