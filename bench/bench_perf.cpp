@@ -31,7 +31,8 @@
 //               solver-heavy combine pair), each timed best-of-N under
 //               the defaults and under oracle::ShortcutsOff (backtrack
 //               core with no solver cache tier or context seeding, no
-//               cycle skip). Pair
+//               cycle skip in the interpreter or the symbolic stepper,
+//               so that leg steps pair 3's hang in both). Pair
 //               3's ratio is gated as pair3_speedup; both pairs' reports
 //               must be byte-identical across the two configurations.
 //               The whole-corpus differential lives in
@@ -317,9 +318,9 @@ int main(int argc, char** argv) {
   oracle::ShortcutsOff(&oracle_opts);
 
   // Pair idx 3 hangs T in a loop until the fuel bound. The baseline leg
-  // runs it with every shortcut off (the interpreter then steps the
-  // whole fuel budget) against the defaults (cycle skip fast-forwards
-  // it). Best-of-N wall times so scheduler noise cannot fake a
+  // runs it with every shortcut off (the interpreter steps the whole
+  // fuel budget and the symbolic stepper the whole per-state cap)
+  // against the defaults (cycle skip fast-forwards both). Best-of-N wall times so scheduler noise cannot fake a
   // regression; identity of the two reports is part of the gate.
   std::size_t pair3 = pairs.size();
   for (std::size_t i = 0; i < pairs.size(); ++i) {

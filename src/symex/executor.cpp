@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "support/fault.h"
 #include "support/trace.h"
@@ -91,6 +93,7 @@ struct SymExecutor::Run {
 
   std::uint64_t queued_footprint = 0;
   std::uint64_t instructions_total = 0;
+  std::uint64_t instructions_skipped = 0;
   std::uint64_t solver_steps_total = 0;
   std::uint64_t states_created_total = 0;
   std::uint64_t live_states = 0;  // queued + in flight
@@ -531,6 +534,154 @@ struct SymExecutor::Run {
   }
 
   // ---------------------------------------------------------------------
+  // Exact-cycle fast-forward after combining (ExecutorOptions::cycle_skip).
+  // ---------------------------------------------------------------------
+
+  /// One state's detector: the port of the interpreter's (vm/interp.cpp,
+  /// DESIGN §13.4). It arms a deep snapshot at a poll on Brent's
+  /// doubling schedule over the state's polls since combining finished
+  /// (armed at poll j, compared at every poll before 2j, then re-armed).
+  /// Expressions are hash-consed and the run's InternScope keeps every
+  /// node alive, so registers and memory compare by ExprRef pointer.
+  struct CycleSnapshot {
+    std::uint64_t polls = 0;      // probes since combining finished
+    std::uint64_t arm_limit = 0;  // (re-)arm at this probe
+    std::uint64_t arm_instr = 0;  // s.instructions at the snapshot
+
+    std::vector<SymFrame> frames;
+    std::vector<std::pair<std::uint64_t, ExprRef>> mem;
+    // Copied by value: another owner of the Cow handles would change
+    // FootprintBytes, which feeds OverBudget and peak_memory_bytes.
+    SymState::HeapMap heap;
+    SymState::LoopMap loop_counts;
+    std::uint64_t cursor = 0;
+    std::uint64_t file_pos = 0;
+    std::uint64_t required_size = 0;
+    std::uint32_t depth_inside = 0;
+    std::uint32_t ep_count = 0;
+    bool fsize_observed = false;
+    // These containers only grow, so equal sizes mean nothing was added
+    // and FinalizeState would see exactly the same inputs.
+    std::size_t constraints = 0;
+    std::size_t pinned = 0;
+    std::size_t read_offsets = 0;
+    std::size_t bunch_targets = 0;
+    // What the period may not have touched outside the state: the
+    // memory gauge, the solver cache and the worklist.
+    std::size_t footprint = 0;
+    std::uint64_t solver_queries = 0;
+    std::uint64_t solver_steps = 0;
+    std::uint64_t states_created = 0;
+  };
+
+  std::uint64_t SolverQueries() const {
+    return cache.stats().hits + cache.stats().misses;
+  }
+
+  void CycleArm(const SymState& s, CycleSnapshot& d) {
+    d.arm_limit = 2 * d.polls;
+    d.arm_instr = s.instructions;
+    d.frames = s.frames;
+    d.mem.clear();
+    d.mem.reserve(s.mem.size());
+    s.mem.ForEach([&](std::uint64_t addr, const ExprRef& v) {
+      d.mem.emplace_back(addr, v);
+    });
+    d.heap = s.heap.get();
+    d.loop_counts = s.loop_counts.get();
+    d.cursor = s.cursor.next;
+    d.file_pos = s.file_pos;
+    d.required_size = s.required_size;
+    d.depth_inside = s.depth_inside;
+    d.ep_count = s.ep_count;
+    d.fsize_observed = s.fsize_observed;
+    d.constraints = s.constraints.size();
+    d.pinned = s.pinned.size();
+    d.read_offsets = s.read_offsets.size();
+    d.bunch_targets = s.bunch_targets.size();
+    d.footprint = s.FootprintBytes();
+    d.solver_queries = SolverQueries();
+    d.solver_steps = solver_steps_total;
+    d.states_created = states_created_total;
+  }
+
+  bool CycleStateEquals(const SymState& s, const CycleSnapshot& d) const {
+    // Cheap reject first: position, scalars and sizes; the deep compare
+    // only runs when the poll lands on the armed loop phase.
+    const SymFrame& top = s.frames.back();
+    const SymFrame& atop = d.frames.back();
+    if (s.frames.size() != d.frames.size() || top.fn != atop.fn ||
+        top.block != atop.block || top.ip != atop.ip ||
+        s.file_pos != d.file_pos || s.cursor.next != d.cursor ||
+        s.required_size != d.required_size ||
+        s.depth_inside != d.depth_inside || s.ep_count != d.ep_count ||
+        s.fsize_observed != d.fsize_observed ||
+        s.constraints.size() != d.constraints ||
+        s.pinned.size() != d.pinned ||
+        s.read_offsets.size() != d.read_offsets ||
+        s.bunch_targets.size() != d.bunch_targets ||
+        SolverQueries() != d.solver_queries ||
+        solver_steps_total != d.solver_steps ||
+        states_created_total != d.states_created ||
+        s.mem.size() != d.mem.size()) {
+      return false;
+    }
+    // Frames innermost-first: a progressing loop differs in its top regs.
+    for (std::size_t i = s.frames.size(); i-- > 0;) {
+      const SymFrame& a = s.frames[i];
+      const SymFrame& b = d.frames[i];
+      if (a.fn != b.fn || a.block != b.block || a.ip != b.ip ||
+          a.ret_reg != b.ret_reg || a.regs != b.regs) {
+        return false;
+      }
+    }
+    if (s.heap.get() != d.heap || s.loop_counts.get() != d.loop_counts) {
+      return false;
+    }
+    bool same = true;
+    std::size_t i = 0;
+    s.mem.ForEach([&](std::uint64_t addr, const ExprRef& v) {
+      same = same && d.mem[i].first == addr && d.mem[i].second == v;
+      ++i;
+    });
+    // A capacity that grew inside the period would make the polls
+    // skipped over read a larger footprint than the stepped ones did.
+    return same && s.FootprintBytes() == d.footprint;
+  }
+
+  /// Runs at the 1024-instruction poll of a state whose bunches are all
+  /// placed. Returns false once the state's one skip is spent.
+  bool CycleProbe(SymState& s, CycleSnapshot& d) {
+    // Fault injection counts kStateFork/kAllocation polls; skipping
+    // periods would move the armed injection point.
+    if (support::fault::armed()) return true;
+    ++d.polls;
+    if (d.polls >= d.arm_limit) {
+      CycleArm(s, d);
+      return true;
+    }
+    if (!CycleStateEquals(s, d)) return true;
+    // Exact repeat: stepping is deterministic from a complete state, so
+    // the state retraces this period until a limit stops it. Both
+    // snapshot and probe sit on polls, so the period is a multiple of
+    // 1024 and the jump keeps every later poll on the instruction it
+    // had. The residual runs normally, so kDepthLimit or kBudget fires
+    // on the same instruction as in the stepped run.
+    const std::uint64_t period = s.instructions - d.arm_instr;
+    const std::uint64_t state_room =
+        opts.max_state_instructions > s.instructions
+            ? opts.max_state_instructions - s.instructions
+            : 0;
+    // OverBudget has just passed, so instructions_total <= the cap.
+    const std::uint64_t run_room = opts.max_instructions - instructions_total;
+    const std::uint64_t skip = std::min(state_room, run_room) / period * period;
+    s.instructions += skip;
+    instructions_total += skip;
+    instructions_skipped += skip;
+    return false;
+  }
+
+  // ---------------------------------------------------------------------
   // Single-state execution until death, fork-exhaustion, or goal.
   // ---------------------------------------------------------------------
 
@@ -538,6 +689,8 @@ struct SymExecutor::Run {
   /// pushed onto the worklist. Returns true when the run is finished
   /// (result filled in: goal reached, or budget/deadline tripped).
   bool RunState(SymState s, SymexResult* result) {
+    CycleSnapshot cycle;
+    bool cycle_live = opts.cycle_skip && goal == Goal::kGeneratePoc;
     while (s.death == StateDeath::kAlive) {
       if (s.instructions > opts.max_state_instructions) {
         Die(s, StateDeath::kDepthLimit);
@@ -555,6 +708,9 @@ struct SymExecutor::Run {
           result->status = SymexStatus::kDeadline;
           result->detail = "wall-clock deadline expired mid-exploration";
           return true;
+        }
+        if (cycle_live && s.combining_done) {
+          cycle_live = CycleProbe(s, cycle);
         }
       }
 
@@ -1026,6 +1182,7 @@ struct SymExecutor::Run {
                                       start)
             .count();
     stats.instructions = instructions_total;
+    stats.instructions_skipped = instructions_skipped;
     stats.solver_steps = solver_steps_total;
     stats.states_created = states_created_total;
     stats.peak_live_states = peak_live_states;
@@ -1045,6 +1202,8 @@ struct SymExecutor::Run {
         return static_cast<std::int64_t>(v);
       };
       tr.Counter("symex.instructions", i64(stats.instructions));
+      tr.Counter("symex.instructions_skipped",
+                 i64(stats.instructions_skipped));
       tr.Counter("symex.states_created", i64(stats.states_created));
       tr.Counter("symex.solver_steps", i64(stats.solver_steps));
       tr.Counter("symex.solver_cache_hits", i64(stats.solver_cache_hits));

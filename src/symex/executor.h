@@ -57,7 +57,11 @@ std::string_view SymexStatusName(SymexStatus status);
 struct SymexStats {
   std::uint64_t states_created = 0;
   std::uint64_t peak_live_states = 0;
+  /// Instructions stepped or fast-forwarded, over all states.
   std::uint64_t instructions = 0;
+  /// The part of `instructions` the exact-cycle skip jumped over
+  /// instead of stepping (ExecutorOptions::cycle_skip).
+  std::uint64_t instructions_skipped = 0;
   std::uint64_t solver_steps = 0;
   /// Solver-memoization effectiveness: queries answered from the
   /// per-run cache vs. queries that ran the CSP search.
@@ -119,6 +123,13 @@ struct ExecutorOptions {
   /// values inside VM address ranges — are skipped since allocation
   /// addresses need not agree between S and T).
   bool check_ep_args = true;
+  /// Exact-cycle fast-forward for a state that keeps running through ℓ
+  /// after the final bunch (a CWE-835 hang): once its complete state
+  /// repeats with period P, whole periods are counted instead of
+  /// stepped. Answer-invisible — results and every SymexStats counter
+  /// but the interner hits equal the stepped run's — so it enters no
+  /// key; oracle::ShortcutsOff turns it off for the differential.
+  bool cycle_skip = true;
   SolverOptions solver;
   /// Cooperative wall-clock bound over the whole symbolic run, polled in
   /// the stepping loop. Callers that also want mid-solve cancellation

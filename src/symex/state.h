@@ -39,6 +39,8 @@ struct SymFrame {
 struct SymAlloc {
   std::uint64_t size = 0;
   bool alive = true;
+
+  friend bool operator==(const SymAlloc&, const SymAlloc&) = default;
 };
 
 /// Why a state stopped executing. Used to classify the overall outcome
@@ -76,6 +78,8 @@ struct SymState {
   struct LoopEntry {
     std::uint32_t count = 0;
     std::uint64_t last_constraint_count = ~std::uint64_t{0};
+
+    friend bool operator==(const LoopEntry&, const LoopEntry&) = default;
   };
   using LoopMap =
       std::map<std::tuple<vm::FuncId, vm::BlockId, vm::BlockId>, LoopEntry>;

@@ -331,6 +331,10 @@ TEST(ReportCacheTest, KeyCoversVerdictBearingKnobs) {
   PipelineOptions deadline = base;
   deadline.deadline_ms = 500;
   EXPECT_EQ(key, ReportKey(pair, deadline));
+  // The stepper's cycle skip is answer-invisible, so it is key-invisible.
+  PipelineOptions stepped = base;
+  stepped.symex.cycle_skip = false;
+  EXPECT_EQ(key, ReportKey(pair, stepped));
   // The pair's content is the rest of the key.
   EXPECT_NE(key, ReportKey(corpus::BuildPair(9), base));
   corpus::Pair other_poc = pair;

@@ -3,12 +3,13 @@
 //
 // The default pipeline takes shortcuts that must never change a report:
 // the solver cache's exact memo, context wipeout and model reuse,
-// SolveContext seeding, the propagate solver core, the interpreter's
-// exact-cycle fast-forward, and artifact-store hits. Each slice below
-// is verified three times — under the defaults with one shared
-// ArtifactStore, cold and then warm, and under oracle::ShortcutsOff
-// (every solver query searched unseeded by the backtrack core with no
-// cache tier, no cycle skip, no store) — and every report must
+// SolveContext seeding, the propagate solver core, the exact-cycle
+// fast-forward in the interpreter and in the symbolic stepper, and
+// artifact-store hits. Each slice below is verified three times — under
+// the defaults with one shared ArtifactStore, cold and then warm, and
+// under oracle::ShortcutsOff (every solver query searched unseeded by
+// the backtrack core with no cache tier, no cycle skip in either
+// stepper, no store) — and every report must
 // serialize byte for byte the same with its wall-clock timings zeroed.
 //
 // The three slices (Table II's 15 pairs, the 7 extended pairs and 64
