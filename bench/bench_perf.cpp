@@ -37,6 +37,13 @@
 //               must be byte-identical across the two configurations.
 //               The whole-corpus differential lives in
 //               tests/shortcuts_off_test.cpp.
+//   hostile     one fixed symex-hostile generated pair (a gate byte
+//               feeding a warm-up loop that runs to the θ cap, asking
+//               the solver at every iteration's branch), under the
+//               generated corpus's rung options, timed best-of-N under
+//               the defaults and under oracle::ShortcutsOff. Its report
+//               identity is gated as hostile_identical; the ratio is
+//               reported.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -48,6 +55,7 @@
 #include "core/octopocs.h"
 #include "core/parallel_verify.h"
 #include "corpus/pairs.h"
+#include "gen/generator.h"
 #include "oracle/oracle.h"
 #include "symex/state.h"
 
@@ -382,6 +390,45 @@ int main(int argc, char** argv) {
                 pair14_identical ? "byte-identical" : "DIVERGED");
   }
 
+  // -- Hostile leg: one symex-hostile generated pair ------------------------
+  // The first symex-hostile ordinal of generator seed 2 (the corpus that
+  // perfbench's `generated` workload draws for --seed 1), with that
+  // workload's rung options. Its symbolic run is branch queries along
+  // one growing path, the cost the solver's branch tiers target.
+  gen::GeneratedPair hostile;
+  for (int ordinal = 0;; ++ordinal) {
+    hostile = gen::BuildGeneratedPair(2, ordinal);
+    if (hostile.mutation == "symex-hostile") break;
+  }
+  core::PipelineOptions hostile_opts;
+  hostile_opts.fuzz_fallback = true;
+  hostile_opts.fuzz_seed = 1;
+  hostile_opts.fuzz_execs = 20000;
+  core::PipelineOptions hostile_oracle_opts = hostile_opts;
+  oracle::ShortcutsOff(&hostile_oracle_opts);
+  double hostile_seconds = 0, hostile_oracle_seconds = 0;
+  core::VerificationReport hostile_rep, hostile_oracle_rep;
+  for (int r = 0; r < 5; ++r) {
+    const auto t0 = Clock::now();
+    hostile_rep = core::VerifyPair(hostile.pair, hostile_opts);
+    const double s = SecondsSince(t0);
+    if (r == 0 || s < hostile_seconds) hostile_seconds = s;
+    const auto t1 = Clock::now();
+    hostile_oracle_rep = core::VerifyPair(hostile.pair, hostile_oracle_opts);
+    const double o = SecondsSince(t1);
+    if (r == 0 || o < hostile_oracle_seconds) hostile_oracle_seconds = o;
+  }
+  const bool hostile_identical =
+      ReportsIdentical({hostile_rep}, {hostile_oracle_rep}) &&
+      hostile_rep.verdict == hostile.expected_verdict;
+  const double hostile_speedup =
+      hostile_seconds > 0 ? hostile_oracle_seconds / hostile_seconds : 0;
+  std::printf("hostile:      %.4f s defaults | %.4f s shortcuts off "
+              "(%.1fx, %s, reports %s)\n\n",
+              hostile_seconds, hostile_oracle_seconds, hostile_speedup,
+              hostile.pair.t_name.c_str(),
+              hostile_identical ? "byte-identical" : "DIVERGED");
+
   // -- Machine-readable trajectory ------------------------------------------
   FILE* out = std::fopen(out_path.c_str(), "w");
   if (out != nullptr) {
@@ -436,6 +483,10 @@ int main(int argc, char** argv) {
                  "  \"pair14_seconds\": %.4f,\n"
                  "  \"pair14_oracle_seconds\": %.4f,\n"
                  "  \"pair14_identical\": %s,\n"
+                 "  \"hostile_seconds\": %.4f,\n"
+                 "  \"hostile_oracle_seconds\": %.4f,\n"
+                 "  \"hostile_speedup\": %.2f,\n"
+                 "  \"hostile_identical\": %s,\n"
                  "  \"smoke\": %s\n"
                  "}\n",
                  run_parallel ? "ran" : "skipped (1 cpu)", parallel_seconds,
@@ -449,7 +500,9 @@ int main(int argc, char** argv) {
                  pair3_baseline_seconds, pair3_optimized_seconds,
                  pair3_speedup, pair3_identical ? "true" : "false",
                  pair14_seconds, pair14_oracle_seconds,
-                 pair14_identical ? "true" : "false",
+                 pair14_identical ? "true" : "false", hostile_seconds,
+                 hostile_oracle_seconds, hostile_speedup,
+                 hostile_identical ? "true" : "false",
                  smoke ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
@@ -470,6 +523,11 @@ int main(int argc, char** argv) {
   if (!pair14_identical) {
     std::printf("FAIL: pair-14 report diverged from the shortcut-off "
                 "oracle\n");
+    return 1;
+  }
+  if (!hostile_identical) {
+    std::printf("FAIL: hostile-pair report diverged from the shortcut-off "
+                "oracle or missed its label\n");
     return 1;
   }
   if (!artifact_identical) {

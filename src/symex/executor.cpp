@@ -169,9 +169,9 @@ struct SymExecutor::Run {
   }
 
   /// Satisfiability of `s`'s path constraints through the run's
-  /// incremental cache: exact memo → context wipeout → certified model
-  /// reuse → fresh search, seeded with the state's own solve context
-  /// (see SolverCache::Solve).
+  /// incremental cache: exact memo → context wipeout → branch wipeout →
+  /// certified model reuse → fresh search, seeded with the state's own
+  /// solve context (see SolverCache::Solve).
   SolveResult SolveConstraints(SymState& s) {
     SolveResult r =
         cache.Solve(s.constraints, s.pinned, opts.solver, s.solve_ctx);

@@ -1,6 +1,7 @@
 #include "symex/expr.h"
 
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -367,6 +368,90 @@ const ExprProgram& ProgramFor(const ExprRef& expr) {
     return *expected;
   }
   return *program;
+}
+
+namespace {
+
+/// Tries to read `expr` as a little-endian byte concatenation —
+/// or(or(b0, shl(b1,8)), shl(b2,16))... Fills lane → input offset.
+bool AsByteConcat(const ExprRef& expr, unsigned shift,
+                  std::map<unsigned, std::uint32_t>* lanes) {
+  switch (expr->kind) {
+    case ExprKind::kInput: {
+      if (shift % 8 != 0) return false;
+      const unsigned lane = shift / 8;
+      if (lanes->count(lane) != 0) return false;
+      (*lanes)[lane] = expr->offset;
+      return true;
+    }
+    case ExprKind::kBinOp:
+      if (expr->op == vm::Op::kOr) {
+        return AsByteConcat(expr->lhs, shift, lanes) &&
+               AsByteConcat(expr->rhs, shift, lanes);
+      }
+      if (expr->op == vm::Op::kShl && expr->rhs->IsConst()) {
+        return AsByteConcat(expr->lhs,
+                            shift + static_cast<unsigned>(expr->rhs->value),
+                            lanes);
+      }
+      return false;
+    default:
+      return false;
+  }
+}
+
+/// ConcatPins' derivation, uncached; `concat == konst` is the equality.
+std::vector<ExprRef> DerivePins(const ExprRef& concat,
+                                const ExprRef& konst) {
+  std::vector<ExprRef> pins;
+  std::map<unsigned, std::uint32_t> lanes;
+  if (!AsByteConcat(concat, 0, &lanes) || lanes.empty()) return pins;
+  std::uint64_t covered = 0;
+  SortedSmallSet<std::uint32_t> seen;
+  for (const auto& [lane, offset] : lanes) {
+    if (lane >= 8 || seen.Contains(offset)) return pins;
+    seen.Insert(offset);
+    covered |= 0xFFull << (8 * lane);
+  }
+  if ((konst->value & ~covered) != 0) {
+    pins.push_back(MakeConst(0));  // impossible: bits outside any lane
+    return pins;
+  }
+  for (const auto& [lane, offset] : lanes) {
+    pins.push_back(MakeBinOp(vm::Op::kCmpEq, MakeInput(offset),
+                             MakeConst((konst->value >> (8 * lane)) & 0xFF)));
+  }
+  return pins;
+}
+
+}  // namespace
+
+const std::vector<ExprRef>& ConcatPins(const ExprRef& expr) {
+  static const std::vector<ExprRef> kNone;
+  const Expr* e = expr.get();
+  if (e->kind != ExprKind::kBinOp || e->op != vm::Op::kCmpEq ||
+      (!e->lhs->IsConst() && !e->rhs->IsConst())) {
+    return kNone;  // not an equality against a constant: nothing to cache
+  }
+  if (const std::vector<ExprRef>* cached =
+          e->pins_cache.load(std::memory_order_acquire)) {
+    return *cached;
+  }
+  const bool const_rhs = e->rhs->IsConst();
+  auto* pins = new std::vector<ExprRef>(
+      DerivePins(const_rhs ? e->lhs : e->rhs, const_rhs ? e->rhs : e->lhs));
+  for (ExprRef& pin : *pins) {
+    if (pin.get() == e) pin = nullptr;  // self: see ConcatPins
+  }
+  // Same publication rule as FreeVars and ProgramFor.
+  const std::vector<ExprRef>* expected = nullptr;
+  if (!e->pins_cache.compare_exchange_strong(expected, pins,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_acquire)) {
+    delete pins;
+    return *expected;
+  }
+  return *pins;
 }
 
 std::uint64_t RunProgram(const ExprProgram& program, const std::uint8_t* vals,

@@ -73,6 +73,7 @@ struct Expr {
   ~Expr() {
     delete vars_cache.load(std::memory_order_acquire);
     delete program_cache.load(std::memory_order_acquire);
+    delete pins_cache.load(std::memory_order_acquire);
   }
 
   /// Lazily-computed free-variable set, published once per node (see
@@ -84,6 +85,9 @@ struct Expr {
       nullptr};
   /// Lazily-lowered program, published like vars_cache (see ProgramFor).
   mutable std::atomic<const ExprProgram*> program_cache{nullptr};
+  /// Lazily-derived byte pins, published like vars_cache (see
+  /// ConcatPins). Only equalities against a constant ever carry one.
+  mutable std::atomic<const std::vector<ExprRef>*> pins_cache{nullptr};
 };
 
 /// A (partial) assignment of input bytes.
@@ -145,6 +149,28 @@ const SortedSmallSet<std::uint32_t>& FreeVars(const ExprRef& expr);
 /// solver query over a hash-consed constraint reuses one program. The
 /// returned reference lives as long as the node does.
 const ExprProgram& ProgramFor(const ExprRef& expr);
+
+/// The byte pins a concat equality implies. When `expr` is CmpEq(c, K)
+/// (the constant on either side) and c is a little-endian
+/// concatenation of distinct input bytes — the shape LoadWide builds:
+/// or(b0, shl(b1, 8), ...) — the result holds one equality
+/// in[o] == (K's lane byte) per lane, in lane order, or a single
+/// constant false when K has bits outside every lane. Empty for any
+/// other shape. This is the solver's key propagation rule: it turns
+/// "magic/field == K" from a 256^n search into unit propagation.
+/// Derived on first use and published on the node with the same CAS
+/// rule as FreeVars, so every query over a hash-consed constraint reads
+/// one list. A pin that is `expr` itself (a one-byte equality under an
+/// InternScope) is stored as null, since a node cannot own a reference
+/// to itself; ForEachConcatPin hands it back as `expr`.
+const std::vector<ExprRef>& ConcatPins(const ExprRef& expr);
+
+/// Calls `f(pin)` for each of ConcatPins(expr), `expr` standing in for a
+/// null (self) entry.
+template <typename F>
+void ForEachConcatPin(const ExprRef& expr, F&& f) {
+  for (const ExprRef& pin : ConcatPins(expr)) f(pin != nullptr ? pin : expr);
+}
 
 /// Runs `program` over a dense byte array indexed by input offset
 /// (`vals` must cover every offset the program reads; unassigned bytes

@@ -1,9 +1,6 @@
 #include "symex/solver.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "support/fault.h"
 #include "symex/solver_backends.h"
@@ -17,6 +14,34 @@ namespace {
 SolveResult SolveDistinct(std::vector<ExprRef> constraints,
                           const SolverOptions& options,
                           const SolverBackend& core, const SolveContext* ctx);
+
+/// Drops every repeat of a node, keeping first occurrences in order,
+/// through a sorted copy of the node addresses rather than a hash set:
+/// paths seldom repeat a node, so usually the sort finds no adjacent
+/// pair and nothing else runs.
+void DropRepeats(std::vector<ExprRef>* constraints) {
+  std::vector<const Expr*> sorted;
+  sorted.reserve(constraints->size());
+  for (const ExprRef& c : *constraints) sorted.push_back(c.get());
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end()) {
+    return;
+  }
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  std::vector<bool> kept(sorted.size(), false);
+  std::vector<ExprRef>& cs = *constraints;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < cs.size(); ++i) {
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), cs[i].get()) -
+        sorted.begin());
+    if (kept[rank]) continue;
+    kept[rank] = true;
+    if (n != i) cs[n] = std::move(cs[i]);
+    ++n;
+  }
+  cs.resize(n);
+}
 
 }  // namespace
 
@@ -137,19 +162,17 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
   SolveResult out;
   std::vector<ExprRef> constraints;
   constraints.reserve(raw.size());
-  {
-    std::unordered_set<const Expr*> seen;
-    for (const ExprRef& c : raw) {
-      if (c->IsConst()) {
-        if (c->value == 0) {
-          out.status = SolveStatus::kUnsat;
-          return out;  // trivial; not worth a cache entry or a counter
-        }
-        continue;
+  for (const ExprRef& c : raw) {
+    if (c->IsConst()) {
+      if (c->value == 0) {
+        out.status = SolveStatus::kUnsat;
+        return out;  // trivial; not worth a cache entry or a counter
       }
-      if (seen.insert(c.get()).second) constraints.push_back(c);
+      continue;
     }
+    constraints.push_back(c);
   }
+  DropRepeats(&constraints);
   if (constraints.empty()) {
     out.status = SolveStatus::kSat;
     return out;  // vacuously satisfiable; not a cacheable query
@@ -185,7 +208,20 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
     return out;
   }
 
-  // 3. Certified model reuse from the state's own pool.
+  // 3. Branch wipeout. A branch query is the state's path plus one new
+  // constraint; when that constraint is unary and empties its
+  // variable's context domain, the fresh search would stop in its
+  // unary prefilter with zero steps. Answer as it would — a miss,
+  // memoized — without building it.
+  if (ctx.Refutes(constraints.back())) {
+    support::fault::MaybeThrow(support::FaultSite::kSolverStep);
+    ++stats_.misses;
+    out.status = SolveStatus::kUnsat;
+    StoreEntry(constraints, out);
+    return out;
+  }
+
+  // 4. Certified model reuse from the state's own pool.
   if (ReuseCertifiedModel(constraints, pins, options.hints,
                           ctx.recent_models(), &out.model)) {
     ++stats_.hits;
@@ -195,7 +231,7 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
     return out;
   }
 
-  // 4. Fresh search on the propagate core, seeded from the context.
+  // 5. Fresh search on the propagate core, seeded from the context.
   support::fault::MaybeThrow(support::FaultSite::kSolverStep);
   out = SolveDistinct(constraints, options, PropagateBackendInstance(), &ctx);
   ++stats_.misses;
@@ -209,93 +245,26 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
 
 namespace {
 
-/// Tries to read `expr` as a little-endian byte concatenation — the
-/// shape LoadWide builds: or(or(b0, shl(b1,8)), shl(b2,16))... Returns
-/// lane→input-offset on success. This powers the key propagation rule:
-/// an equality between a concatenation and a constant decomposes into
-/// per-byte pins, which turns the dominant "magic/field == K" constraint
-/// from a 256^n search into unit propagation.
-bool AsByteConcat(const ExprRef& expr, unsigned shift,
-                  std::map<unsigned, std::uint32_t>* lanes) {
-  switch (expr->kind) {
-    case ExprKind::kInput: {
-      if (shift % 8 != 0) return false;
-      const unsigned lane = shift / 8;
-      if (lanes->count(lane) != 0) return false;
-      (*lanes)[lane] = expr->offset;
-      return true;
-    }
-    case ExprKind::kBinOp:
-      if (expr->op == vm::Op::kOr) {
-        return AsByteConcat(expr->lhs, shift, lanes) &&
-               AsByteConcat(expr->rhs, shift, lanes);
-      }
-      if (expr->op == vm::Op::kShl && expr->rhs->IsConst()) {
-        return AsByteConcat(expr->lhs,
-                            shift + static_cast<unsigned>(expr->rhs->value),
-                            lanes);
-      }
-      return false;
-    default:
-      return false;
-  }
-}
-
-/// If `constraint` is CmpEq(concat, K), appends the per-byte equalities
-/// to `out` (or a constant-false when K has bits outside the lanes).
-/// Returns true when a decomposition happened.
-bool DecomposeConcatEquality(const ExprRef& constraint,
-                             std::vector<ExprRef>* out) {
-  if (constraint->kind != ExprKind::kBinOp ||
-      constraint->op != vm::Op::kCmpEq) {
-    return false;
-  }
-  ExprRef concat, konst;
-  if (constraint->rhs->IsConst()) {
-    concat = constraint->lhs;
-    konst = constraint->rhs;
-  } else if (constraint->lhs->IsConst()) {
-    concat = constraint->rhs;
-    konst = constraint->lhs;
-  } else {
-    return false;
-  }
-  std::map<unsigned, std::uint32_t> lanes;
-  if (!AsByteConcat(concat, 0, &lanes) || lanes.empty()) return false;
-  std::uint64_t covered = 0;
-  SortedSmallSet<std::uint32_t> seen;
-  for (const auto& [lane, offset] : lanes) {
-    if (lane >= 8 || seen.Contains(offset)) return false;
-    seen.Insert(offset);
-    covered |= 0xFFull << (8 * lane);
-  }
-  if ((konst->value & ~covered) != 0) {
-    out->push_back(MakeConst(0));  // impossible: bits outside any lane
-    return true;
-  }
-  for (const auto& [lane, offset] : lanes) {
-    out->push_back(MakeBinOp(
-        vm::Op::kCmpEq, MakeInput(offset),
-        MakeConst((konst->value >> (8 * lane)) & 0xFF)));
-  }
-  return true;
-}
-
 SolveResult SolveDistinct(std::vector<ExprRef> constraints,
                           const SolverOptions& options,
                           const SolverBackend& core, const SolveContext* ctx) {
-  // Propagation pre-pass: decompose concat equalities into byte pins so
-  // unit propagation starts from singleton domains for multi-byte
-  // fields. Runs before backend dispatch, so every core sees the same
-  // preprocessed system — a prerequisite for answer identity.
+  // Propagation pre-pass: append each concat equality's byte pins (read
+  // from the node, ConcatPins) so unit propagation starts from singleton
+  // domains for multi-byte fields. Runs before backend dispatch, so
+  // every core sees the same preprocessed system — a prerequisite for
+  // answer identity.
   std::vector<ExprRef> derived;
-  for (const ExprRef& e : constraints) DecomposeConcatEquality(e, &derived);
-  for (const ExprRef& e : derived) {
-    if (e->IsConst() && e->value == 0) {
-      SolveResult result;
-      result.status = SolveStatus::kUnsat;
-      return result;
-    }
+  bool impossible = false;
+  for (const ExprRef& e : constraints) {
+    ForEachConcatPin(e, [&](const ExprRef& pin) {
+      if (pin->IsConst()) impossible = true;  // only ever constant false
+      derived.push_back(pin);
+    });
+  }
+  if (impossible) {
+    SolveResult result;
+    result.status = SolveStatus::kUnsat;
+    return result;
   }
   constraints.insert(constraints.end(), derived.begin(), derived.end());
   return core.Solve(constraints, options, ctx);

@@ -83,7 +83,9 @@ struct SolverOptions {
 /// backend choice cache-invisible. `ctx`, when non-null, is the
 /// querying state's SolveContext: its domains may seed the unary
 /// prefilter, which must leave the search bit-identical to an unseeded
-/// one (steps included).
+/// one (steps included). That holds because every constraint the
+/// context folded, derived pins included, is a member of the
+/// preprocessed system.
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
@@ -108,7 +110,7 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
 
 /// The solver's one front door: memoizes verdicts across the repeated
 /// feasibility and concretization queries a directed executor issues
-/// along shared path prefixes. Three tiers, all sound by construction:
+/// along shared path prefixes. Four tiers, all sound by construction:
 ///
 ///   exact memo    keyed by the exact sequence of constraint node
 ///                 addresses. Forked states copy their constraint
@@ -122,6 +124,13 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
 ///                 fresh search says so too, since its unary prefilter
 ///                 empties the same domain before any step or budget
 ///                 check. Verdict-only: no model is fabricated.
+///   branch wipeout the query's last constraint — the branch a query
+///                 adds to the state's path — is unary and empties its
+///                 variable's context domain (SolveContext::Refutes).
+///                 The fresh search's prefilter would return kUnsat with
+///                 zero steps from that same domain, so the answer is
+///                 that result, counted as a miss and memoized, without
+///                 building the search.
 ///   model reuse   a path extends its prefix by appending constraints,
 ///                 so the sequence key misses — but a model that
 ///                 satisfied the prefix often still satisfies the
@@ -155,11 +164,12 @@ class SolverCache {
   };
 
   /// Answers `constraints` (the caller's path condition) through, in
-  /// order: exact memo → context wipeout → certified model reuse →
-  /// fresh search on the propagate core, seeded from `ctx`. `pins` are
-  /// the caller's already-forced byte values (each also present as an
-  /// equality constraint); `ctx` is the querying state's SolveContext,
-  /// whose applied constraints must all be members of `constraints`.
+  /// order: exact memo → context wipeout → branch wipeout → certified
+  /// model reuse → fresh search on the propagate core, seeded from
+  /// `ctx`. `pins` are the caller's already-forced byte values (each
+  /// also present as an equality constraint); `ctx` is the querying
+  /// state's SolveContext, whose applied constraints must all be members
+  /// of `constraints`.
   /// kSat/kUnsat results are cached; kUnknown is not (a larger budget
   /// could improve it) and kCancelled never is. Wherever the fresh
   /// search finishes, every tier's status is the fresh search's (see

@@ -147,8 +147,9 @@ struct PropagateSearch {
 
     // Unary prefilter, mirroring the oracle: fold every single-variable
     // constraint into the initial domain, seeding from the SolveContext
-    // when it already applied some of them. The context stores
-    // ByteDomain directly, so seeding is a mask copy here.
+    // when it already folded some of them (path constraints or derived
+    // pins). The context stores ByteDomain directly, so seeding is a
+    // mask copy here.
     prefiltered.assign(constraints.size(), false);
     for (std::size_t v = 0; v < vars.size(); ++v) {
       bool any_unary = false;
@@ -170,9 +171,7 @@ struct PropagateSearch {
       for (const std::size_t c : var_constraints[v]) {
         if (cvars[c].size() != 1) continue;
         prefiltered[c] = true;
-        if (seed != nullptr &&
-            std::binary_search(seed->applied.begin(), seed->applied.end(),
-                               constraints[c].get())) {
+        if (seed != nullptr && seed->Folded(constraints[c].get())) {
           continue;  // already folded into the seeded domain
         }
         int size = 0;

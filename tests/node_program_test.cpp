@@ -7,11 +7,14 @@
 // models through those programs over a dense offset-indexed byte array;
 // it must return the same hit/miss and the very same Model as the
 // std::map evaluator it replaced, which lives on here as the oracle.
+// ConcatPins derives a concat equality's byte pins once per node and
+// publishes them the same way.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -279,6 +282,92 @@ TEST(DenseModelReuse, AbsentVariablesStayAbsent) {
   ASSERT_TRUE(OracleReuse(query, {}, hints, {}, &expect));
   EXPECT_EQ(got, expect);
   EXPECT_EQ(got, (Model{{2, 6}}));
+}
+
+/// in[lo] | in[lo+1] << 8 | ... over `width` bytes.
+ExprRef Concat(std::uint32_t lo, unsigned width) {
+  ExprRef e = MakeInput(lo);
+  for (unsigned lane = 1; lane < width; ++lane) {
+    e = MakeBinOp(vm::Op::kOr, e,
+                  MakeBinOp(vm::Op::kShl, MakeInput(lo + lane),
+                            MakeConst(8 * lane)));
+  }
+  return e;
+}
+
+ExprRef Eq(ExprRef lhs, ExprRef rhs) {
+  return MakeBinOp(vm::Op::kCmpEq, std::move(lhs), std::move(rhs));
+}
+
+std::vector<std::string> PinStrings(const ExprRef& expr) {
+  std::vector<std::string> out;
+  ForEachConcatPin(expr,
+                   [&](const ExprRef& pin) { out.push_back(ToString(pin)); });
+  return out;
+}
+
+TEST(ConcatPins, DecomposesEqualitiesAgainstAConstantOnEitherSide) {
+  InternScope intern;
+  const std::vector<std::string> field = {"(in[4] cmpeq 0x41)",
+                                          "(in[5] cmpeq 0x42)"};
+  EXPECT_EQ(PinStrings(Eq(Concat(4, 2), MakeConst(0x4241))), field);
+  EXPECT_EQ(PinStrings(Eq(MakeConst(0x4241), Concat(4, 2))), field);
+  // Bits outside every lane: one constant false.
+  EXPECT_EQ(PinStrings(Eq(Concat(4, 2), MakeConst(0x14241))),
+            std::vector<std::string>{"0x0"});
+  // Not a concatenation, or not against a constant: no pins.
+  EXPECT_TRUE(ConcatPins(Eq(MakeBinOp(vm::Op::kAdd, MakeInput(0),
+                                      MakeInput(1)),
+                            MakeConst(3)))
+                  .empty());
+  EXPECT_TRUE(ConcatPins(Eq(MakeInput(0), MakeInput(1))).empty());
+  EXPECT_TRUE(ConcatPins(MakeBinOp(vm::Op::kCmpLtU, MakeInput(0),
+                                   MakeConst(3)))
+                  .empty());
+  // A one-byte equality is its own pin: cached as null, handed back as
+  // the node itself.
+  const ExprRef self = Eq(MakeInput(7), MakeConst(9));
+  ASSERT_EQ(ConcatPins(self).size(), 1u);
+  EXPECT_EQ(ConcatPins(self)[0], nullptr);
+  ForEachConcatPin(self, [&](const ExprRef& pin) { EXPECT_EQ(pin, self); });
+  // Derived once: the list and its nodes are the same on every call.
+  const ExprRef eq = Eq(Concat(0, 4), MakeConst(0x04030201));
+  const std::vector<ExprRef>* first = &ConcatPins(eq);
+  EXPECT_EQ(&ConcatPins(eq), first);
+  EXPECT_EQ(first->size(), 4u);
+}
+
+TEST(ConcatPins, ConcurrentConcatPinsPublishesOneList) {
+  // Four threads race to derive the pins of the same shared nodes; each
+  // must see one published list per node.
+  InternScope intern;
+  std::vector<ExprRef> nodes;
+  for (std::uint32_t n = 0; n < 200; ++n) {
+    nodes.push_back(Eq(Concat(n % 16, 1 + n % 4), MakeConst(n * 0x0101)));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const std::vector<ExprRef>*>> seen(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const std::size_t n = t % 2 == 0 ? i : nodes.size() - 1 - i;
+        seen[t].push_back(&ConcatPins(nodes[n]));
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(seen[t].size(), nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const std::size_t n = t % 2 == 0 ? i : nodes.size() - 1 - i;
+      EXPECT_EQ(seen[t][i], &ConcatPins(nodes[n])) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

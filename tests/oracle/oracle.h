@@ -16,9 +16,10 @@ namespace octopocs::oracle {
 const symex::SolverBackend& BacktrackSolver();
 
 /// Turns off every answer-preserving shortcut the pipeline takes: every
-/// solver query skips the cache's exact memo, context wipeout and model
-/// reuse and is searched unseeded by the backtrack oracle, every
-/// concrete execution and the symbolic stepper run without cycle skip,
+/// solver query skips the cache's exact memo, context and branch
+/// wipeouts and model reuse and is searched unseeded by the backtrack
+/// oracle, every concrete execution and the symbolic stepper run
+/// without cycle skip,
 /// and no artifact store is consulted. Reports under these options must be byte-identical to the
 /// defaults'.
 void ShortcutsOff(core::PipelineOptions* options);

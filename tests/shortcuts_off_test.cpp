@@ -2,10 +2,10 @@
 // shortcut is checked against.
 //
 // The default pipeline takes shortcuts that must never change a report:
-// the solver cache's exact memo, context wipeout and model reuse,
-// SolveContext seeding, the propagate solver core, the exact-cycle
-// fast-forward in the interpreter and in the symbolic stepper, and
-// artifact-store hits. Each slice below is verified three times — under
+// the solver cache's exact memo, context and branch wipeouts and model
+// reuse, SolveContext seeding (derived pins included), the propagate
+// solver core, the exact-cycle fast-forward in the interpreter and in
+// the symbolic stepper, and artifact-store hits. Each slice below is verified three times — under
 // the defaults with one shared ArtifactStore, cold and then warm, and
 // under oracle::ShortcutsOff (every solver query searched unseeded by
 // the backtrack core with no cache tier, no cycle skip in either

@@ -4,7 +4,8 @@
 // model-reuse hits must be certificates (the returned model satisfies
 // every constraint) drawn from the querying state's own pool and can
 // never manufacture a kUnsat. Also covers context-wipeout subsumption,
-// solve-context seeding, and the oracle bypass (SolverOptions::backend).
+// the branch wipeout, solve-context seeding (derived pins included),
+// and the oracle bypass (SolverOptions::backend).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -99,6 +100,29 @@ TEST(SolverCacheTest, ExactKeyHitMayReturnUnsat) {
             SolveStatus::kUnsat)
       << "an exact sequence match is provably the same query";
   EXPECT_EQ(cache.stats().exact_hits, 1u);
+}
+
+TEST(SolverCacheTest, RepeatedNodesCollapseToTheirFirstOccurrences) {
+  // A repeated node counts once, where it first appears: the memo key
+  // of {a, a, b, a} is {a, b}, and the search never sees a repeat.
+  InternScope intern;
+  const ExprRef a = MakeBinOp(vm::Op::kCmpLeU, In(0), In(1));
+  const ExprRef b = MakeBinOp(vm::Op::kCmpEq,
+                              MakeBinOp(vm::Op::kAdd, In(0), In(1)),
+                              MakeConst(9));
+  SolverCache cache;
+  SolveContext ctx;
+  ASSERT_EQ(cache.Solve({a, b}, {}, {}, ctx).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve({a, a, b, a}, {}, {}, ctx).status, SolveStatus::kSat);
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  const SolveResult once = SolveOnce({b, a});
+  const SolveResult repeated = SolveOnce({b, a, b, b, a});
+  ASSERT_EQ(once.status, SolveStatus::kSat);
+  EXPECT_EQ(repeated.status, once.status);
+  EXPECT_EQ(repeated.model, once.model);
+  EXPECT_EQ(repeated.steps, once.steps);
 }
 
 TEST(SolverCacheTest, ModelReuseHitEqualsFreshSolveAndCertifies) {
@@ -371,6 +395,45 @@ TEST(SubsumptionTest, WipeoutIsUnsatUnderAZeroStepBudget) {
   EXPECT_EQ(cache.stats().subsumption_hits, 1u);
 }
 
+TEST(SubsumptionTest, BranchWipeoutMatchesTheSearch) {
+  // The state's path narrows in[3] below 10 without wiping it out; the
+  // branch constraint in[3] > 20 then empties the context domain. The
+  // front door answers from the context as the fresh search would: a
+  // kUnsat miss with zero steps, memoized, and no subsumption hit.
+  InternScope intern;
+  const ExprRef coupled =
+      MakeBinOp(vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(0), In(1)),
+                MakeConst(300));
+  const std::vector<ExprRef> path = {
+      coupled, MakeBinOp(vm::Op::kCmpLtU, In(3), MakeConst(10))};
+  SolveContext ctx;
+  for (const ExprRef& c : path) ctx.Apply(c);
+  ASSERT_FALSE(ctx.known_unsat());
+
+  std::vector<ExprRef> branch = path;
+  branch.push_back(MakeBinOp(vm::Op::kCmpGtU, In(3), MakeConst(20)));
+  SolverOptions zero;
+  zero.max_steps = 0;
+  SolverCache cache;
+  const SolveResult got = cache.Solve(branch, {}, zero, ctx);
+  EXPECT_EQ(got.status, SolveStatus::kUnsat);
+  EXPECT_EQ(got.steps, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.size(), 1u) << "the answer is memoized like a search's";
+
+  const SolveResult again = cache.Solve(branch, {}, zero, ctx);
+  EXPECT_EQ(again.status, SolveStatus::kUnsat);
+  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  // Both cores, unseeded and under the same zero budget, agree.
+  const SolveResult search = SolveOnce(branch, zero);
+  EXPECT_EQ(search.status, SolveStatus::kUnsat);
+  EXPECT_EQ(search.steps, 0u);
+  EXPECT_EQ(FreshSolve(branch, zero).status, SolveStatus::kUnsat);
+}
+
 // -- SolveContext seeding --------------------------------------------------
 
 TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
@@ -397,6 +460,131 @@ TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
     ASSERT_EQ(seeded.status, reference.status) << "round " << round;
     EXPECT_EQ(seeded.steps, reference.steps) << "round " << round;
   }
+}
+
+/// What the front door hands a core: `cs` plus each concat equality's
+/// byte pins (the solver's pre-pass).
+std::vector<ExprRef> WithPins(const std::vector<ExprRef>& cs) {
+  std::vector<ExprRef> out = cs;
+  for (const ExprRef& c : cs) {
+    ForEachConcatPin(c, [&](const ExprRef& pin) { out.push_back(pin); });
+  }
+  return out;
+}
+
+/// A two-byte little-endian field equality: in[lo] | in[lo+1] << 8 == k.
+ExprRef FieldEq(std::uint32_t lo, std::uint64_t k) {
+  return MakeBinOp(vm::Op::kCmpEq,
+                   MakeBinOp(vm::Op::kOr, In(lo),
+                             MakeBinOp(vm::Op::kShl, In(lo + 1),
+                                       MakeConst(8))),
+                   MakeConst(k));
+}
+
+TEST(SolveContextTest, FoldsConcatEqualityPins) {
+  // A field equality pins both its bytes in the context's domains,
+  // without counting as a unary path constraint...
+  {
+    InternScope intern;
+    SolveContext ctx;
+    ctx.Apply(FieldEq(0, 0x4241));
+    ASSERT_NE(ctx.Find(0), nullptr);
+    ASSERT_NE(ctx.Find(1), nullptr);
+    EXPECT_EQ(ctx.Find(0)->domain.Count(), 1);
+    EXPECT_TRUE(ctx.Find(0)->domain.Test(0x41));
+    EXPECT_TRUE(ctx.Find(1)->domain.Test(0x42));
+    EXPECT_TRUE(ctx.Find(0)->applied.empty());
+    EXPECT_EQ(ctx.Find(0)->unary.Count(), 256);
+
+    // ...so a path byte the pin contradicts empties the seed domain but
+    // not the unary one: known_unsat (the subsumption tier) stays as it
+    // was, and the query is a kUnsat miss with zero steps.
+    const ExprRef small = MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(0x10));
+    ctx.Apply(small);
+    EXPECT_TRUE(ctx.Find(0)->domain.None());
+    EXPECT_FALSE(ctx.known_unsat());
+    SolverCache cache;
+    const SolveResult r = cache.Solve({FieldEq(0, 0x4241), small}, {}, {}, ctx);
+    EXPECT_EQ(r.status, SolveStatus::kUnsat);
+    EXPECT_EQ(r.steps, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().subsumption_hits, 0u);
+  }
+
+  // With pins folded, a seeded search over the preprocessed system is
+  // bit-identical, steps included, to an unseeded one.
+  std::mt19937 rng(2468);
+  const SolverBackend& core = PropagateBackendInstance();
+  for (int round = 0; round < 40; ++round) {
+    InternScope intern;
+    std::vector<ExprRef> cs = RandomSystem(rng, (round % 5) == 4);
+    cs.push_back(FieldEq(rng() % 8, rng() % 0x10000));
+    if (round % 3 == 0) cs.push_back(FieldEq(rng() % 8, rng() % 0x10000));
+    const std::vector<ExprRef> pre = WithPins(cs);
+
+    SolveContext ctx;
+    for (const ExprRef& c : cs) ctx.Apply(c);
+
+    const SolveResult seeded = core.Solve(pre, {}, &ctx);
+    const SolveResult plain = core.Solve(pre, {}, nullptr);
+    const SolveResult reference =
+        oracle::BacktrackSolver().Solve(pre, {}, nullptr);
+    ASSERT_EQ(seeded.status, plain.status) << "round " << round;
+    EXPECT_EQ(seeded.model, plain.model) << "round " << round;
+    EXPECT_EQ(seeded.steps, plain.steps) << "round " << round;
+    ASSERT_EQ(seeded.status, reference.status) << "round " << round;
+    EXPECT_EQ(seeded.steps, reference.steps) << "round " << round;
+
+    // And the front door over the state's context answers as a cold one.
+    SolverCache cache;
+    const SolveResult front = cache.Solve(cs, {}, {}, ctx);
+    const SolveResult cold = SolveOnce(cs);
+    ASSERT_EQ(front.status, cold.status) << "round " << round;
+    EXPECT_EQ(front.steps, cold.steps) << "round " << round;
+    if (cold.status == SolveStatus::kSat) {
+      EXPECT_TRUE(SameAssignment(cs, front.model, cold.model))
+          << "round " << round;
+    }
+  }
+}
+
+TEST(SolveContextTest, LongUnaryChainOnOneByteAnswersLikeSolveOnce) {
+  // The symex-hostile shape: a gate in[4] >= 128, then a warm-up loop
+  // whose every iteration asks both branches of i < in[4], behind a
+  // magic field, with 140 iterations. The stay-in branch is committed
+  // each time. Every answer the state's front door gives must equal a
+  // cold SolveOnce over the same query.
+  InternScope intern;
+  SolverOptions options = Hinted({{0, 0x50}, {1, 0x4B}, {4, 200}});
+  SolverCache cache;
+  SolveContext ctx;
+  std::vector<ExprRef> path = {
+      FieldEq(0, 0x4B50),
+      MakeBinOp(vm::Op::kCmpGeU, In(4), MakeConst(128))};
+  for (const ExprRef& c : path) ctx.Apply(c);
+  int unsat = 0;
+  for (std::uint64_t i = 0; i < 140; ++i) {
+    const ExprRef more = MakeBinOp(vm::Op::kCmpLtU, MakeConst(i), In(4));
+    const ExprRef done = MakeBinOp(vm::Op::kCmpEq, more, MakeConst(0));
+    for (const ExprRef& branch : {done, more}) {
+      std::vector<ExprRef> q = path;
+      q.push_back(branch);
+      const SolveResult got = cache.Solve(q, {}, options, ctx);
+      const SolveResult want = SolveOnce(q, options);
+      ASSERT_EQ(got.status, want.status) << "i " << i;
+      if (got.status == SolveStatus::kSat) {
+        ASSERT_TRUE(Satisfies(q, got.model)) << "i " << i;
+      } else {
+        EXPECT_EQ(got.steps, want.steps) << "i " << i;
+        ++unsat;
+      }
+      EXPECT_EQ(got.status, FreshSolve(q, options).status) << "i " << i;
+    }
+    path.push_back(more);
+    ctx.Apply(more);
+  }
+  EXPECT_EQ(unsat, 128) << "the exit branch is infeasible while i < 128";
+  EXPECT_EQ(cache.stats().subsumption_hits, 0u);
 }
 
 TEST(SolveContextTest, WipeoutMarksKnownUnsat) {
