@@ -12,10 +12,9 @@
 //               vs. copying it and then unsharing every page and map —
 //               which is byte-for-byte the work the pre-COW deep copy
 //               did on every fork. Reported as ns/fork and a ratio.
-//   caches      solver-memoization hit rate (with the per-mechanism
-//               breakdown: exact / model-reuse / subsumed) and
-//               expression-interning dedup rate accumulated over a full
-//               serial corpus run.
+//   caches      solver hit rate (every hit is certified model reuse)
+//               and expression-interning dedup rate accumulated over a
+//               full serial corpus run.
 //   throughput  pairs/sec for the 15-pair corpus, serial vs. --jobs,
 //               with a determinism cross-check: every verdict, type,
 //               and reformed-PoC byte must match between the two runs.
@@ -30,7 +29,7 @@
 //   oracle legs pair 3 (the hung-loop pair) and pair 14 (the
 //               solver-heavy combine pair), each timed best-of-N under
 //               the defaults and under oracle::ShortcutsOff (backtrack
-//               core with no solver cache tier or context seeding, no
+//               core with no solver shortcut or context seeding, no
 //               cycle skip in the interpreter or the symbolic stepper,
 //               so that leg steps pair 3's hang in both). Pair
 //               3's ratio is gated as pair3_speedup; both pairs' reports
@@ -196,17 +195,12 @@ int main(int argc, char** argv) {
   const double serial_seconds = SecondsSince(serial_start);
 
   unsigned long long cache_hits = 0, cache_misses = 0;
-  unsigned long long exact_hits = 0, reuse_hits = 0;
-  unsigned long long subsume_hits = 0;
   unsigned long long intern_hits = 0, intern_nodes = 0;
   std::vector<double> pair_seconds;
   pair_seconds.reserve(serial.size());
   for (const core::VerificationReport& r : serial) {
     cache_hits += r.symex_stats.solver_cache_hits;
     cache_misses += r.symex_stats.solver_cache_misses;
-    exact_hits += r.symex_stats.solver_exact_hits;
-    reuse_hits += r.symex_stats.solver_model_reuse_hits;
-    subsume_hits += r.symex_stats.solver_subsumption_hits;
     intern_hits += r.symex_stats.expr_intern_hits;
     intern_nodes += r.symex_stats.expr_intern_nodes;
     pair_seconds.push_back(r.timings.total_seconds);
@@ -219,21 +213,8 @@ int main(int argc, char** argv) {
       intern_hits + intern_nodes > 0
           ? static_cast<double>(intern_hits) / (intern_hits + intern_nodes)
           : 0;
-  // Per-mechanism rates over all lookups, so a regression in one cache
-  // tier shows up as a rate shift even when the total hit rate holds.
-  const unsigned long long lookups = cache_hits + cache_misses;
-  const auto rate_of = [lookups](unsigned long long hits) {
-    return lookups > 0 ? static_cast<double>(hits) / lookups : 0.0;
-  };
-  const double exact_rate = rate_of(exact_hits);
-  const double reuse_rate_solver = rate_of(reuse_hits);
-  const double subsume_rate = rate_of(subsume_hits);
   std::printf("solver cache: %llu hit / %llu miss (%.1f%% hit rate)\n",
               cache_hits, cache_misses, cache_rate * 100);
-  std::printf("  by kind:    exact %llu (%.1f%%) | model-reuse %llu (%.1f%%)"
-              " | subsumed %llu (%.1f%%)\n",
-              exact_hits, exact_rate * 100, reuse_hits,
-              reuse_rate_solver * 100, subsume_hits, subsume_rate * 100);
   std::printf("interner:     %llu deduped / %llu distinct (%.1f%% of "
               "constructions)\n\n",
               intern_hits, intern_nodes, intern_rate * 100);
@@ -363,7 +344,7 @@ int main(int argc, char** argv) {
 
   // Pair idx 14 spends nearly all its time in P2/P3 solver queries. Its
   // leg times the defaults against every shortcut off (the backtrack
-  // oracle answering each query, with no solver cache tier), best of
+  // oracle answering each query, with no solver shortcut), best of
   // five each; the time is informational, report identity is gated.
   std::size_t pair14 = pairs.size();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -440,20 +421,13 @@ int main(int argc, char** argv) {
                  "  \"solver_cache_hits\": %llu,\n"
                  "  \"solver_cache_misses\": %llu,\n"
                  "  \"solver_cache_hit_rate\": %.4f,\n"
-                 "  \"solver_exact_hits\": %llu,\n"
-                 "  \"solver_exact_hit_rate\": %.4f,\n"
-                 "  \"solver_model_reuse_hits\": %llu,\n"
-                 "  \"solver_model_reuse_hit_rate\": %.4f,\n"
-                 "  \"solver_subsumption_hits\": %llu,\n"
-                 "  \"solver_subsumption_hit_rate\": %.4f,\n"
                  "  \"intern_hits\": %llu,\n"
                  "  \"intern_nodes\": %llu,\n"
                  "  \"corpus_pairs\": %zu,\n"
                  "  \"serial_seconds\": %.4f,\n",
                  fork.cow_ns, fork.deep_ns, fork.speedup, cache_hits,
-                 cache_misses, cache_rate, exact_hits, exact_rate,
-                 reuse_hits, reuse_rate_solver, subsume_hits, subsume_rate,
-                 intern_hits, intern_nodes, pairs.size(), serial_seconds);
+                 cache_misses, cache_rate, intern_hits, intern_nodes,
+                 pairs.size(), serial_seconds);
     std::fprintf(out, "  \"pair_seconds\": [");
     for (std::size_t i = 0; i < pair_seconds.size(); ++i) {
       std::fprintf(out, "%s%.4f", i == 0 ? "" : ", ", pair_seconds[i]);

@@ -80,8 +80,9 @@ struct SymExecutor::Run {
 
   cfg::DistanceMap dmap;
 
-  /// The run's memo. Every mechanism it serves is a pure function of
-  /// the query (see solver.h), so it only ever saves work.
+  /// The run's solver front door and its hit/miss counters. Both of
+  /// its shortcuts are pure functions of the query and the state's own
+  /// context (see solver.h), so they only ever save work.
   SolverCache cache;
   /// The wall-clock bound, polled between states and inside RunState.
   support::CancelToken cancel;
@@ -169,9 +170,8 @@ struct SymExecutor::Run {
   }
 
   /// Satisfiability of `s`'s path constraints through the run's
-  /// incremental cache: exact memo → context wipeout → branch wipeout →
-  /// certified model reuse → fresh search, seeded with the state's own
-  /// solve context (see SolverCache::Solve).
+  /// front door: branch wipeout → certified model reuse → fresh search,
+  /// seeded with the state's own solve context (see SolverCache::Solve).
   SolveResult SolveConstraints(SymState& s) {
     SolveResult r =
         cache.Solve(s.constraints, s.pinned, opts.solver, s.solve_ctx);
@@ -186,9 +186,10 @@ struct SymExecutor::Run {
   /// never writes UNSAT facts back into the context, and a SAT model
   /// it notes is a valid certificate for any later query). When the
   /// surviving direction is then committed via AddConstraint, the next
-  /// query over this state repeats this exact key — so the check both
-  /// prunes infeasible forks before they execute and turns downstream
-  /// concretization/finalization queries into exact cache hits.
+  /// query over this state repeats this exact query, whose model is in
+  /// the state's pool — so the check both prunes infeasible forks
+  /// before they execute and turns downstream concretization and
+  /// finalization queries into model-reuse hits.
   SolveStatus BranchFeasible(SymState& s, const ExprRef& constraint) {
     s.constraints.push_back(constraint);
     const SolveResult r =
@@ -567,7 +568,7 @@ struct SymExecutor::Run {
     std::size_t read_offsets = 0;
     std::size_t bunch_targets = 0;
     // What the period may not have touched outside the state: the
-    // memory gauge, the solver cache and the worklist.
+    // memory gauge, the solver counters and the worklist.
     std::size_t footprint = 0;
     std::uint64_t solver_queries = 0;
     std::uint64_t solver_steps = 0;
@@ -830,9 +831,9 @@ struct SymExecutor::Run {
     }
     // Directed mode proves each CFG-viable direction satisfiable before
     // committing or forking. Successive checks over one state extend a
-    // shared prefix, which is the workload the incremental cache is
-    // built for (exact hits on the committed direction, model reuse on
-    // the extensions, context wipeouts on UNSAT unary prefixes). Naive
+    // shared prefix, which is the workload the front door's shortcuts
+    // are built for (model reuse on the committed direction and on the
+    // extensions, branch wipeouts on refuted unary branches). Naive
     // mode keeps the fork-everything behaviour — the Table IV baseline
     // measures exactly that state blow-up.
     if (directed) {
@@ -1107,8 +1108,9 @@ struct SymExecutor::Run {
     SymexResult result;
 
     // Hash-cons every expression this run builds. The scope also
-    // underwrites the solver cache: constraint sequences stay pointer-
-    // canonical for exactly as long as the run lives.
+    // underwrites the solver's pointer-identity dedup of repeated
+    // constraints: equal constraints stay one node for exactly as long
+    // as the run lives.
     InternScope scope;
 
     dmap = cfg.BackwardReachability(ep);
@@ -1190,9 +1192,7 @@ struct SymExecutor::Run {
     const SolverCache::Stats& cs = cache.stats();
     stats.solver_cache_hits = cs.hits;
     stats.solver_cache_misses = cs.misses;
-    stats.solver_exact_hits = cs.exact_hits;
-    stats.solver_model_reuse_hits = cs.model_reuse_hits;
-    stats.solver_subsumption_hits = cs.subsumption_hits;
+    stats.solver_model_reuse_hits = cs.hits;
     const InternScope::Stats is = scope.stats();
     stats.expr_intern_hits = is.hits;
     stats.expr_intern_nodes = is.nodes;

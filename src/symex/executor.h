@@ -63,17 +63,18 @@ struct SymexStats {
   /// instead of stepping (ExecutorOptions::cycle_skip).
   std::uint64_t instructions_skipped = 0;
   std::uint64_t solver_steps = 0;
-  /// Solver-memoization effectiveness: queries answered from the
-  /// per-run cache vs. queries that ran the CSP search.
+  /// Solver shortcut effectiveness: queries answered by certified
+  /// model reuse vs. the rest (fresh searches and branch wipeouts).
   std::uint64_t solver_cache_hits = 0;
   std::uint64_t solver_cache_misses = 0;
-  /// Per-mechanism breakdown of solver_cache_hits (see SolverCache):
-  /// exact sequence memo, certified model reuse, and UNSAT-subset
-  /// subsumption. (A slice-hit counter existed through PR 7; the slicing
-  /// tier was retired after sitting at zero corpus-wide, so the field is
-  /// gone rather than forever-zero.)
-  std::uint64_t solver_exact_hits = 0;
+  /// The hits certified model reuse answered: since the exact memo and
+  /// the context-wipeout tier were retired, every hit.
   std::uint64_t solver_model_reuse_hits = 0;
+  /// Always 0: the exact memo and the subsumption tier that counted
+  /// them are retired (see SolverCache). Kept declared only because the
+  /// benchmark's layer table (perfbench/src/layers.cpp) still reads
+  /// them; drop them when it stops.
+  std::uint64_t solver_exact_hits = 0;
   std::uint64_t solver_subsumption_hits = 0;
   /// Hash-consing effectiveness: node constructions answered from the
   /// intern table vs. distinct nodes allocated.

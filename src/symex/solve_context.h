@@ -16,16 +16,15 @@
 // Determinism contract: the context is a pure function of the *set* of
 // constraints applied to it (domain intersection commutes), and seeding
 // is engineered to produce bit-identical search behavior to filtering
-// the same constraints from scratch — so cached solver results stay pure
+// the same constraints from scratch — so search results stay pure
 // functions of the constraint sequence whether or not a context (or
 // whose context) accelerated them. See DESIGN.md §10.
 //
-// A unary path constraint that wipes out its variable's domain sets
-// known_unsat() (a wipeout by derived pins does not; DESIGN.md §10.2)
-// but deliberately does NOT kill the state eagerly: the executor
-// discovers unsatisfiability at its next solve, exactly where a
-// from-scratch search would, keeping state classification identical to
-// the unaccelerated execution.
+// A constraint that wipes out its variable's domain deliberately does
+// NOT kill the state eagerly: the executor discovers unsatisfiability
+// at its next solve, as a zero-step kUnsat exactly where a from-scratch
+// search would find it, keeping state classification identical to the
+// unaccelerated execution.
 #pragma once
 
 #include <algorithm>
@@ -63,12 +62,7 @@ class SolveContext {
     /// Values every folded constraint admits, derived pins included:
     /// what a search's unary prefilter starts from.
     ByteDomain domain;
-    /// Values the folded unary path constraints alone admit. Emptying
-    /// it is what known_unsat() reports; derived pins narrow only
-    /// `domain`, so the subsumption tier answers only where the path's
-    /// own unary constraints contradict each other.
-    ByteDomain unary;
-    /// Unary path constraints folded into both domains, sorted by node
+    /// Unary path constraints folded into `domain`, sorted by node
     /// address.
     std::vector<const Expr*> applied;
     /// Derived byte pins (ConcatPins of an applied equality) folded into
@@ -124,10 +118,6 @@ class SolveContext {
     const auto it = map.find(var);
     return it == map.end() ? nullptr : &it->second;
   }
-
-  /// Some applied constraint admits no value for its variable: every
-  /// superset query is unsatisfiable.
-  bool known_unsat() const { return known_unsat_; }
 
   /// Per-state reuse pool of models that satisfied this state's past
   /// queries (newest last, deduplicated, capped). Keeping the pool on
@@ -201,10 +191,8 @@ class SolveContext {
       }
     }
     VarEntry& entry = domains_.mut()[var];
-    Filter(var, constraint, &entry.unary, /*stop_at_first=*/false);
-    for (int w = 0; w < 4; ++w) entry.domain.bits[w] &= entry.unary.bits[w];
+    Filter(var, constraint, &entry.domain, /*stop_at_first=*/false);
     Insert(&entry.applied, node);
-    if (entry.unary.None()) known_unsat_ = true;
   }
 
   /// A pin is in[o] == k (ConcatPins), so it admits exactly k: folding
@@ -224,7 +212,6 @@ class SolveContext {
 
   Cow<DomainMap> domains_;
   Cow<std::vector<Model>> models_;
-  bool known_unsat_ = false;
 };
 
 }  // namespace octopocs::symex

@@ -45,34 +45,6 @@ void DropRepeats(std::vector<ExprRef>* constraints) {
 
 }  // namespace
 
-std::uint64_t SolverCache::HashKey(const std::vector<ExprRef>& constraints) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over node addresses
-  for (const ExprRef& c : constraints) {
-    h ^= reinterpret_cast<std::uintptr_t>(c.get());
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-bool SolverCache::KeyEquals(const std::vector<const Expr*>& key,
-                            const std::vector<ExprRef>& constraints) {
-  if (key.size() != constraints.size()) return false;
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    if (key[i] != constraints[i].get()) return false;
-  }
-  return true;
-}
-
-const SolverCache::Entry* SolverCache::FindExact(
-    const std::vector<ExprRef>& constraints) const {
-  const auto it = buckets_.find(HashKey(constraints));
-  if (it == buckets_.end()) return nullptr;
-  for (const Entry& entry : it->second) {
-    if (KeyEquals(entry.key, constraints)) return &entry;
-  }
-  return nullptr;
-}
-
 bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
                          const Model& pins, const Model& hints,
                          const std::vector<Model>& pool, Model* out) {
@@ -141,24 +113,12 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
   return false;
 }
 
-void SolverCache::StoreEntry(const std::vector<ExprRef>& constraints,
-                             const SolveResult& result) {
-  Entry entry;
-  entry.key.reserve(constraints.size());
-  for (const ExprRef& c : constraints) entry.key.push_back(c.get());
-  entry.result = result;
-  buckets_[HashKey(constraints)].push_back(std::move(entry));
-  ++entries_;
-}
-
 SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
                                const Model& pins,
                                const SolverOptions& options,
                                SolveContext& ctx) {
   // Normalize: constant-true constraints vanish, constant-false poisons
-  // the system, duplicate nodes collapse under pointer identity. The
-  // normalized sequence is the cache key, so a re-asserted pin cannot
-  // split the memo.
+  // the system, duplicate nodes collapse under pointer identity.
   SolveResult out;
   std::vector<ExprRef> constraints;
   constraints.reserve(raw.size());
@@ -166,7 +126,7 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
     if (c->IsConst()) {
       if (c->value == 0) {
         out.status = SolveStatus::kUnsat;
-        return out;  // trivial; not worth a cache entry or a counter
+        return out;  // trivial; not worth a counter
       }
       continue;
     }
@@ -175,10 +135,10 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
   DropRepeats(&constraints);
   if (constraints.empty()) {
     out.status = SolveStatus::kSat;
-    return out;  // vacuously satisfiable; not a cacheable query
+    return out;  // vacuously satisfiable; not a counted query
   }
 
-  // The oracle's path: no tier, no seeding, the configured core alone.
+  // The oracle's path: no shortcut, no seeding, the configured core alone.
   if (options.backend != nullptr) {
     support::fault::MaybeThrow(support::FaultSite::kSolverStep);
     ++stats_.misses;
@@ -186,60 +146,35 @@ SolveResult SolverCache::Solve(const std::vector<ExprRef>& raw,
                          nullptr);
   }
 
-  // 1. Exact memo. Steps report the work done by *this* call, so a hit
-  // contributes zero to the caller's search-effort accounting.
-  if (const Entry* entry = FindExact(constraints)) {
-    ++stats_.hits;
-    ++stats_.exact_hits;
-    out = entry->result;
-    out.steps = 0;
-    if (out.status == SolveStatus::kSat) ctx.NoteModel(out.model);
-    return out;
-  }
-
-  // 2. Subsumption. The context's wiped-out domain is an UNSAT unary
-  // subset of this very query (every applied constraint is a query
-  // member by the executor's contract). Verdict-only — no model, no
-  // search.
-  if (ctx.known_unsat()) {
-    ++stats_.hits;
-    ++stats_.subsumption_hits;
-    out.status = SolveStatus::kUnsat;
-    return out;
-  }
-
-  // 3. Branch wipeout. A branch query is the state's path plus one new
+  // 1. Branch wipeout. A branch query is the state's path plus one new
   // constraint; when that constraint is unary and empties its
   // variable's context domain, the fresh search would stop in its
-  // unary prefilter with zero steps. Answer as it would — a miss,
-  // memoized — without building it.
+  // unary prefilter with zero steps. Answer as it would — a miss —
+  // without building it.
   if (ctx.Refutes(constraints.back())) {
     support::fault::MaybeThrow(support::FaultSite::kSolverStep);
     ++stats_.misses;
     out.status = SolveStatus::kUnsat;
-    StoreEntry(constraints, out);
     return out;
   }
 
-  // 4. Certified model reuse from the state's own pool.
+  // 2. Certified model reuse from the state's own pool. Steps report
+  // the work done by *this* call, so a hit contributes zero to the
+  // caller's search-effort accounting.
   if (ReuseCertifiedModel(constraints, pins, options.hints,
                           ctx.recent_models(), &out.model)) {
     ++stats_.hits;
-    ++stats_.model_reuse_hits;
     out.status = SolveStatus::kSat;
     ctx.NoteModel(out.model);
     return out;
   }
 
-  // 5. Fresh search on the propagate core, seeded from the context.
+  // 3. Fresh search on the propagate core, seeded from the context.
   support::fault::MaybeThrow(support::FaultSite::kSolverStep);
-  out = SolveDistinct(constraints, options, PropagateBackendInstance(), &ctx);
+  out = SolveDistinct(std::move(constraints), options,
+                      PropagateBackendInstance(), &ctx);
   ++stats_.misses;
-
-  if (out.status == SolveStatus::kSat || out.status == SolveStatus::kUnsat) {
-    StoreEntry(constraints, out);
-    if (out.status == SolveStatus::kSat) ctx.NoteModel(out.model);
-  }
+  if (out.status == SolveStatus::kSat) ctx.NoteModel(out.model);
   return out;
 }
 

@@ -17,8 +17,7 @@
 //               Distinct from kUnknown so callers can tell "ran out of
 //               steps, a bigger budget might help" from "out of time,
 //               stop the whole phase" — only the former could change
-//               under a bigger budget, and a cancelled verdict must
-//               never enter the SolverCache.
+//               under a bigger budget.
 //
 // The search core is the propagate core behind the SolverBackend
 // interface (DESIGN.md §15): watched-domain propagation over 256-bit
@@ -27,14 +26,13 @@
 // reference, the original recursive backtracker over
 // std::array<bool,256> domains with tree-walking Eval, lives in
 // tests/oracle/ and plugs in through SolverOptions::backend, which also
-// switches every SolverCache tier off. Both walk
+// switches both SolverCache shortcuts off. Both walk
 // the same decision tree (variable order, value order, filtering
 // strength), so they return the identical first model, the identical
 // kUnsat verdicts and the same step counts.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "support/deadline.h"
@@ -68,11 +66,12 @@ struct SolverOptions {
   /// Cooperative wall-clock bound, polled inside the search loops.
   /// Tripping aborts with kCancelled.
   support::CancelToken cancel;
-  /// Test seam: null runs the production path (cache tiers, context
-  /// seeding, propagate core). Non-null makes SolverCache::Solve skip
-  /// every tier and hand the query, unseeded, to this core — what
-  /// oracle::ShortcutsOff sets. Not owned. Excluded from every cache and
-  /// artifact key: both paths are answer-identical by construction.
+  /// Test seam: null runs the production path (branch wipeout, model
+  /// reuse, context seeding, propagate core). Non-null makes
+  /// SolverCache::Solve skip both shortcuts and hand the query,
+  /// unseeded, to this core — what oracle::ShortcutsOff sets. Not
+  /// owned. Excluded from every cache and artifact key: both paths are
+  /// answer-identical by construction.
   const SolverBackend* backend = nullptr;
 };
 
@@ -94,7 +93,7 @@ class SolverBackend {
                             const SolveContext* ctx) const = 0;
 };
 
-/// Certified model reuse, the SolverCache's third tier. Assembles one
+/// Certified model reuse, the SolverCache's second shortcut. Assembles one
 /// candidate assignment per source — each `pool` model newest first,
 /// then hints alone — over exactly the variables `constraints`
 /// mention, taking per variable the pinned value (the constraints force
@@ -108,96 +107,66 @@ bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
                          const Model& pins, const Model& hints,
                          const std::vector<Model>& pool, Model* out);
 
-/// The solver's one front door: memoizes verdicts across the repeated
-/// feasibility and concretization queries a directed executor issues
-/// along shared path prefixes. Four tiers, all sound by construction:
+/// The solver's one front door. Besides the search itself it takes two
+/// shortcuts, both sound by construction:
 ///
-///   exact memo    keyed by the exact sequence of constraint node
-///                 addresses. Forked states copy their constraint
-///                 vector but share the pointed-to nodes, and interning
-///                 canonicalizes structurally-equal nodes, so an exact
-///                 hit is *provably* the same query; it may return any
-///                 verdict, including kUnsat.
-///   subsumption   the caller's SolveContext saw a unary constraint wipe
-///                 out a variable's domain; every applied constraint is
-///                 a member of the query, so the query is UNSAT — and a
-///                 fresh search says so too, since its unary prefilter
-///                 empties the same domain before any step or budget
-///                 check. Verdict-only: no model is fabricated.
 ///   branch wipeout the query's last constraint — the branch a query
 ///                 adds to the state's path — is unary and empties its
 ///                 variable's context domain (SolveContext::Refutes).
 ///                 The fresh search's prefilter would return kUnsat with
 ///                 zero steps from that same domain, so the answer is
-///                 that result, counted as a miss and memoized, without
-///                 building the search.
+///                 that result, counted as a miss, without building the
+///                 search.
 ///   model reuse   a path extends its prefix by appending constraints,
-///                 so the sequence key misses — but a model that
-///                 satisfied the prefix often still satisfies the
-///                 extension. ReuseCertifiedModel overlays the caller's
-///                 pinned bytes onto each model of the state's own
-///                 (forked-with-the-state) pool and *evaluates* the full
-///                 constraint set under it; only a model that certifies
-///                 every constraint is returned, as kSat. kUnsat can
-///                 never come from reuse, so a cached verdict can never
-///                 contradict a fresh solve.
+///                 and a model that satisfied the prefix often still
+///                 satisfies the extension. ReuseCertifiedModel overlays
+///                 the caller's pinned bytes onto each model of the
+///                 state's own (forked-with-the-state) pool and
+///                 *evaluates* the full constraint set under it; only a
+///                 model that certifies every constraint is returned, as
+///                 kSat. kUnsat can never come from reuse, so a reused
+///                 verdict can never contradict a fresh solve. A repeated
+///                 satisfiable query is answered here too: its own model
+///                 is in the pool.
 ///
-/// Three more tiers were retired because they never answered a query
-/// on any measured workload: per-slice caching over independence
-/// slices, a pool of UNSAT cores whose subsets proved superset queries
-/// UNSAT, and cross-query nogoods recorded by the propagate core
-/// (EXPERIMENTS.md "Retired solver tiers", DESIGN.md §15.2).
-///
-/// The cache must not outlive the expressions it indexes: one cache per
-/// executor run, like the interning scope whose lifetime it matches.
+/// Five more tiers were retired: per-slice caching over independence
+/// slices, a pool of UNSAT cores, cross-query nogoods recorded by the
+/// propagate core, an exact memo keyed by the constraint sequence, and
+/// a subsumption tier that answered a context whose own unary path
+/// constraints wiped out a domain (EXPERIMENTS.md "Retired solver
+/// tiers", DESIGN.md §10 and §15.2). Every answer now comes from the
+/// querying state's SolveContext or from a search, so the class holds
+/// nothing but its counters; it keeps its name and one instance per
+/// executor run so those counters stay per run.
 class SolverCache {
  public:
   struct Stats {
-    /// Totals: hits + misses == Solve() queries (trivially constant
-    /// queries short-circuit before counting).
+    /// Queries answered by certified model reuse. hits + misses ==
+    /// Solve() queries (trivially constant queries short-circuit before
+    /// counting); a branch wipeout counts as a miss, as the search it
+    /// stands for would.
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    /// Per-mechanism breakdown of `hits`.
-    std::uint64_t exact_hits = 0;
-    std::uint64_t model_reuse_hits = 0;
-    std::uint64_t subsumption_hits = 0;
   };
 
   /// Answers `constraints` (the caller's path condition) through, in
-  /// order: exact memo → context wipeout → branch wipeout → certified
-  /// model reuse → fresh search on the propagate core, seeded from
-  /// `ctx`. `pins` are the caller's already-forced byte values (each
-  /// also present as an equality constraint); `ctx` is the querying
-  /// state's SolveContext, whose applied constraints must all be members
-  /// of `constraints`.
-  /// kSat/kUnsat results are cached; kUnknown is not (a larger budget
-  /// could improve it) and kCancelled never is. Wherever the fresh
-  /// search finishes, every tier's status is the fresh search's (see
-  /// DESIGN.md §10). With `options.backend` set, every tier is skipped:
-  /// the query goes unseeded to that core and counts as a miss.
+  /// order: branch wipeout → certified model reuse → fresh search on
+  /// the propagate core, seeded from `ctx`. `pins` are the caller's
+  /// already-forced byte values (each also present as an equality
+  /// constraint); `ctx` is the querying state's SolveContext, whose
+  /// applied constraints must all be members of `constraints`, and
+  /// which pools every kSat model returned. Wherever the fresh search
+  /// finishes, every shortcut's status is the fresh search's (see
+  /// DESIGN.md §10). With `options.backend` set, both shortcuts are
+  /// skipped: the query goes unseeded to that core and counts as a
+  /// miss.
   SolveResult Solve(const std::vector<ExprRef>& constraints,
                     const Model& pins, const SolverOptions& options,
                     SolveContext& ctx);
 
   const Stats& stats() const { return stats_; }
-  std::size_t size() const { return entries_; }
 
  private:
-  struct Entry {
-    std::vector<const Expr*> key;
-    SolveResult result;
-  };
-
-  static std::uint64_t HashKey(const std::vector<ExprRef>& constraints);
-  static bool KeyEquals(const std::vector<const Expr*>& key,
-                        const std::vector<ExprRef>& constraints);
-
-  const Entry* FindExact(const std::vector<ExprRef>& constraints) const;
-  void StoreEntry(const std::vector<ExprRef>& constraints,
-                  const SolveResult& result);
-
-  std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
-  std::size_t entries_ = 0;
   Stats stats_;
 };
 

@@ -1,11 +1,10 @@
-// Solver memoization through the front door, SolverCache::Solve: a
-// cached verdict must always equal what a fresh search with every
-// shortcut off would return. Exact-key hits may return any verdict;
-// model-reuse hits must be certificates (the returned model satisfies
-// every constraint) drawn from the querying state's own pool and can
-// never manufacture a kUnsat. Also covers context-wipeout subsumption,
-// the branch wipeout, solve-context seeding (derived pins included),
-// and the oracle bypass (SolverOptions::backend).
+// The solver's front door, SolverCache::Solve: every answer must equal
+// what a fresh search with every shortcut off would return. Model-reuse
+// hits must be certificates (the returned model satisfies every
+// constraint) drawn from the querying state's own pool and can never
+// manufacture a kUnsat. Also covers the branch wipeout, solve-context
+// seeding (derived pins included), and the oracle bypass
+// (SolverOptions::backend).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,53 +69,14 @@ bool Satisfies(const std::vector<ExprRef>& cs, const Model& model) {
   return true;
 }
 
-TEST(SolverCacheTest, ExactKeyHitReturnsTheInsertedVerdict) {
-  InternScope intern;
-  SolverCache cache;
-  SolveContext ctx;
-  const std::vector<ExprRef> constraints = {InputEq(0, 65), InputEq(1, 66)};
-
-  const SolveResult fresh = cache.Solve(constraints, {}, {}, ctx);
-  ASSERT_EQ(fresh.status, SolveStatus::kSat);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  const SolveResult hit = cache.Solve(constraints, {}, {}, ctx);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
-  EXPECT_EQ(hit.status, fresh.status);
-  EXPECT_EQ(hit.model, fresh.model);
-  EXPECT_EQ(hit.steps, 0u) << "cache hits must report zero steps";
-}
-
-TEST(SolverCacheTest, ExactKeyHitMayReturnUnsat) {
-  InternScope intern;
-  SolverCache cache;
-  // in[0] == 1 && in[0] == 2 is unsatisfiable. The context applies
-  // nothing, so no wipeout answers ahead of the memo.
-  SolveContext ctx;
-  const std::vector<ExprRef> constraints = {InputEq(0, 1), InputEq(0, 2)};
-  ASSERT_EQ(cache.Solve(constraints, {}, {}, ctx).status,
-            SolveStatus::kUnsat);
-  EXPECT_EQ(cache.Solve(constraints, {}, {}, ctx).status,
-            SolveStatus::kUnsat)
-      << "an exact sequence match is provably the same query";
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
-}
-
 TEST(SolverCacheTest, RepeatedNodesCollapseToTheirFirstOccurrences) {
-  // A repeated node counts once, where it first appears: the memo key
-  // of {a, a, b, a} is {a, b}, and the search never sees a repeat.
+  // A repeated node counts once, where it first appears: the search
+  // never sees a repeat.
   InternScope intern;
   const ExprRef a = MakeBinOp(vm::Op::kCmpLeU, In(0), In(1));
   const ExprRef b = MakeBinOp(vm::Op::kCmpEq,
                               MakeBinOp(vm::Op::kAdd, In(0), In(1)),
                               MakeConst(9));
-  SolverCache cache;
-  SolveContext ctx;
-  ASSERT_EQ(cache.Solve({a, b}, {}, {}, ctx).status, SolveStatus::kSat);
-  ASSERT_EQ(cache.Solve({a, a, b, a}, {}, {}, ctx).status, SolveStatus::kSat);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
   const SolveResult once = SolveOnce({b, a});
   const SolveResult repeated = SolveOnce({b, a, b, b, a});
   ASSERT_EQ(once.status, SolveStatus::kSat);
@@ -139,7 +99,7 @@ TEST(SolverCacheTest, ModelReuseHitEqualsFreshSolveAndCertifies) {
       MakeBinOp(vm::Op::kCmpNe, MakeInput(0), MakeConst(0)));
 
   const SolveResult hit = cache.Solve(extended, {}, {}, ctx);
-  EXPECT_EQ(cache.stats().model_reuse_hits, 1u)
+  EXPECT_EQ(cache.stats().hits, 1u)
       << "the pooled model satisfies the extension";
   EXPECT_EQ(hit.status, SolveStatus::kSat);
   for (const ExprRef& c : extended) {
@@ -164,9 +124,9 @@ TEST(SolverCacheTest, PinsOverrideTheCachedModel) {
   extended.push_back(InputEq(1, 42));
   const Model pins = {{1, 42}};
 
-  const std::uint64_t reused = cache.stats().model_reuse_hits;
+  const std::uint64_t reused = cache.stats().hits;
   const SolveResult hit = cache.Solve(extended, pins, {}, ctx);
-  EXPECT_EQ(cache.stats().model_reuse_hits, reused + 1);
+  EXPECT_EQ(cache.stats().hits, reused + 1);
   EXPECT_EQ(hit.status, SolveStatus::kSat);
   EXPECT_EQ(hit.model.at(1), 42);
   EXPECT_EQ(hit.status, FreshSolve(extended).status);
@@ -185,7 +145,7 @@ TEST(SolverCacheTest, HintsFillFreshVariablesLikeAFreshSolveWould) {
   extended.push_back(InputEq(5, 77));
 
   const SolveResult hit = cache.Solve(extended, {}, Hinted({{5, 77}}), ctx);
-  EXPECT_EQ(cache.stats().model_reuse_hits, 1u)
+  EXPECT_EQ(cache.stats().hits, 1u)
       << "hint overlay should certify the extension";
   EXPECT_EQ(hit.model.at(5), 77);
 
@@ -193,7 +153,7 @@ TEST(SolverCacheTest, HintsFillFreshVariablesLikeAFreshSolveWould) {
   // unconstrained byte must not appear (it would change poc' emission).
   const SolveResult hit2 =
       cache.Solve(extended, {}, Hinted({{5, 77}, {200, 9}}), ctx);
-  EXPECT_EQ(cache.stats().model_reuse_hits, 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(hit2.model.count(200), 0u);
 }
 
@@ -209,7 +169,7 @@ TEST(SolverCacheTest, UnsatisfiableExtensionMissesInsteadOfGuessing) {
   std::vector<ExprRef> extended = prefix;
   extended.push_back(InputEq(0, 11));
   EXPECT_EQ(cache.Solve(extended, {}, {}, ctx).status, SolveStatus::kUnsat);
-  EXPECT_EQ(cache.stats().model_reuse_hits, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(FreshSolve(extended).status, SolveStatus::kUnsat);
 }
@@ -298,7 +258,7 @@ TEST(CacheSolveTest, FrontDoorEqualsMonolithicOnRandomSystems) {
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 4) == 3);
     const SolveResult fresh = FreshSolve(cs);
     // The executor's way: the state's context has applied every
-    // constraint, so forced-UNSAT rounds meet the wipeout tier.
+    // constraint, so forced-UNSAT rounds meet the branch wipeout.
     SolveContext ctx;
     for (const ExprRef& c : cs) ctx.Apply(c);
     SolverCache cache;
@@ -339,19 +299,13 @@ TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
 // -- Subsumption -----------------------------------------------------------
 
 TEST(SubsumptionTest, NeverFlipsASatisfiableQuery) {
-  // Warm a cache with many wiped-out UNSAT systems, then stress it with
-  // random *satisfiable* queries, each from a state whose context
-  // applied the whole query: none may come back kUnsat.
+  // Random *satisfiable* queries, each from a state whose context
+  // applied the whole query, so the branch wipeout filters each query's
+  // last constraint over a domain that already holds it: none may come
+  // back kUnsat.
   std::mt19937 rng(99);
   InternScope intern;
   SolverCache cache;
-  for (std::uint32_t v = 0; v < 6; ++v) {
-    SolveContext ctx;
-    const std::vector<ExprRef> cs = {InputEq(v, 1), InputEq(v, 2)};
-    for (const ExprRef& c : cs) ctx.Apply(c);
-    ASSERT_EQ(cache.Solve(cs, {}, {}, ctx).status, SolveStatus::kUnsat);
-  }
-  ASSERT_EQ(cache.stats().subsumption_hits, 6u);
   for (int round = 0; round < 40; ++round) {
     const std::vector<ExprRef> cs = RandomSystem(rng, /*force_unsat=*/false);
     SolveContext ctx;
@@ -361,17 +315,18 @@ TEST(SubsumptionTest, NeverFlipsASatisfiableQuery) {
     ASSERT_EQ(cached.status, fresh.status)
         << "round " << round << ": subsumption flipped a verdict";
     if (fresh.status == SolveStatus::kSat) {
-      // A warm cache may serve a *different* model than a cold search
-      // (certified reuse), but whatever it serves must be a certificate.
+      // Certified reuse may serve a *different* model than a cold
+      // search, but whatever it serves must be a certificate.
       EXPECT_TRUE(Satisfies(cs, cached.model)) << "round " << round;
     }
   }
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 40u);
 }
 
 TEST(SubsumptionTest, WipeoutIsUnsatUnderAZeroStepBudget) {
   // A wiped-out domain is found by the unary prefilter, before any step
   // or budget check, so the fresh search on either core answers kUnsat
-  // under any budget — the same status the wipeout tier returns.
+  // under any budget — the same status the branch wipeout returns.
   InternScope intern;
   const ExprRef coupled =
       MakeBinOp(vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(0), In(1)),
@@ -387,19 +342,24 @@ TEST(SubsumptionTest, WipeoutIsUnsatUnderAZeroStepBudget) {
   EXPECT_EQ(FreshSolve(cs, zero).status, SolveStatus::kUnsat)
       << "backtrack core";
 
+  // A state whose path wiped in[3] out: its next query is refuted from
+  // the context as the zero-step miss the search would return.
   SolveContext ctx;
   for (const ExprRef& c : cs) ctx.Apply(c);
-  ASSERT_TRUE(ctx.known_unsat());
+  ASSERT_TRUE(ctx.Find(3)->domain.None());
   SolverCache cache;
-  EXPECT_EQ(cache.Solve(cs, {}, zero, ctx).status, SolveStatus::kUnsat);
-  EXPECT_EQ(cache.stats().subsumption_hits, 1u);
+  const SolveResult got = cache.Solve(cs, {}, zero, ctx);
+  EXPECT_EQ(got.status, SolveStatus::kUnsat);
+  EXPECT_EQ(got.steps, 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(SubsumptionTest, BranchWipeoutMatchesTheSearch) {
   // The state's path narrows in[3] below 10 without wiping it out; the
   // branch constraint in[3] > 20 then empties the context domain. The
   // front door answers from the context as the fresh search would: a
-  // kUnsat miss with zero steps, memoized, and no subsumption hit.
+  // kUnsat miss with zero steps, every time it is asked.
   InternScope intern;
   const ExprRef coupled =
       MakeBinOp(vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(0), In(1)),
@@ -408,7 +368,7 @@ TEST(SubsumptionTest, BranchWipeoutMatchesTheSearch) {
       coupled, MakeBinOp(vm::Op::kCmpLtU, In(3), MakeConst(10))};
   SolveContext ctx;
   for (const ExprRef& c : path) ctx.Apply(c);
-  ASSERT_FALSE(ctx.known_unsat());
+  ASSERT_EQ(ctx.Find(3)->domain.Count(), 10);
 
   std::vector<ExprRef> branch = path;
   branch.push_back(MakeBinOp(vm::Op::kCmpGtU, In(3), MakeConst(20)));
@@ -420,12 +380,12 @@ TEST(SubsumptionTest, BranchWipeoutMatchesTheSearch) {
   EXPECT_EQ(got.steps, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 1u) << "the answer is memoized like a search's";
 
   const SolveResult again = cache.Solve(branch, {}, zero, ctx);
   EXPECT_EQ(again.status, SolveStatus::kUnsat);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(again.steps, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u) << "nothing remembers the first answer";
+  EXPECT_EQ(cache.stats().hits, 0u);
 
   // Both cores, unseeded and under the same zero budget, agree.
   const SolveResult search = SolveOnce(branch, zero);
@@ -494,21 +454,18 @@ TEST(SolveContextTest, FoldsConcatEqualityPins) {
     EXPECT_TRUE(ctx.Find(0)->domain.Test(0x41));
     EXPECT_TRUE(ctx.Find(1)->domain.Test(0x42));
     EXPECT_TRUE(ctx.Find(0)->applied.empty());
-    EXPECT_EQ(ctx.Find(0)->unary.Count(), 256);
 
-    // ...so a path byte the pin contradicts empties the seed domain but
-    // not the unary one: known_unsat (the subsumption tier) stays as it
-    // was, and the query is a kUnsat miss with zero steps.
+    // ...so a path byte the pin contradicts empties the seed domain,
+    // and the query is a kUnsat miss with zero steps.
     const ExprRef small = MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(0x10));
     ctx.Apply(small);
     EXPECT_TRUE(ctx.Find(0)->domain.None());
-    EXPECT_FALSE(ctx.known_unsat());
     SolverCache cache;
     const SolveResult r = cache.Solve({FieldEq(0, 0x4241), small}, {}, {}, ctx);
     EXPECT_EQ(r.status, SolveStatus::kUnsat);
     EXPECT_EQ(r.steps, 0u);
     EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().subsumption_hits, 0u);
+    EXPECT_EQ(cache.stats().hits, 0u);
   }
 
   // With pins folded, a seeded search over the preprocessed system is
@@ -584,48 +541,34 @@ TEST(SolveContextTest, LongUnaryChainOnOneByteAnswersLikeSolveOnce) {
     ctx.Apply(more);
   }
   EXPECT_EQ(unsat, 128) << "the exit branch is infeasible while i < 128";
-  EXPECT_EQ(cache.stats().subsumption_hits, 0u);
 }
 
-TEST(SolveContextTest, WipeoutMarksKnownUnsat) {
-  InternScope intern;
-  SolveContext ctx;
-  ctx.Apply(InputEq(3, 10));
-  EXPECT_FALSE(ctx.known_unsat());
-  ctx.Apply(InputEq(3, 11));
-  EXPECT_TRUE(ctx.known_unsat());
-
-  SolverCache cache;
-  SolveContext query_ctx = ctx;
-  const SolveResult r =
-      cache.Solve({InputEq(3, 10), InputEq(3, 11)}, {}, {}, query_ctx);
-  EXPECT_EQ(r.status, SolveStatus::kUnsat);
-  EXPECT_EQ(cache.stats().subsumption_hits, 1u);
-}
-
-// -- Per-mechanism hit counters --------------------------------------------
+// -- Hit and miss counters --------------------------------------------------
 
 TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   InternScope intern;
   SolverCache cache;
-  // One state whose context applies nothing: every tier but the
-  // wipeout can answer.
+  // One state whose context applies nothing: only model reuse and the
+  // search can answer.
   SolveContext ctx;
   const ExprRef a = InputEq(0, 5);
   const ExprRef b = InputEq(1, 7);
 
   // Fresh solve: miss.
-  ASSERT_EQ(cache.Solve({a}, {}, {}, ctx).status, SolveStatus::kSat);
+  const SolveResult first = cache.Solve({a}, {}, {}, ctx);
+  ASSERT_EQ(first.status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  // Same sequence again: exact hit.
-  ASSERT_EQ(cache.Solve({a}, {}, {}, ctx).status, SolveStatus::kSat);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  // Same sequence again: its model is in the state's pool, so model
+  // reuse answers with it.
+  const SolveResult again = cache.Solve({a}, {}, {}, ctx);
+  ASSERT_EQ(again.status, SolveStatus::kSat);
+  EXPECT_EQ(again.model, first.model);
+  EXPECT_EQ(cache.stats().hits, 1u);
 
-  // A new joint query is a fresh search (the slicing tier that once
-  // stitched {a} and {b} answers together is retired), but it pools
-  // the joint model {0:5, 1:7} on the state...
+  // A new joint query is a fresh search (no pooled model sets in[1]),
+  // but it pools the joint model {0:5, 1:7} on the state...
   ASSERT_EQ(cache.Solve({a, b}, {}, {}, ctx).status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 2u);
 
@@ -638,12 +581,10 @@ TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   ASSERT_EQ(reused.status, SolveStatus::kSat);
   EXPECT_EQ(reused.steps, 0u) << "cache hits must report zero steps";
   EXPECT_TRUE(Satisfies(relaxed, reused.model));
-  const SolverCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, 4u) << "hits + misses == counted queries";
-  EXPECT_EQ(s.hits, s.exact_hits + s.model_reuse_hits + s.subsumption_hits)
-      << "per-mechanism counters partition the hit total";
-  EXPECT_GE(s.model_reuse_hits, 1u)
+  EXPECT_EQ(cache.stats().hits, 2u)
       << "the relaxed query must be served by certified model reuse";
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 4u)
+      << "hits + misses == counted queries";
 
   // A context that applied nothing proves no query UNSAT in advance: a
   // UNSAT system and a superset of it are both fresh searches.
@@ -653,25 +594,25 @@ TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
                 .status,
             SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().misses, 4u);
-  EXPECT_EQ(cache.stats().subsumption_hits, 0u);
 
-  // A context whose unary domain for in[2] wiped out: subsumption.
+  // A context whose domain for in[2] wiped out: the branch wipeout
+  // answers, as the zero-step miss the search would be.
   SolveContext wiped;
   wiped.Apply(InputEq(2, 1));
   wiped.Apply(InputEq(2, 2));
-  ASSERT_TRUE(wiped.known_unsat());
-  ASSERT_EQ(cache.Solve({b, InputEq(2, 1), InputEq(2, 2)}, {}, {}, wiped)
-                .status,
-            SolveStatus::kUnsat);
-  EXPECT_EQ(cache.stats().subsumption_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 4u);
+  const SolveResult refuted =
+      cache.Solve({b, InputEq(2, 1), InputEq(2, 2)}, {}, {}, wiped);
+  ASSERT_EQ(refuted.status, SolveStatus::kUnsat);
+  EXPECT_EQ(refuted.steps, 0u);
+  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(CacheCountersTest, OracleBackendBypassesEveryTier) {
   // With SolverOptions::backend set, Solve is the bare search: the same
   // query twice is two misses, a pooled model is never reused and a
   // wiped-out context answers nothing. The default path answers the
-  // repeat from the exact memo.
+  // repeat by model reuse.
   InternScope intern;
   const std::vector<ExprRef> q = {InputEq(0, 5)};
   SolverOptions off;
@@ -691,15 +632,63 @@ TEST(CacheCountersTest, OracleBackendBypassesEveryTier) {
   ASSERT_EQ(bypass.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, off, wiped)
                 .status,
             SolveStatus::kUnsat);
-  EXPECT_EQ(bypass.stats().subsumption_hits, 0u);
+  EXPECT_EQ(bypass.stats().hits, 0u);
   EXPECT_EQ(bypass.stats().misses, 3u);
 
   SolverCache cache;
   SolveContext fresh_ctx;
   ASSERT_EQ(cache.Solve(q, {}, {}, fresh_ctx).status, SolveStatus::kSat);
   ASSERT_EQ(cache.Solve(q, {}, {}, fresh_ctx).status, SolveStatus::kSat);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(CacheCountersTest, CommittedBranchQueryIsAModelReuseHit) {
+  // The executor's pattern: BranchFeasible asks the path plus each
+  // direction, then commits one, so the committed state's next query
+  // repeats that direction's query exactly. The model the branch query
+  // pooled answers it, with zero steps; nothing else remembers it, so
+  // a state whose pool never saw that model searches again.
+  InternScope intern;
+  const ExprRef coupled =
+      MakeBinOp(vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(0), In(1)),
+                MakeConst(300));
+  const ExprRef high = MakeBinOp(vm::Op::kCmpGtU, In(0), MakeConst(200));
+  const ExprRef low = MakeBinOp(vm::Op::kCmpEq, high, MakeConst(0));
+  std::vector<ExprRef> path = {coupled};
+  SolverCache cache;
+  SolveContext ctx;
+  for (const ExprRef& c : path) ctx.Apply(c);
+  ASSERT_EQ(cache.Solve(path, {}, {}, ctx).status, SolveStatus::kSat);
+  const SolveContext before_branch = ctx;
+
+  std::vector<ExprRef> taken = path;
+  taken.push_back(high);
+  const SolveResult branch = cache.Solve(taken, {}, {}, ctx);
+  ASSERT_EQ(branch.status, SolveStatus::kSat);
+  ASSERT_GT(branch.steps, 0u) << "the branch query must be a real search";
+  std::vector<ExprRef> other = path;
+  other.push_back(low);
+  ASSERT_EQ(cache.Solve(other, {}, {}, ctx).status, SolveStatus::kSat);
+
+  // Commit the taken direction and ask the state's next query.
+  ctx.Apply(high);
+  const SolverCache::Stats before = cache.stats();
+  const SolveResult next = cache.Solve(taken, {}, {}, ctx);
+  EXPECT_EQ(next.status, SolveStatus::kSat);
+  EXPECT_EQ(next.model, branch.model);
+  EXPECT_EQ(next.steps, 0u);
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+
+  // The same query from a state that never pooled the branch's model
+  // is a fresh search, which finds the same model.
+  SolveContext sibling = before_branch;
+  sibling.Apply(high);
+  const SolveResult searched = cache.Solve(taken, {}, {}, sibling);
+  EXPECT_EQ(searched.model, branch.model);
+  EXPECT_EQ(searched.steps, branch.steps);
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);
 }
 
 }  // namespace

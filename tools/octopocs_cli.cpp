@@ -525,12 +525,6 @@ int CmdVerify(int argc, char** argv) {
               static_cast<unsigned long long>(r.symex_stats.expr_intern_hits),
               static_cast<unsigned long long>(
                   r.symex_stats.expr_intern_nodes));
-  std::printf("  by kind: exact %llu | model-reuse %llu | subsumed %llu\n",
-              static_cast<unsigned long long>(r.symex_stats.solver_exact_hits),
-              static_cast<unsigned long long>(
-                  r.symex_stats.solver_model_reuse_hits),
-              static_cast<unsigned long long>(
-                  r.symex_stats.solver_subsumption_hits));
   if (r.fuzz_attempted) {
     std::printf("fuzz:      %llu exec(s) | crash at %llu | best distance "
                 "%.2f | seed %llu\n",
