@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -308,8 +309,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::remove((cache_dir + "/segments.dat").c_str());
-  std::remove((cache_dir + "/index.dat").c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(cache_dir, ec);
 
   // Hard gates: the warm restart must actually reuse the disk tier, the
   // overload burst must shed explicitly, and nothing may go unanswered.

@@ -49,14 +49,14 @@ every trace-mode check plus:
     run upheld every invariant.
 
 Cache mode (--cache, a `corpus --cache-dir` or `serve --cache-dir`
-directory; core/artifact_disk.h layout) checks:
-  - index.dat starts with the 12-byte header "OCTODISK" + version 1;
-  - the rest of the index is 40-byte records, each with the "OCXI"
-    magic; as in DiskArtifactStore::Open, a torn record (a partial
-    record, a bad magic, or a payload past the end of segments.dat) is
-    tolerated only at the tail;
+directory; core/artifact_disk.h layout) reads DIR/artifacts.log with
+DiskArtifactStore::Open's rules: records back to back, each a 32-byte
+header ("OCXR" | length u32 | key.hi u64 | key.lo u64 | FNV-1a u64)
+and its payload, up to the first break (fewer than 32 bytes left, a
+wrong magic, a payload past the end of the file, or a final record
+whose checksum fails), which is the torn tail Open heals. It checks:
   - no key is stored twice;
-  - every record's FNV-1a checksum matches its bytes in segments.dat;
+  - every record's FNV-1a checksum matches its payload;
   - every payload parses as a serialized VerificationReport carrying
     the full key set (core/report_io.h).
 
@@ -97,10 +97,8 @@ FUZZ_REPORT_KEYS = {
 }
 
 
-INDEX_MAGIC = b"OCTODISK"
-RECORD_MAGIC = 0x4F435849  # "OCXI"
-HEADER_BYTES = 12
-RECORD_BYTES = 40
+RECORD_MAGIC = b"OCXR"
+HEADER_BYTES = 32
 
 
 def fnv1a(data):
@@ -116,37 +114,28 @@ def cache_fail(where, msg):
 
 
 def validate_cache(directory):
-    with open(os.path.join(directory, "index.dat"), "rb") as f:
-        index = f.read()
-    with open(os.path.join(directory, "segments.dat"), "rb") as f:
-        segment = f.read()
-    if len(index) < HEADER_BYTES or index[:8] != INDEX_MAGIC:
-        cache_fail("index header", "index.dat does not start with OCTODISK")
-    version, = struct.unpack_from("<I", index, 8)
-    if version != 1:
-        cache_fail("index header", f"unsupported index version {version}")
+    try:
+        with open(os.path.join(directory, "artifacts.log"), "rb") as f:
+            log = f.read()
+    except OSError as e:
+        cache_fail("artifacts.log", str(e))
 
     keys = set()
-    torn = False
-    at = HEADER_BYTES
-    count = (len(index) - HEADER_BYTES) // RECORD_BYTES
-    for n in range(1, count + 1):
-        is_last = at + RECORD_BYTES == len(index)
-        magic, hi, lo, offset, length, checksum = struct.unpack_from(
-            "<IQQQIQ", index, at)
-        where = f"index record {n}"
-        if magic != RECORD_MAGIC or offset + length > len(segment):
-            if is_last:
-                torn = True
+    at = 0
+    while len(log) - at >= HEADER_BYTES:
+        length, hi, lo, checksum = struct.unpack_from("<IQQQ", log, at + 4)
+        end = at + HEADER_BYTES + length
+        if log[at:at + 4] != RECORD_MAGIC or end > len(log):
+            break
+        payload = log[at + HEADER_BYTES:end]
+        where = f"record at offset {at}"
+        if fnv1a(payload) != checksum:
+            if end == len(log):
                 break
-            cache_fail(where, "bad magic or payload past the segment's end "
-                        "before the tail")
+            cache_fail(where, "checksum does not match its payload")
         if (hi, lo) in keys:
             cache_fail(where, f"key {hi:016x}{lo:016x} stored twice")
         keys.add((hi, lo))
-        payload = segment[offset:offset + length]
-        if fnv1a(payload) != checksum:
-            cache_fail(where, "checksum does not match segments.dat")
         try:
             report = json.loads(payload.decode("utf-8"))
             if not isinstance(report, dict):
@@ -160,10 +149,9 @@ def validate_cache(directory):
         if fuzz_present and fuzz_present != FUZZ_REPORT_KEYS:
             cache_fail(where, f"report has truncated fuzz stats "
                         f"{sorted(fuzz_present)}")
-        at += RECORD_BYTES
-    if (len(index) - HEADER_BYTES) % RECORD_BYTES != 0:
-        torn = True
+        at = end
 
+    torn = at != len(log)
     print(f"OK: cache with {len(keys)} report(s), every key unique"
           f"{', torn tail (healed on reopen)' if torn else ''}")
 

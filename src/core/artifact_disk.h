@@ -1,26 +1,22 @@
-// Persistent on-disk tier for the content-addressed artifact store
-// (DESIGN.md §14).
+// Persistent on-disk tier for verification reports (DESIGN.md §14.4).
 //
-// The in-memory ArtifactStore dies with the process, so the 98% warm
-// reuse rate BENCH_perf.json measures is only ever reached inside one
-// run. This tier persists artifacts under a cache directory so a
+// The in-memory ArtifactStore dies with the process. This tier keeps
+// artifacts in one append-only log under a cache directory, so a
 // restarted (or crashed and restarted) daemon comes back warm:
 //
-//   <dir>/segments.dat   append-only payload log: raw artifact bytes,
-//                        written before the index ever points at them
-//   <dir>/index.dat      fixed-size binary records mapping an
-//                        ArtifactKey to (offset, length, checksum) in
-//                        the segment file, fsync'd per record
+//   <dir>/artifacts.log   records back to back, each a 32-byte header
+//                         ("OCXR" | length u32 | key.hi u64 | key.lo u64
+//                         | FNV-1a u64 of the payload), then the payload
 //
-// Crash safety: every Put appends the payload, fsyncs the segment, then
-// appends + fsyncs one index record — so after a crash the index tail
-// is at worst one torn record pointing at fully durable bytes. Open()
-// tolerates exactly that: a partial trailing index record, or a
-// trailing record whose payload extends past the segment's end or
-// fails its checksum, is truncated away (healed); a malformed record
-// anywhere else is refused. Get() re-verifies the
-// payload checksum on every read, so a corrupt artifact is reported as
-// a miss, never served.
+// Crash safety: every Put is one write of a whole record and one
+// fsync, and a failed write is cut off again, so the log is whole
+// records followed at worst by one torn record. Open() replays the
+// records from offset zero and truncates the log at the first break:
+// fewer than 32 bytes left, a wrong magic, a payload past the end of
+// the file, or a final record whose payload fails its checksum. Every
+// record before the break loads. Get() re-verifies the payload
+// checksum on every read, so a corrupt artifact is reported as a miss,
+// never served.
 //
 // The store is single-owner (one process per cache dir) and thread-safe
 // within that owner. Values are opaque byte blobs. Verification reports
@@ -50,14 +46,13 @@ class DiskArtifactStore {
     std::uint64_t stores = 0;
     std::uint64_t store_errors = 0;    // I/O failure / injected fault
     std::uint64_t corrupt_drops = 0;   // checksum mismatch at Get
-    std::uint64_t healed_records = 0;  // index tail records dropped at Open
+    std::uint64_t healed_records = 0;  // 1 when Open cut off a torn tail
     std::uint64_t loaded_records = 0;  // entries recovered at Open
   };
 
   /// Opens (creating if needed) the store under `dir`, replaying the
-  /// index and healing a torn tail. Returns nullptr with `*error` set
-  /// when the directory or files cannot be created/read, or when the
-  /// index is malformed beyond its tail.
+  /// log and healing a torn tail. Returns nullptr with `*error` set
+  /// when the directory or the log cannot be created or healed.
   static std::unique_ptr<DiskArtifactStore> Open(const std::string& dir,
                                                  std::string* error);
 
@@ -77,7 +72,7 @@ class DiskArtifactStore {
 
   bool Contains(const ArtifactKey& key) const;
 
-  /// fsyncs both files (Put already syncs per record; this is the
+  /// fsyncs the log (Put already syncs per record; this is the
   /// drain-time belt and braces).
   void Flush();
 
@@ -85,19 +80,18 @@ class DiskArtifactStore {
   std::size_t size() const;
 
  private:
-  struct IndexEntry {
-    std::uint64_t offset = 0;
+  struct Entry {
+    std::uint64_t offset = 0;  // of the payload in the log
     std::uint32_t length = 0;
     std::uint64_t checksum = 0;
   };
 
   DiskArtifactStore() = default;
 
-  int segment_fd_ = -1;
-  int index_fd_ = -1;
-  std::uint64_t segment_bytes_ = 0;  // append offset
+  int fd_ = -1;
+  std::uint64_t log_bytes_ = 0;  // end of the last whole record
   mutable std::mutex mu_;
-  std::map<ArtifactKey, IndexEntry> entries_;
+  std::map<ArtifactKey, Entry> entries_;
   Stats stats_;
 };
 

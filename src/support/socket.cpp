@@ -13,6 +13,21 @@
 
 namespace octopocs::support {
 
+bool ExtractFrame(std::string& buffer, std::string_view sentinel,
+                  std::string* frame) {
+  for (std::size_t at = buffer.find(sentinel); at != std::string::npos;
+       at = buffer.find(sentinel, at + 1)) {
+    const std::size_t end = at + sentinel.size();
+    if ((at == 0 || buffer[at - 1] == '\n') && end < buffer.size() &&
+        buffer[end] == '\n') {
+      frame->assign(buffer, 0, end + 1);
+      buffer.erase(0, end + 1);
+      return true;
+    }
+  }
+  return false;
+}
+
 #ifndef _WIN32
 
 namespace {
@@ -221,22 +236,9 @@ FdReader::Status FdReader::ReadFrame(std::string_view sentinel,
                                      const std::atomic<int>* interrupt,
                                      std::string* frame,
                                      std::size_t max_bytes) {
-  const std::string needle = std::string(sentinel) + "\n";
   return Pump(fd_, buffer_, deadline_ms, interrupt, max_bytes,
-              [frame, &needle](std::string& buffer) {
-                // The sentinel must sit at a line start: offset 0 or
-                // right after a newline.
-                std::size_t at = 0;
-                for (;;) {
-                  at = buffer.find(needle, at);
-                  if (at == std::string::npos) return false;
-                  if (at == 0 || buffer[at - 1] == '\n') break;
-                  ++at;
-                }
-                const std::size_t end = at + needle.size();
-                frame->assign(buffer, 0, end);
-                buffer.erase(0, end);
-                return true;
+              [frame, sentinel](std::string& buffer) {
+                return ExtractFrame(buffer, sentinel, frame);
               });
 }
 

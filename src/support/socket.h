@@ -64,6 +64,14 @@ bool WriteAll(int fd, std::string_view data);
 
 void CloseFd(int fd);
 
+/// Sentinel framing, shared by FdReader::ReadFrame and the worker pipes
+/// (support/subprocess.h): when `buffer` holds a line equal to
+/// `sentinel` (at the buffer start or right after a newline), moves
+/// everything through that line into `*frame`, leaves the rest buffered
+/// and returns true.
+bool ExtractFrame(std::string& buffer, std::string_view sentinel,
+                  std::string* frame);
+
 /// Buffered reader over a stream fd with a per-call wall-clock deadline.
 /// Bytes past the returned line/frame stay buffered for the next call,
 /// so pipelined peers can never outrun the framing.

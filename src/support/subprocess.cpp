@@ -12,6 +12,8 @@
 #include <unistd.h>
 #endif
 
+#include "support/socket.h"
+
 namespace octopocs::support {
 
 #ifndef _WIN32
@@ -25,28 +27,6 @@ void ApplyLimit(int resource, std::uint64_t value) {
   // Failure to tighten a limit is not fatal for the child: the
   // supervisor's per-read deadline still bounds it.
   setrlimit(resource, &lim);
-}
-
-/// True when `buffer` holds a complete frame: a line equal to
-/// `sentinel` (at the buffer start or right after a newline). On a
-/// match, moves everything through the sentinel line into `*frame` and
-/// leaves the rest buffered.
-bool ExtractFrame(std::string& buffer, std::string_view sentinel,
-                  std::string* frame) {
-  std::size_t pos = 0;
-  while ((pos = buffer.find(sentinel.data(), pos, sentinel.size())) !=
-         std::string::npos) {
-    const bool at_line_start = pos == 0 || buffer[pos - 1] == '\n';
-    const std::size_t end = pos + sentinel.size();
-    const bool at_line_end = end < buffer.size() && buffer[end] == '\n';
-    if (at_line_start && at_line_end) {
-      frame->assign(buffer, 0, end + 1);
-      buffer.erase(0, end + 1);
-      return true;
-    }
-    pos += 1;
-  }
-  return false;
 }
 
 }  // namespace

@@ -454,22 +454,20 @@ struct SymExecutor::Run {
     // Parameter matching: "OCTOPOCS executes ep in T with the same
     // parameters as those used in S". Pointer-valued arguments are
     // skipped: allocation addresses are execution-specific.
-    if (opts.check_ep_args) {
-      const std::size_t n = std::min(args.size(), bunch.ep_args.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t recorded = bunch.ep_args[i];
-        if (recorded >= vm::kRodataBase) continue;  // pointer heuristic
-        if (const auto v = EvalPartial(args[i], s.pinned)) {
-          if (*v != recorded) {
-            NoteUnsat(s, "ep argument " + std::to_string(i) +
-                             " is fixed to a different value in T");
-            return EpOutcome::kStateDead;
-          }
-        } else {
-          AddConstraint(s, MakeBinOp(vm::Op::kCmpEq, args[i],
-                                     MakeConst(recorded)));
-          if (s.death != StateDeath::kAlive) return EpOutcome::kStateDead;
+    const std::size_t n = std::min(args.size(), bunch.ep_args.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t recorded = bunch.ep_args[i];
+      if (recorded >= vm::kRodataBase) continue;  // pointer heuristic
+      if (const auto v = EvalPartial(args[i], s.pinned)) {
+        if (*v != recorded) {
+          NoteUnsat(s, "ep argument " + std::to_string(i) +
+                           " is fixed to a different value in T");
+          return EpOutcome::kStateDead;
         }
+      } else {
+        AddConstraint(s, MakeBinOp(vm::Op::kCmpEq, args[i],
+                                   MakeConst(recorded)));
+        if (s.death != StateDeath::kAlive) return EpOutcome::kStateDead;
       }
     }
 

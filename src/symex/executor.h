@@ -119,11 +119,6 @@ struct ExecutorOptions {
   /// Symbolic input file size M: reads succeed below this bound and poc'
   /// is trimmed to the bytes actually required.
   std::uint64_t max_input_size = 4096;
-  /// Match ep's arguments in T against those recorded in S (the paper
-  /// executes ep "with the same parameters"; pointer-valued arguments —
-  /// values inside VM address ranges — are skipped since allocation
-  /// addresses need not agree between S and T).
-  bool check_ep_args = true;
   /// Exact-cycle fast-forward for a state that keeps running through ℓ
   /// after the final bunch (a CWE-835 hang): once its complete state
   /// repeats with period P, whole periods are counted instead of

@@ -1,16 +1,20 @@
 // Persistent artifact tier (core/artifact_disk.h): durability and heal
 // rules, with a torn-write property test over every byte truncation of
-// the index. A store that survived a SIGKILL must reopen with at worst its
-// torn trailing index record dropped; a corrupt payload must read as a
-// miss, never as data; and a warm reopen must return the exact bytes
-// the cold store was given.
+// the log. A store that survived a SIGKILL must reopen with at worst its
+// torn trailing record dropped; a failed write must leave every later
+// record readable; a corrupt payload must read as a miss, never as
+// data; and a warm reopen must return the exact bytes the cold store
+// was given.
 #include "core/artifact_disk.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <csignal>
+#include <filesystem>
 #include <fstream>
 #include <string>
+
+#include <sys/resource.h>
 
 #include "core/report_io.h"
 #include "support/fault.h"
@@ -18,14 +22,19 @@
 namespace octopocs::core {
 namespace {
 
+// Each record is a 32-byte header followed by its payload.
+constexpr std::size_t kHeaderBytes = 32;
+
 std::string TempDir(const std::string& name) {
   const std::string dir = testing::TempDir() + "octopocs_disk_" + name;
-  // Start fresh: stale files from a previous run would change the
+  // Start fresh: stale records from a previous run would change the
   // truncation offsets the matrix below depends on.
-  std::remove((dir + "/segments.dat").c_str());
-  std::remove((dir + "/index.dat").c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
   return dir;
 }
+
+std::string LogPath(const std::string& dir) { return dir + "/artifacts.log"; }
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -68,12 +77,12 @@ TEST(DiskArtifactStore, PutGetRoundTripAndIdempotence) {
   EXPECT_EQ(store->stats().misses, 1u);
 }
 
-TEST(DiskArtifactStore, EveryTruncationOfTheIndexHealsOnReopen) {
+TEST(DiskArtifactStore, EveryTruncationOfTheLogHealsOnReopen) {
   // Build a reference store with three artifacts, then replay every
-  // possible torn write of the index file — from an empty file through
-  // a partial header through every byte of the last record. Reopen must
-  // always succeed, keep exactly the entries whose records survived
-  // whole, and read each survivor back intact.
+  // possible torn write of the log — from an empty file through every
+  // byte of every header and payload. Reopen must always succeed, keep
+  // exactly the records that survived whole, and read each survivor
+  // back intact.
   const std::string dir = TempDir("torn");
   std::string error;
   const Bytes payloads[3] = {Payload("alpha"), Payload("beta-beta"),
@@ -85,18 +94,24 @@ TEST(DiskArtifactStore, EveryTruncationOfTheIndexHealsOnReopen) {
       ASSERT_TRUE(store->Put(Key(i), ByteView(payloads[i])));
     }
   }
-  const std::string index_path = dir + "/index.dat";
-  const std::string full = ReadFileBytes(index_path);
-  constexpr std::size_t kHeaderBytes = 12;
-  constexpr std::size_t kRecordBytes = 40;
-  ASSERT_EQ(full.size(), kHeaderBytes + 3 * kRecordBytes);
+  const std::string log_path = LogPath(dir);
+  const std::string full = ReadFileBytes(log_path);
+  std::size_t record_end[3];
+  std::size_t end = 0;
+  for (int i = 0; i < 3; ++i) {
+    end += kHeaderBytes + payloads[i].size();
+    record_end[i] = end;
+  }
+  ASSERT_EQ(full.size(), end);
 
   for (std::size_t keep = 0; keep < full.size(); ++keep) {
-    WriteFileBytes(index_path, full.substr(0, keep));
+    WriteFileBytes(log_path, full.substr(0, keep));
     auto store = DiskArtifactStore::Open(dir, &error);
     ASSERT_NE(store, nullptr) << "truncation at " << keep << ": " << error;
-    const std::size_t whole_records =
-        keep < kHeaderBytes ? 0 : (keep - kHeaderBytes) / kRecordBytes;
+    std::size_t whole_records = 0;
+    while (whole_records < 3 && record_end[whole_records] <= keep) {
+      ++whole_records;
+    }
     EXPECT_EQ(store->size(), whole_records) << keep;
     for (std::uint64_t i = 0; i < 3; ++i) {
       const auto got = store->Get(Key(i));
@@ -107,11 +122,11 @@ TEST(DiskArtifactStore, EveryTruncationOfTheIndexHealsOnReopen) {
         EXPECT_FALSE(got.has_value()) << keep << " key " << i;
       }
     }
-    // keep == 0 reopens as a brand-new store (nothing to heal); any
-    // other non-boundary length is a torn header or record.
+    // A cut on a record boundary (or an empty file) is a whole log;
+    // any other length is a torn header or payload.
     const bool torn =
-        keep != 0 && keep != kHeaderBytes + whole_records * kRecordBytes;
-    EXPECT_EQ(store->stats().healed_records != 0, torn) << keep;
+        keep != (whole_records == 0 ? 0 : record_end[whole_records - 1]);
+    EXPECT_EQ(store->stats().healed_records, torn ? 1u : 0u) << keep;
     // Re-adding the dropped artifacts must land on a clean tail: a
     // fresh reopen then sees all three whole.
     for (std::uint64_t i = whole_records; i < 3; ++i) {
@@ -123,15 +138,15 @@ TEST(DiskArtifactStore, EveryTruncationOfTheIndexHealsOnReopen) {
     EXPECT_EQ(healed->size(), 3u) << keep;
     EXPECT_EQ(healed->stats().healed_records, 0u) << keep;
     healed.reset();
-    // Restore the reference files for the next truncation point.
-    WriteFileBytes(index_path, full);
+    // Restore the reference log for the next truncation point.
+    WriteFileBytes(log_path, full);
   }
 }
 
-TEST(DiskArtifactStore, MidFileCorruptionIsRefusedNotHealed) {
-  // Garbage in the middle of the index is not a torn tail — it means
-  // the file was damaged in place, and silently dropping the suffix
-  // would serve an artifact set that never existed. Refuse.
+TEST(DiskArtifactStore, MidFileCorruptionHealsTheSuffix) {
+  // A wrong magic mid-log cannot be told from a torn tail, so Open
+  // truncates there: the records before it are served, the ones after
+  // it are gone (recomputed by the caller), and none is served wrong.
   const std::string dir = TempDir("midfile");
   std::string error;
   {
@@ -141,40 +156,86 @@ TEST(DiskArtifactStore, MidFileCorruptionIsRefusedNotHealed) {
       ASSERT_TRUE(store->Put(Key(i), ByteView(Payload("x"))));
     }
   }
-  const std::string index_path = dir + "/index.dat";
-  std::string bytes = ReadFileBytes(index_path);
-  bytes[12 + 40] ^= 0x5a;  // record 1's magic — records 1 and 2 exist after it
-  WriteFileBytes(index_path, bytes);
-  EXPECT_EQ(DiskArtifactStore::Open(dir, &error), nullptr);
-  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  const std::string log_path = LogPath(dir);
+  std::string bytes = ReadFileBytes(log_path);
+  bytes[kHeaderBytes + 1] ^= 0x5a;  // record 1's magic; record 2 follows
+  WriteFileBytes(log_path, bytes);
+
+  auto store = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(store, nullptr) << error;
+  EXPECT_EQ(store->stats().healed_records, 1u);
+  EXPECT_EQ(store->size(), 1u);
+  const auto got = store->Get(Key(0));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, Payload("x"));
+  EXPECT_FALSE(store->Get(Key(1)).has_value());
+  EXPECT_FALSE(store->Get(Key(2)).has_value());
+  EXPECT_EQ(ReadFileBytes(log_path).size(), kHeaderBytes + 1);
+}
+
+TEST(DiskArtifactStore, CorruptFinalRecordHealsOnReopen) {
+  // A final record whose payload fails its checksum is what a crash
+  // leaves when the header reached the disk and the payload did not:
+  // Open cuts it off, and the records before it are served.
+  const std::string dir = TempDir("finalrot");
+  std::string error;
+  {
+    auto store = DiskArtifactStore::Open(dir, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Put(Key(1), ByteView(Payload("first"))));
+    ASSERT_TRUE(store->Put(Key(2), ByteView(Payload("second"))));
+  }
+  const std::string log_path = LogPath(dir);
+  std::string bytes = ReadFileBytes(log_path);
+  ASSERT_FALSE(bytes.empty());
+  bytes.back() ^= 0x01;
+  WriteFileBytes(log_path, bytes);
+
+  auto store = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(store, nullptr) << error;
+  EXPECT_EQ(store->stats().healed_records, 1u);
+  EXPECT_EQ(store->size(), 1u);
+  const auto got = store->Get(Key(1));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, Payload("first"));
+  EXPECT_FALSE(store->Get(Key(2)).has_value());
+  EXPECT_EQ(store->stats().corrupt_drops, 0u);
 }
 
 TEST(DiskArtifactStore, CorruptPayloadIsAMissNeverServed) {
+  // Bit rot in a middle record: Open loads it (only the final record is
+  // checksummed there), and Get refuses to serve it.
   const std::string dir = TempDir("bitrot");
   std::string error;
   {
     auto store = DiskArtifactStore::Open(dir, &error);
     ASSERT_NE(store, nullptr) << error;
     ASSERT_TRUE(store->Put(Key(1), ByteView(Payload("precious bytes"))));
+    ASSERT_TRUE(store->Put(Key(2), ByteView(Payload("later bytes"))));
   }
-  const std::string seg_path = dir + "/segments.dat";
-  std::string seg = ReadFileBytes(seg_path);
-  seg[3] ^= 0x01;
-  WriteFileBytes(seg_path, seg);
+  const std::string log_path = LogPath(dir);
+  std::string bytes = ReadFileBytes(log_path);
+  bytes[kHeaderBytes + 3] ^= 0x01;  // inside record 1's payload
+  WriteFileBytes(log_path, bytes);
 
   auto store = DiskArtifactStore::Open(dir, &error);
   ASSERT_NE(store, nullptr) << error;
+  EXPECT_EQ(store->stats().healed_records, 0u);
   EXPECT_FALSE(store->Get(Key(1)).has_value());
   EXPECT_EQ(store->stats().corrupt_drops, 1u);
   // The entry was forgotten: the next lookup is a plain cheap miss.
   EXPECT_FALSE(store->Get(Key(1)).has_value());
   EXPECT_EQ(store->stats().corrupt_drops, 1u);
+  // The record after it is untouched.
+  const auto got = store->Get(Key(2));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, Payload("later bytes"));
 }
 
-TEST(DiskArtifactStore, IndexRecordPastSegmentEndIsDropped) {
-  // The index record fsync'd but the segment bytes did not survive the
-  // crash (or the segment was truncated by hand): the dangling record
-  // and everything after it must be dropped at Open.
+TEST(DiskArtifactStore, PayloadPastEndOfLogIsDropped) {
+  // The header survived the crash but the tail of its payload did not
+  // (or the log was truncated by hand): the record must be dropped at
+  // Open.
   const std::string dir = TempDir("dangling");
   std::string error;
   {
@@ -183,13 +244,14 @@ TEST(DiskArtifactStore, IndexRecordPastSegmentEndIsDropped) {
     ASSERT_TRUE(store->Put(Key(1), ByteView(Payload("first"))));
     ASSERT_TRUE(store->Put(Key(2), ByteView(Payload("second"))));
   }
-  const std::string seg_path = dir + "/segments.dat";
-  const std::string seg = ReadFileBytes(seg_path);
-  WriteFileBytes(seg_path, seg.substr(0, seg.size() - 3));
+  const std::string log_path = LogPath(dir);
+  const std::string bytes = ReadFileBytes(log_path);
+  WriteFileBytes(log_path, bytes.substr(0, bytes.size() - 3));
 
   auto store = DiskArtifactStore::Open(dir, &error);
   ASSERT_NE(store, nullptr) << error;
   EXPECT_EQ(store->size(), 1u);
+  EXPECT_EQ(store->stats().healed_records, 1u);
   const auto got = store->Get(Key(1));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, Payload("first"));
@@ -244,6 +306,48 @@ TEST(DiskArtifactStore, InjectedWriteFaultDegradesToCacheless) {
   const auto got = store->Get(Key(1));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, Payload("fine now"));
+}
+
+TEST(DiskArtifactStore, FailedWriteLeavesLaterRecordsReadable) {
+  // A write that fails part-way (here: the process's file-size limit)
+  // must not leave torn bytes in front of the next record. The limit
+  // lands inside the second record's bytes.
+  const std::string dir = TempDir("fsize");
+  std::string error;
+  auto store = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(store, nullptr) << error;
+  const Bytes first(100, 0x11);
+  const Bytes doomed(200, 0x22);
+  const Bytes later(40, 0x33);
+  ASSERT_TRUE(store->Put(Key(1), ByteView(first)));
+
+  struct rlimit saved;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit capped = saved;
+  capped.rlim_cur = 150;
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const bool doomed_stored = store->Put(Key(2), ByteView(doomed));
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(doomed_stored);
+  EXPECT_EQ(store->stats().store_errors, 1u);
+  EXPECT_FALSE(store->Contains(Key(2)));
+  ASSERT_TRUE(store->Put(Key(3), ByteView(later)));
+  const auto got = store->Get(Key(3));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, later);
+  EXPECT_EQ(store->stats().corrupt_drops, 0u);
+
+  // The log holds exactly two whole records, and reopens with no heal.
+  store.reset();
+  auto reopened = DiskArtifactStore::Open(dir, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->stats().healed_records, 0u);
+  EXPECT_EQ(reopened->size(), 2u);
+  EXPECT_TRUE(reopened->Get(Key(1)).has_value());
+  EXPECT_TRUE(reopened->Get(Key(3)).has_value());
 }
 
 }  // namespace

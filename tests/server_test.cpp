@@ -14,6 +14,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,8 +35,8 @@ std::string TempSocket(const std::string& name) {
 
 std::string TempCache(const std::string& name) {
   const std::string dir = testing::TempDir() + "octopocs_srvcache_" + name;
-  std::remove((dir + "/segments.dat").c_str());
-  std::remove((dir + "/index.dat").c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
   return dir;
 }
 
