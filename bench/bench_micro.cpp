@@ -83,12 +83,13 @@ void BM_CrashPrimitiveExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_CrashPrimitiveExtraction);
 
-/// One query on a fresh cache and an empty context, the way a new
-/// executor state asks its first.
+/// One query on a fresh cache and a fresh context holding the path,
+/// the way a new executor state asks its first.
 symex::SolveResult SolveOnce(const std::vector<symex::ExprRef>& constraints) {
   symex::SolverCache cache;
   symex::SolveContext ctx;
-  return cache.Solve(constraints, {}, {}, ctx);
+  for (const symex::ExprRef& c : constraints) ctx.Append(c);
+  return cache.Solve(ctx, nullptr, {}, {});
 }
 
 void BM_SolverMagicEquality(benchmark::State& state) {

@@ -37,6 +37,10 @@
 //               must be byte-identical across the two configurations.
 //               The whole-corpus differential lives in
 //               tests/shortcuts_off_test.cpp.
+//   pair 14 θ=480  pair 14 again with θ=480, defaults only, best of
+//               five: its search then ends in a proof (symex status
+//               unsat) over paths four times as long, so the time
+//               tracks what a branch query costs as the path grows.
 //   hostile     one fixed symex-hostile generated pair (a gate byte
 //               feeding a warm-up loop that runs to the θ cap, asking
 //               the solver at every iteration's branch), under the
@@ -94,9 +98,9 @@ symex::SymState BuildForkHeavyState() {
     heap[vm::kHeapBase + i * 64] = symex::SymAlloc{64, true};
   }
   for (std::uint32_t c = 0; c < 256; ++c) {
-    s.constraints.push_back(symex::MakeBinOp(vm::Op::kCmpNe,
-                                             symex::MakeInput(c % 64),
-                                             symex::MakeConst(c)));
+    s.solve_ctx.Append(symex::MakeBinOp(vm::Op::kCmpNe,
+                                        symex::MakeInput(c % 64),
+                                        symex::MakeConst(c)));
   }
   auto& loops = s.loop_counts.mut();
   for (vm::BlockId b = 0; b < 32; ++b) {
@@ -375,10 +379,31 @@ int main(int argc, char** argv) {
     }
     pair14_identical = ReportsIdentical({default_rep}, {oracle_rep});
     std::printf("pair 14:      %.3f s defaults | %.3f s shortcuts off "
-                "(reports %s)\n\n",
+                "(reports %s)\n",
                 pair14_seconds, pair14_oracle_seconds,
                 pair14_identical ? "byte-identical" : "DIVERGED");
   }
+
+  // Pair 14 at θ=480, where its search ends in a proof (unsat) instead of
+  // the θ cut, on paths four times as long: the cost of a branch query
+  // as the path grows. Defaults only, best of five.
+  double pair14_theta480_seconds = 0;
+  std::string pair14_theta480_status = "absent";
+  if (pair14 < pairs.size()) {
+    core::PipelineOptions theta480 = opts;
+    theta480.symex.theta = 480;
+    for (int r = 0; r < 5; ++r) {
+      const auto t0 = Clock::now();
+      const core::VerificationReport rep =
+          core::VerifyPair(pairs[pair14], theta480);
+      const double s = SecondsSince(t0);
+      if (r == 0 || s < pair14_theta480_seconds) pair14_theta480_seconds = s;
+      pair14_theta480_status = symex::SymexStatusName(rep.symex_status);
+    }
+    std::printf("pair 14 θ=480: %.3f s defaults (symex %s)\n",
+                pair14_theta480_seconds, pair14_theta480_status.c_str());
+  }
+  std::printf("\n");
 
   // -- Hostile leg: one symex-hostile generated pair ------------------------
   // The first symex-hostile ordinal of generator seed 2 (the corpus that
@@ -466,6 +491,8 @@ int main(int argc, char** argv) {
                  "  \"pair14_seconds\": %.4f,\n"
                  "  \"pair14_oracle_seconds\": %.4f,\n"
                  "  \"pair14_identical\": %s,\n"
+                 "  \"pair14_theta480_seconds\": %.4f,\n"
+                 "  \"pair14_theta480_symex_status\": \"%s\",\n"
                  "  \"hostile_seconds\": %.4f,\n"
                  "  \"hostile_oracle_seconds\": %.4f,\n"
                  "  \"hostile_speedup\": %.2f,\n"
@@ -483,7 +510,9 @@ int main(int argc, char** argv) {
                  pair3_baseline_seconds, pair3_optimized_seconds,
                  pair3_speedup, pair3_identical ? "true" : "false",
                  pair14_seconds, pair14_oracle_seconds,
-                 pair14_identical ? "true" : "false", hostile_seconds,
+                 pair14_identical ? "true" : "false",
+                 pair14_theta480_seconds, pair14_theta480_status.c_str(),
+                 hostile_seconds,
                  hostile_oracle_seconds, hostile_speedup,
                  hostile_identical ? "true" : "false",
                  smoke ? "true" : "false");

@@ -55,9 +55,11 @@ std::string QuarantineDetail(unsigned attempts, ChildOutcome outcome,
                              const support::SubprocessResult& child) {
   std::string why(ChildOutcomeName(outcome));
   if (outcome == ChildOutcome::kCrashSignal) {
-    why += " " + std::to_string(child.term_signal);
+    why += ' ';
+    why += std::to_string(child.term_signal);
   } else if (outcome == ChildOutcome::kNonzeroExit) {
-    why += " " + std::to_string(child.exit_code);
+    why += ' ';
+    why += std::to_string(child.exit_code);
   } else if (outcome == ChildOutcome::kSpawnError) {
     why += ": " + child.error;
   }

@@ -23,9 +23,11 @@ inline void AppendLe(Bytes& out, std::uint64_t value, unsigned width) {
   }
 }
 
-/// Appends the raw characters of `s` (no terminator).
+/// Appends the raw characters of `s` (no terminator). Byte by byte: a
+/// range insert of a short literal into an empty vector trips GCC 12's
+/// -Wstringop-overflow false positive once inlined.
 inline void AppendStr(Bytes& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
+  for (const char c : s) out.push_back(static_cast<std::uint8_t>(c));
 }
 
 /// Appends every byte of `view`.

@@ -135,10 +135,10 @@ struct SymExecutor::Run {
     Die(s, StateDeath::kUnsat);
   }
 
-  /// Adds a path constraint, harvesting byte pins where possible and
-  /// folding unary constraints into the state's incremental solve
-  /// context (the 256-probe filtering happens once here instead of once
-  /// per downstream query).
+  /// Adds a path constraint, harvesting byte pins where possible. The
+  /// state's solve context appends it to the path layer and folds it
+  /// into its variable's domain when it is unary (one 256-lane pass
+  /// here instead of one per downstream query).
   void AddConstraint(SymState& s, ExprRef expr) {
     if (expr->IsConst()) {
       if (expr->value == 0) NoteUnsat(s, "constant-false path constraint");
@@ -154,8 +154,7 @@ struct SymExecutor::Run {
       }
       s.pinned[off] = val;
     }
-    s.constraints.push_back(std::move(expr));
-    s.solve_ctx.Apply(s.constraints.back());
+    s.solve_ctx.Append(expr);
   }
 
   /// Pins input byte `off` to `val`; conflict kills the state.
@@ -173,28 +172,26 @@ struct SymExecutor::Run {
   /// front door: branch wipeout → certified model reuse → fresh search,
   /// seeded with the state's own solve context (see SolverCache::Solve).
   SolveResult SolveConstraints(SymState& s) {
-    SolveResult r =
-        cache.Solve(s.constraints, s.pinned, opts.solver, s.solve_ctx);
+    SolveResult r = cache.Solve(s.solve_ctx, nullptr, s.pinned, opts.solver);
     // Cache hits report zero steps, so each real search is counted once.
     solver_steps_total += r.steps;
     return r;
   }
 
   /// Satisfiability of the state's path condition extended with one
-  /// speculative branch constraint. The constraint is pushed for the
-  /// query and popped again; the state itself is untouched (Solve
-  /// never writes UNSAT facts back into the context, and a SAT model
-  /// it notes is a valid certificate for any later query). When the
+  /// speculative branch constraint. The query is the path layer plus
+  /// that constraint; the path itself is untouched (Solve never writes
+  /// UNSAT facts back into the context, and a SAT model it notes is a
+  /// valid certificate for any later query). When the
   /// surviving direction is then committed via AddConstraint, the next
   /// query over this state repeats this exact query, whose model is in
   /// the state's pool — so the check both prunes infeasible forks
   /// before they execute and turns downstream concretization and
   /// finalization queries into model-reuse hits.
   SolveStatus BranchFeasible(SymState& s, const ExprRef& constraint) {
-    s.constraints.push_back(constraint);
+    s.solve_ctx.ChargeBranch();
     const SolveResult r =
-        cache.Solve(s.constraints, s.pinned, opts.solver, s.solve_ctx);
-    s.constraints.pop_back();
+        cache.Solve(s.solve_ctx, constraint, s.pinned, opts.solver);
     solver_steps_total += r.steps;
     return r.status;
   }
@@ -345,9 +342,9 @@ struct SymExecutor::Run {
     // those are the paper's symbolic "loop states". A concrete loop
     // re-traverses the edge with an unchanged constraint store.
     auto& entry = s.loop_counts.mut()[{fn, from, to}];
-    if (entry.last_constraint_count != s.constraints.size() ||
+    if (entry.last_constraint_count != s.solve_ctx.appended() ||
         entry.count == 0) {
-      entry.last_constraint_count = s.constraints.size();
+      entry.last_constraint_count = s.solve_ctx.appended();
       ++entry.count;
       if (entry.count > opts.theta) {
         log.loop_dead = true;
@@ -594,7 +591,7 @@ struct SymExecutor::Run {
     d.depth_inside = s.depth_inside;
     d.ep_count = s.ep_count;
     d.fsize_observed = s.fsize_observed;
-    d.constraints = s.constraints.size();
+    d.constraints = s.solve_ctx.appended();
     d.pinned = s.pinned.size();
     d.read_offsets = s.read_offsets.size();
     d.bunch_targets = s.bunch_targets.size();
@@ -615,7 +612,7 @@ struct SymExecutor::Run {
         s.required_size != d.required_size ||
         s.depth_inside != d.depth_inside || s.ep_count != d.ep_count ||
         s.fsize_observed != d.fsize_observed ||
-        s.constraints.size() != d.constraints ||
+        s.solve_ctx.appended() != d.constraints ||
         s.pinned.size() != d.pinned ||
         s.read_offsets.size() != d.read_offsets ||
         s.bunch_targets.size() != d.bunch_targets ||

@@ -1,5 +1,6 @@
 #include "symex/expr.h"
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <unordered_map>
@@ -481,6 +482,160 @@ std::uint64_t RunProgram(const ExprProgram& program, const std::uint8_t* vals,
   return scratch[n - 1];
 }
 
+namespace {
+
+/// A step's value across the lanes: its own lane array, or one scalar
+/// every lane shares.
+struct Lanes {
+  const std::uint64_t* v;
+  std::uint64_t operator[](std::size_t i) const { return v[i]; }
+};
+struct Splat {
+  std::uint64_t v;
+  std::uint64_t operator[](std::size_t) const { return v; }
+};
+
+template <typename A, typename B, typename F>
+void MapLanes(A a, B b, std::uint64_t* out, std::size_t n, F f) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
+}
+
+/// vm::EvalAlu over `n` lanes, with one dispatch on `op`.
+template <typename A, typename B>
+void BinOpLanes(vm::Op op, A a, B b, std::uint64_t* out, std::size_t n) {
+  using vm::Op;
+  using U = std::uint64_t;
+  switch (op) {
+    case Op::kAdd: MapLanes(a, b, out, n, [](U x, U y) { return x + y; }); return;
+    case Op::kSub: MapLanes(a, b, out, n, [](U x, U y) { return x - y; }); return;
+    case Op::kMul: MapLanes(a, b, out, n, [](U x, U y) { return x * y; }); return;
+    case Op::kDivU:
+      MapLanes(a, b, out, n, [](U x, U y) { return y == 0 ? 0 : x / y; });
+      return;
+    case Op::kRemU:
+      MapLanes(a, b, out, n, [](U x, U y) { return y == 0 ? 0 : x % y; });
+      return;
+    case Op::kAnd: MapLanes(a, b, out, n, [](U x, U y) { return x & y; }); return;
+    case Op::kOr: MapLanes(a, b, out, n, [](U x, U y) { return x | y; }); return;
+    case Op::kXor: MapLanes(a, b, out, n, [](U x, U y) { return x ^ y; }); return;
+    case Op::kShl:
+      MapLanes(a, b, out, n, [](U x, U y) { return x << (y & 63); });
+      return;
+    case Op::kShr:
+      MapLanes(a, b, out, n, [](U x, U y) { return x >> (y & 63); });
+      return;
+    case Op::kCmpEq:
+      MapLanes(a, b, out, n, [](U x, U y) { return U{x == y}; });
+      return;
+    case Op::kCmpNe:
+      MapLanes(a, b, out, n, [](U x, U y) { return U{x != y}; });
+      return;
+    case Op::kCmpLtU:
+      MapLanes(a, b, out, n, [](U x, U y) { return U{x < y}; });
+      return;
+    case Op::kCmpLeU:
+      MapLanes(a, b, out, n, [](U x, U y) { return U{x <= y}; });
+      return;
+    case Op::kCmpGtU:
+      MapLanes(a, b, out, n, [](U x, U y) { return U{x > y}; });
+      return;
+    case Op::kCmpGeU:
+      MapLanes(a, b, out, n, [](U x, U y) { return U{x >= y}; });
+      return;
+    default:  // not a binary-ALU op: EvalAlu yields 0
+      std::fill(out, out + n, U{0});
+      return;
+  }
+}
+
+}  // namespace
+
+ByteDomain UnaryDomain(const ExprProgram& program, std::uint32_t var,
+                       const ByteDomain& within) {
+  // Lane i is the value values[i] of in[var]. Step k holds either one
+  // scalar (it does not read `var`) or n lanes at row[k]: `values`
+  // itself for a read of in[var], else lanes[n * k].
+  thread_local std::vector<std::uint64_t> lanes;
+  thread_local std::vector<std::uint64_t> scalar;
+  thread_local std::vector<std::uint8_t> varying;
+  thread_local std::vector<const std::uint64_t*> row;
+  std::array<std::uint64_t, 256> values;
+  std::size_t n = 0;
+  for (unsigned w = 0; w < 4; ++w) {
+    for (std::uint64_t bits = within.bits[w]; bits != 0; bits &= bits - 1) {
+      values[n++] = w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+    }
+  }
+  ByteDomain out;
+  out.bits = {0, 0, 0, 0};
+  if (n == 0) return out;
+  const std::size_t steps = program.steps.size();
+  if (lanes.size() < steps * n) lanes.resize(steps * n);
+  if (scalar.size() < steps) {
+    scalar.resize(steps);
+    varying.resize(steps);
+    row.resize(steps);
+  }
+  for (std::size_t k = 0; k < steps; ++k) {
+    const ExprProgram::Step& s = program.steps[k];
+    std::uint64_t* dst = &lanes[k * n];
+    row[k] = dst;
+    const auto at = [&](std::uint32_t step) { return Lanes{row[step]}; };
+    switch (s.kind) {
+      case ExprKind::kConst:
+        varying[k] = 0;
+        scalar[k] = s.value;
+        break;
+      case ExprKind::kInput:
+        varying[k] = s.a == var;
+        scalar[k] = 0;  // every other byte reads 0
+        if (varying[k]) row[k] = values.data();
+        break;
+      case ExprKind::kBinOp: {
+        const bool va = varying[s.a] != 0, vb = varying[s.b] != 0;
+        varying[k] = va || vb;
+        if (va && vb) {
+          BinOpLanes(s.op, at(s.a), at(s.b), dst, n);
+        } else if (va) {
+          BinOpLanes(s.op, at(s.a), Splat{scalar[s.b]}, dst, n);
+        } else if (vb) {
+          BinOpLanes(s.op, Splat{scalar[s.a]}, at(s.b), dst, n);
+        } else {
+          scalar[k] = ApplyBinOp(s.op, scalar[s.a], scalar[s.b]);
+        }
+        break;
+      }
+      case ExprKind::kNot:
+        varying[k] = varying[s.a];
+        if (varying[k]) {
+          const std::uint64_t* a = row[s.a];
+          for (std::size_t i = 0; i < n; ++i) dst[i] = ~a[i];
+        } else {
+          scalar[k] = ~scalar[s.a];
+        }
+        break;
+      case ExprKind::kExtract: {
+        const unsigned shift = 8u * s.byte;
+        varying[k] = varying[s.a];
+        if (varying[k]) {
+          const std::uint64_t* a = row[s.a];
+          for (std::size_t i = 0; i < n; ++i) dst[i] = (a[i] >> shift) & 0xFF;
+        } else {
+          scalar[k] = (scalar[s.a] >> shift) & 0xFF;
+        }
+        break;
+      }
+    }
+  }
+  const std::size_t last = steps - 1;
+  if (!varying[last]) return scalar[last] != 0 ? within : out;
+  const std::uint64_t* result = row[last];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (result[i] != 0) out.bits[values[i] >> 6] |= 1ull << (values[i] & 63);
+  }
+  return out;
+}
+
 std::size_t ExprSize(const ExprRef& expr) {
   switch (expr->kind) {
     case ExprKind::kConst:
@@ -504,16 +659,23 @@ std::string ToString(const ExprRef& expr) {
       return buf;
     }
     case ExprKind::kInput:
-      return "in[" + std::to_string(expr->offset) + "]";
+      return std::string("in[").append(std::to_string(expr->offset)) + "]";
     case ExprKind::kBinOp:
-      return "(" + ToString(expr->lhs) + " " +
-             std::string(vm::OpName(expr->op)) + " " + ToString(expr->rhs) +
-             ")";
+      return std::string("(")
+          .append(ToString(expr->lhs))
+          .append(" ")
+          .append(vm::OpName(expr->op))
+          .append(" ")
+          .append(ToString(expr->rhs))
+          .append(")");
     case ExprKind::kNot:
-      return "~" + ToString(expr->lhs);
+      return std::string("~").append(ToString(expr->lhs));
     case ExprKind::kExtract:
-      return "byte" + std::to_string(expr->byte) + "(" + ToString(expr->lhs) +
-             ")";
+      return std::string("byte")
+          .append(std::to_string(expr->byte))
+          .append("(")
+          .append(ToString(expr->lhs))
+          .append(")");
   }
   return "?";
 }

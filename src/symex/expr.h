@@ -21,6 +21,7 @@
 // thread-local, so concurrent executors never contend on the table.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -92,6 +93,24 @@ struct Expr {
 
 /// A (partial) assignment of input bytes.
 using Model = std::map<std::uint32_t, std::uint8_t>;
+
+/// Set of allowed values for one input byte, as a 256-bit mask.
+struct ByteDomain {
+  std::array<std::uint64_t, 4> bits{~0ull, ~0ull, ~0ull, ~0ull};
+
+  bool Test(unsigned v) const { return (bits[v >> 6] >> (v & 63)) & 1; }
+  void Reset(unsigned v) { bits[v >> 6] &= ~(1ull << (v & 63)); }
+
+  bool None() const {
+    return (bits[0] | bits[1] | bits[2] | bits[3]) == 0;
+  }
+
+  int Count() const {
+    int n = 0;
+    for (const std::uint64_t w : bits) n += __builtin_popcountll(w);
+    return n;
+  }
+};
 
 /// RAII hash-consing scope. While alive on the current thread, Make*
 /// constructors return the canonical node for each structure. One scope
@@ -179,6 +198,17 @@ void ForEachConcatPin(const ExprRef& expr, F&& f) {
 /// assignment.
 std::uint64_t RunProgram(const ExprProgram& program, const std::uint8_t* vals,
                          std::uint64_t* scratch);
+
+/// The values v in `within` of input byte `var` under which `program`
+/// evaluates nonzero, every other input byte reading 0: RunProgram over
+/// those values of the byte (all 256 by default) in one pass. Each step
+/// computes one array with a lane per value (or one scalar, when it does
+/// not depend on `var`), so the op dispatch runs once per step instead
+/// of once per value. Scratch lives in thread-local buffers that only
+/// ever grow. Equals RunProgram lane for lane
+/// (tests/node_program_test.cpp).
+ByteDomain UnaryDomain(const ExprProgram& program, std::uint32_t var,
+                       const ByteDomain& within = ByteDomain{});
 
 /// Number of nodes (diagnostics / memory-cost estimation).
 std::size_t ExprSize(const ExprRef& expr);

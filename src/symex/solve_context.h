@@ -1,20 +1,37 @@
-// Incremental per-state solve context (the "prefix state" of queries).
+// Per-state solve context: the state's path as an append-only layer,
+// plus what the solver keeps about that path between queries.
 //
 // Every solver query the executor issues is the state's own path
-// condition, and sibling states share a long constraint prefix. The
-// dominant per-query setup cost in the byte-CSP solver is domain
-// filtering of *unary* constraints — 256 evaluations per constraint per
-// query. A SolveContext folds each unary constraint into a per-variable
-// 256-bit domain once, when the constraint is added to the state, and is
-// forked with the state via copy-on-write: a branch copies two shared
-// pointers instead of redoing the prefix's filtering work, and the
-// solver seeds its search domains from the context instead of
-// re-evaluating the applied constraints. The byte pins a concat
-// equality derives (ConcatPins) are folded too, since the solver's
-// pre-pass adds them to every query that holds the equality.
+// condition, possibly extended by one branch constraint, and sibling
+// states share a long constraint prefix. A SolveContext holds:
 //
-// Determinism contract: the context is a pure function of the *set* of
-// constraints applied to it (domain intersection commutes), and seeding
+//   the path layer   the path's distinct constraints in first-occurrence
+//                    order, with their node programs, their variables
+//                    as stable ids (numbered in first-appearance order)
+//                    and their derived byte pins (ConcatPins), plus the
+//                    node → position index that makes a repeated node a
+//                    single lookup. A query is the layer plus at most
+//                    one branch constraint, so the solver neither
+//                    copies nor deduplicates the path per query.
+//   domains          each unary path constraint folded once into a
+//                    per-variable 256-bit domain (one pass of the node
+//                    program over all 256 values of the byte), and the
+//                    byte pins a concat equality derives folded as well;
+//                    the search seeds its unary prefilter from them.
+//   a model pool     models that satisfied this state's past queries,
+//                    each with a certificate: the path length it is
+//                    known to satisfy and the values it gave the
+//                    variables that prefix reads (DESIGN.md §10.2).
+//
+// Forks share the layer. The layer's storage is owned by one state,
+// which appends in place; a fork keeps the owner's prefix by length and
+// holds its own first few constraints in a private tail. Only a fork
+// that keeps growing copies the prefix into storage of its own. This is
+// the shape of Hayroll's State::split: the shared part is immutable to
+// everyone but its writer, and each child adds on top of it.
+//
+// Determinism contract: the domains are a pure function of the *set*
+// of constraints appended (domain intersection commutes), and seeding
 // is engineered to produce bit-identical search behavior to filtering
 // the same constraints from scratch — so search results stay pure
 // functions of the constraint sequence whether or not a context (or
@@ -28,9 +45,10 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "symex/cow.h"
@@ -38,21 +56,29 @@
 
 namespace octopocs::symex {
 
-/// Set of allowed values for one input byte, as a 256-bit mask.
-struct ByteDomain {
-  std::array<std::uint64_t, 4> bits{~0ull, ~0ull, ~0ull, ~0ull};
+/// One query flattened for a search core, in the preprocessed order the
+/// oracle sees: the distinct path constraints, then the branch (when it
+/// is new to the path), then every derived pin of those constraints in
+/// the same order. Variables are numbered in ascending offset order;
+/// var_offset maps them to input offsets. Filled by SolveContext::Index.
+struct QueryIndex {
+  std::vector<const ExprProgram*> programs;  // per constraint
+  std::vector<std::uint32_t> cvar_begin;     // CSR: constraint → var ids
+  std::vector<std::uint32_t> cvars;
+  std::vector<std::uint32_t> var_offset;     // var id → input offset
+  std::vector<std::uint32_t> vcon_begin;     // CSR: var id → constraints
+  std::vector<std::uint32_t> vcons;          // ascending per var
+  /// Constraint ids: the path's are [0, branch), the branch's is
+  /// [branch, branch_end) (empty without one), the path's pins are
+  /// [branch_end, branch_pins) and the branch's pins follow.
+  std::uint32_t branch = 0;
+  std::uint32_t branch_end = 0;
+  std::uint32_t branch_pins = 0;
+  std::uint32_t top = 0;  // one past the largest offset
 
-  bool Test(unsigned v) const { return (bits[v >> 6] >> (v & 63)) & 1; }
-  void Reset(unsigned v) { bits[v >> 6] &= ~(1ull << (v & 63)); }
-
-  bool None() const {
-    return (bits[0] | bits[1] | bits[2] | bits[3]) == 0;
-  }
-
-  int Count() const {
-    int n = 0;
-    for (const std::uint64_t w : bits) n += __builtin_popcountll(w);
-    return n;
+  /// Whether constraint `c` is already folded into the context domains.
+  bool Folded(std::uint32_t c) const {
+    return c < branch || (c >= branch_end && c < branch_pins);
   }
 };
 
@@ -68,48 +94,63 @@ class SolveContext {
     /// Derived byte pins (ConcatPins of an applied equality) folded into
     /// `domain`, sorted by node address.
     std::vector<const Expr*> pins;
-
-    /// Whether `node`'s filtering is already in `domain`, so a search's
-    /// unary prefilter may skip it.
-    bool Folded(const Expr* node) const {
-      return std::binary_search(applied.begin(), applied.end(), node) ||
-             std::binary_search(pins.begin(), pins.end(), node);
-    }
   };
   using DomainMap = std::map<std::uint32_t, VarEntry>;
 
-  /// Folds `constraint` into the per-variable domains when it is unary
-  /// (mentions exactly one input byte), and folds the byte pins it
-  /// derives when it is a concat equality (ConcatPins). Otherwise a
-  /// no-op. Idempotent per node. Precondition for use as a solve
-  /// accelerator: every constraint applied here is part of every query
-  /// the context is passed to (the executor applies exactly the state's
-  /// own path constraints). The pins then are too, because the solver's
-  /// pre-pass adds them to every query that holds the equality.
-  void Apply(const ExprRef& constraint) {
-    const SortedSmallSet<std::uint32_t>& vars = FreeVars(constraint);
-    if (vars.size() == 1) FoldUnary(*vars.begin(), constraint);
-    ForEachConcatPin(constraint, [&](const ExprRef& pin) {
-      // A constant-false pin folds nothing: the pre-pass answers the
-      // query kUnsat before any search. A self pin is folded above.
-      if (!pin->IsConst() && pin.get() != constraint.get()) FoldPin(pin);
-    });
-  }
+  SolveContext() = default;
+  /// A copy is a fork: it shares the layer's storage but never writes
+  /// to it, and its path charge restarts at its length (see
+  /// charged_capacity).
+  SolveContext(const SolveContext& other);
+  SolveContext& operator=(const SolveContext& other);
+  SolveContext(SolveContext&&) = default;
+  SolveContext& operator=(SolveContext&&) = default;
+
+  /// Appends a non-constant path constraint. A node already on the path
+  /// only counts toward appended(). A new one joins the layer, is folded
+  /// into its variable's domain when it is unary (mentions exactly one
+  /// input byte), and has the byte pins it derives folded when it is a
+  /// concat equality (ConcatPins). The pins belong in every query over
+  /// this path, because the solver's pre-pass adds them to every query
+  /// that holds the equality.
+  void Append(const ExprRef& constraint);
+
+  /// Path constraints appended, repeats included.
+  std::size_t appended() const { return appended_; }
+  /// Distinct path constraints: the layer's length.
+  std::size_t size() const { return prefix_ + tail_.size(); }
+  /// Whether `node` is on the path.
+  bool OnPath(const Expr* node) const;
+
+  /// The capacity a std::vector holding the appended constraints would
+  /// have: doubling when full on append and on a branch query
+  /// (ChargeBranch), equal to the length after a fork. The
+  /// state's memory charge (SymState::FootprintBytes) keeps charging the
+  /// path as that vector, so the memory budget and peak_memory_bytes
+  /// stay what they were when the path was one.
+  std::size_t charged_capacity() const { return charged_capacity_; }
+  /// Charges a branch query the way the vector paid for one: the branch
+  /// was pushed for the query and popped again, which grows a full
+  /// vector.
+  void ChargeBranch() { Grow(); }
+
+  /// What the state's struct charges for its path and this context: the
+  /// path vector and the two COW handles the context held before the
+  /// layer (SymState::FootprintBytes counts this, not sizeof(*this)).
+  static constexpr std::size_t kChargedSize =
+      sizeof(std::vector<ExprRef>) + 2 * sizeof(Cow<DomainMap>);
+
+  /// True when the path or `branch` (null for none) holds a constraint
+  /// that derives a constant-false pin, so the query is unsatisfiable
+  /// before any search.
+  bool Impossible(const ExprRef& branch) const;
 
   /// True when `constraint` is unary and admits no value of its
   /// variable's context domain (all 256 values when nothing folded
   /// mentions the variable). A query holding it is then unsatisfiable,
   /// and a fresh search's unary prefilter, seeded from the same domain,
   /// empties it before any step or budget check (DESIGN.md §10.1).
-  bool Refutes(const ExprRef& constraint) const {
-    const SortedSmallSet<std::uint32_t>& vars = FreeVars(constraint);
-    if (vars.size() != 1) return false;
-    const std::uint32_t var = *vars.begin();
-    const VarEntry* entry = Find(var);
-    ByteDomain dom = entry != nullptr ? entry->domain : ByteDomain{};
-    Filter(var, constraint, &dom, /*stop_at_first=*/true);
-    return dom.None();
-  }
+  bool Refutes(const ExprRef& constraint) const;
 
   /// Filtered domains for `var`, or nullptr when nothing folded
   /// mentions it yet.
@@ -119,21 +160,42 @@ class SolveContext {
     return it == map.end() ? nullptr : &it->second;
   }
 
-  /// Per-state reuse pool of models that satisfied this state's past
-  /// queries (newest last, deduplicated, capped). Keeping the pool on
-  /// the state — instead of a global history — makes model-reuse answers
-  /// a pure function of the state's own path, independent of which
-  /// sibling states the search happened to run first.
-  void NoteModel(const Model& model) {
-    for (const Model& m : models_.get()) {
-      if (m == model) return;
-    }
-    std::vector<Model>& pool = models_.mut();
-    pool.push_back(model);
-    if (pool.size() > kMaxModels) pool.erase(pool.begin());
-  }
+  /// Certified model reuse over the path plus `branch` (null, or a
+  /// non-constant constraint not on the path). Assembles one candidate
+  /// per source — each pooled model newest first, then hints alone —
+  /// over exactly the variables the query mentions, taking per variable
+  /// the pinned value, else the source model's, else the hint; a
+  /// variable with none of the three is absent from the candidate and
+  /// reads as 0. The first candidate under which every constraint's node
+  /// program evaluates nonzero is stored in `*out`, pooled, and true
+  /// returned: a certificate, never a guess. A candidate certified at
+  /// path length L whose values on the variables of the first L
+  /// constraints are unchanged evaluates only the constraints past L and
+  /// the branch; a new pin that moves one of those values re-checks the
+  /// whole path.
+  bool Reuse(const ExprRef& branch, const Model& pins, const Model& hints,
+             Model* out);
+
+  /// Pools `model`, a model of the whole path (a fresh search's), and
+  /// certifies it at the current length.
+  void NoteSolution(const Model& model);
+
+  /// Pools `model` uncertified: its first reuse evaluates every path
+  /// constraint. Per-state pool, newest last, deduplicated, capped;
+  /// keeping it on the state — instead of a global history — makes
+  /// model-reuse answers a pure function of the state's own path,
+  /// independent of which sibling states the search ran first.
+  void NoteModel(const Model& model);
 
   const std::vector<Model>& recent_models() const { return models_.get(); }
+
+  /// The query (path plus `branch`) flattened for a search core.
+  void Index(const ExprRef& branch, QueryIndex* out) const;
+
+  /// The query as the oracle's from-scratch system: the distinct
+  /// constraints in order, then every derived pin (none constant: the
+  /// caller checked Impossible first).
+  std::vector<ExprRef> System(const ExprRef& branch) const;
 
   std::size_t FootprintBytes() const {
     std::size_t bytes = 0;
@@ -154,64 +216,93 @@ class SolveContext {
 
  private:
   static constexpr std::size_t kMaxModels = 4;
+  /// A fork's private tail grows to this many constraints before the
+  /// fork copies the shared prefix into storage of its own.
+  static constexpr std::size_t kMaxTail = 8;
   /// Footprint charge per variable entry: one domain and one list.
   static constexpr std::size_t kEntryBytes =
       sizeof(ByteDomain) + sizeof(std::vector<const Expr*>);
+  static constexpr std::uint32_t kNone = ~0u;
 
-  /// Clears from `*dom` every value under which `constraint` (unary over
-  /// `var`) evaluates to 0. With `stop_at_first`, returns as soon as one
-  /// value survives, leaving the rest of `*dom` unfiltered.
-  static void Filter(std::uint32_t var, const ExprRef& constraint,
-                     ByteDomain* dom, bool stop_at_first) {
-    const ExprProgram& program = ProgramFor(constraint);
-    std::vector<std::uint8_t> probe(var + 1, 0);
-    std::vector<std::uint64_t> scratch(program.steps.size());
-    for (unsigned v = 0; v < 256; ++v) {
-      if (!dom->Test(v)) continue;
-      probe[var] = static_cast<std::uint8_t>(v);
-      if (RunProgram(program, probe.data(), scratch.data()) == 0) {
-        dom->Reset(v);
-      } else if (stop_at_first) {
-        return;
-      }
+  /// The layer's storage. Append-only, written only by its owner; a
+  /// reader sees the first `prefix_` entries (and the variables and
+  /// pins they introduced) and ignores the rest.
+  struct Store {
+    std::vector<ExprRef> entries;
+    std::vector<const ExprProgram*> programs;
+    std::vector<std::uint32_t> var_begin{0};  // CSR: entry → var ids
+    std::vector<std::uint32_t> vars;
+    std::vector<std::uint32_t> pin_begin{0};  // CSR: entry → pins
+    std::vector<ExprRef> pins;
+    std::vector<const ExprProgram*> pin_programs;
+    std::vector<std::uint32_t> pin_vars;      // one var id per pin
+    std::vector<std::uint32_t> var_offset;    // var id → offset
+    std::vector<std::uint32_t> var_first;     // var id → first entry
+    std::vector<std::uint32_t> id_of;         // offset → var id
+    std::unordered_map<const Expr*, std::uint32_t> position;
+    std::uint32_t impossible = kNone;  // first entry with a false pin
+
+    void Add(const ExprRef& constraint);
+  };
+
+  /// Which variables the query mentions: the path's by stable id, then
+  /// the branch's new ones. Filled by Vars.
+  struct VarTable {
+    std::vector<std::uint32_t> offset;  // id → input offset
+    std::uint32_t path_vars = 0;        // ids below this are the path's
+    std::uint32_t top = 0;              // one past the largest offset
+  };
+
+  /// Proof that a pooled model's candidate satisfied the first `length`
+  /// path constraints while it gave the path's variables `values`.
+  struct Certificate {
+    std::uint32_t length = 0;
+    std::vector<std::uint8_t> values;  // by var id
+  };
+
+  /// Pools `model` with `cert`; a model already pooled keeps the
+  /// longer of its two certificates.
+  void Remember(const Model& model, Certificate cert);
+
+  const ExprRef& Entry(std::size_t i) const {
+    return i < prefix_ ? store_->entries[i] : tail_[i - prefix_];
+  }
+  const ExprProgram& ProgramAt(std::size_t i) const {
+    return i < prefix_ ? *store_->programs[i] : ProgramFor(tail_[i - prefix_]);
+  }
+  /// Stable ids of the variables the first prefix_ entries mention.
+  std::uint32_t PrefixVars() const;
+  /// Var id of `offset` in `table`, adding it when new.
+  static std::uint32_t IdOf(const Store* store, std::uint32_t prefix_vars,
+                            std::uint32_t offset, VarTable* table);
+  void Vars(const ExprRef& branch, VarTable* table) const;
+  /// `table` inverted: offset → var id, kNone where no variable sits.
+  static void IdsByOffset(const VarTable& table,
+                          std::vector<std::uint32_t>* id_at);
+
+  /// Grows charged_capacity_ as a full std::vector grows on a push.
+  void Grow() {
+    if (appended_ == charged_capacity_) {
+      charged_capacity_ = appended_ == 0 ? 1 : 2 * appended_;
     }
   }
 
-  static void Insert(std::vector<const Expr*>* sorted, const Expr* node) {
-    sorted->insert(std::lower_bound(sorted->begin(), sorted->end(), node),
-                   node);
-  }
+  void Fold(const ExprRef& constraint);
+  void FoldUnary(std::uint32_t var, const ExprRef& constraint);
+  void FoldPin(const ExprRef& pin);
 
-  void FoldUnary(std::uint32_t var, const ExprRef& constraint) {
-    const Expr* node = constraint.get();
-    if (const VarEntry* existing = Find(var)) {
-      if (std::binary_search(existing->applied.begin(),
-                             existing->applied.end(), node)) {
-        return;
-      }
-    }
-    VarEntry& entry = domains_.mut()[var];
-    Filter(var, constraint, &entry.domain, /*stop_at_first=*/false);
-    Insert(&entry.applied, node);
-  }
-
-  /// A pin is in[o] == k (ConcatPins), so it admits exactly k: folding
-  /// it is a mask intersection, with no evaluation.
-  void FoldPin(const ExprRef& pin) {
-    const std::uint32_t var = pin->lhs->offset;
-    const auto k = static_cast<unsigned>(pin->rhs->value);
-    if (const VarEntry* existing = Find(var)) {
-      if (existing->Folded(pin.get())) return;
-    }
-    VarEntry& entry = domains_.mut()[var];
-    const bool admitted = entry.domain.Test(k);
-    entry.domain.bits = {0, 0, 0, 0};
-    if (admitted) entry.domain.bits[k >> 6] = 1ull << (k & 63);
-    Insert(&entry.pins, pin.get());
-  }
+  std::shared_ptr<Store> store_;
+  std::uint32_t prefix_ = 0;
+  bool owner_ = false;
+  std::vector<ExprRef> tail_;
+  std::uint32_t appended_ = 0;
+  std::uint32_t charged_capacity_ = 0;
 
   Cow<DomainMap> domains_;
   Cow<std::vector<Model>> models_;
+  /// certs_[0] is the hints-alone candidate's; certs_[i + 1] is
+  /// recent_models()[i]'s.
+  std::vector<Certificate> certs_ = std::vector<Certificate>(1);
 };
 
 }  // namespace octopocs::symex

@@ -75,59 +75,46 @@ struct SolverOptions {
   const SolverBackend* backend = nullptr;
 };
 
-/// One complete search core. `Solve` receives the *preprocessed*
-/// constraint system (deduplicated, constant-free, concat equalities
-/// decomposed) and must be a pure function of (constraints,
-/// options.hints) for definitive statuses — that purity is what makes
-/// backend choice cache-invisible. `ctx`, when non-null, is the
-/// querying state's SolveContext: its domains may seed the unary
-/// prefilter, which must leave the search bit-identical to an unseeded
-/// one (steps included). That holds because every constraint the
-/// context folded, derived pins included, is a member of the
-/// preprocessed system.
+/// One complete search core. `Solve` searches the preprocessed system
+/// of the query `path` + `branch` (null, or a non-constant constraint
+/// not on the path): its distinct constraints, then every byte pin a
+/// concat equality among them derives (SolveContext::System lists them
+/// in that order; no pin is constant). It must be a pure function of
+/// that system and options.hints for definitive statuses — that purity
+/// is what makes backend choice cache-invisible. With `seeded`, the
+/// context's domains may seed the unary prefilter, which must leave the
+/// search bit-identical to an unseeded one (steps included). That holds
+/// because every constraint the context folded, derived pins included,
+/// is a member of the preprocessed system.
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
-  virtual SolveResult Solve(const std::vector<ExprRef>& constraints,
+  virtual SolveResult Solve(const SolveContext& path, const ExprRef& branch,
                             const SolverOptions& options,
-                            const SolveContext* ctx) const = 0;
+                            bool seeded) const = 0;
 };
-
-/// Certified model reuse, the SolverCache's second shortcut. Assembles one
-/// candidate assignment per source — each `pool` model newest first,
-/// then hints alone — over exactly the variables `constraints`
-/// mention, taking per variable the pinned value (the constraints force
-/// it), else the source model's, else the hint; a variable with none of
-/// the three is absent from the candidate and reads as 0. The first
-/// candidate under which every constraint's node program evaluates
-/// nonzero is stored in `*out` and true returned: a certificate, never a
-/// guess. Candidates are evaluated over one dense offset-indexed byte
-/// array; tests/ holds the std::map oracle it must match exactly.
-bool ReuseCertifiedModel(const std::vector<ExprRef>& constraints,
-                         const Model& pins, const Model& hints,
-                         const std::vector<Model>& pool, Model* out);
 
 /// The solver's one front door. Besides the search itself it takes two
 /// shortcuts, both sound by construction:
 ///
-///   branch wipeout the query's last constraint — the branch a query
-///                 adds to the state's path — is unary and empties its
-///                 variable's context domain (SolveContext::Refutes).
-///                 The fresh search's prefilter would return kUnsat with
-///                 zero steps from that same domain, so the answer is
-///                 that result, counted as a miss, without building the
-///                 search.
+///   branch wipeout the branch a query adds to the state's path is unary
+///                 and empties its variable's context domain
+///                 (SolveContext::Refutes). The fresh search's prefilter
+///                 would return kUnsat with zero steps from that same
+///                 domain, so the answer is that result, counted as a
+///                 miss, without building the search.
 ///   model reuse   a path extends its prefix by appending constraints,
 ///                 and a model that satisfied the prefix often still
-///                 satisfies the extension. ReuseCertifiedModel overlays
+///                 satisfies the extension. SolveContext::Reuse overlays
 ///                 the caller's pinned bytes onto each model of the
 ///                 state's own (forked-with-the-state) pool and
-///                 *evaluates* the full constraint set under it; only a
-///                 model that certifies every constraint is returned, as
-///                 kSat. kUnsat can never come from reuse, so a reused
-///                 verdict can never contradict a fresh solve. A repeated
-///                 satisfiable query is answered here too: its own model
-///                 is in the pool.
+///                 *evaluates* the query under it — the whole path the
+///                 first time, then only what the model's certificate
+///                 does not cover; only a model that certifies every
+///                 constraint is returned, as kSat. kUnsat can never come
+///                 from reuse, so a reused verdict can never contradict a
+///                 fresh solve. A repeated satisfiable query is answered
+///                 here too: its own model is in the pool.
 ///
 /// Five more tiers were retired: per-slice caching over independence
 /// slices, a pool of UNSAT cores, cross-query nogoods recorded by the
@@ -149,20 +136,18 @@ class SolverCache {
     std::uint64_t misses = 0;
   };
 
-  /// Answers `constraints` (the caller's path condition) through, in
-  /// order: branch wipeout → certified model reuse → fresh search on
-  /// the propagate core, seeded from `ctx`. `pins` are the caller's
-  /// already-forced byte values (each also present as an equality
-  /// constraint); `ctx` is the querying state's SolveContext, whose
-  /// applied constraints must all be members of `constraints`, and
-  /// which pools every kSat model returned. Wherever the fresh search
-  /// finishes, every shortcut's status is the fresh search's (see
-  /// DESIGN.md §10). With `options.backend` set, both shortcuts are
-  /// skipped: the query goes unseeded to that core and counts as a
-  /// miss.
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
-                    const Model& pins, const SolverOptions& options,
-                    SolveContext& ctx);
+  /// Answers the path condition `ctx` holds, extended by `branch` when
+  /// it is non-null (a branch query: the constraint is not appended),
+  /// through, in order: branch wipeout → certified model reuse → fresh
+  /// search on the propagate core, seeded from `ctx`. `pins` are the
+  /// caller's already-forced byte values (each also on the path as an
+  /// equality constraint); `ctx` pools every kSat model returned.
+  /// Wherever the fresh search finishes, every shortcut's status is the
+  /// fresh search's (see DESIGN.md §10). With `options.backend` set,
+  /// both shortcuts are skipped: the query goes unseeded to that core
+  /// and counts as a miss.
+  SolveResult Solve(SolveContext& ctx, ExprRef branch, const Model& pins,
+                    const SolverOptions& options);
 
   const Stats& stats() const { return stats_; }
 

@@ -15,8 +15,14 @@
 //                          node rather than once per query, over a dense
 //                          offset-indexed byte array — no recursive
 //                          shared_ptr walk, no std::map lookups;
-//   cached variable sets   the per-constraint variable lists come from
-//                          the node-cached FreeVars;
+//   the path layer         the query's variable table and
+//                          per-constraint variable lists come from the
+//                          state's SolveContext (SolveContext::Index),
+//                          which keeps them as the path grows, so a
+//                          search copies them instead of deriving them;
+//   batched unary filter   the prefilter folds a unary constraint with
+//                          one pass of its program over all 256 values
+//                          of the byte (UnaryDomain);
 //   ByteDomain masks       domains are 256-bit masks (4 words), so the
 //                          backtracking trail copies 32 bytes instead
 //                          of a 256-entry bool array, and value
@@ -50,19 +56,19 @@ void ForEachValue(const ByteDomain& d, F&& f) {
 }
 
 struct PropagateSearch {
-  PropagateSearch(const std::vector<ExprRef>& constraints_in,
-                  const SolverOptions& options, const SolveContext* ctx_in)
-      : constraints(constraints_in),
+  PropagateSearch(const QueryIndex& index_in, const SolverOptions& options,
+                  const SolveContext* ctx_in)
+      : index(index_in),
         hints(options.hints),
         max_steps(options.max_steps),
         cancel(options.cancel),
         ctx(ctx_in) {}
 
-  const std::vector<ExprRef>& constraints;
+  const QueryIndex& index;
   const Model& hints;
   std::uint64_t max_steps;
   support::CancelToken cancel;  // local copy; poll counters are ours
-  const SolveContext* ctx;
+  const SolveContext* ctx;      // seeds the prefilter when non-null
   std::uint64_t steps = 0;
   bool cancelled = false;
 
@@ -71,16 +77,20 @@ struct PropagateSearch {
     return cancelled;
   }
 
-  std::vector<std::uint32_t> vars;  // dense index → offset, ascending
-  std::vector<std::vector<std::size_t>> var_constraints;
-  std::vector<std::vector<std::size_t>> cvars;
+  /// Variables are the query's dense ids, in ascending offset order
+  /// like the oracle's (QueryIndex::var_offset).
+  std::size_t num_vars = 0;
+  std::size_t num_constraints = 0;
   std::vector<std::size_t> unassigned_count;
-  std::vector<const ExprProgram*> programs;
   std::vector<std::uint64_t> scratch;  // sized to the largest program
 
   std::vector<ByteDomain> domain;
   std::vector<int> domain_size;
   std::vector<int> assigned;        // -1 = unassigned, else the value
+  /// Branching key per variable: (domain size, dense index) packed so
+  /// the smallest key is the oracle's choice; kAssigned once assigned.
+  std::vector<std::uint64_t> key;
+  static constexpr std::uint64_t kAssigned = ~std::uint64_t{0};
   std::vector<std::uint8_t> vals;   // by input offset; unassigned read 0
   std::vector<bool> prefiltered;
 
@@ -94,122 +104,116 @@ struct PropagateSearch {
   std::vector<std::size_t> count_trail;
   /// FIFO of constraints to filter, reused across Propagate calls.
   std::vector<std::size_t> queue;
+  /// Per variable: its hinted value, or -1.
+  std::vector<int> hint_of;
 
   enum class Outcome { kSat, kUnsat, kBudget, kCancelled };
 
+  std::uint32_t Offset(std::size_t v) const { return index.var_offset[v]; }
+
+  void Rekey(std::size_t v) {
+    key[v] = (std::uint64_t(domain_size[v]) << 32) | v;
+  }
+
+  std::size_t Arity(std::size_t c) const {
+    return index.cvar_begin[c + 1] - index.cvar_begin[c];
+  }
+
+  /// Calls f(c) for each constraint mentioning variable `v`, ascending.
+  template <typename F>
+  void ForEachConstraintOf(std::size_t v, F&& f) const {
+    for (std::uint32_t k = index.vcon_begin[v]; k < index.vcon_begin[v + 1];
+         ++k) {
+      if (!f(static_cast<std::size_t>(index.vcons[k]))) return;
+    }
+  }
+
   bool Holds(std::size_t c) {
-    return RunProgram(*programs[c], vals.data(), scratch.data()) != 0;
+    return RunProgram(*index.programs[c], vals.data(), scratch.data()) != 0;
   }
 
   bool Init() {
-    // Dense variable indices in ascending offset order, the oracle's
-    // numbering; `index` maps offset → dense index for this query.
-    std::uint32_t top = 0;
-    for (const ExprRef& c : constraints) {
-      const auto& fv = FreeVars(c).items();
-      if (!fv.empty()) top = std::max(top, fv.back());
-    }
-    constexpr std::uint32_t kAbsent = ~0u;
-    std::vector<std::uint32_t> index(top + 1, kAbsent);
-    for (const ExprRef& c : constraints) {
-      for (const std::uint32_t off : FreeVars(c)) {
-        if (index[off] == kAbsent) {
-          index[off] = 0;
-          vars.push_back(off);
-        }
-      }
-    }
-    std::sort(vars.begin(), vars.end());
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      index[vars[i]] = static_cast<std::uint32_t>(i);
-    }
-    var_constraints.resize(vars.size());
-    cvars.resize(constraints.size());
-    unassigned_count.resize(constraints.size());
-    programs.resize(constraints.size());
+    num_vars = index.var_offset.size();
+    num_constraints = index.programs.size();
+    unassigned_count.resize(num_constraints);
+    prefiltered.assign(num_constraints, false);
     std::size_t max_steps_in_program = 0;
-    for (std::size_t c = 0; c < constraints.size(); ++c) {
-      for (const std::uint32_t off : FreeVars(constraints[c])) {
-        const std::size_t v = index[off];
-        cvars[c].push_back(v);
-        var_constraints[v].push_back(c);
-      }
-      unassigned_count[c] = cvars[c].size();
-      programs[c] = &ProgramFor(constraints[c]);
+    for (std::size_t c = 0; c < num_constraints; ++c) {
+      unassigned_count[c] = Arity(c);
+      prefiltered[c] = Arity(c) == 1;
       max_steps_in_program =
-          std::max(max_steps_in_program, programs[c]->steps.size());
+          std::max(max_steps_in_program, index.programs[c]->steps.size());
     }
     scratch.resize(max_steps_in_program);
-    domain.assign(vars.size(), ByteDomain{});
-    domain_size.assign(vars.size(), 256);
-    assigned.assign(vars.size(), -1);
-    vals.assign(top + 1, 0);
+    domain.assign(num_vars, ByteDomain{});
+    domain_size.assign(num_vars, 256);
+    assigned.assign(num_vars, -1);
+    vals.assign(index.top, 0);
 
     // Unary prefilter, mirroring the oracle: fold every single-variable
-    // constraint into the initial domain, seeding from the SolveContext
-    // when it already folded some of them (path constraints or derived
-    // pins). The context stores ByteDomain directly, so seeding is a
-    // mask copy here.
-    prefiltered.assign(constraints.size(), false);
-    for (std::size_t v = 0; v < vars.size(); ++v) {
+    // constraint into the initial domain. Seeded, a variable starts from
+    // the SolveContext's domain, which already holds every path
+    // constraint and path pin on it, so only the branch and its pins
+    // are filtered here, each in one 256-lane pass.
+    for (std::size_t v = 0; v < num_vars; ++v) {
       bool any_unary = false;
-      for (const std::size_t c : var_constraints[v]) {
-        if (cvars[c].size() == 1) {
-          any_unary = true;
-          break;
-        }
-      }
+      ForEachConstraintOf(v, [&](std::size_t c) {
+        any_unary = Arity(c) == 1;
+        return !any_unary;
+      });
       if (!any_unary) continue;
       ByteDomain& dom = domain[v];
       const SolveContext::VarEntry* seed =
-          ctx != nullptr ? ctx->Find(vars[v]) : nullptr;
-      if (seed != nullptr) {
-        dom = seed->domain;
-        domain_size[v] = dom.Count();
-      }
-      std::uint8_t& cell = vals[vars[v]];
-      for (const std::size_t c : var_constraints[v]) {
-        if (cvars[c].size() != 1) continue;
-        prefiltered[c] = true;
-        if (seed != nullptr && seed->Folded(constraints[c].get())) {
-          continue;  // already folded into the seeded domain
+          ctx != nullptr ? ctx->Find(Offset(v)) : nullptr;
+      if (seed != nullptr) dom = seed->domain;
+      ForEachConstraintOf(v, [&](std::size_t c) {
+        if (Arity(c) != 1) return true;
+        if (seed != nullptr && index.Folded(static_cast<std::uint32_t>(c))) {
+          return true;  // already folded into the seeded domain
         }
-        int size = 0;
-        ForEachValue(dom, [&](int value) {
-          cell = static_cast<std::uint8_t>(value);
-          if (Holds(c)) {
-            ++size;
-          } else {
-            dom.Reset(static_cast<unsigned>(value));
-          }
-        });
-        cell = 0;
-        domain_size[v] = size;
-      }
+        dom = UnaryDomain(*index.programs[c], Offset(v), dom);
+        return true;
+      });
+      domain_size[v] = dom.Count();
       if (domain_size[v] == 0) return false;
+    }
+    key.resize(num_vars);
+    for (std::size_t v = 0; v < num_vars; ++v) Rekey(v);
+    // Offsets ascend with the dense index, so one walk of the ordered
+    // hint map pairs every variable with its hint.
+    hint_of.assign(num_vars, -1);
+    auto hint = hints.begin();
+    for (std::size_t v = 0; v < num_vars && hint != hints.end(); ++v) {
+      while (hint != hints.end() && hint->first < Offset(v)) ++hint;
+      if (hint != hints.end() && hint->first == Offset(v)) {
+        hint_of[v] = hint->second;
+      }
     }
     return true;
   }
 
   bool Assign(std::size_t v, int value) {
     assigned[v] = value;
-    vals[vars[v]] = static_cast<std::uint8_t>(value);
+    key[v] = kAssigned;
+    vals[Offset(v)] = static_cast<std::uint8_t>(value);
     assign_trail.push_back(v);
-    for (const std::size_t c : var_constraints[v]) {
+    bool ok = true;
+    ForEachConstraintOf(v, [&](std::size_t c) {
       --unassigned_count[c];
       count_trail.push_back(c);
       if (unassigned_count[c] == 0) {
         ++steps;
-        if (!Holds(c)) return false;
+        ok = Holds(c);
       }
-    }
-    return true;
+      return ok;
+    });
+    return ok;
   }
 
   int FilterDomain(std::size_t v, std::size_t c) {
     ByteDomain& dom = domain[v];
     trail.push_back({v, dom, domain_size[v]});
-    std::uint8_t& cell = vals[vars[v]];
+    std::uint8_t& cell = vals[Offset(v)];
     int size = 0;
     ForEachValue(dom, [&](int value) {
       ++steps;
@@ -222,15 +226,17 @@ struct PropagateSearch {
     });
     cell = 0;
     domain_size[v] = size;
+    Rekey(v);
     return size;
   }
 
   /// Queues the constraints of `v` that are down to one unassigned
   /// variable.
   void QueueUnitsOf(std::size_t v) {
-    for (const std::size_t c : var_constraints[v]) {
+    ForEachConstraintOf(v, [&](std::size_t c) {
       if (unassigned_count[c] == 1) queue.push_back(c);
-    }
+      return true;
+    });
   }
 
   /// Unit propagation to fixpoint over `queue`, which the caller filled.
@@ -241,9 +247,10 @@ struct PropagateSearch {
       const std::size_t c = queue[head];
       if (unassigned_count[c] != 1) continue;
       std::size_t v = 0;
-      for (const std::size_t cand : cvars[c]) {
-        if (assigned[cand] < 0) {
-          v = cand;
+      for (std::uint32_t k = index.cvar_begin[c]; k < index.cvar_begin[c + 1];
+           ++k) {
+        if (assigned[index.cvars[k]] < 0) {
+          v = index.cvars[k];
           break;
         }
       }
@@ -282,20 +289,22 @@ struct PropagateSearch {
     while (assign_trail.size() > cp.assign_trail_size) {
       const std::size_t v = assign_trail.back();
       assign_trail.pop_back();
-      vals[vars[v]] = 0;
+      vals[Offset(v)] = 0;
       assigned[v] = -1;
+      Rekey(v);
     }
     while (trail.size() > cp.trail_size) {
       TrailEntry& e = trail.back();
       domain[e.var] = e.saved_domain;
       domain_size[e.var] = e.saved_size;
+      if (assigned[e.var] < 0) Rekey(e.var);
       trail.pop_back();
     }
   }
 
   Outcome Run() {
     if (!Init()) return Outcome::kUnsat;
-    for (std::size_t c = 0; c < constraints.size(); ++c) {
+    for (std::size_t c = 0; c < num_constraints; ++c) {
       if (unassigned_count[c] == 1 && !prefiltered[c]) queue.push_back(c);
     }
     if (!Propagate()) return Outcome::kUnsat;
@@ -308,55 +317,62 @@ struct PropagateSearch {
     if (Cancelled()) return Outcome::kCancelled;
     if (steps > max_steps) return Outcome::kBudget;
     // Identical branching rule to the oracle: smallest domain, lowest
-    // dense index on ties.
-    std::size_t best = vars.size();
-    for (std::size_t v = 0; v < vars.size(); ++v) {
-      if (assigned[v] >= 0) continue;
-      if (best == vars.size() || domain_size[v] < domain_size[best]) {
-        best = v;
-      }
-    }
-    if (best == vars.size()) return Outcome::kSat;
+    // dense index on ties — the smallest key.
+    std::uint64_t smallest = kAssigned;
+    for (const std::uint64_t k : key) smallest = std::min(smallest, k);
+    if (smallest == kAssigned) return Outcome::kSat;
+    const auto best = static_cast<std::size_t>(smallest & 0xFFFFFFFFu);
 
-    // Identical value order: hint first, then ascending.
-    std::vector<int> values;
-    values.reserve(domain_size[best]);
-    const auto hint = hints.find(vars[best]);
-    if (hint != hints.end() &&
-        domain[best].Test(static_cast<unsigned>(hint->second))) {
-      values.push_back(hint->second);
+    // Identical value order: hint first, then ascending. The values come
+    // from a snapshot of the domain, which is what it was when this node
+    // opened: deeper nodes never filter an assigned variable.
+    const ByteDomain values = domain[best];
+    const int hint = hint_of[best];
+    const bool hinted = hint >= 0 && values.Test(static_cast<unsigned>(hint));
+    if (hinted) {
+      const Outcome outcome = TryValue(best, hint);
+      if (outcome != Outcome::kUnsat) return outcome;
     }
-    ForEachValue(domain[best], [&](int value) {
-      if (hint != hints.end() && value == hint->second) return;
-      values.push_back(value);
-    });
+    for (int w = 0; w < 4; ++w) {
+      std::uint64_t bits = values.bits[w];
+      while (bits != 0) {
+        const int value = w * 64 + __builtin_ctzll(bits);
+        bits &= bits - 1;
+        if (hinted && value == hint) continue;
+        const Outcome outcome = TryValue(best, value);
+        if (outcome != Outcome::kUnsat) return outcome;
+      }
+    }
+    return Outcome::kUnsat;
+  }
 
-    for (const int value : values) {
-      ++steps;
-      if (Cancelled()) return Outcome::kCancelled;
-      if (steps > max_steps) return Outcome::kBudget;
-      const Checkpoint cp = Mark();
-      queue.clear();
-      bool ok = Assign(best, value);
-      if (ok) {
-        QueueUnitsOf(best);
-        ok = Propagate();
-      }
-      if (ok && cancelled) return Outcome::kCancelled;
-      if (ok && steps > max_steps) return Outcome::kBudget;
-      if (ok) {
-        const Outcome sub = Branch();
-        if (sub != Outcome::kUnsat) return sub;
-      }
-      Rollback(cp);
+  /// Assigns `value` to `best` and searches below it. kUnsat means the
+  /// value failed and everything it changed is rolled back.
+  Outcome TryValue(std::size_t best, int value) {
+    ++steps;
+    if (Cancelled()) return Outcome::kCancelled;
+    if (steps > max_steps) return Outcome::kBudget;
+    const Checkpoint cp = Mark();
+    queue.clear();
+    bool ok = Assign(best, value);
+    if (ok) {
+      QueueUnitsOf(best);
+      ok = Propagate();
     }
+    if (ok && cancelled) return Outcome::kCancelled;
+    if (ok && steps > max_steps) return Outcome::kBudget;
+    if (ok) {
+      const Outcome sub = Branch();
+      if (sub != Outcome::kUnsat) return sub;
+    }
+    Rollback(cp);
     return Outcome::kUnsat;
   }
 
   Model TakeModel() const {
     Model model;
-    for (std::size_t v = 0; v < vars.size(); ++v) {
-      model.emplace_hint(model.end(), vars[v],
+    for (std::size_t v = 0; v < num_vars; ++v) {
+      model.emplace_hint(model.end(), Offset(v),
                          static_cast<std::uint8_t>(assigned[v]));
     }
     return model;
@@ -365,10 +381,12 @@ struct PropagateSearch {
 
 class PropagateBackend final : public SolverBackend {
  public:
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
+  SolveResult Solve(const SolveContext& path, const ExprRef& branch,
                     const SolverOptions& options,
-                    const SolveContext* ctx) const override {
-    PropagateSearch search(constraints, options, ctx);
+                    bool seeded) const override {
+    thread_local QueryIndex index;
+    path.Index(branch, &index);
+    PropagateSearch search(index, options, seeded ? &path : nullptr);
     const PropagateSearch::Outcome outcome = search.Run();
     SolveResult result;
     result.steps = search.steps;

@@ -65,11 +65,10 @@ struct SymState {
   vm::AllocCursor cursor;
   std::uint64_t file_pos = 0;
 
-  std::vector<ExprRef> constraints;
   Model pinned;
-  /// Incremental solve context: per-variable domains of the unary path
-  /// constraints, folded once at AddConstraint time and forked via COW
-  /// so branch siblings share the prefix's filtering work.
+  /// The path constraints, as the incremental solve context's
+  /// append-only layer: forks share its prefix, and unary constraints
+  /// are folded into per-variable domains once, at AddConstraint time.
   SolveContext solve_ctx;
 
   /// Symbolic-loop bookkeeping, keyed by back edge. Only traversals that
@@ -121,14 +120,15 @@ struct SymState {
   /// stay charged once per reference, which over-approximates like a
   /// real symbolic executor's per-state accounting does.
   std::size_t FootprintBytes() const {
-    std::size_t bytes = sizeof(SymState);
+    std::size_t bytes =
+        sizeof(SymState) - sizeof(SolveContext) + SolveContext::kChargedSize;
     bytes += mem.FootprintBytes();
     bytes += heap.get().size() *
              (sizeof(std::uint64_t) + sizeof(SymAlloc) + 48) /
              heap.owners();
     bytes += loop_counts.get().size() * 64 / loop_counts.owners();
-    bytes += constraints.capacity() * sizeof(ExprRef) +
-             constraints.size() * 40;
+    bytes += solve_ctx.charged_capacity() * sizeof(ExprRef) +
+             solve_ctx.appended() * 40;
     bytes += pinned.size() * 48;
     bytes += solve_ctx.FootprintBytes();
     bytes += bunch_targets.capacity() * sizeof(std::uint32_t);

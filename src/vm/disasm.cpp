@@ -8,9 +8,15 @@ namespace octopocs::vm {
 
 namespace {
 
-std::string RegName(Reg r) { return "%r" + std::to_string(r); }
+// Names are built by appending to the prefix: "lit" + std::string&&
+// trips GCC 12's -Wrestrict false positive once inlined.
+std::string RegName(Reg r) {
+  return std::string("%r").append(std::to_string(r));
+}
 
-std::string Label(BlockId b) { return "L" + std::to_string(b); }
+std::string Label(BlockId b) {
+  return std::string("L").append(std::to_string(b));
+}
 
 std::string ImmStr(std::uint64_t v) {
   // Render small values as decimal, everything else as hex.
@@ -97,7 +103,8 @@ std::string DisassembleFunction(const Program& program, FuncId id) {
   std::string out = "func " + fn.name + "(";
   for (std::uint8_t i = 0; i < fn.num_params; ++i) {
     if (i != 0) out += ", ";
-    out += "r" + std::to_string(i);
+    out += 'r';
+    out += std::to_string(i);
   }
   out += ")\n";
   for (BlockId b = 0; b < fn.blocks.size(); ++b) {

@@ -3,10 +3,12 @@
 //
 // ProgramFor lowers an interned node once and publishes the program on
 // the node; RunProgram must equal the tree-walking Eval on every node
-// kind and every binary ALU op. ReuseCertifiedModel evaluates candidate
-// models through those programs over a dense offset-indexed byte array;
-// it must return the same hit/miss and the very same Model as the
-// std::map evaluator it replaced, which lives on here as the oracle.
+// kind and every binary ALU op, and the 256-lane UnaryDomain must equal
+// RunProgram value for value. SolveContext::Reuse evaluates candidate
+// models through those programs over a dense offset-indexed byte array,
+// checking only what a candidate's certificate does not cover; it must
+// return the same hit/miss and the very same Model as the std::map
+// evaluator over the whole query, which lives on here as the oracle.
 // ConcatPins derives a concat equality's byte pins once per node and
 // publishes them the same way.
 #include <gtest/gtest.h>
@@ -161,6 +163,89 @@ TEST(NodeProgram, EqualsEvalOnRandomSharedDags) {
   }
 }
 
+/// RunProgram at every value of in[var], every other byte 0, as a mask:
+/// what UnaryDomain computes in one 256-lane pass.
+ByteDomain ValueByValue(const ExprRef& e, std::uint32_t var) {
+  std::vector<std::uint8_t> vals(var + 1, 0);
+  const ExprProgram& program = ProgramFor(e);
+  std::vector<std::uint64_t> scratch(program.steps.size());
+  ByteDomain dom;
+  for (unsigned v = 0; v < 256; ++v) {
+    vals[var] = static_cast<std::uint8_t>(v);
+    if (RunProgram(program, vals.data(), scratch.data()) == 0) dom.Reset(v);
+  }
+  return dom;
+}
+
+TEST(NodeProgram, UnaryDomainEqualsRunProgramOnEveryValue) {
+  // Every binary ALU op with the byte on either side or both, against
+  // constants that reach the edges (division and remainder by zero,
+  // shift counts of 64 and more), every extract lane, Not, and
+  // programs that do not read the byte at all. Each is checked bare and
+  // under comparisons, so the masks are neither all nor nothing.
+  InternScope intern;
+  const std::uint32_t var = 5;
+  const ExprRef x = MakeInput(var);
+  const std::uint64_t ks[] = {0,   1,   2,      7,     8,       63,
+                              64,  65,  127,    128,   200,     255,
+                              256, 300, 0x1234, ~0ull, 1ull << 63};
+  std::vector<ExprRef> exprs;
+  for (const vm::Op op : BinaryAluOps()) {
+    for (const std::uint64_t k : ks) {
+      exprs.push_back(MakeBinOp(op, x, MakeConst(k)));
+      exprs.push_back(MakeBinOp(op, MakeConst(k), x));
+    }
+    exprs.push_back(MakeBinOp(op, MakeBinOp(vm::Op::kSub, x, MakeConst(3)),
+                              MakeBinOp(vm::Op::kShr, x, MakeConst(2))));
+    exprs.push_back(MakeBinOp(op, MakeBinOp(vm::Op::kAnd, x, MakeConst(7)),
+                              MakeBinOp(vm::Op::kAdd, x, MakeConst(60))));
+  }
+  const ExprRef wide =
+      MakeBinOp(vm::Op::kMul, x, MakeConst(0x0102030405060708ull));
+  for (std::uint8_t lane = 0; lane < 8; ++lane) {
+    exprs.push_back(MakeExtract(wide, lane));
+    exprs.push_back(MakeExtract(MakeNot(x), lane));
+  }
+  exprs.push_back(MakeNot(x));
+  exprs.push_back(MakeInput(2));  // another byte, which reads 0
+  exprs.push_back(MakeBinOp(vm::Op::kAdd, MakeInput(2), MakeConst(9)));
+  // A filter over part of the domain evaluates only those lanes and
+  // must equal the full filter intersected with that part.
+  std::mt19937 rng(256);
+  int partial = 0;
+  for (const ExprRef& e : exprs) {
+    for (const ExprRef& c :
+         {e, MakeBinOp(vm::Op::kCmpLtU, e, MakeConst(100)),
+          MakeBinOp(vm::Op::kCmpEq, e, MakeConst(0)),
+          MakeBinOp(vm::Op::kCmpGtU, e, MakeConst(0x80))}) {
+      const ByteDomain lanes = UnaryDomain(ProgramFor(c), var);
+      const ByteDomain expect = ValueByValue(c, var);
+      ASSERT_EQ(lanes.bits, expect.bits) << ToString(c);
+      partial += lanes.Count() > 0 && lanes.Count() < 256;
+      ByteDomain within;
+      for (std::uint64_t& w : within.bits) w = rng() | std::uint64_t{rng()} << 32;
+      ByteDomain both = expect;
+      for (int w = 0; w < 4; ++w) both.bits[w] &= within.bits[w];
+      ASSERT_EQ(UnaryDomain(ProgramFor(c), var, within).bits, both.bits)
+          << ToString(c);
+    }
+  }
+  EXPECT_GE(partial, 300) << "most masks should be neither all nor none";
+}
+
+TEST(NodeProgram, UnaryDomainEqualsRunProgramOnRandomDags) {
+  std::mt19937 rng(4096);
+  for (int round = 0; round < 200; ++round) {
+    InternScope intern;
+    DagBuilder dag(rng, /*num_vars=*/1);  // every input is in[0]
+    for (int n = 0; n < 20; ++n) {
+      const ExprRef c = dag.Constraint();
+      ASSERT_EQ(UnaryDomain(ProgramFor(c), 0).bits, ValueByValue(c, 0).bits)
+          << "round " << round << ": " << ToString(c);
+    }
+  }
+}
+
 TEST(NodeProgram, IsPublishedOncePerNode) {
   InternScope intern;
   const ExprRef x = MakeBinOp(vm::Op::kAdd, MakeInput(3), MakeInput(5));
@@ -227,29 +312,44 @@ TEST(DenseModelReuse, MatchesTheMapOracleOnGrowingQueries) {
     DagBuilder dag(rng, num_vars);
     const Model hints = RandomModel(rng, num_vars, 60);
     Model pins;
-    std::vector<Model> pool;
+    SolveContext ctx;
     std::vector<ExprRef> query;
     for (int rung = 0; rung < 6; ++rung) {
       const int grow = 1 + static_cast<int>(rng() % 2);
-      for (int k = 0; k < grow; ++k) query.push_back(dag.Constraint());
+      for (int k = 0; k < grow; ++k) {
+        const ExprRef c = dag.Constraint();
+        if (c->IsConst()) continue;  // never on a path
+        query.push_back(c);
+        ctx.Append(c);
+      }
       if (rng() % 2 == 0) {
+        // A pin may move a value an earlier rung's certificate relied on.
         const std::uint32_t v = DagBuilder::Spread(rng() % num_vars);
         pins[v] = static_cast<std::uint8_t>(rng() % 256);
         query.push_back(MakeBinOp(vm::Op::kCmpEq, MakeInput(v),
                                   MakeConst(pins[v])));
+        ctx.Append(query.back());
       }
-      pool.push_back(RandomModel(rng, num_vars, 50));
+      ctx.NoteModel(RandomModel(rng, num_vars, 50));
+
+      // The branch half of the rungs asks one more constraint on top.
+      const ExprRef branch = rung % 2 == 0 ? dag.Constraint() : nullptr;
+      std::vector<ExprRef> asked = query;
+      if (branch != nullptr && !branch->IsConst() &&
+          !ctx.OnPath(branch.get())) {
+        asked.push_back(branch);
+      }
+      const ExprRef extra = asked.size() > query.size() ? branch : nullptr;
 
       Model expect, got;
-      const bool oracle_hit = OracleReuse(query, pins, hints, pool, &expect);
-      const bool dense_hit =
-          ReuseCertifiedModel(query, pins, hints, pool, &got);
+      const bool oracle_hit =
+          OracleReuse(asked, pins, hints, ctx.recent_models(), &expect);
+      const bool dense_hit = ctx.Reuse(extra, pins, hints, &got);
       ASSERT_EQ(dense_hit, oracle_hit) << "round " << round << " rung "
                                        << rung;
       if (oracle_hit) {
         ++hits;
         EXPECT_EQ(got, expect) << "round " << round << " rung " << rung;
-        pool.push_back(got);  // a hit joins the pool, as in the cache
       } else {
         ++misses;
         // A miss is searched fresh, and its model joins the pool.
@@ -258,9 +358,8 @@ TEST(DenseModelReuse, MatchesTheMapOracleOnGrowingQueries) {
         options.max_steps = 20'000;
         const SolveResult fresh = SolveOnce(query, options);
         if (fresh.status == SolveStatus::kUnsat) break;
-        if (fresh.status == SolveStatus::kSat) pool.push_back(fresh.model);
+        if (fresh.status == SolveStatus::kSat) ctx.NoteSolution(fresh.model);
       }
-      if (pool.size() > 4) pool.erase(pool.begin());
     }
   }
   // Both outcomes must be common, or the comparison proves little.
@@ -278,7 +377,8 @@ TEST(DenseModelReuse, AbsentVariablesStayAbsent) {
   };
   const Model hints = {{2, 6}};
   Model got, expect;
-  ASSERT_TRUE(ReuseCertifiedModel(query, {}, hints, {}, &got));
+  SolveContext ctx = PathContext(query);
+  ASSERT_TRUE(ctx.Reuse(nullptr, {}, hints, &got));
   ASSERT_TRUE(OracleReuse(query, {}, hints, {}, &expect));
   EXPECT_EQ(got, expect);
   EXPECT_EQ(got, (Model{{2, 6}}));

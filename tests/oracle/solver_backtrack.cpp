@@ -307,10 +307,12 @@ struct Search {
 
 class BacktrackBackend final : public SolverBackend {
  public:
-  SolveResult Solve(const std::vector<ExprRef>& constraints,
+  /// Builds the query from scratch: the context's layer only lists the
+  /// constraints, and never seeds the oracle.
+  SolveResult Solve(const SolveContext& path, const ExprRef& branch,
                     const SolverOptions& options,
-                    const SolveContext* /*ctx: never seeds the oracle*/)
-      const override {
+                    bool /*seeded*/) const override {
+    const std::vector<ExprRef> constraints = path.System(branch);
     Search search{constraints, options.hints, options.max_steps,
                   options.cancel};
     const Search::Outcome outcome = search.Run();

@@ -210,5 +210,16 @@ TEST(Pipeline, Pair14SearchCountersArePinned) {
   EXPECT_EQ(st.expr_intern_nodes, 2414u);
 }
 
+TEST(Pipeline, Pair14MemoryChargeIsPinned) {
+  // The memory budget and Table IV's RAM column read SymState's
+  // FootprintBytes, which still charges the path as the vector of
+  // ExprRef it was before the path layer: its size, its growth
+  // (branch queries included) and the struct bytes it took. The peak
+  // is the sum over the live worklist at its largest.
+  const VerificationReport report =
+      VerifyPair(corpus::BuildPair(14), PipelineOptions{});
+  EXPECT_EQ(report.symex_stats.peak_memory_bytes, 205596u);
+}
+
 }  // namespace
 }  // namespace octopocs::core

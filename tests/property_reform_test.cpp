@@ -33,7 +33,9 @@ struct GeneratedPair {
 
 std::string MagicCheck(const Bytes& magic, const char* reg_prefix) {
   std::string src;
-  src += "    movi %mn, " + std::to_string(magic.size()) + "\n";
+  src += "    movi %mn, ";
+  src += std::to_string(magic.size());
+  src += "\n";
   src += "    alloc %mbuf, %mn\n";
   src += "    read %mgot, %mbuf, %mn\n";
   for (std::size_t i = 0; i < magic.size(); ++i) {

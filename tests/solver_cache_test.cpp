@@ -3,8 +3,8 @@
 // hits must be certificates (the returned model satisfies every
 // constraint) drawn from the querying state's own pool and can never
 // manufacture a kUnsat. Also covers the branch wipeout, solve-context
-// seeding (derived pins included), and the oracle bypass
-// (SolverOptions::backend).
+// seeding (derived pins included), the path layer shared by forks,
+// reuse certificates, and the oracle bypass (SolverOptions::backend).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,20 +85,58 @@ TEST(SolverCacheTest, RepeatedNodesCollapseToTheirFirstOccurrences) {
   EXPECT_EQ(repeated.steps, once.steps);
 }
 
+
+TEST(SolverCacheTest, RepeatedBranchAndRepeatedAppendAnswerLikeFirstOccurrence) {
+  // A repeated node appended to the path only counts: the layer keeps
+  // its first occurrence, so every later query answers as over the
+  // path without the repeat. A branch already on the path adds nothing.
+  InternScope intern;
+  const ExprRef a = MakeBinOp(vm::Op::kCmpLeU, In(0), In(1));
+  const ExprRef b = MakeBinOp(vm::Op::kCmpEq,
+                              MakeBinOp(vm::Op::kAdd, In(0), In(1)),
+                              MakeConst(9));
+  const ExprRef c = MakeBinOp(vm::Op::kCmpNe, In(1), MakeConst(9));
+  SolveContext repeated = PathContext({b, a, b});
+  repeated.Append(a);
+  SolveContext distinct = PathContext({b, a});
+  EXPECT_EQ(repeated.appended(), 4u);
+  EXPECT_EQ(repeated.size(), 2u);
+  EXPECT_TRUE(repeated.OnPath(b.get()));
+  EXPECT_FALSE(repeated.OnPath(c.get()));
+
+  for (const ExprRef& branch : {ExprRef{}, a, c}) {
+    SolverCache lhs, rhs;
+    SolveContext x = repeated, y = distinct;
+    const SolveResult got = lhs.Solve(x, branch, {}, {});
+    const SolveResult want = rhs.Solve(y, branch, {}, {});
+    ASSERT_EQ(got.status, want.status);
+    EXPECT_EQ(got.model, want.model);
+    EXPECT_EQ(got.steps, want.steps);
+  }
+  // A branch on the path is the path's own query: the model the path
+  // query pooled answers it.
+  SolverCache cache;
+  ASSERT_EQ(cache.Solve(repeated, nullptr, {}, {}).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve(repeated, b, {}, {}).status, SolveStatus::kSat);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
 TEST(SolverCacheTest, ModelReuseHitEqualsFreshSolveAndCertifies) {
   InternScope intern;
   SolverCache cache;
-  SolveContext ctx;
-  std::vector<ExprRef> prefix = {InputEq(0, 10), InputEq(1, 20)};
-  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
+  const std::vector<ExprRef> prefix = {InputEq(0, 10), InputEq(1, 20)};
+  SolveContext ctx = PathContext(prefix);
+  ASSERT_EQ(cache.Solve(ctx, nullptr, {}, {}).status, SolveStatus::kSat);
 
-  // Extend the path the way the executor does: append one constraint the
-  // state's pooled model already satisfies (in[0] != 0).
+  // Ask a branch the way the executor does: one constraint the state's
+  // pooled model already satisfies (in[0] != 0).
+  const ExprRef branch =
+      MakeBinOp(vm::Op::kCmpNe, MakeInput(0), MakeConst(0));
   std::vector<ExprRef> extended = prefix;
-  extended.push_back(
-      MakeBinOp(vm::Op::kCmpNe, MakeInput(0), MakeConst(0)));
+  extended.push_back(branch);
 
-  const SolveResult hit = cache.Solve(extended, {}, {}, ctx);
+  const SolveResult hit = cache.Solve(ctx, branch, {}, {});
   EXPECT_EQ(cache.stats().hits, 1u)
       << "the pooled model satisfies the extension";
   EXPECT_EQ(hit.status, SolveStatus::kSat);
@@ -112,20 +150,21 @@ TEST(SolverCacheTest, ModelReuseHitEqualsFreshSolveAndCertifies) {
 TEST(SolverCacheTest, PinsOverrideTheCachedModel) {
   InternScope intern;
   SolverCache cache;
-  SolveContext ctx;
-  std::vector<ExprRef> prefix = {
+  const std::vector<ExprRef> prefix = {
       MakeBinOp(vm::Op::kCmpNe, MakeInput(0), MakeConst(7))};
-  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
+  SolveContext ctx = PathContext(prefix);
+  ASSERT_EQ(cache.Solve(ctx, nullptr, {}, {}).status, SolveStatus::kSat);
 
   // Pin in[1] = 42 and require it in the constraints, the shape P3's
   // bunch placement produces. The pooled model knows nothing about
   // in[1]; the pin overlay must supply it.
   std::vector<ExprRef> extended = prefix;
   extended.push_back(InputEq(1, 42));
+  ctx.Append(InputEq(1, 42));
   const Model pins = {{1, 42}};
 
   const std::uint64_t reused = cache.stats().hits;
-  const SolveResult hit = cache.Solve(extended, pins, {}, ctx);
+  const SolveResult hit = cache.Solve(ctx, nullptr, pins, {});
   EXPECT_EQ(cache.stats().hits, reused + 1);
   EXPECT_EQ(hit.status, SolveStatus::kSat);
   EXPECT_EQ(hit.model.at(1), 42);
@@ -135,16 +174,13 @@ TEST(SolverCacheTest, PinsOverrideTheCachedModel) {
 TEST(SolverCacheTest, HintsFillFreshVariablesLikeAFreshSolveWould) {
   InternScope intern;
   SolverCache cache;
-  SolveContext ctx;
-  std::vector<ExprRef> prefix = {InputEq(0, 3)};
-  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
+  SolveContext ctx = PathContext({InputEq(0, 3)});
+  ASSERT_EQ(cache.Solve(ctx, nullptr, {}, {}).status, SolveStatus::kSat);
 
-  // The extension constrains a byte no pooled model has seen; only the
+  // The branch constrains a byte no pooled model has seen; only the
   // hint (the original PoC's byte) satisfies it.
-  std::vector<ExprRef> extended = prefix;
-  extended.push_back(InputEq(5, 77));
-
-  const SolveResult hit = cache.Solve(extended, {}, Hinted({{5, 77}}), ctx);
+  const ExprRef branch = InputEq(5, 77);
+  const SolveResult hit = cache.Solve(ctx, branch, {}, Hinted({{5, 77}}));
   EXPECT_EQ(cache.stats().hits, 1u)
       << "hint overlay should certify the extension";
   EXPECT_EQ(hit.model.at(5), 77);
@@ -152,7 +188,7 @@ TEST(SolverCacheTest, HintsFillFreshVariablesLikeAFreshSolveWould) {
   // The returned model covers only constrained variables — a hint for an
   // unconstrained byte must not appear (it would change poc' emission).
   const SolveResult hit2 =
-      cache.Solve(extended, {}, Hinted({{5, 77}, {200, 9}}), ctx);
+      cache.Solve(ctx, branch, {}, Hinted({{5, 77}, {200, 9}}));
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(hit2.model.count(200), 0u);
 }
@@ -160,15 +196,16 @@ TEST(SolverCacheTest, HintsFillFreshVariablesLikeAFreshSolveWould) {
 TEST(SolverCacheTest, UnsatisfiableExtensionMissesInsteadOfGuessing) {
   InternScope intern;
   SolverCache cache;
-  SolveContext ctx;
-  std::vector<ExprRef> prefix = {InputEq(0, 10)};
-  ASSERT_EQ(cache.Solve(prefix, {}, {}, ctx).status, SolveStatus::kSat);
+  const std::vector<ExprRef> prefix = {InputEq(0, 10)};
+  SolveContext ctx = PathContext(prefix);
+  ASSERT_EQ(cache.Solve(ctx, nullptr, {}, {}).status, SolveStatus::kSat);
 
   // The extension contradicts the prefix: no candidate can certify it,
   // so reuse must miss — never report kUnsat — and the search decides.
   std::vector<ExprRef> extended = prefix;
   extended.push_back(InputEq(0, 11));
-  EXPECT_EQ(cache.Solve(extended, {}, {}, ctx).status, SolveStatus::kUnsat);
+  ctx.Append(InputEq(0, 11));
+  EXPECT_EQ(cache.Solve(ctx, nullptr, {}, {}).status, SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(FreshSolve(extended).status, SolveStatus::kUnsat);
@@ -178,7 +215,7 @@ TEST(SolverCacheTest, CachedVerdictsMatchFreshSolvesAcrossAWorkload) {
   InternScope intern;
   SolverCache cache;
   // Simulate one executor state's query stream: a growing constraint
-  // sequence, each constraint applied to the state's context, with
+  // sequence, each constraint appended to the state's path, with
   // occasional pins, checking every answer against a fresh search on
   // the same system.
   SolveContext ctx;
@@ -192,10 +229,10 @@ TEST(SolverCacheTest, CachedVerdictsMatchFreshSolvesAcrossAWorkload) {
                               ? InputEq(i, i)
                               : MakeBinOp(vm::Op::kCmpNe, MakeInput(i),
                                           MakeConst(255)));
-    ctx.Apply(constraints.back());
+    ctx.Append(constraints.back());
     if (i % 5 == 0) pins[i] = static_cast<uint8_t>(i);
 
-    const SolveResult got = cache.Solve(constraints, pins, options, ctx);
+    const SolveResult got = cache.Solve(ctx, nullptr, pins, options);
     if (got.status == SolveStatus::kSat) {
       for (const ExprRef& c : constraints) {
         ASSERT_NE(Eval(c, got.model), 0u);
@@ -257,12 +294,13 @@ TEST(CacheSolveTest, FrontDoorEqualsMonolithicOnRandomSystems) {
     InternScope intern;
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 4) == 3);
     const SolveResult fresh = FreshSolve(cs);
-    // The executor's way: the state's context has applied every
-    // constraint, so forced-UNSAT rounds meet the branch wipeout.
-    SolveContext ctx;
-    for (const ExprRef& c : cs) ctx.Apply(c);
+    // The executor's way: the state's path holds every constraint but
+    // the last, which is asked as a branch, so forced-UNSAT rounds meet
+    // the branch wipeout.
+    SolveContext ctx =
+        PathContext(std::vector<ExprRef>(cs.begin(), cs.end() - 1));
     SolverCache cache;
-    const SolveResult cached = cache.Solve(cs, {}, {}, ctx);
+    const SolveResult cached = cache.Solve(ctx, cs.back(), {}, {});
     ASSERT_EQ(cached.status, fresh.status) << "round " << round;
     if (fresh.status == SolveStatus::kSat) {
       EXPECT_TRUE(SameAssignment(cs, cached.model, fresh.model))
@@ -274,7 +312,7 @@ TEST(CacheSolveTest, FrontDoorEqualsMonolithicOnRandomSystems) {
 
 TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
   // The same query through two caches with different histories must
-  // agree: one cold, one whose state first asked each constraint alone.
+  // agree: one cold, one whose state asked after each constraint.
   InternScope intern;
   const std::vector<ExprRef> cs = {
       MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(9)),
@@ -282,13 +320,16 @@ TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
       MakeBinOp(vm::Op::kCmpLeU, In(8), In(9)),
   };
   SolverCache cold;
-  SolveContext cold_ctx;
-  const SolveResult a = cold.Solve(cs, {}, {}, cold_ctx);
+  SolveContext cold_ctx = PathContext(cs);
+  const SolveResult a = cold.Solve(cold_ctx, nullptr, {}, {});
 
   SolverCache warm;
   SolveContext warm_ctx;
-  for (const ExprRef& c : cs) (void)warm.Solve({c}, {}, {}, warm_ctx);
-  const SolveResult b = warm.Solve(cs, {}, {}, warm_ctx);
+  for (const ExprRef& c : cs) {
+    (void)warm.Solve(warm_ctx, c, {}, {});
+    warm_ctx.Append(c);
+  }
+  const SolveResult b = warm.Solve(warm_ctx, nullptr, {}, {});
 
   EXPECT_EQ(a.status, b.status);
   EXPECT_TRUE(SameAssignment(cs, a.model, b.model));
@@ -299,19 +340,18 @@ TEST(CacheSolveTest, ResultIsPureAcrossCacheHistories) {
 // -- Subsumption -----------------------------------------------------------
 
 TEST(SubsumptionTest, NeverFlipsASatisfiableQuery) {
-  // Random *satisfiable* queries, each from a state whose context
-  // applied the whole query, so the branch wipeout filters each query's
-  // last constraint over a domain that already holds it: none may come
-  // back kUnsat.
+  // Random *satisfiable* queries, each a branch over a state whose path
+  // holds the rest of the query, so the branch wipeout filters the
+  // branch over the path's domains: none may come back kUnsat.
   std::mt19937 rng(99);
   InternScope intern;
   SolverCache cache;
   for (int round = 0; round < 40; ++round) {
     const std::vector<ExprRef> cs = RandomSystem(rng, /*force_unsat=*/false);
-    SolveContext ctx;
-    for (const ExprRef& c : cs) ctx.Apply(c);
+    SolveContext ctx =
+        PathContext(std::vector<ExprRef>(cs.begin(), cs.end() - 1));
     const SolveResult fresh = FreshSolve(cs);
-    const SolveResult cached = cache.Solve(cs, {}, {}, ctx);
+    const SolveResult cached = cache.Solve(ctx, cs.back(), {}, {});
     ASSERT_EQ(cached.status, fresh.status)
         << "round " << round << ": subsumption flipped a verdict";
     if (fresh.status == SolveStatus::kSat) {
@@ -342,13 +382,12 @@ TEST(SubsumptionTest, WipeoutIsUnsatUnderAZeroStepBudget) {
   EXPECT_EQ(FreshSolve(cs, zero).status, SolveStatus::kUnsat)
       << "backtrack core";
 
-  // A state whose path wiped in[3] out: its next query is refuted from
-  // the context as the zero-step miss the search would return.
-  SolveContext ctx;
-  for (const ExprRef& c : cs) ctx.Apply(c);
+  // A state whose path wiped in[3] out: its next query is the zero-step
+  // miss the seeded search returns from the context's empty domain.
+  SolveContext ctx = PathContext(cs);
   ASSERT_TRUE(ctx.Find(3)->domain.None());
   SolverCache cache;
-  const SolveResult got = cache.Solve(cs, {}, zero, ctx);
+  const SolveResult got = cache.Solve(ctx, nullptr, {}, zero);
   EXPECT_EQ(got.status, SolveStatus::kUnsat);
   EXPECT_EQ(got.steps, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -366,22 +405,22 @@ TEST(SubsumptionTest, BranchWipeoutMatchesTheSearch) {
                 MakeConst(300));
   const std::vector<ExprRef> path = {
       coupled, MakeBinOp(vm::Op::kCmpLtU, In(3), MakeConst(10))};
-  SolveContext ctx;
-  for (const ExprRef& c : path) ctx.Apply(c);
+  SolveContext ctx = PathContext(path);
   ASSERT_EQ(ctx.Find(3)->domain.Count(), 10);
 
+  const ExprRef far = MakeBinOp(vm::Op::kCmpGtU, In(3), MakeConst(20));
   std::vector<ExprRef> branch = path;
-  branch.push_back(MakeBinOp(vm::Op::kCmpGtU, In(3), MakeConst(20)));
+  branch.push_back(far);
   SolverOptions zero;
   zero.max_steps = 0;
   SolverCache cache;
-  const SolveResult got = cache.Solve(branch, {}, zero, ctx);
+  const SolveResult got = cache.Solve(ctx, far, {}, zero);
   EXPECT_EQ(got.status, SolveStatus::kUnsat);
   EXPECT_EQ(got.steps, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  const SolveResult again = cache.Solve(branch, {}, zero, ctx);
+  const SolveResult again = cache.Solve(ctx, far, {}, zero);
   EXPECT_EQ(again.status, SolveStatus::kUnsat);
   EXPECT_EQ(again.steps, 0u);
   EXPECT_EQ(cache.stats().misses, 2u) << "nothing remembers the first answer";
@@ -402,14 +441,12 @@ TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
   for (int round = 0; round < 40; ++round) {
     InternScope intern;
     const std::vector<ExprRef> cs = RandomSystem(rng, (round % 5) == 4);
+    const SolveContext ctx = PathContext(cs);
 
-    SolveContext ctx;
-    for (const ExprRef& c : cs) ctx.Apply(c);
-
-    const SolveResult seeded = core.Solve(cs, {}, &ctx);
-    const SolveResult plain = core.Solve(cs, {}, nullptr);
+    const SolveResult seeded = core.Solve(ctx, nullptr, {}, true);
+    const SolveResult plain = core.Solve(ctx, nullptr, {}, false);
     const SolveResult reference =
-        oracle::BacktrackSolver().Solve(cs, {}, nullptr);
+        oracle::BacktrackSolver().Solve(ctx, nullptr, {}, false);
 
     ASSERT_EQ(seeded.status, plain.status) << "round " << round;
     EXPECT_EQ(seeded.model, plain.model) << "round " << round;
@@ -420,16 +457,6 @@ TEST(SolveContextTest, SeededSearchIsBitIdenticalIncludingSteps) {
     ASSERT_EQ(seeded.status, reference.status) << "round " << round;
     EXPECT_EQ(seeded.steps, reference.steps) << "round " << round;
   }
-}
-
-/// What the front door hands a core: `cs` plus each concat equality's
-/// byte pins (the solver's pre-pass).
-std::vector<ExprRef> WithPins(const std::vector<ExprRef>& cs) {
-  std::vector<ExprRef> out = cs;
-  for (const ExprRef& c : cs) {
-    ForEachConcatPin(c, [&](const ExprRef& pin) { out.push_back(pin); });
-  }
-  return out;
 }
 
 /// A two-byte little-endian field equality: in[lo] | in[lo+1] << 8 == k.
@@ -447,7 +474,7 @@ TEST(SolveContextTest, FoldsConcatEqualityPins) {
   {
     InternScope intern;
     SolveContext ctx;
-    ctx.Apply(FieldEq(0, 0x4241));
+    ctx.Append(FieldEq(0, 0x4241));
     ASSERT_NE(ctx.Find(0), nullptr);
     ASSERT_NE(ctx.Find(1), nullptr);
     EXPECT_EQ(ctx.Find(0)->domain.Count(), 1);
@@ -458,10 +485,10 @@ TEST(SolveContextTest, FoldsConcatEqualityPins) {
     // ...so a path byte the pin contradicts empties the seed domain,
     // and the query is a kUnsat miss with zero steps.
     const ExprRef small = MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(0x10));
-    ctx.Apply(small);
+    ctx.Append(small);
     EXPECT_TRUE(ctx.Find(0)->domain.None());
     SolverCache cache;
-    const SolveResult r = cache.Solve({FieldEq(0, 0x4241), small}, {}, {}, ctx);
+    const SolveResult r = cache.Solve(ctx, nullptr, {}, {});
     EXPECT_EQ(r.status, SolveStatus::kUnsat);
     EXPECT_EQ(r.steps, 0u);
     EXPECT_EQ(cache.stats().misses, 1u);
@@ -477,15 +504,14 @@ TEST(SolveContextTest, FoldsConcatEqualityPins) {
     std::vector<ExprRef> cs = RandomSystem(rng, (round % 5) == 4);
     cs.push_back(FieldEq(rng() % 8, rng() % 0x10000));
     if (round % 3 == 0) cs.push_back(FieldEq(rng() % 8, rng() % 0x10000));
-    const std::vector<ExprRef> pre = WithPins(cs);
 
-    SolveContext ctx;
-    for (const ExprRef& c : cs) ctx.Apply(c);
+    SolveContext ctx = PathContext(cs);
+    if (ctx.Impossible(nullptr)) continue;  // answered before any core
 
-    const SolveResult seeded = core.Solve(pre, {}, &ctx);
-    const SolveResult plain = core.Solve(pre, {}, nullptr);
+    const SolveResult seeded = core.Solve(ctx, nullptr, {}, true);
+    const SolveResult plain = core.Solve(ctx, nullptr, {}, false);
     const SolveResult reference =
-        oracle::BacktrackSolver().Solve(pre, {}, nullptr);
+        oracle::BacktrackSolver().Solve(ctx, nullptr, {}, false);
     ASSERT_EQ(seeded.status, plain.status) << "round " << round;
     EXPECT_EQ(seeded.model, plain.model) << "round " << round;
     EXPECT_EQ(seeded.steps, plain.steps) << "round " << round;
@@ -494,7 +520,7 @@ TEST(SolveContextTest, FoldsConcatEqualityPins) {
 
     // And the front door over the state's context answers as a cold one.
     SolverCache cache;
-    const SolveResult front = cache.Solve(cs, {}, {}, ctx);
+    const SolveResult front = cache.Solve(ctx, nullptr, {}, {});
     const SolveResult cold = SolveOnce(cs);
     ASSERT_EQ(front.status, cold.status) << "round " << round;
     EXPECT_EQ(front.steps, cold.steps) << "round " << round;
@@ -514,11 +540,10 @@ TEST(SolveContextTest, LongUnaryChainOnOneByteAnswersLikeSolveOnce) {
   InternScope intern;
   SolverOptions options = Hinted({{0, 0x50}, {1, 0x4B}, {4, 200}});
   SolverCache cache;
-  SolveContext ctx;
   std::vector<ExprRef> path = {
       FieldEq(0, 0x4B50),
       MakeBinOp(vm::Op::kCmpGeU, In(4), MakeConst(128))};
-  for (const ExprRef& c : path) ctx.Apply(c);
+  SolveContext ctx = PathContext(path);
   int unsat = 0;
   for (std::uint64_t i = 0; i < 140; ++i) {
     const ExprRef more = MakeBinOp(vm::Op::kCmpLtU, MakeConst(i), In(4));
@@ -526,7 +551,7 @@ TEST(SolveContextTest, LongUnaryChainOnOneByteAnswersLikeSolveOnce) {
     for (const ExprRef& branch : {done, more}) {
       std::vector<ExprRef> q = path;
       q.push_back(branch);
-      const SolveResult got = cache.Solve(q, {}, options, ctx);
+      const SolveResult got = cache.Solve(ctx, branch, {}, options);
       const SolveResult want = SolveOnce(q, options);
       ASSERT_EQ(got.status, want.status) << "i " << i;
       if (got.status == SolveStatus::kSat) {
@@ -538,9 +563,147 @@ TEST(SolveContextTest, LongUnaryChainOnOneByteAnswersLikeSolveOnce) {
       EXPECT_EQ(got.status, FreshSolve(q, options).status) << "i " << i;
     }
     path.push_back(more);
-    ctx.Apply(more);
+    ctx.Append(more);
   }
   EXPECT_EQ(unsat, 128) << "the exit branch is infeasible while i < 128";
+}
+
+// -- The path layer and its certificates -----------------------------------
+
+TEST(PathLayerTest, NewPinOnAnEarlierVariableReChecksTheWholePath) {
+  // A model certified at path length 1 gave in[3] the value 0. A pin
+  // then forces in[3] = 5, which the first constraint forbids: the
+  // candidate's value for a variable the certified prefix reads has
+  // moved, so reuse must evaluate the whole path again and miss. Were
+  // only the constraints past the certificate checked, the pinned
+  // candidate would pass the pin's own equality and return a wrong kSat.
+  InternScope intern;
+  const ExprRef not5 = MakeBinOp(vm::Op::kCmpNe, In(3), MakeConst(5));
+  SolverCache cache;
+  SolveContext ctx = PathContext({not5});
+  const SolveResult first = cache.Solve(ctx, nullptr, {}, {});
+  ASSERT_EQ(first.status, SolveStatus::kSat);
+  ASSERT_EQ(first.model.count(3), 0u) << "in[3] reads 0";
+
+  ctx.Append(InputEq(3, 5));
+  const SolverCache::Stats before = cache.stats();
+  const SolveResult pinned = cache.Solve(ctx, nullptr, {{3, 5}}, {});
+  EXPECT_EQ(pinned.status, SolveStatus::kUnsat);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_EQ(pinned.status, FreshSolve({not5, InputEq(3, 5)}).status);
+
+  // A pin on a variable the certified prefix does not read leaves the
+  // certificate standing: only the new constraint is evaluated, and the
+  // pooled model answers.
+  SolverCache other;
+  SolveContext fork = PathContext({not5});
+  ASSERT_EQ(other.Solve(fork, nullptr, {}, {}).status, SolveStatus::kSat);
+  fork.Append(InputEq(9, 5));
+  const SolveResult hit = other.Solve(fork, nullptr, {{9, 5}}, {});
+  ASSERT_EQ(hit.status, SolveStatus::kSat);
+  EXPECT_EQ(other.stats().hits, 2u);
+  EXPECT_EQ(hit.model, (Model{{9, 5}}));
+}
+
+/// One executor state in the fork test below: its context, the path it
+/// holds and the pins its equalities forced.
+struct ForkState {
+  SolveContext ctx;
+  std::vector<ExprRef> path;
+  Model pins;
+};
+
+TEST(PathLayerTest, ForkedBranchQueriesEqualFromScratchSolves) {
+  // Random branch sequences over states that fork: siblings extend one
+  // shared layer prefix (the first fork's constraints sit in a private
+  // tail, a long-lived fork copies the prefix into storage of its own,
+  // the last reader of a layer adopts it). Every query must answer as
+  // the from-scratch query does: the search core over the layer equals
+  // the oracle's search from scratch in status, model and steps; the
+  // front door equals SolveOnce in status, a fresh search there equals
+  // the oracle's in model and steps, and a reuse hit certifies the
+  // query.
+  std::mt19937 rng(8080);
+  int queries = 0, hits = 0, unsat = 0;
+  for (int round = 0; round < 25; ++round) {
+    InternScope intern;
+    SolverOptions options;
+    for (std::uint32_t v = 0; v < 6; ++v) {
+      if (rng() % 2 == 0) options.hints[v] = static_cast<std::uint8_t>(rng());
+    }
+    SolverCache cache;
+    std::vector<ForkState> states(1);
+    states.reserve(8);
+    const auto random_constraint = [&]() -> ExprRef {
+      const std::uint32_t a = rng() % 6, b = rng() % 6;
+      switch (rng() % 5) {
+        case 0:
+          return MakeBinOp(vm::Op::kCmpLtU, In(a), MakeConst(1 + rng() % 60));
+        case 4:
+          return MakeBinOp(vm::Op::kCmpGtU, In(a), MakeConst(150 + rng() % 100));
+        case 1:
+          return MakeBinOp(vm::Op::kCmpNe, In(a), MakeConst(rng() % 256));
+        case 2:
+          return MakeBinOp(vm::Op::kCmpLeU, In(a),
+                           MakeBinOp(vm::Op::kAdd, In(b),
+                                     MakeConst(rng() % 40)));
+        default:
+          return MakeBinOp(vm::Op::kCmpNe,
+                           MakeBinOp(vm::Op::kXor, In(a), In(b)),
+                           MakeConst(rng() % 256));
+      }
+    };
+    for (int step = 0; step < 60; ++step) {
+      ForkState& s = states[rng() % states.size()];
+      const ExprRef branch = random_constraint();
+      std::vector<ExprRef> query = s.path;
+      query.push_back(branch);
+      const SolveResult want = FreshSolve(query, options);
+      ASSERT_EQ(SolveOnce(query, options).status, want.status);
+
+      if (!s.ctx.OnPath(branch.get())) {
+        const SolveResult core =
+            PropagateBackendInstance().Solve(s.ctx, branch, options, true);
+        ASSERT_EQ(core.status, want.status) << round << "/" << step;
+        EXPECT_EQ(core.model, want.model) << round << "/" << step;
+        EXPECT_EQ(core.steps, want.steps) << round << "/" << step;
+      }
+      const std::uint64_t hits_before = cache.stats().hits;
+      const SolveResult got = cache.Solve(s.ctx, branch, s.pins, options);
+      ++queries;
+      ASSERT_EQ(got.status, want.status) << round << "/" << step;
+      if (got.status == SolveStatus::kUnsat) {
+        ++unsat;
+        continue;
+      }
+      if (cache.stats().hits > hits_before) {
+        ++hits;
+        EXPECT_TRUE(Satisfies(query, got.model)) << round << "/" << step;
+      } else {
+        EXPECT_EQ(got.model, want.model) << round << "/" << step;
+        EXPECT_EQ(got.steps, want.steps) << round << "/" << step;
+      }
+      // Fork now and then (the sibling keeps the path without the
+      // branch), commit the branch most times, pin a byte sometimes.
+      if (rng() % 3 == 0 && states.size() < 8) states.push_back(s);
+      if (rng() % 3 == 0) continue;
+      s.path.push_back(branch);
+      s.ctx.Append(branch);
+      if (rng() % 4 == 0) {
+        const std::uint32_t v = rng() % 6;
+        const auto it = got.model.find(v);
+        const std::uint8_t k = it == got.model.end() ? 0 : it->second;
+        if (s.pins.count(v) == 0) {
+          s.pins[v] = k;
+          s.path.push_back(InputEq(v, k));
+          s.ctx.Append(s.path.back());
+        }
+      }
+    }
+  }
+  EXPECT_EQ(queries, 1500);
+  EXPECT_GE(hits, 500);
+  EXPECT_GE(unsat, 100);
 }
 
 // -- Hit and miss counters --------------------------------------------------
@@ -548,60 +711,55 @@ TEST(SolveContextTest, LongUnaryChainOnOneByteAnswersLikeSolveOnce) {
 TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   InternScope intern;
   SolverCache cache;
-  // One state whose context applies nothing: only model reuse and the
-  // search can answer.
-  SolveContext ctx;
   const ExprRef a = InputEq(0, 5);
   const ExprRef b = InputEq(1, 7);
+  SolveContext ctx = PathContext({a});
 
   // Fresh solve: miss.
-  const SolveResult first = cache.Solve({a}, {}, {}, ctx);
+  const SolveResult first = cache.Solve(ctx, nullptr, {}, {});
   ASSERT_EQ(first.status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  // Same sequence again: its model is in the state's pool, so model
+  // Same query again: its model is in the state's pool, so model
   // reuse answers with it.
-  const SolveResult again = cache.Solve({a}, {}, {}, ctx);
+  const SolveResult again = cache.Solve(ctx, nullptr, {}, {});
   ASSERT_EQ(again.status, SolveStatus::kSat);
   EXPECT_EQ(again.model, first.model);
   EXPECT_EQ(cache.stats().hits, 1u);
 
-  // A new joint query is a fresh search (no pooled model sets in[1]),
-  // but it pools the joint model {0:5, 1:7} on the state...
-  ASSERT_EQ(cache.Solve({a, b}, {}, {}, ctx).status, SolveStatus::kSat);
+  // A branch onto a new byte is a fresh search (no pooled model sets
+  // in[1]), but it pools the joint model {0:5, 1:7} on the state...
+  ASSERT_EQ(cache.Solve(ctx, b, {}, {}).status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().misses, 2u);
 
-  // ...which certifies this relaxation without a search: model reuse.
-  const std::vector<ExprRef> relaxed = {
-      MakeBinOp(vm::Op::kCmpLeU, In(0), MakeConst(5)),
-      MakeBinOp(vm::Op::kCmpLeU, In(1), MakeConst(7)),
-  };
-  const SolveResult reused = cache.Solve(relaxed, {}, {}, ctx);
+  // ...which certifies these looser constraints without a search, on
+  // the state or on a fork of it: model reuse.
+  SolveContext fork = ctx;
+  fork.Append(MakeBinOp(vm::Op::kCmpLeU, In(0), MakeConst(5)));
+  const ExprRef loose = MakeBinOp(vm::Op::kCmpLeU, In(1), MakeConst(7));
+  const SolveResult reused = cache.Solve(fork, loose, {}, {});
   ASSERT_EQ(reused.status, SolveStatus::kSat);
   EXPECT_EQ(reused.steps, 0u) << "cache hits must report zero steps";
-  EXPECT_TRUE(Satisfies(relaxed, reused.model));
+  EXPECT_EQ(reused.model.at(1), 7);
   EXPECT_EQ(cache.stats().hits, 2u)
-      << "the relaxed query must be served by certified model reuse";
+      << "the looser query must be served by certified model reuse";
   EXPECT_EQ(cache.stats().hits + cache.stats().misses, 4u)
       << "hits + misses == counted queries";
 
-  // A context that applied nothing proves no query UNSAT in advance: a
-  // UNSAT system and a superset of it are both fresh searches.
-  ASSERT_EQ(cache.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, {}, ctx).status,
-            SolveStatus::kUnsat);
-  ASSERT_EQ(cache.Solve({a, InputEq(2, 1), InputEq(2, 2)}, {}, {}, ctx)
-                .status,
-            SolveStatus::kUnsat);
+  // A non-unary branch cannot be refuted from the domains: a UNSAT query
+  // and an extension of it are both fresh searches.
+  SolveContext both = PathContext({InputEq(2, 1), InputEq(2, 2)});
+  ASSERT_EQ(cache.Solve(both, nullptr, {}, {}).status, SolveStatus::kUnsat);
+  const ExprRef sum = MakeBinOp(
+      vm::Op::kCmpNe, MakeBinOp(vm::Op::kAdd, In(2), In(0)), MakeConst(0));
+  ASSERT_EQ(cache.Solve(both, sum, {}, {}).status, SolveStatus::kUnsat);
   EXPECT_EQ(cache.stats().misses, 4u);
 
-  // A context whose domain for in[2] wiped out: the branch wipeout
+  // A unary branch that empties its byte's domain: the branch wipeout
   // answers, as the zero-step miss the search would be.
-  SolveContext wiped;
-  wiped.Apply(InputEq(2, 1));
-  wiped.Apply(InputEq(2, 2));
-  const SolveResult refuted =
-      cache.Solve({b, InputEq(2, 1), InputEq(2, 2)}, {}, {}, wiped);
+  SolveContext narrowed = PathContext({b, InputEq(2, 1)});
+  const SolveResult refuted = cache.Solve(narrowed, InputEq(2, 2), {}, {});
   ASSERT_EQ(refuted.status, SolveStatus::kUnsat);
   EXPECT_EQ(refuted.steps, 0u);
   EXPECT_EQ(cache.stats().misses, 5u);
@@ -619,26 +777,23 @@ TEST(CacheCountersTest, OracleBackendBypassesEveryTier) {
   off.backend = &oracle::BacktrackSolver();
 
   SolverCache bypass;
-  SolveContext ctx;
-  ASSERT_EQ(bypass.Solve(q, {}, off, ctx).status, SolveStatus::kSat);
-  ASSERT_EQ(bypass.Solve(q, {}, off, ctx).status, SolveStatus::kSat);
+  SolveContext ctx = PathContext(q);
+  ASSERT_EQ(bypass.Solve(ctx, nullptr, {}, off).status, SolveStatus::kSat);
+  ASSERT_EQ(bypass.Solve(ctx, nullptr, {}, off).status, SolveStatus::kSat);
   EXPECT_EQ(bypass.stats().hits, 0u);
   EXPECT_EQ(bypass.stats().misses, 2u);
   EXPECT_TRUE(ctx.recent_models().empty()) << "the bypass pools nothing";
 
-  SolveContext wiped;
-  wiped.Apply(InputEq(2, 1));
-  wiped.Apply(InputEq(2, 2));
-  ASSERT_EQ(bypass.Solve({InputEq(2, 1), InputEq(2, 2)}, {}, off, wiped)
-                .status,
+  SolveContext wiped = PathContext({InputEq(2, 1)});
+  ASSERT_EQ(bypass.Solve(wiped, InputEq(2, 2), {}, off).status,
             SolveStatus::kUnsat);
   EXPECT_EQ(bypass.stats().hits, 0u);
   EXPECT_EQ(bypass.stats().misses, 3u);
 
   SolverCache cache;
-  SolveContext fresh_ctx;
-  ASSERT_EQ(cache.Solve(q, {}, {}, fresh_ctx).status, SolveStatus::kSat);
-  ASSERT_EQ(cache.Solve(q, {}, {}, fresh_ctx).status, SolveStatus::kSat);
+  SolveContext fresh_ctx = PathContext(q);
+  ASSERT_EQ(cache.Solve(fresh_ctx, nullptr, {}, {}).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve(fresh_ctx, nullptr, {}, {}).status, SolveStatus::kSat);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -655,26 +810,20 @@ TEST(CacheCountersTest, CommittedBranchQueryIsAModelReuseHit) {
                 MakeConst(300));
   const ExprRef high = MakeBinOp(vm::Op::kCmpGtU, In(0), MakeConst(200));
   const ExprRef low = MakeBinOp(vm::Op::kCmpEq, high, MakeConst(0));
-  std::vector<ExprRef> path = {coupled};
   SolverCache cache;
-  SolveContext ctx;
-  for (const ExprRef& c : path) ctx.Apply(c);
-  ASSERT_EQ(cache.Solve(path, {}, {}, ctx).status, SolveStatus::kSat);
+  SolveContext ctx = PathContext({coupled});
+  ASSERT_EQ(cache.Solve(ctx, nullptr, {}, {}).status, SolveStatus::kSat);
   const SolveContext before_branch = ctx;
 
-  std::vector<ExprRef> taken = path;
-  taken.push_back(high);
-  const SolveResult branch = cache.Solve(taken, {}, {}, ctx);
+  const SolveResult branch = cache.Solve(ctx, high, {}, {});
   ASSERT_EQ(branch.status, SolveStatus::kSat);
   ASSERT_GT(branch.steps, 0u) << "the branch query must be a real search";
-  std::vector<ExprRef> other = path;
-  other.push_back(low);
-  ASSERT_EQ(cache.Solve(other, {}, {}, ctx).status, SolveStatus::kSat);
+  ASSERT_EQ(cache.Solve(ctx, low, {}, {}).status, SolveStatus::kSat);
 
   // Commit the taken direction and ask the state's next query.
-  ctx.Apply(high);
+  ctx.Append(high);
   const SolverCache::Stats before = cache.stats();
-  const SolveResult next = cache.Solve(taken, {}, {}, ctx);
+  const SolveResult next = cache.Solve(ctx, nullptr, {}, {});
   EXPECT_EQ(next.status, SolveStatus::kSat);
   EXPECT_EQ(next.model, branch.model);
   EXPECT_EQ(next.steps, 0u);
@@ -684,8 +833,8 @@ TEST(CacheCountersTest, CommittedBranchQueryIsAModelReuseHit) {
   // The same query from a state that never pooled the branch's model
   // is a fresh search, which finds the same model.
   SolveContext sibling = before_branch;
-  sibling.Apply(high);
-  const SolveResult searched = cache.Solve(taken, {}, {}, sibling);
+  sibling.Append(high);
+  const SolveResult searched = cache.Solve(sibling, nullptr, {}, {});
   EXPECT_EQ(searched.model, branch.model);
   EXPECT_EQ(searched.steps, branch.steps);
   EXPECT_EQ(cache.stats().misses, before.misses + 1);
