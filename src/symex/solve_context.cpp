@@ -1,5 +1,7 @@
 #include "symex/solve_context.h"
 
+#include <functional>
+
 namespace octopocs::symex {
 
 namespace {
@@ -7,14 +9,6 @@ namespace {
 void Insert(std::vector<const Expr*>* sorted, const Expr* node) {
   sorted->insert(std::lower_bound(sorted->begin(), sorted->end(), node),
                  node);
-}
-
-bool HasFalsePin(const ExprRef& constraint) {
-  bool impossible = false;
-  ForEachConcatPin(constraint, [&](const ExprRef& pin) {
-    impossible = impossible || pin->IsConst();  // only ever constant false
-  });
-  return impossible;
 }
 
 /// Scratch for RunProgram, grown to `steps` words.
@@ -29,8 +23,6 @@ std::uint64_t* Scratch(std::size_t steps) {
 SolveContext::SolveContext(const SolveContext& other)
     : store_(other.store_),
       prefix_(other.prefix_),
-      owner_(false),
-      tail_(other.tail_),
       appended_(other.appended_),
       charged_capacity_(other.appended_),
       domains_(other.domains_),
@@ -46,7 +38,7 @@ void SolveContext::Store::Add(const ExprRef& constraint) {
   const auto index = static_cast<std::uint32_t>(entries.size());
   entries.push_back(constraint);
   programs.push_back(&ProgramFor(constraint));
-  position.emplace(constraint.get(), index);
+  by_node.insert(LowerBound(constraint.get()), index);
   for (const std::uint32_t off : FreeVars(constraint)) {
     if (off >= id_of.size()) id_of.resize(off + 1, kNone);
     if (id_of[off] == kNone) {
@@ -62,11 +54,48 @@ void SolveContext::Store::Add(const ExprRef& constraint) {
       impossible = std::min(impossible, index);
       return;
     }
-    pins.push_back(pin);
+    // The pins are cached on the constraint node, which entries keeps.
     pin_programs.push_back(&ProgramFor(pin));
     pin_vars.push_back(id_of[*FreeVars(pin).begin()]);
   });
-  pin_begin.push_back(static_cast<std::uint32_t>(pins.size()));
+  pin_begin.push_back(static_cast<std::uint32_t>(pin_programs.size()));
+}
+
+std::vector<std::uint32_t>::const_iterator SolveContext::Store::LowerBound(
+    const Expr* node) const {
+  return std::lower_bound(by_node.begin(), by_node.end(), node,
+                          [&](std::uint32_t i, const Expr* n) {
+                            return std::less<>()(entries[i].get(), n);
+                          });
+}
+
+std::uint32_t SolveContext::Store::Find(const Expr* node) const {
+  const auto it = LowerBound(node);
+  return it != by_node.end() && entries[*it].get() == node ? *it : kNone;
+}
+
+std::uint32_t SolveContext::Store::VarsBefore(std::uint32_t length) const {
+  return static_cast<std::uint32_t>(
+      std::lower_bound(var_first.begin(), var_first.end(), length) -
+      var_first.begin());
+}
+
+void SolveContext::Store::Truncate(std::uint32_t length) {
+  const std::uint32_t nvars = VarsBefore(length);
+  for (std::size_t id = nvars; id < var_offset.size(); ++id) {
+    id_of[var_offset[id]] = kNone;
+  }
+  var_offset.resize(nvars);
+  var_first.resize(nvars);
+  vars.resize(var_begin[length]);
+  var_begin.resize(length + 1);
+  pin_programs.resize(pin_begin[length]);
+  pin_vars.resize(pin_begin[length]);
+  pin_begin.resize(length + 1);
+  entries.resize(length);
+  programs.resize(length);
+  std::erase_if(by_node, [&](std::uint32_t i) { return i >= length; });
+  if (impossible >= length) impossible = kNone;
 }
 
 void SolveContext::Append(const ExprRef& constraint) {
@@ -76,47 +105,28 @@ void SolveContext::Append(const ExprRef& constraint) {
   Fold(constraint);
   if (store_ == nullptr) {
     store_ = std::make_shared<Store>();
-    owner_ = true;
-  } else if (!owner_ && store_.use_count() == 1 &&
-             store_->entries.size() == prefix_) {
-    owner_ = true;  // every other reader is gone: adopt the storage
+  } else if (store_->entries.size() != prefix_) {
+    // A fork sharing the storage appended past this path's end: keep
+    // this path's prefix in storage of its own.
+    store_ = std::make_shared<Store>(*store_);
+    store_->Truncate(prefix_);
   }
-  if (owner_) {
-    for (const ExprRef& c : tail_) store_->Add(c);
-    store_->Add(constraint);
-    prefix_ = static_cast<std::uint32_t>(store_->entries.size());
-    tail_.clear();
-    return;
-  }
-  tail_.push_back(constraint);
-  if (tail_.size() <= kMaxTail) return;
-  // This fork keeps growing: give it storage of its own.
-  auto own = std::make_shared<Store>();
-  for (std::size_t i = 0; i < prefix_; ++i) own->Add(store_->entries[i]);
-  for (const ExprRef& c : tail_) own->Add(c);
-  store_ = std::move(own);
-  prefix_ = static_cast<std::uint32_t>(store_->entries.size());
-  tail_.clear();
-  owner_ = true;
+  store_->Add(constraint);
+  ++prefix_;
 }
 
 bool SolveContext::OnPath(const Expr* node) const {
-  if (store_ != nullptr) {
-    const auto it = store_->position.find(node);
-    if (it != store_->position.end() && it->second < prefix_) return true;
-  }
-  for (const ExprRef& c : tail_) {
-    if (c.get() == node) return true;
-  }
-  return false;
+  return store_ != nullptr && store_->Find(node) < prefix_;
 }
 
 bool SolveContext::Impossible(const ExprRef& branch) const {
   if (store_ != nullptr && store_->impossible < prefix_) return true;
-  for (const ExprRef& c : tail_) {
-    if (HasFalsePin(c)) return true;
-  }
-  return branch != nullptr && HasFalsePin(branch);
+  if (branch == nullptr) return false;
+  bool impossible = false;
+  ForEachConcatPin(branch, [&](const ExprRef& pin) {
+    impossible = impossible || pin->IsConst();  // only ever constant false
+  });
+  return impossible;
 }
 
 bool SolveContext::Refutes(const ExprRef& constraint) const {
@@ -126,16 +136,6 @@ bool SolveContext::Refutes(const ExprRef& constraint) const {
   const VarEntry* entry = Find(var);
   const ByteDomain within = entry != nullptr ? entry->domain : ByteDomain{};
   return UnaryDomain(ProgramFor(constraint), var, within).None();
-}
-
-std::uint32_t SolveContext::PrefixVars() const {
-  if (store_ == nullptr) return 0;
-  const std::vector<std::uint32_t>& first = store_->var_first;
-  if (prefix_ == store_->entries.size()) {
-    return static_cast<std::uint32_t>(first.size());
-  }
-  return static_cast<std::uint32_t>(
-      std::lower_bound(first.begin(), first.end(), prefix_) - first.begin());
 }
 
 std::uint32_t SolveContext::IdOf(const Store* store,
@@ -164,12 +164,7 @@ void SolveContext::Vars(const ExprRef& branch, VarTable* table) const {
       table->top = std::max(table->top, off + 1);
     }
   }
-  for (const ExprRef& c : tail_) {
-    for (const std::uint32_t off : FreeVars(c)) {
-      IdOf(store_.get(), prefix_vars, off, table);
-    }
-  }
-  table->path_vars = static_cast<std::uint32_t>(table->offset.size());
+  table->path_vars = prefix_vars;
   if (branch != nullptr) {
     for (const std::uint32_t off : FreeVars(branch)) {
       IdOf(store_.get(), prefix_vars, off, table);
@@ -249,7 +244,7 @@ bool SolveContext::Reuse(const ExprRef& branch, const Model& pins,
     }
     bool satisfied = true;
     for (std::size_t j = from; satisfied && j < length; ++j) {
-      const ExprProgram& program = ProgramAt(j);
+      const ExprProgram& program = *store_->programs[j];
       satisfied = RunProgram(program, vals.data(),
                              Scratch(program.steps.size())) != 0;
     }
@@ -323,20 +318,15 @@ void SolveContext::Index(const ExprRef& branch, QueryIndex* out) const {
   out->programs.clear();
   out->cvar_begin.assign(1, 0);
   out->cvars.clear();
-  const auto add = [&](const ExprRef& c, const ExprProgram& program) {
-    out->programs.push_back(&program);
+  const auto add = [&](const ExprRef& c) {
+    out->programs.push_back(&ProgramFor(c));
     for (const std::uint32_t off : FreeVars(c)) {
       out->cvars.push_back(IdOf(store, prefix_vars, off, &table));
     }
     out->cvar_begin.push_back(static_cast<std::uint32_t>(out->cvars.size()));
   };
-  const auto add_pins = [&](const ExprRef& c) {
-    ForEachConcatPin(c, [&](const ExprRef& pin) {
-      if (!pin->IsConst()) add(pin, ProgramFor(pin));
-    });
-  };
-  // The layer's own lists are copied wholesale; only the tail and the
-  // branch are looked up here.
+  // The layer's own lists are copied wholesale; only the branch is
+  // looked up here.
   if (store != nullptr) {
     out->programs.assign(store->programs.begin(),
                          store->programs.begin() + prefix_);
@@ -345,9 +335,8 @@ void SolveContext::Index(const ExprRef& branch, QueryIndex* out) const {
     out->cvars.assign(store->vars.begin(),
                       store->vars.begin() + store->var_begin[prefix_]);
   }
-  for (const ExprRef& c : tail_) add(c, ProgramFor(c));
   out->branch = static_cast<std::uint32_t>(out->programs.size());
-  if (branch != nullptr) add(branch, ProgramFor(branch));
+  if (branch != nullptr) add(branch);
   out->branch_end = static_cast<std::uint32_t>(out->programs.size());
   if (store != nullptr) {
     const std::uint32_t pins = store->pin_begin[prefix_];
@@ -357,9 +346,12 @@ void SolveContext::Index(const ExprRef& branch, QueryIndex* out) const {
       out->cvar_begin.push_back(static_cast<std::uint32_t>(out->cvars.size()));
     }
   }
-  for (const ExprRef& c : tail_) add_pins(c);
   out->branch_pins = static_cast<std::uint32_t>(out->programs.size());
-  if (branch != nullptr) add_pins(branch);
+  if (branch != nullptr) {
+    ForEachConcatPin(branch, [&](const ExprRef& pin) {
+      if (!pin->IsConst()) add(pin);
+    });
+  }
 
   // Renumber the variables in ascending offset order, the oracle's dense
   // order, which the search's branching tie-break follows.
@@ -396,7 +388,9 @@ void SolveContext::Index(const ExprRef& branch, QueryIndex* out) const {
 std::vector<ExprRef> SolveContext::System(const ExprRef& branch) const {
   std::vector<ExprRef> system;
   system.reserve(size() + 1);
-  for (std::size_t i = 0; i < size(); ++i) system.push_back(Entry(i));
+  if (store_ != nullptr) {
+    system.assign(store_->entries.begin(), store_->entries.begin() + prefix_);
+  }
   if (branch != nullptr) system.push_back(branch);
   const std::size_t distinct = system.size();
   for (std::size_t i = 0; i < distinct; ++i) {

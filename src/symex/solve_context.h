@@ -9,8 +9,8 @@
 //                    order, with their node programs, their variables
 //                    as stable ids (numbered in first-appearance order)
 //                    and their derived byte pins (ConcatPins), plus the
-//                    node → position index that makes a repeated node a
-//                    single lookup. A query is the layer plus at most
+//                    entries sorted by node, which makes a repeated node
+//                    one binary search. A query is the layer plus at most
 //                    one branch constraint, so the solver neither
 //                    copies nor deduplicates the path per query.
 //   domains          each unary path constraint folded once into a
@@ -23,12 +23,11 @@
 //                    known to satisfy and the values it gave the
 //                    variables that prefix reads (DESIGN.md §10.2).
 //
-// Forks share the layer. The layer's storage is owned by one state,
-// which appends in place; a fork keeps the owner's prefix by length and
-// holds its own first few constraints in a private tail. Only a fork
-// that keeps growing copies the prefix into storage of its own. This is
-// the shape of Hayroll's State::split: the shared part is immutable to
-// everyone but its writer, and each child adds on top of it.
+// Forks share the layer's storage and each keeps its own length. A
+// context whose path ends where the storage ends appends in place; any
+// other copies its prefix into storage of its own on its first append.
+// This is the shape of Hayroll's State::split: the shared prefix never
+// changes, and each child adds on top of it.
 //
 // Determinism contract: the domains are a pure function of the *set*
 // of constraints appended (domain intersection commutes), and seeding
@@ -48,7 +47,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "symex/cow.h"
@@ -98,9 +96,8 @@ class SolveContext {
   using DomainMap = std::map<std::uint32_t, VarEntry>;
 
   SolveContext() = default;
-  /// A copy is a fork: it shares the layer's storage but never writes
-  /// to it, and its path charge restarts at its length (see
-  /// charged_capacity).
+  /// A copy is a fork: it shares the layer's storage up to its length,
+  /// and its path charge restarts at that length (see charged_capacity).
   SolveContext(const SolveContext& other);
   SolveContext& operator=(const SolveContext& other);
   SolveContext(SolveContext&&) = default;
@@ -118,7 +115,7 @@ class SolveContext {
   /// Path constraints appended, repeats included.
   std::size_t appended() const { return appended_; }
   /// Distinct path constraints: the layer's length.
-  std::size_t size() const { return prefix_ + tail_.size(); }
+  std::size_t size() const { return prefix_; }
   /// Whether `node` is on the path.
   bool OnPath(const Expr* node) const;
 
@@ -216,33 +213,38 @@ class SolveContext {
 
  private:
   static constexpr std::size_t kMaxModels = 4;
-  /// A fork's private tail grows to this many constraints before the
-  /// fork copies the shared prefix into storage of its own.
-  static constexpr std::size_t kMaxTail = 8;
   /// Footprint charge per variable entry: one domain and one list.
   static constexpr std::size_t kEntryBytes =
       sizeof(ByteDomain) + sizeof(std::vector<const Expr*>);
   static constexpr std::uint32_t kNone = ~0u;
 
-  /// The layer's storage. Append-only, written only by its owner; a
-  /// reader sees the first `prefix_` entries (and the variables and
-  /// pins they introduced) and ignores the rest.
+  /// The layer's storage. Append-only; a reader sees its first
+  /// `prefix_` entries (and the variables and pins they introduced) and
+  /// ignores the rest.
   struct Store {
     std::vector<ExprRef> entries;
     std::vector<const ExprProgram*> programs;
     std::vector<std::uint32_t> var_begin{0};  // CSR: entry → var ids
     std::vector<std::uint32_t> vars;
     std::vector<std::uint32_t> pin_begin{0};  // CSR: entry → pins
-    std::vector<ExprRef> pins;
     std::vector<const ExprProgram*> pin_programs;
     std::vector<std::uint32_t> pin_vars;      // one var id per pin
     std::vector<std::uint32_t> var_offset;    // var id → offset
     std::vector<std::uint32_t> var_first;     // var id → first entry
     std::vector<std::uint32_t> id_of;         // offset → var id
-    std::unordered_map<const Expr*, std::uint32_t> position;
+    std::vector<std::uint32_t> by_node;       // entries sorted by node
     std::uint32_t impossible = kNone;  // first entry with a false pin
 
     void Add(const ExprRef& constraint);
+    /// Where `node` sits, or would sit, in by_node.
+    std::vector<std::uint32_t>::const_iterator LowerBound(
+        const Expr* node) const;
+    /// The entry holding `node`, or kNone.
+    std::uint32_t Find(const Expr* node) const;
+    /// Variables the first `length` entries mention: ids below this.
+    std::uint32_t VarsBefore(std::uint32_t length) const;
+    /// Drops every entry from `length` on.
+    void Truncate(std::uint32_t length);
   };
 
   /// Which variables the query mentions: the path's by stable id, then
@@ -264,14 +266,10 @@ class SolveContext {
   /// longer of its two certificates.
   void Remember(const Model& model, Certificate cert);
 
-  const ExprRef& Entry(std::size_t i) const {
-    return i < prefix_ ? store_->entries[i] : tail_[i - prefix_];
+  /// Stable ids of the variables the path mentions are below this.
+  std::uint32_t PrefixVars() const {
+    return store_ == nullptr ? 0 : store_->VarsBefore(prefix_);
   }
-  const ExprProgram& ProgramAt(std::size_t i) const {
-    return i < prefix_ ? *store_->programs[i] : ProgramFor(tail_[i - prefix_]);
-  }
-  /// Stable ids of the variables the first prefix_ entries mention.
-  std::uint32_t PrefixVars() const;
   /// Var id of `offset` in `table`, adding it when new.
   static std::uint32_t IdOf(const Store* store, std::uint32_t prefix_vars,
                             std::uint32_t offset, VarTable* table);
@@ -292,9 +290,7 @@ class SolveContext {
   void FoldPin(const ExprRef& pin);
 
   std::shared_ptr<Store> store_;
-  std::uint32_t prefix_ = 0;
-  bool owner_ = false;
-  std::vector<ExprRef> tail_;
+  std::uint32_t prefix_ = 0;  // the path's length: store_'s entries read
   std::uint32_t appended_ = 0;
   std::uint32_t charged_capacity_ = 0;
 

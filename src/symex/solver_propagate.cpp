@@ -104,8 +104,6 @@ struct PropagateSearch {
   std::vector<std::size_t> count_trail;
   /// FIFO of constraints to filter, reused across Propagate calls.
   std::vector<std::size_t> queue;
-  /// Per variable: its hinted value, or -1.
-  std::vector<int> hint_of;
 
   enum class Outcome { kSat, kUnsat, kBudget, kCancelled };
 
@@ -179,16 +177,6 @@ struct PropagateSearch {
     }
     key.resize(num_vars);
     for (std::size_t v = 0; v < num_vars; ++v) Rekey(v);
-    // Offsets ascend with the dense index, so one walk of the ordered
-    // hint map pairs every variable with its hint.
-    hint_of.assign(num_vars, -1);
-    auto hint = hints.begin();
-    for (std::size_t v = 0; v < num_vars && hint != hints.end(); ++v) {
-      while (hint != hints.end() && hint->first < Offset(v)) ++hint;
-      if (hint != hints.end() && hint->first == Offset(v)) {
-        hint_of[v] = hint->second;
-      }
-    }
     return true;
   }
 
@@ -327,7 +315,8 @@ struct PropagateSearch {
     // from a snapshot of the domain, which is what it was when this node
     // opened: deeper nodes never filter an assigned variable.
     const ByteDomain values = domain[best];
-    const int hint = hint_of[best];
+    const auto found = hints.find(Offset(best));
+    const int hint = found != hints.end() ? found->second : -1;
     const bool hinted = hint >= 0 && values.Test(static_cast<unsigned>(hint));
     if (hinted) {
       const Outcome outcome = TryValue(best, hint);

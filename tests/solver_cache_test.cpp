@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -615,14 +616,13 @@ struct ForkState {
 
 TEST(PathLayerTest, ForkedBranchQueriesEqualFromScratchSolves) {
   // Random branch sequences over states that fork: siblings extend one
-  // shared layer prefix (the first fork's constraints sit in a private
-  // tail, a long-lived fork copies the prefix into storage of its own,
-  // the last reader of a layer adopts it). Every query must answer as
-  // the from-scratch query does: the search core over the layer equals
-  // the oracle's search from scratch in status, model and steps; the
-  // front door equals SolveOnce in status, a fresh search there equals
-  // the oracle's in model and steps, and a reuse hit certifies the
-  // query.
+  // shared layer prefix (the first to append extends the storage in
+  // place, the other copies its prefix into storage of its own). Every
+  // query must answer as the from-scratch query does: the search core
+  // over the layer equals the oracle's search from scratch in status,
+  // model and steps; the front door equals SolveOnce in status, a fresh
+  // search there equals the oracle's in model and steps, and a reuse hit
+  // certifies the query.
   std::mt19937 rng(8080);
   int queries = 0, hits = 0, unsat = 0;
   for (int round = 0; round < 25; ++round) {
@@ -706,6 +706,53 @@ TEST(PathLayerTest, ForkedBranchQueriesEqualFromScratchSolves) {
   EXPECT_GE(unsat, 100);
 }
 
+TEST(PathLayerTest, AForkBehindItsStorageEndKeepsOnlyItsOwnPath) {
+  // A fork extends the shared storage in place while its path ends
+  // where the storage ends. A context left behind that end copies its
+  // prefix, whether or not the sibling still reads the storage: the
+  // sibling's constraint, and in[5] and in[6], which only that
+  // constraint mentioned, leave its path, so in[6] gets a new variable
+  // id when `own` mentions it.
+  InternScope intern;
+  const ExprRef a = MakeBinOp(vm::Op::kCmpLtU, In(0), MakeConst(40));
+  const ExprRef b = MakeBinOp(vm::Op::kCmpLeU, In(1), In(0));
+  const ExprRef sibling = MakeBinOp(
+      vm::Op::kCmpEq, MakeBinOp(vm::Op::kAdd, In(5), In(6)), MakeConst(200));
+  const ExprRef own = MakeBinOp(
+      vm::Op::kCmpNe, MakeBinOp(vm::Op::kXor, In(6), In(0)), MakeConst(3));
+  const ExprRef branch = MakeBinOp(vm::Op::kCmpGtU, In(6), In(1));
+  for (const bool sibling_lives : {true, false}) {
+    SolveContext ctx = PathContext({a, b});
+    std::optional<SolveContext> fork(ctx);
+    fork->Append(sibling);
+    if (!sibling_lives) fork.reset();
+    ctx.Append(own);
+    EXPECT_EQ(ctx.size(), 3u);
+    EXPECT_FALSE(ctx.OnPath(sibling.get()));
+    EXPECT_TRUE(ctx.OnPath(own.get()));
+    const std::vector<ExprRef> query = {a, b, own, branch};
+    EXPECT_EQ(ctx.System(branch), query);
+    QueryIndex index;
+    ctx.Index(branch, &index);
+    EXPECT_EQ(index.var_offset, (std::vector<std::uint32_t>{0, 1, 6}));
+    EXPECT_EQ(std::vector<std::uint32_t>(
+                  index.cvars.begin() + index.cvar_begin[2],
+                  index.cvars.begin() + index.cvar_begin[3]),
+              (std::vector<std::uint32_t>{0, 2}))
+        << "`own` reads in[0] and in[6]";
+    const SolveResult want = FreshSolve(query);
+    const SolveResult core =
+        PropagateBackendInstance().Solve(ctx, branch, {}, true);
+    ASSERT_EQ(core.status, want.status) << sibling_lives;
+    EXPECT_EQ(core.model, want.model) << sibling_lives;
+    EXPECT_EQ(core.steps, want.steps) << sibling_lives;
+    if (sibling_lives) {
+      EXPECT_EQ(fork->System(nullptr), (std::vector<ExprRef>{a, b, sibling}));
+      EXPECT_FALSE(fork->OnPath(own.get()));
+    }
+  }
+}
+
 // -- Hit and miss counters --------------------------------------------------
 
 TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
@@ -736,11 +783,13 @@ TEST(CacheCountersTest, EachMechanismBumpsItsOwnCounter) {
   // ...which certifies these looser constraints without a search, on
   // the state or on a fork of it: model reuse.
   SolveContext fork = ctx;
-  fork.Append(MakeBinOp(vm::Op::kCmpLeU, In(0), MakeConst(5)));
+  const ExprRef at_most = MakeBinOp(vm::Op::kCmpLeU, In(0), MakeConst(5));
+  fork.Append(at_most);
   const ExprRef loose = MakeBinOp(vm::Op::kCmpLeU, In(1), MakeConst(7));
   const SolveResult reused = cache.Solve(fork, loose, {}, {});
   ASSERT_EQ(reused.status, SolveStatus::kSat);
   EXPECT_EQ(reused.steps, 0u) << "cache hits must report zero steps";
+  EXPECT_TRUE(Satisfies({a, at_most, loose}, reused.model));
   EXPECT_EQ(reused.model.at(1), 7);
   EXPECT_EQ(cache.stats().hits, 2u)
       << "the looser query must be served by certified model reuse";
