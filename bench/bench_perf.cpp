@@ -48,6 +48,12 @@
 //               the defaults and under oracle::ShortcutsOff. Its report
 //               identity is gated as hostile_identical; the ratio is
 //               reported.
+//   fuel loop   the first fuel-loop (CWE-835 hang) generated pair, timed
+//               the same way. Its report identity is gated as
+//               fuel_loop_identical, and fuel_loop_stepped_instructions
+//               (symbolic instructions stepped rather than jumped by the
+//               cycle skip; deterministic) says how soon the stepper
+//               found the hang's period.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -130,6 +136,49 @@ bool ReportsIdentical(const std::vector<core::VerificationReport>& a,
     }
   }
   return true;
+}
+
+/// One generated pair (the first ordinal of generator seed 2 whose
+/// vulnerability class or mutation is `kind`: the corpus perfbench's
+/// `generated` workload draws for --seed 1) under that workload's rung
+/// options, timed best of five under the defaults and under
+/// oracle::ShortcutsOff.
+struct GeneratedLeg {
+  gen::GeneratedPair pair;
+  double seconds = 0;
+  double oracle_seconds = 0;
+  core::VerificationReport rep;
+  /// Reports byte-identical across the two configurations, and the
+  /// verdict the pair's label expects.
+  bool identical = false;
+};
+
+GeneratedLeg TimeGeneratedLeg(const std::string& kind) {
+  GeneratedLeg leg;
+  for (int ordinal = 0;; ++ordinal) {
+    leg.pair = gen::BuildGeneratedPair(2, ordinal);
+    if (leg.pair.mutation == kind || leg.pair.vuln_class == kind) break;
+  }
+  core::PipelineOptions opts;
+  opts.fuzz_fallback = true;
+  opts.fuzz_seed = 1;
+  opts.fuzz_execs = 20000;
+  core::PipelineOptions oracle_opts = opts;
+  oracle::ShortcutsOff(&oracle_opts);
+  core::VerificationReport oracle_rep;
+  for (int r = 0; r < 5; ++r) {
+    const auto t0 = Clock::now();
+    leg.rep = core::VerifyPair(leg.pair.pair, opts);
+    const double s = SecondsSince(t0);
+    if (r == 0 || s < leg.seconds) leg.seconds = s;
+    const auto t1 = Clock::now();
+    oracle_rep = core::VerifyPair(leg.pair.pair, oracle_opts);
+    const double o = SecondsSince(t1);
+    if (r == 0 || o < leg.oracle_seconds) leg.oracle_seconds = o;
+  }
+  leg.identical = ReportsIdentical({leg.rep}, {oracle_rep}) &&
+                  leg.rep.verdict == leg.pair.expected_verdict;
+  return leg;
 }
 
 ForkCost MeasureForkCost(int iterations) {
@@ -406,43 +455,33 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // -- Hostile leg: one symex-hostile generated pair ------------------------
-  // The first symex-hostile ordinal of generator seed 2 (the corpus that
-  // perfbench's `generated` workload draws for --seed 1), with that
-  // workload's rung options. Its symbolic run is branch queries along
-  // one growing path, the cost the solver's branch tiers target.
-  gen::GeneratedPair hostile;
-  for (int ordinal = 0;; ++ordinal) {
-    hostile = gen::BuildGeneratedPair(2, ordinal);
-    if (hostile.mutation == "symex-hostile") break;
-  }
-  core::PipelineOptions hostile_opts;
-  hostile_opts.fuzz_fallback = true;
-  hostile_opts.fuzz_seed = 1;
-  hostile_opts.fuzz_execs = 20000;
-  core::PipelineOptions hostile_oracle_opts = hostile_opts;
-  oracle::ShortcutsOff(&hostile_oracle_opts);
-  double hostile_seconds = 0, hostile_oracle_seconds = 0;
-  core::VerificationReport hostile_rep, hostile_oracle_rep;
-  for (int r = 0; r < 5; ++r) {
-    const auto t0 = Clock::now();
-    hostile_rep = core::VerifyPair(hostile.pair, hostile_opts);
-    const double s = SecondsSince(t0);
-    if (r == 0 || s < hostile_seconds) hostile_seconds = s;
-    const auto t1 = Clock::now();
-    hostile_oracle_rep = core::VerifyPair(hostile.pair, hostile_oracle_opts);
-    const double o = SecondsSince(t1);
-    if (r == 0 || o < hostile_oracle_seconds) hostile_oracle_seconds = o;
-  }
-  const bool hostile_identical =
-      ReportsIdentical({hostile_rep}, {hostile_oracle_rep}) &&
-      hostile_rep.verdict == hostile.expected_verdict;
+  // Its symbolic run is branch queries along one growing path, the cost
+  // the solver's branch tiers target.
+  const GeneratedLeg hostile = TimeGeneratedLeg("symex-hostile");
   const double hostile_speedup =
-      hostile_seconds > 0 ? hostile_oracle_seconds / hostile_seconds : 0;
+      hostile.seconds > 0 ? hostile.oracle_seconds / hostile.seconds : 0;
   std::printf("hostile:      %.4f s defaults | %.4f s shortcuts off "
-              "(%.1fx, %s, reports %s)\n\n",
-              hostile_seconds, hostile_oracle_seconds, hostile_speedup,
-              hostile.pair.t_name.c_str(),
-              hostile_identical ? "byte-identical" : "DIVERGED");
+              "(%.1fx, %s, reports %s)\n",
+              hostile.seconds, hostile.oracle_seconds, hostile_speedup,
+              hostile.pair.pair.t_name.c_str(),
+              hostile.identical ? "byte-identical" : "DIVERGED");
+
+  // -- Fuel-loop leg: one generated CWE-835 hang ----------------------------
+  // Its cost is finding the hang's period, in every concrete run of T
+  // and in the symbolic stepper. The stepper's stepped (not jumped)
+  // instruction count is deterministic, so CI gates a ceiling on it.
+  const GeneratedLeg fuel = TimeGeneratedLeg("fuel-loop");
+  const std::uint64_t fuel_stepped =
+      fuel.rep.symex_stats.instructions -
+      fuel.rep.symex_stats.instructions_skipped;
+  std::printf("fuel loop:    %.4f s defaults | %.4f s shortcuts off "
+              "(%s, %llu instructions stepped of %llu, reports %s)\n\n",
+              fuel.seconds, fuel.oracle_seconds,
+              fuel.pair.pair.t_name.c_str(),
+              static_cast<unsigned long long>(fuel_stepped),
+              static_cast<unsigned long long>(
+                  fuel.rep.symex_stats.instructions),
+              fuel.identical ? "byte-identical" : "DIVERGED");
 
   // -- Machine-readable trajectory ------------------------------------------
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -497,6 +536,10 @@ int main(int argc, char** argv) {
                  "  \"hostile_oracle_seconds\": %.4f,\n"
                  "  \"hostile_speedup\": %.2f,\n"
                  "  \"hostile_identical\": %s,\n"
+                 "  \"fuel_loop_seconds\": %.4f,\n"
+                 "  \"fuel_loop_oracle_seconds\": %.4f,\n"
+                 "  \"fuel_loop_identical\": %s,\n"
+                 "  \"fuel_loop_stepped_instructions\": %llu,\n"
                  "  \"smoke\": %s\n"
                  "}\n",
                  run_parallel ? "ran" : "skipped (1 cpu)", parallel_seconds,
@@ -512,9 +555,10 @@ int main(int argc, char** argv) {
                  pair14_seconds, pair14_oracle_seconds,
                  pair14_identical ? "true" : "false",
                  pair14_theta480_seconds, pair14_theta480_status.c_str(),
-                 hostile_seconds,
-                 hostile_oracle_seconds, hostile_speedup,
-                 hostile_identical ? "true" : "false",
+                 hostile.seconds, hostile.oracle_seconds, hostile_speedup,
+                 hostile.identical ? "true" : "false", fuel.seconds,
+                 fuel.oracle_seconds, fuel.identical ? "true" : "false",
+                 static_cast<unsigned long long>(fuel_stepped),
                  smoke ? "true" : "false");
     std::fclose(out);
     std::printf("wrote %s\n", out_path.c_str());
@@ -537,9 +581,14 @@ int main(int argc, char** argv) {
                 "oracle\n");
     return 1;
   }
-  if (!hostile_identical) {
+  if (!hostile.identical) {
     std::printf("FAIL: hostile-pair report diverged from the shortcut-off "
                 "oracle or missed its label\n");
+    return 1;
+  }
+  if (!fuel.identical) {
+    std::printf("FAIL: fuel-loop pair report diverged from the "
+                "shortcut-off oracle or missed its label\n");
     return 1;
   }
   if (!artifact_identical) {

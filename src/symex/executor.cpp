@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -95,6 +96,7 @@ struct SymExecutor::Run {
   std::uint64_t queued_footprint = 0;
   std::uint64_t instructions_total = 0;
   std::uint64_t instructions_skipped = 0;
+  std::uint64_t calls_total = 0;
   std::uint64_t solver_steps_total = 0;
   std::uint64_t states_created_total = 0;
   std::uint64_t live_states = 0;  // queued + in flight
@@ -533,16 +535,36 @@ struct SymExecutor::Run {
   // Exact-cycle fast-forward after combining (ExecutorOptions::cycle_skip).
   // ---------------------------------------------------------------------
 
+  /// The stepper's poll: every kPollStride instructions of the run.
+  static constexpr std::uint64_t kPollStride = 1024;
+
   /// One state's detector: the port of the interpreter's (vm/interp.cpp,
-  /// DESIGN §13.4). It arms a deep snapshot at a poll on Brent's
-  /// doubling schedule over the state's polls since combining finished
-  /// (armed at poll j, compared at every poll before 2j, then re-armed).
-  /// Expressions are hash-consed and the run's InternScope keeps every
-  /// node alive, so registers and memory compare by ExprRef pointer.
+  /// DESIGN §13.4). Once combining is done, the poll picks a probe
+  /// point on Brent's doubling schedule: the block the top frame is in,
+  /// at its depth. The next entry to that block arms a deep snapshot and
+  /// each later entry compares against it, until the window has run and
+  /// a poll picks a new point with twice the window. Expressions are
+  /// hash-consed and the run's InternScope keeps every node alive, so
+  /// registers and memory compare by ExprRef pointer.
   struct CycleSnapshot {
-    std::uint64_t polls = 0;      // probes since combining finished
-    std::uint64_t arm_limit = 0;  // (re-)arm at this probe
+    bool live = false;  // cleared once the state's one skip is spent
+    const vm::Block* block = nullptr;  // the probe point; null for none
+    std::size_t depth = 0;
+    std::uint64_t window = kPollStride;
+    std::uint64_t limit = 0;  // re-target at the first poll at or past
+    bool armed = false;
     std::uint64_t arm_instr = 0;  // s.instructions at the snapshot
+    // After a match: the period, and what a poll in it would read as
+    // the state's footprint. That is one value for a period without a
+    // call; with one, the footprint before each instruction of one more
+    // period, stepped so the skip can charge each skipped poll its own.
+    std::uint64_t period = 0;
+    std::vector<std::size_t> footprints;
+    // The snapshot cell that broke the last deep compare; checked first,
+    // so a loop whose progress lives in memory is rejected in O(1).
+    bool hint = false;
+    std::uint64_t hint_addr = 0;
+    ExprRef hint_value;
 
     std::vector<SymFrame> frames;
     std::vector<std::pair<std::uint64_t, ExprRef>> mem;
@@ -568,6 +590,8 @@ struct SymExecutor::Run {
     std::uint64_t solver_queries = 0;
     std::uint64_t solver_steps = 0;
     std::uint64_t states_created = 0;
+    // Calls made by the run: a period without one keeps its footprint.
+    std::uint64_t calls = 0;
   };
 
   std::uint64_t SolverQueries() const {
@@ -575,8 +599,10 @@ struct SymExecutor::Run {
   }
 
   void CycleArm(const SymState& s, CycleSnapshot& d) {
-    d.arm_limit = 2 * d.polls;
+    d.armed = true;
     d.arm_instr = s.instructions;
+    d.limit = s.instructions + d.window;
+    d.hint = false;
     d.frames = s.frames;
     d.mem.clear();
     d.mem.reserve(s.mem.size());
@@ -599,16 +625,13 @@ struct SymExecutor::Run {
     d.solver_queries = SolverQueries();
     d.solver_steps = solver_steps_total;
     d.states_created = states_created_total;
+    d.calls = calls_total;
   }
 
-  bool CycleStateEquals(const SymState& s, const CycleSnapshot& d) const {
-    // Cheap reject first: position, scalars and sizes; the deep compare
-    // only runs when the poll lands on the armed loop phase.
-    const SymFrame& top = s.frames.back();
-    const SymFrame& atop = d.frames.back();
-    if (s.frames.size() != d.frames.size() || top.fn != atop.fn ||
-        top.block != atop.block || top.ip != atop.ip ||
-        s.file_pos != d.file_pos || s.cursor.next != d.cursor ||
+  bool CycleStateEquals(const SymState& s, CycleSnapshot& d) const {
+    // Cheap reject first: scalars and sizes, then the cell that differed
+    // last time; the deep compare only runs when those all agree.
+    if (s.file_pos != d.file_pos || s.cursor.next != d.cursor ||
         s.required_size != d.required_size ||
         s.depth_inside != d.depth_inside || s.ep_count != d.ep_count ||
         s.fsize_observed != d.fsize_observed ||
@@ -622,6 +645,10 @@ struct SymExecutor::Run {
         s.mem.size() != d.mem.size()) {
       return false;
     }
+    if (d.hint) {
+      const ExprRef* v = s.mem.Find(d.hint_addr);
+      if (v == nullptr || *v != d.hint_value) return false;
+    }
     // Frames innermost-first: a progressing loop differs in its top regs.
     for (std::size_t i = s.frames.size(); i-- > 0;) {
       const SymFrame& a = s.frames[i];
@@ -634,47 +661,123 @@ struct SymExecutor::Run {
     if (s.heap.get() != d.heap || s.loop_counts.get() != d.loop_counts) {
       return false;
     }
-    bool same = true;
     std::size_t i = 0;
+    std::size_t differs = d.mem.size();
     s.mem.ForEach([&](std::uint64_t addr, const ExprRef& v) {
-      same = same && d.mem[i].first == addr && d.mem[i].second == v;
+      if (differs == d.mem.size() &&
+          (d.mem[i].first != addr || d.mem[i].second != v)) {
+        differs = i;
+      }
       ++i;
     });
+    if (differs != d.mem.size()) {
+      d.hint = true;
+      d.hint_addr = d.mem[differs].first;
+      d.hint_value = d.mem[differs].second;
+      return false;
+    }
     // A capacity that grew inside the period would make the polls
     // skipped over read a larger footprint than the stepped ones did.
-    return same && s.FootprintBytes() == d.footprint;
+    return s.FootprintBytes() == d.footprint;
   }
 
-  /// Runs at the 1024-instruction poll of a state whose bunches are all
-  /// placed. Returns false once the state's one skip is spent.
-  bool CycleProbe(SymState& s, CycleSnapshot& d) {
+  /// Runs at the poll of a state whose bunches are all placed: picks the
+  /// probe point once the current window has run.
+  void CyclePoll(const SymState& s, CycleSnapshot& d) {
     // Fault injection counts kStateFork/kAllocation polls; skipping
     // periods would move the armed injection point.
-    if (support::fault::armed()) return true;
-    ++d.polls;
-    if (d.polls >= d.arm_limit) {
-      CycleArm(s, d);
-      return true;
+    if (support::fault::armed()) {
+      d.block = nullptr;
+      return;
     }
-    if (!CycleStateEquals(s, d)) return true;
+    if (d.period != 0) return;  // stepping the recorded period
+    if (d.block != nullptr) {
+      if (s.instructions < d.limit) return;
+      d.window *= 2;
+    }
+    const SymFrame& top = s.frames.back();
+    d.block = &t.Fn(top.fn).blocks[top.block];
+    d.depth = s.frames.size();
+    d.limit = s.instructions + d.window;
+    d.armed = false;
+  }
+
+  /// Runs before each instruction while a probe point is set, with the
+  /// state between instructions.
+  void CycleVisit(SymState& s, CycleSnapshot& d) {
+    if (d.period != 0) {
+      if (d.footprints.size() < d.period) {
+        d.footprints.push_back(s.FootprintBytes());
+        return;
+      }
+      CycleSkip(s, d);
+      return;
+    }
+    const SymFrame& top = s.frames.back();
+    if (top.ip != 0 || s.frames.size() != d.depth ||
+        &t.Fn(top.fn).blocks[top.block] != d.block) {
+      return;
+    }
+    if (!d.armed) {
+      CycleArm(s, d);
+      return;
+    }
+    if (!CycleStateEquals(s, d) || support::fault::armed()) return;
     // Exact repeat: stepping is deterministic from a complete state, so
-    // the state retraces this period until a limit stops it. Both
-    // snapshot and probe sit on polls, so the period is a multiple of
-    // 1024 and the jump keeps every later poll on the instruction it
-    // had. The residual runs normally, so kDepthLimit or kBudget fires
-    // on the same instruction as in the stepped run.
-    const std::uint64_t period = s.instructions - d.arm_instr;
+    // the state retraces this period until a limit stops it.
+    d.period = s.instructions - d.arm_instr;
+    d.footprints.assign(1, d.footprint);
+    // Only a call changes the footprint and changes it back inside a
+    // period; without one, every skipped poll reads this footprint.
+    // With one, step one more period first and record what each
+    // instruction of it would show a poll.
+    if (calls_total == d.calls) CycleSkip(s, d);
+  }
+
+  /// Jumps the state a whole number of periods, d.period instructions
+  /// from the last entry that matched. The polls jumped over are charged
+  /// as OverBudget would have met them: each reads the footprint of its
+  /// phase in the period (d.footprints holds one entry, or one per
+  /// instruction). The jump stops short of a poll that would trip the
+  /// memory budget, so the residual steps to that poll and stops there;
+  /// it also stays inside the per-state and run instruction caps, so
+  /// kDepthLimit or the instruction budget fires on the same instruction
+  /// as in the stepped run.
+  void CycleSkip(SymState& s, CycleSnapshot& d) {
+    const std::uint64_t period = d.period;
     const std::uint64_t state_room =
         opts.max_state_instructions > s.instructions
             ? opts.max_state_instructions - s.instructions
             : 0;
-    // OverBudget has just passed, so instructions_total <= the cap.
-    const std::uint64_t run_room = opts.max_instructions - instructions_total;
-    const std::uint64_t skip = std::min(state_room, run_room) / period * period;
+    const std::uint64_t run_room =
+        opts.max_instructions > instructions_total
+            ? opts.max_instructions - instructions_total
+            : 0;
+    std::uint64_t periods = std::min(state_room, run_room) / period;
+    // A fork since the last poll may have put the live-state budget
+    // over; the next poll must then trip it.
+    if (live_states > opts.max_live_states) periods = 0;
+    // The poll at instruction m reads the state m - 1 - g instructions
+    // past this one. Phases repeat after q / gcd(q, kPollStride) polls.
+    const std::uint64_t g = instructions_total;
+    const std::uint64_t q = d.footprints.size();
+    const std::uint64_t phases = q / std::gcd(q, kPollStride);
+    std::uint64_t m = (g / kPollStride + 1) * kPollStride;
+    for (std::uint64_t n = 0; n < phases && m <= g + periods * period;
+         ++n, m += kPollStride) {
+      const std::uint64_t mem =
+          queued_footprint + d.footprints[(m - 1 - g) % q];
+      if (mem > opts.max_memory_bytes) {
+        periods = (m - 1 - g) / period;
+        break;
+      }
+      peak_memory_bytes = std::max(peak_memory_bytes, mem);
+    }
+    const std::uint64_t skip = periods * period;
     s.instructions += skip;
     instructions_total += skip;
     instructions_skipped += skip;
-    return false;
+    d = CycleSnapshot{};  // one skip per state; the residual is short
   }
 
   // ---------------------------------------------------------------------
@@ -686,14 +789,15 @@ struct SymExecutor::Run {
   /// (result filled in: goal reached, or budget/deadline tripped).
   bool RunState(SymState s, SymexResult* result) {
     CycleSnapshot cycle;
-    bool cycle_live = opts.cycle_skip && goal == Goal::kGeneratePoc;
+    cycle.live = opts.cycle_skip && goal == Goal::kGeneratePoc;
     while (s.death == StateDeath::kAlive) {
+      if (cycle.block != nullptr) CycleVisit(s, cycle);
       if (s.instructions > opts.max_state_instructions) {
         Die(s, StateDeath::kDepthLimit);
         break;
       }
       ++s.instructions;
-      if ((++instructions_total & 0x3FF) == 0) {
+      if (++instructions_total % kPollStride == 0) {
         std::string why;
         if (OverBudget(s, &why)) {
           result->status = SymexStatus::kBudget;
@@ -705,9 +809,7 @@ struct SymExecutor::Run {
           result->detail = "wall-clock deadline expired mid-exploration";
           return true;
         }
-        if (cycle_live && s.combining_done) {
-          cycle_live = CycleProbe(s, cycle);
-        }
+        if (cycle.live && s.combining_done) CyclePoll(s, cycle);
       }
 
       SymFrame& frame = s.frames.back();
@@ -1091,6 +1193,7 @@ struct SymExecutor::Run {
       next.regs[i] = std::move(args[i]);
     }
     s.frames.push_back(std::move(next));
+    ++calls_total;
     return true;
   }
 

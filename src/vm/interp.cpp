@@ -25,17 +25,20 @@ std::string_view TrapName(TrapKind kind) {
   return "?";
 }
 
-/// Armed deep snapshot for exact-cycle detection (ExecOptions::
-/// cycle_skip). Holds a complete copy of the machine state plus every
-/// observer's serialized state, taken at a checkpoint on Brent's
-/// doubling schedule: arm at instruction count c, compare at each
-/// subsequent checkpoint until 2c, then re-arm. A hung loop of true
-/// period P repeats at checkpoint granularity with period
-/// P / gcd(P, kInterpCheckStride) checkpoints, so detection lands once
-/// the armed count exceeds both the loop's warm-up and that period.
+/// Exact-cycle detection (ExecOptions::cycle_skip). The 1024-instruction
+/// poll picks a probe point on Brent's doubling schedule: the block the
+/// top frame is in, at its depth. The next entry to that block arms a
+/// deep snapshot of the machine plus every observer's serialized state,
+/// and each later entry compares against it, until the window has run
+/// and the next poll picks a new point with twice the window. A hung
+/// loop of period P is found P instructions after an arm that follows
+/// its warm-up in a window of at least P, whatever P is modulo the
+/// stride.
 struct Interpreter::CycleDetector {
+  std::size_t depth = 0;  // frames_.size() at the probe point
+  std::uint64_t window = kInterpCheckStride;
+  std::uint64_t limit = 0;      // re-target at the first poll at or past
   std::uint64_t arm_instr = 0;  // instruction count of the snapshot
-  std::uint64_t arm_limit = 0;  // re-arm once the count reaches this
   bool armed = false;
 
   std::vector<Frame> frames;
@@ -53,7 +56,9 @@ void Interpreter::CycleArm() {
   for (const ExecutionObserver* o : observers_) {
     std::vector<std::uint8_t> blob;
     if (!o->SnapshotState(&blob)) {
-      cycle_.reset();  // opaque observer: cycle skip is off for this run
+      // Opaque observer: cycle skip is off for this run.
+      cycle_.reset();
+      cycle_block_ = nullptr;
       return;
     }
     d.observers.push_back(std::move(blob));
@@ -64,31 +69,53 @@ void Interpreter::CycleArm() {
   d.live_heap_bytes = live_heap_bytes_;
   d.file_pos = file_pos_;
   d.arm_instr = result_.instructions;
-  d.arm_limit = result_.instructions * 2;
+  d.limit = result_.instructions + d.window;
   d.armed = true;
+  cycle_reg_ = kNoCycleReg;
+  cycle_byte_ = nullptr;
 }
 
-bool Interpreter::CycleStateEquals() const {
-  const CycleDetector& d = *cycle_;
+bool Interpreter::CycleStateEquals() {
+  CycleDetector& d = *cycle_;
   if (cursor_.next != d.cursor.next ||
-      live_heap_bytes_ != d.live_heap_bytes) {
+      live_heap_bytes_ != d.live_heap_bytes || file_pos_ != d.file_pos) {
     return false;
   }
-  // Frames innermost-first: a progressing loop differs in its top regs.
+  // Frames innermost-first: a progressing loop differs in its top regs,
+  // and the first top register that differs becomes Run's inline reject.
   for (std::size_t i = frames_.size(); i-- > 0;) {
     const Frame& a = frames_[i];
     const Frame& b = d.frames[i];
     if (a.fn != b.fn || a.block != b.block || a.ip != b.ip ||
-        a.ret_reg != b.ret_reg || a.regs != b.regs) {
+        a.ret_reg != b.ret_reg) {
+      return false;
+    }
+    if (a.regs != b.regs) {
+      if (i + 1 == frames_.size()) {
+        std::size_t r = 0;
+        while (a.regs[r] == b.regs[r]) ++r;
+        cycle_reg_ = r;
+        cycle_reg_value_ = b.regs[r];
+      }
       return false;
     }
   }
   if (heap_.size() != d.heap.size()) return false;
   for (auto it = heap_.begin(), jt = d.heap.begin(); it != heap_.end();
        ++it, ++jt) {
-    if (it->first != jt->first || it->second.alive != jt->second.alive ||
-        it->second.data != jt->second.data) {
+    if (it->first != jt->first || it->second.alive != jt->second.alive) {
       return false;
+    }
+    const std::vector<std::uint8_t>& a = it->second.data;
+    const std::vector<std::uint8_t>& b = jt->second.data;
+    if (a.size() != b.size()) return false;
+    for (std::size_t off = 0; off < a.size(); ++off) {
+      if (a[off] != b[off]) {
+        // Allocations never move or resize, so the pointer stays valid.
+        cycle_byte_ = &a[off];
+        cycle_byte_value_ = b[off];
+        return false;
+      }
     }
   }
   std::vector<std::uint8_t> blob;
@@ -100,36 +127,47 @@ bool Interpreter::CycleStateEquals() const {
   return true;
 }
 
-void Interpreter::CycleProbe() {
+void Interpreter::CyclePoll() {
+  CycleDetector& d = *cycle_;
   // Fault injection counts observer/tool polls; skipping periods would
   // move the armed injection point, so the detector stands down.
-  if (support::fault::armed()) return;
-  CycleDetector& d = *cycle_;
+  if (support::fault::armed()) {
+    cycle_block_ = nullptr;
+    return;
+  }
   const std::uint64_t now = result_.instructions;
-  if (now == 0) return;
-  if (!d.armed || now >= d.arm_limit) {
+  if (cycle_block_ != nullptr) {
+    if (now < d.limit) return;
+    d.window *= 2;
+  }
+  const Frame& top = frames_.back();
+  cycle_block_ = &program_.Fn(top.fn).blocks[top.block];
+  cycle_reg_ = kNoCycleReg;
+  cycle_byte_ = nullptr;
+  d.depth = frames_.size();
+  d.limit = now + d.window;
+  d.armed = false;
+}
+
+void Interpreter::CycleEntry() {
+  // A return lands mid-block in its caller, and recursion enters the
+  // block at other depths: neither is the probe point.
+  if (frames_.back().ip != 0 || frames_.size() != cycle_->depth) return;
+  if (!cycle_->armed) {
     CycleArm();
     return;
   }
-  // Cheap reject: position and cheap scalars first; the deep compare
-  // only runs when the checkpoint lands on the armed loop phase.
-  const Frame& top = frames_.back();
-  const Frame& atop = d.frames.back();
-  if (frames_.size() != d.frames.size() || top.fn != atop.fn ||
-      top.block != atop.block || top.ip != atop.ip ||
-      file_pos_ != d.file_pos) {
-    return;
-  }
-  if (!CycleStateEquals()) return;
+  if (!CycleStateEquals() || support::fault::armed()) return;
   // Exact repeat: execution is deterministic from a complete state, so
   // the machine must retrace this period until fuel runs out. Jump the
   // counter a whole number of periods; the residual executes normally
   // and lands on the same final state, backtrace, and trap the full run
   // would have produced.
-  const std::uint64_t period = now - d.arm_instr;
-  const std::uint64_t remaining = opts_.fuel - now;
+  const std::uint64_t period = result_.instructions - cycle_->arm_instr;
+  const std::uint64_t remaining = opts_.fuel - result_.instructions;
   result_.instructions += remaining / period * period;
   cycle_.reset();  // one skip per run; the residual is under one period
+  cycle_block_ = nullptr;
 }
 
 Interpreter::Interpreter(const Program& program, ByteView input,
@@ -247,15 +285,7 @@ bool Interpreter::CheckInterrupts() {
       SetTrap(TrapKind::kDeadline, 0, "wall-clock deadline expired");
       return false;
     }
-    // A skip advances the count by a multiple of the period, which is
-    // itself a multiple of the stride, preserving alignment.
-    if (cycle_ != nullptr) {
-      CycleProbe();
-      if (result_.instructions >= opts_.fuel) {
-        SetTrap(TrapKind::kFuelExhausted, 0, "instruction budget exhausted");
-        return false;
-      }
-    }
+    if (cycle_ != nullptr) CyclePoll();
   }
   return true;
 }
@@ -502,12 +532,13 @@ bool Interpreter::CheckInterrupts() {
 //
 // Execution runs in segments. A segment starts with CheckInterrupts and
 // ends at the next kInterpCheckStride multiple or at the fuel limit,
-// whichever is first, so the per-instruction path carries no fuel,
-// deadline or cycle-probe test, yet each of them fires at exactly the
-// instruction count an every-instruction check would. The frame and
-// block pointers are cached across instructions and refreshed only when
-// they can change: after a terminator and after a kCall/kICall (a push
-// can reallocate frames_).
+// whichever is first, so the per-instruction path carries no fuel or
+// deadline test, yet each fires at exactly the instruction count an
+// every-instruction check would. The frame and block pointers are cached
+// across instructions and refreshed only when they can change: after a
+// terminator and after a kCall/kICall (a push can reallocate frames_).
+// Each refresh compares the block against the cycle probe point; a skip
+// there can carry the count past the segment's end, which ends it.
 ExecResult Interpreter::Run() {
   for (auto* o : observers_) {
     // The entry frame behaves like a call with no arguments.
@@ -516,6 +547,8 @@ ExecResult Interpreter::Run() {
   Frame* frame = &frames_.back();
   const Block* block = &program_.Fn(frame->fn).blocks[frame->block];
   while (CheckInterrupts()) {
+    // Only the poll and CycleEntry move the probe point.
+    const Block* probe = cycle_block_;
     const std::uint64_t next_stride =
         (result_.instructions | (kInterpCheckStride - 1)) + 1;
     const std::uint64_t end =
@@ -532,6 +565,16 @@ ExecResult Interpreter::Run() {
       }
       frame = &frames_.back();
       block = &program_.Fn(frame->fn).blocks[frame->block];
+      // An entry that differs where the last compare found a difference
+      // cannot match: rejected without a call.
+      if (block == probe &&
+          (cycle_reg_ >= frame->regs.size() ||
+           frame->regs[cycle_reg_] == cycle_reg_value_) &&
+          (cycle_byte_ == nullptr || *cycle_byte_ == cycle_byte_value_))
+          [[unlikely]] {
+        CycleEntry();
+        probe = cycle_block_;
+      }
     }
   }
   return result_;

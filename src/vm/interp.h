@@ -60,7 +60,8 @@ inline bool IsVulnerabilityCrash(TrapKind kind) {
 /// count is a multiple of this stride (and always at instruction 0), so
 /// a tripped token surfaces as TrapKind::kDeadline within at most this
 /// many further instructions. Fuel accounting stays exact: the stride
-/// applies only to the wall-clock poll and the cycle-skip probe.
+/// applies only to the wall-clock poll and to the cycle detector's
+/// choice of probe point, whose comparisons run at block entries.
 inline constexpr std::uint64_t kInterpCheckStride = 1024;
 
 struct ExecOptions {
@@ -72,13 +73,14 @@ struct ExecOptions {
   /// TrapKind::kDeadline.
   support::CancelToken cancel;
   /// Exact-cycle fast-forward for hung programs (CWE-835 loops burn the
-  /// whole fuel budget otherwise). At instruction-count checkpoints the
-  /// interpreter arms a deep snapshot of the complete machine state
-  /// (frames, heap, allocator cursor, file position) plus every
-  /// observer's serialized state; when a later checkpoint matches the
-  /// snapshot *exactly*, execution is deterministic and must repeat, so
-  /// the instruction counter jumps forward a whole number of periods and
-  /// the residual runs normally to the fuel trap. The final ExecResult —
+  /// whole fuel budget otherwise). A stride poll picks a block (at the
+  /// top frame's depth); its next entry arms a deep snapshot of the
+  /// complete machine state (frames, heap, allocator cursor, file
+  /// position) plus every observer's serialized state, and when a later
+  /// entry matches the snapshot *exactly*, execution is deterministic
+  /// and must repeat, so the instruction counter jumps forward a whole
+  /// number of periods and the residual runs normally to the fuel trap.
+  /// The period need not be a multiple of kInterpCheckStride. The final ExecResult —
   /// trap, backtrace, instruction count, observer state — is
   /// byte-identical to the unskipped run; only wall-clock changes. The
   /// skip disables itself when any attached observer does not implement
@@ -210,15 +212,18 @@ class Interpreter {
   void SetTrap(TrapKind kind, std::uint64_t fault_addr, std::string message);
   void CaptureBacktrace();
 
-  /// Fuel check plus the strided CancelToken poll and cycle probe.
-  /// Called at the start of each segment (see Run). Returns false after
-  /// recording kFuelExhausted/kDeadline.
+  /// Fuel check plus the strided CancelToken poll and the cycle
+  /// detector's probe-point choice. Called at the start of each segment
+  /// (see Run). Returns false after recording kFuelExhausted/kDeadline.
   bool CheckInterrupts();
-  /// Cycle-skip probe, fired at kInterpCheckStride-aligned instruction
-  /// counts. Arms snapshots on a Brent doubling schedule and
-  /// fast-forwards on an exact state match.
-  void CycleProbe();
-  bool CycleStateEquals() const;
+  /// Cycle skip, at kInterpCheckStride-aligned counts: picks the probe
+  /// point (cycle_block_) on a Brent doubling schedule.
+  void CyclePoll();
+  /// Cycle skip, at each transfer into cycle_block_: arms the snapshot
+  /// at the probe point's first entry and fast-forwards on an exact
+  /// state match at a later one.
+  void CycleEntry();
+  bool CycleStateEquals();
   void CycleArm();
   /// Executes one non-terminator instruction. The caller has counted it
   /// and advanced frame.ip past it (trap backtraces record ip+1).
@@ -245,6 +250,18 @@ class Interpreter {
   /// cycle_skip off).
   struct CycleDetector;
   std::unique_ptr<CycleDetector> cycle_;
+  /// The block whose entries the detector probes; null while there is
+  /// none, so Run's per-transfer test is one pointer compare.
+  const Block* cycle_block_ = nullptr;
+  /// What broke the last compare, with the snapshot's value of it: a
+  /// top-frame register (kNoCycleReg: none) and a heap byte (null:
+  /// none). An entry that differs there is rejected in Run without a
+  /// call, so a loop that never repeats pays O(1) per entry.
+  static constexpr std::size_t kNoCycleReg = ~std::size_t{0};
+  std::size_t cycle_reg_ = kNoCycleReg;
+  std::uint64_t cycle_reg_value_ = 0;
+  const std::uint8_t* cycle_byte_ = nullptr;
+  std::uint8_t cycle_byte_value_ = 0;
 
   ExecResult result_;
 };

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -189,6 +190,126 @@ TEST(CycleSkip, SnapshotlessObserverDisablesTheSkip) {
   // a fast-forward would have cut the count by orders of magnitude.
   EXPECT_EQ(counts[1], counts[0]);
   EXPECT_GT(counts[1], 25'000u);
+}
+
+/// Counts every retired instruction through the event stream (OnInstr,
+/// plus the transfer, call and return events that stand for jumps,
+/// branches, calls and returns) and snapshots as stateless, so the
+/// skip stays on: the count is what the machine really executed.
+class RetiredCounter : public ExecutionObserver {
+ public:
+  void OnInstr(FuncId, BlockId, std::size_t, const Instr&, std::uint64_t,
+               std::uint64_t) override {
+    ++retired;
+  }
+  void OnCallEnter(FuncId, std::span<const std::uint64_t>,
+                   const Instr* call_site) override {
+    if (call_site != nullptr) ++retired;  // the entry frame is no call
+  }
+  void OnCallExit(FuncId, std::uint64_t, bool, Reg, Reg) override {
+    ++retired;
+  }
+  void OnBlockTransfer(FuncId, BlockId, BlockId) override { ++retired; }
+  bool SnapshotState(std::vector<std::uint8_t>*) const override {
+    return true;
+  }
+  std::uint64_t retired = 0;
+};
+
+/// Hung loops whose periods are not multiples of the 1024-instruction
+/// poll, each with the period and an upper bound on its warm-up (the
+/// instructions before the loop state first repeats).
+struct HungShape {
+  const char* name;
+  const char* source;
+  std::uint64_t period;
+  std::uint64_t warmup;
+};
+
+const HungShape kOddHangs[] = {
+    {"period 5",
+     "  func main()\n"
+     "  L0:\n"
+     "    movi %a, 1\n"
+     "    jmp L1\n"
+     "  L1:\n"
+     "    movi %b, 7\n"
+     "    add %a, %b, %b\n"
+     "    movi %c, 3\n"
+     "    movi %a, 1\n"
+     "    jmp L1\n",
+     5, 8},
+    {"period 7",
+     "  func main()\n"
+     "  L0:\n"
+     "    jmp L1\n"
+     "  L1:\n"
+     "    movi %b, 7\n"
+     "    add %a, %b, %b\n"
+     "    movi %c, 3\n"
+     "    movi %d, 4\n"
+     "    xor %e, %c, %d\n"
+     "    movi %a, 1\n"
+     "    jmp L1\n",
+     7, 9},
+    // The generated fuel-loop hang: stride 2 over a 256-ring never
+    // reaches 255, so 128 iterations of 5 instructions repeat.
+    {"fuel-loop period 640",
+     "  func main()\n"
+     "    movi %stride, 2\n"
+     "    movi %mask, 255\n"
+     "    movi %target, 255\n"
+     "    movi %i, 0\n"
+     "    jmp walk\n"
+     "  walk:\n"
+     "    cmpeq %done, %i, %target\n"
+     "    br %done, fin, step\n"
+     "  step:\n"
+     "    add %i, %i, %stride\n"
+     "    and %i, %i, %mask\n"
+     "    jmp walk\n"
+     "  fin:\n"
+     "    ret %i\n",
+     640, 8},
+    // A period of 7 with a call in it: 4 movi, the call, leaf's ret and
+    // the jmp.
+    {"period 7 with a call",
+     "  func main()\n"
+     "  L0:\n"
+     "    jmp L1\n"
+     "  L1:\n"
+     "    movi %k, 1\n"
+     "    movi %k, 2\n"
+     "    movi %k, 3\n"
+     "    movi %k, 4\n"
+     "    call %r, leaf(%k)\n"
+     "    jmp L1\n"
+     "  func leaf(v)\n"
+     "    ret %v\n",
+     7, 8},
+};
+
+TEST(CycleSkip, HangIsFoundWithinOnePeriodOfItsWindow) {
+  // The probes compare at block entries, so a hang is confirmed one
+  // period after an arm that follows its warm-up, whatever the period
+  // is modulo the poll stride; polls alone would need lcm(period, 1024)
+  // and Brent's doubling on top.
+  for (const HungShape& shape : kOddHangs) {
+    const Program p = Assemble(shape.source);
+    for (const std::uint64_t fuel : {200'000ull, 200'003ull}) {
+      const ExecResult off = Execute(p, {}, /*cycle_skip=*/false, fuel);
+      ExecOptions exec;
+      exec.fuel = fuel;
+      RetiredCounter counter;
+      Interpreter interp(p, ByteView(Bytes{}), exec);
+      interp.AddObserver(&counter);
+      const ExecResult on = interp.Run();
+      ExpectSameResult(off, on, shape.name);
+      EXPECT_EQ(on.trap, TrapKind::kFuelExhausted) << shape.name;
+      EXPECT_LE(counter.retired, 2 * (shape.warmup + shape.period) + 2048)
+          << shape.name << " fuel " << fuel;
+    }
+  }
 }
 
 }  // namespace
@@ -447,6 +568,184 @@ TEST(SymCycleSkip, ReadLoopSkipsOnlyAfterEof) {
   ExpectSkipped(off, on);
   EXPECT_EQ(on.status, SymexStatus::kPocGenerated);
   EXPECT_EQ(on.poc.size(), opts.max_input_size);
+}
+
+TEST(SymCycleSkip, HangIsFoundWithinOnePeriodOfItsWindow) {
+  // As CycleSkip.HangIsFoundWithinOnePeriodOfItsWindow, for ℓ's hang in
+  // the stepper: every instruction stepped rather than jumped (the
+  // prefix to ep, the warm-up, the search for the period, one more
+  // period when it holds a call, and the residual) stays within
+  // 2·(warm-up + period) + 2048. The warm-up bound counts T's prefix.
+  struct Shape {
+    const char* name;
+    const char* body;
+    std::uint64_t period;
+  };
+  const Shape shapes[] = {
+      {"period 5",
+       "    jmp spin\n"
+       "  spin:\n"
+       "    movi %b, 7\n"
+       "    add %c, %b, %b\n"
+       "    movi %d, 3\n"
+       "    movi %e, 1\n"
+       "    jmp spin\n",
+       5},
+      {"fuel-loop period 640",
+       "    movi %stride, 2\n"
+       "    movi %mask, 255\n"
+       "    movi %target, 255\n"
+       "    movi %i, 0\n"
+       "    jmp walk\n"
+       "  walk:\n"
+       "    cmpeq %done, %i, %target\n"
+       "    br %done, fin, step\n"
+       "  step:\n"
+       "    add %i, %i, %stride\n"
+       "    and %i, %i, %mask\n"
+       "    jmp walk\n"
+       "  fin:\n"
+       "    ret %i\n",
+       640},
+      {"period 7 with a call",
+       "    jmp spin\n"
+       "  spin:\n"
+       "    movi %k, 1\n"
+       "    movi %k, 2\n"
+       "    movi %k, 3\n"
+       "    movi %k, 4\n"
+       "    call %r, leaf(%k)\n"
+       "    jmp spin\n"
+       "  func leaf(v)\n"
+       "    ret %v\n",
+       7},
+  };
+  constexpr std::uint64_t kWarmup = 32;
+  for (const Shape& shape : shapes) {
+    const Target t = HangInEp(shape.body);
+    for (const std::uint64_t cap : {200'000ull, 200'003ull}) {
+      const ExecutorOptions opts = SmallCaps(cap);
+      const SymexResult off = t.Generate(opts, false);
+      const SymexResult on = t.Generate(opts, true);
+      const std::string what =
+          std::string(shape.name) + " cap " + std::to_string(cap);
+      ExpectSameRun(off, on, what);
+      ExpectSkipped(off, on);
+      EXPECT_EQ(on.status, SymexStatus::kPocGenerated) << what;
+      EXPECT_LE(on.stats.instructions - on.stats.instructions_skipped,
+                2 * (kWarmup + shape.period) + 2048)
+          << what;
+    }
+  }
+}
+
+/// ℓ hangs in a 5-instruction period whose call pushes a frame of eight
+/// registers for one instruction (leaf's ret): the footprint peaks at
+/// one phase of five. 1024 is 4 mod 5, so the polls cycle through all
+/// five phases, and a jump must charge each skipped poll its own
+/// phase's footprint. `lead` movi instructions before the loop shift
+/// which phase the first poll meets.
+Target CallPeakHang(int lead) {
+  std::string body;
+  for (int i = 0; i < lead; ++i) body += "    movi %z, 0\n";
+  body +=
+      "    jmp spin\n"
+      "  spin:\n"
+      "    movi %k, 1\n"
+      "    movi %k, 2\n"
+      "    call %r, leaf(%k, %k, %k, %k, %k, %k, %k, %k)\n"
+      "    jmp spin\n"
+      "  func leaf(a, b, c, d, e, f, g, h)\n"
+      "    ret %a\n";
+  return HangInEp(body);
+}
+
+TEST(SymCycleSkip, SkippedPollsReadTheirPhasesFootprint) {
+  for (int lead = 0; lead < 5; ++lead) {
+    const Target t = CallPeakHang(lead);
+    const ExecutorOptions opts = SmallCaps(200'000);
+    const SymexResult off = t.Generate(opts, false);
+    const SymexResult on = t.Generate(opts, true);
+    const std::string what = "lead " + std::to_string(lead);
+    ExpectSameRun(off, on, what);
+    ExpectSkipped(off, on);
+    EXPECT_EQ(on.status, SymexStatus::kPocGenerated) << what;
+  }
+}
+
+TEST(SymCycleSkip, MemoryBudgetInsideThePeriodTripsOnTheSamePoll) {
+  // The budget sits one byte under the period's peak, above every other
+  // phase: the stepped run stops at the first poll that meets leaf's
+  // frame. The skip must stop short of that poll, never jump past it.
+  int jumped = 0;
+  for (int lead = 0; lead < 5; ++lead) {
+    const Target t = CallPeakHang(lead);
+    ExecutorOptions opts = SmallCaps(200'000);
+    const std::uint64_t peak = t.Generate(opts, false).stats.peak_memory_bytes;
+    opts.max_memory_bytes = peak - 1;
+    const SymexResult off = t.Generate(opts, false);
+    const SymexResult on = t.Generate(opts, true);
+    const std::string what = "lead " + std::to_string(lead);
+    ExpectSameRun(off, on, what);
+    EXPECT_EQ(on.status, SymexStatus::kBudget) << what;
+    EXPECT_EQ(on.detail, "memory budget exceeded") << what;
+    if (on.stats.instructions_skipped > 0) ++jumped;
+  }
+  // Where the first poll inside the loop misses the peak phase, the
+  // skip jumps whole periods up to the tripping poll.
+  EXPECT_GT(jumped, 0);
+}
+
+TEST(SymCycleSkip, ForkBeforeTheArmStillTripsTheLiveStateBudget) {
+  // ℓ calls leaf once, forks on a byte it reads, and both sides then
+  // hang in a loop that calls leaf. The fork puts the live-state budget
+  // over, so the first poll after it must stop the run. Where the poll
+  // before the fork landed in leaf, leaf's block is the probe point;
+  // the fork path enters the loop at its back edge, so the loop counts
+  // settle before leaf's next entry arms, and the probe matches before
+  // that poll: the skip must then jump nothing. `lead` moves the polls
+  // across every alignment.
+  for (int lead = 0; lead < 1024; ++lead) {
+    std::string body =
+        "    movi %n, 4\n"
+        "    alloc %p, %n\n"
+        "    movi %two, 2\n"
+        "    movi %f, 0\n";
+    // Past the first poll, which would trip before any probe is set.
+    for (int i = 0; i < 1100 + lead; ++i) body += "    movi %z, 0\n";
+    body +=
+        "    jmp head\n"
+        "  head:\n"
+        "    call %r, leaf(%n)\n"
+        "    br %f, tail, fork\n"
+        "  fork:\n"
+        "    movi %f, 1\n"
+        "    read %got, %p, %two\n"
+        "    load.1 %y, %p, 1\n"
+        "    movi %lim, 0x80\n"
+        "    cmpltu %c, %y, %lim\n"
+        "    br %c, lo, hi\n"
+        "  lo:\n"
+        "    jmp tail\n"
+        "  hi:\n"
+        "    jmp tail\n"
+        "  tail:\n"
+        "    jmp head\n"
+        "  func leaf(v)\n"
+        "    movi %a, 1\n"
+        "    movi %a, 2\n"
+        "    movi %a, 3\n"
+        "    ret %v\n";
+    const Target t = HangInEp(body);
+    ExecutorOptions opts = SmallCaps(200'000);
+    opts.max_live_states = 2;
+    const SymexResult off = t.Generate(opts, false);
+    const SymexResult on = t.Generate(opts, true);
+    const std::string what = "lead " + std::to_string(lead);
+    ExpectSameRun(off, on, what);
+    EXPECT_EQ(on.status, SymexStatus::kBudget) << what;
+    EXPECT_EQ(on.detail, "live-state budget exceeded (2 states)") << what;
+  }
 }
 
 TEST(SymCycleSkip, ArmedFaultStandsTheSkipDown) {

@@ -1215,6 +1215,14 @@ int CmdSoak(int argc, char** argv) {
                          "sockets and stamp files live there)\n");
     return 2;
   }
+  // Every leg creates its caches and sockets under DIR; a missing one
+  // would only surface as violations after the whole corpus ran.
+  std::error_code ec;
+  if (!std::filesystem::is_directory(o.workdir, ec)) {
+    std::fprintf(stderr, "soak: --workdir %s is not an existing directory\n",
+                 o.workdir.c_str());
+    return 2;
+  }
   core::SetGenPairLoader(&gen::LoadGeneratedPair);
   support::Tracer tracer;
   if (!trace_out.empty()) o.tracer = &tracer;
