@@ -80,8 +80,8 @@ struct ExecOptions {
   /// entry matches the snapshot *exactly*, execution is deterministic
   /// and must repeat, so the instruction counter jumps forward a whole
   /// number of periods and the residual runs normally to the fuel trap.
-  /// The period need not be a multiple of kInterpCheckStride. The final ExecResult —
-  /// trap, backtrace, instruction count, observer state — is
+  /// The period need not be a multiple of kInterpCheckStride. The final
+  /// ExecResult — trap, backtrace, instruction count, observer state — is
   /// byte-identical to the unskipped run; only wall-clock changes. The
   /// skip disables itself when any attached observer does not implement
   /// SnapshotState, or while fault injection is armed (skipping would
