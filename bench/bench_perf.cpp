@@ -47,7 +47,10 @@
 //               generated corpus's rung options, timed best-of-N under
 //               the defaults and under oracle::ShortcutsOff. Its report
 //               identity is gated as hostile_identical; the ratio is
-//               reported.
+//               reported, and hostile_stepped_instructions (symbolic
+//               instructions stepped rather than jumped to the θ cut;
+//               deterministic) says how soon the stepper decided the
+//               warm-up loop.
 //   fuel loop   the first fuel-loop (CWE-835 hang) generated pair, timed
 //               the same way. Its report identity is gated as
 //               fuel_loop_identical, and fuel_loop_stepped_instructions
@@ -179,6 +182,13 @@ GeneratedLeg TimeGeneratedLeg(const std::string& kind) {
   leg.identical = ReportsIdentical({leg.rep}, {oracle_rep}) &&
                   leg.rep.verdict == leg.pair.expected_verdict;
   return leg;
+}
+
+/// Symbolic instructions the leg's pair stepped rather than jumped
+/// (a cycle skip or a loop jump): deterministic.
+std::uint64_t SteppedInstructions(const GeneratedLeg& leg) {
+  return leg.rep.symex_stats.instructions -
+         leg.rep.symex_stats.instructions_skipped;
 }
 
 ForkCost MeasureForkCost(int iterations) {
@@ -460,10 +470,15 @@ int main(int argc, char** argv) {
   const GeneratedLeg hostile = TimeGeneratedLeg("symex-hostile");
   const double hostile_speedup =
       hostile.seconds > 0 ? hostile.oracle_seconds / hostile.seconds : 0;
+  const std::uint64_t hostile_stepped = SteppedInstructions(hostile);
   std::printf("hostile:      %.4f s defaults | %.4f s shortcuts off "
-              "(%.1fx, %s, reports %s)\n",
+              "(%.1fx, %s, %llu instructions stepped of %llu, reports "
+              "%s)\n",
               hostile.seconds, hostile.oracle_seconds, hostile_speedup,
               hostile.pair.pair.t_name.c_str(),
+              static_cast<unsigned long long>(hostile_stepped),
+              static_cast<unsigned long long>(
+                  hostile.rep.symex_stats.instructions),
               hostile.identical ? "byte-identical" : "DIVERGED");
 
   // -- Fuel-loop leg: one generated CWE-835 hang ----------------------------
@@ -471,9 +486,7 @@ int main(int argc, char** argv) {
   // and in the symbolic stepper. The stepper's stepped (not jumped)
   // instruction count is deterministic, so CI gates a ceiling on it.
   const GeneratedLeg fuel = TimeGeneratedLeg("fuel-loop");
-  const std::uint64_t fuel_stepped =
-      fuel.rep.symex_stats.instructions -
-      fuel.rep.symex_stats.instructions_skipped;
+  const std::uint64_t fuel_stepped = SteppedInstructions(fuel);
   std::printf("fuel loop:    %.4f s defaults | %.4f s shortcuts off "
               "(%s, %llu instructions stepped of %llu, reports %s)\n\n",
               fuel.seconds, fuel.oracle_seconds,
@@ -536,6 +549,7 @@ int main(int argc, char** argv) {
                  "  \"hostile_oracle_seconds\": %.4f,\n"
                  "  \"hostile_speedup\": %.2f,\n"
                  "  \"hostile_identical\": %s,\n"
+                 "  \"hostile_stepped_instructions\": %llu,\n"
                  "  \"fuel_loop_seconds\": %.4f,\n"
                  "  \"fuel_loop_oracle_seconds\": %.4f,\n"
                  "  \"fuel_loop_identical\": %s,\n"
@@ -556,7 +570,9 @@ int main(int argc, char** argv) {
                  pair14_identical ? "true" : "false",
                  pair14_theta480_seconds, pair14_theta480_status.c_str(),
                  hostile.seconds, hostile.oracle_seconds, hostile_speedup,
-                 hostile.identical ? "true" : "false", fuel.seconds,
+                 hostile.identical ? "true" : "false",
+                 static_cast<unsigned long long>(hostile_stepped),
+                 fuel.seconds,
                  fuel.oracle_seconds, fuel.identical ? "true" : "false",
                  static_cast<unsigned long long>(fuel_stepped),
                  smoke ? "true" : "false");

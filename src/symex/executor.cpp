@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -130,6 +132,11 @@ struct SymExecutor::Run {
   void RecordUnsat(std::string detail) {
     log.unsat = true;
     log.unsat_detail = std::move(detail);
+  }
+
+  static std::string InfeasibleDirection(vm::BlockId to) {
+    return "branch direction to block " + std::to_string(to) +
+           " is infeasible";
   }
 
   void NoteUnsat(SymState& s, std::string detail) {
@@ -333,6 +340,49 @@ struct SymExecutor::Run {
     return d ? *d : 0xFFFFFFFFull;
   }
 
+  // -- State compare ---------------------------------------------------------
+
+  /// The scalar part of a state, and the run counters, that neither a
+  /// repeating period nor a decided loop iteration may move. Both
+  /// detectors compare it as one value before anything deeper.
+  struct Scalars {
+    std::size_t frames = 0;
+    std::size_t mem = 0;  // memory cells
+    std::size_t heap = 0;
+    std::uint64_t cursor = 0;
+    std::uint64_t file_pos = 0;
+    std::uint64_t required_size = 0;
+    std::uint32_t depth_inside = 0;
+    std::uint32_t ep_count = 0;
+    bool fsize_observed = false;
+    // These containers only grow, so equal sizes mean nothing was added
+    // and FinalizeState would see exactly the same inputs.
+    std::size_t pinned = 0;
+    std::size_t read_offsets = 0;
+    std::size_t bunch_targets = 0;
+    std::uint64_t solver_steps = 0;
+    std::uint64_t states_created = 0;
+
+    friend bool operator==(const Scalars&, const Scalars&) = default;
+  };
+
+  Scalars ScalarsOf(const SymState& s) const {
+    return {.frames = s.frames.size(),
+            .mem = s.mem.size(),
+            .heap = s.heap.get().size(),
+            .cursor = s.cursor.next,
+            .file_pos = s.file_pos,
+            .required_size = s.required_size,
+            .depth_inside = s.depth_inside,
+            .ep_count = s.ep_count,
+            .fsize_observed = s.fsize_observed,
+            .pinned = s.pinned.size(),
+            .read_offsets = s.read_offsets.size(),
+            .bunch_targets = s.bunch_targets.size(),
+            .solver_steps = solver_steps_total,
+            .states_created = states_created_total};
+  }
+
   // -- Loop accounting -------------------------------------------------------
 
   /// Returns false (and kills the state) when traversing `from → to`
@@ -353,7 +403,420 @@ struct SymExecutor::Run {
         Die(s, StateDeath::kLoopDead);
         return false;
       }
+      if (&s == walk.state && LoopJump(s, {fn, from, to}, entry)) {
+        return false;
+      }
     }
+    return true;
+  }
+
+  // ---------------------------------------------------------------------
+  // Decided counting loops jump to the θ cut (ExecutorOptions::cycle_skip,
+  // DESIGN §13.6).
+  // ---------------------------------------------------------------------
+
+  using EdgeKey = SymState::LoopMap::key_type;
+
+  /// A back edge whose loop the jump may summarise, derived once per edge
+  /// from T's IR: one cycle from the edge's target (the header) back to
+  /// it through the edge, of register ALU instructions and jumps plus one
+  /// conditional branch whose other side leaves the cycle. The branch
+  /// tests an ordering compare of an induction register against a
+  /// register the loop never writes.
+  struct LoopShape {
+    enum class Reg : std::uint8_t {
+      kInvariant,  // never written in the loop
+      kInduction,  // written once per iteration, by addi r, r, imm
+      kScratch,    // written before it is read: dead at the header
+    };
+    std::vector<Reg> regs;
+    std::vector<std::pair<vm::Reg, std::uint64_t>> induction;  // reg, imm
+    /// The cycle's instructions from the header to the branch, in order.
+    std::vector<const vm::Instr*> to_branch;
+    const vm::Terminator* branch = nullptr;
+    vm::BlockId exit = 0;     // the side that leaves the cycle
+    bool exit_taken = false;  // ... is the branch's taken side
+    std::uint64_t steps = 0;  // instructions and terminators per iteration
+    std::uint64_t branch_step = 0;  // the branch's step, from 1
+    vm::Op compare = vm::Op::kNop;
+    vm::Reg counter = 0;  // the compared induction register
+    vm::Reg bound = 0;    // the invariant it is compared with
+    std::uint64_t step = 0;  // the counter's imm
+    bool counter_lhs = true;
+    bool counted = false;  // the compare runs after the counter's addi
+  };
+
+  /// Derived loop shapes by back edge; nullopt where the jump never fires.
+  std::map<EdgeKey, std::optional<LoopShape>> shapes;
+
+  static bool IsOrderingCompare(vm::Op op) {
+    return op == vm::Op::kCmpLtU || op == vm::Op::kCmpLeU ||
+           op == vm::Op::kCmpGtU || op == vm::Op::kCmpGeU;
+  }
+
+  std::optional<LoopShape> DeriveShape(const EdgeKey& edge) const {
+    using vm::Op;
+    const auto [fn, from, header] = edge;
+    const vm::Function& f = t.Fn(fn);
+    // Whether jumps alone lead from `b` to the header.
+    const auto rejoins = [&](vm::BlockId b) {
+      for (std::size_t n = 0; n <= f.blocks.size(); ++n) {
+        if (b == header) return true;
+        if (f.blocks[b].term.kind != vm::TermKind::kJump) return false;
+        b = f.blocks[b].term.target;
+      }
+      return false;
+    };
+    LoopShape sh;
+    std::vector<vm::BlockId> cycle;
+    for (vm::BlockId b = header;;) {
+      if (std::find(cycle.begin(), cycle.end(), b) != cycle.end()) {
+        return std::nullopt;
+      }
+      cycle.push_back(b);
+      const vm::Terminator& term = f.blocks[b].term;
+      vm::BlockId next = term.target;
+      if (term.kind == vm::TermKind::kBranch && sh.branch == nullptr) {
+        const bool taken_in = rejoins(term.target);
+        if (taken_in == rejoins(term.fallthrough)) return std::nullopt;
+        sh.branch = &term;
+        sh.exit_taken = !taken_in;
+        sh.exit = taken_in ? term.fallthrough : term.target;
+        next = taken_in ? term.target : term.fallthrough;
+      } else if (term.kind != vm::TermKind::kJump) {
+        return std::nullopt;
+      }
+      if (next == header) {
+        if (b != from) return std::nullopt;
+        break;
+      }
+      b = next;
+    }
+    if (sh.branch == nullptr ||
+        std::find(cycle.begin(), cycle.end(), sh.exit) != cycle.end()) {
+      return std::nullopt;
+    }
+    // The edge is the cycle's only back edge, so no other θ count moves.
+    for (std::size_t i = 0; i + 1 < cycle.size(); ++i) {
+      if (cfg.IsBackEdge(fn, cycle[i], cycle[i + 1])) return std::nullopt;
+    }
+
+    // One pass over the iteration's steps: which register each step
+    // reads first, and where each is written.
+    enum : std::uint8_t { kUntouched, kReadFirst, kWrittenFirst };
+    std::vector<std::uint8_t> first(f.num_regs, kUntouched);
+    std::vector<std::uint32_t> writes(f.num_regs, 0);
+    std::vector<const vm::Instr*> writer(f.num_regs, nullptr);
+    std::vector<std::uint64_t> written_at(f.num_regs, 0);  // last, from 1
+    std::vector<std::uint64_t> at_branch;  // written_at when the branch ran
+    const auto read = [&](vm::Reg r) {
+      if (first[r] == kUntouched) first[r] = kReadFirst;
+    };
+    std::vector<ExprRef> probe(f.num_regs, MakeConst(0));
+    for (const vm::BlockId id : cycle) {
+      const vm::Block& block = f.blocks[id];
+      for (const vm::Instr& ins : block.instrs) {
+        ++sh.steps;
+        // StepAlu on scratch registers accepts exactly the ops that
+        // neither trap nor constrain.
+        if (!StepAlu(probe, ins)) return std::nullopt;
+        if (ins.op == Op::kNop) continue;
+        if (ins.op != Op::kMovImm) read(ins.b);
+        if (vm::GetOpInfo(ins.op).is_binary_alu) read(ins.c);
+        if (first[ins.a] == kUntouched) first[ins.a] = kWrittenFirst;
+        ++writes[ins.a];
+        writer[ins.a] = &ins;
+        written_at[ins.a] = sh.steps;
+        if (at_branch.empty()) sh.to_branch.push_back(&ins);
+      }
+      ++sh.steps;
+      if (&block.term == sh.branch) {
+        read(block.term.cond);
+        sh.branch_step = sh.steps;
+        at_branch = written_at;
+      }
+    }
+
+    sh.regs.assign(f.num_regs, LoopShape::Reg::kInvariant);
+    for (vm::Reg r = 0; r < f.num_regs; ++r) {
+      if (writes[r] == 0) continue;
+      if (first[r] == kWrittenFirst) {
+        sh.regs[r] = LoopShape::Reg::kScratch;
+      } else if (writes[r] == 1 && writer[r]->op == Op::kAddImm &&
+                 writer[r]->b == r) {
+        sh.regs[r] = LoopShape::Reg::kInduction;
+        sh.induction.emplace_back(r, writer[r]->imm);
+      } else {
+        return std::nullopt;  // carries a value across iterations
+      }
+    }
+
+    // The condition's last write before the branch is the compare.
+    const vm::Reg cond = sh.branch->cond;
+    if (at_branch[cond] == 0) return std::nullopt;
+    const vm::Instr* cmp = nullptr;
+    for (const vm::Instr* ins : sh.to_branch) {
+      if (ins->a == cond) cmp = ins;
+    }
+    if (!IsOrderingCompare(cmp->op)) return std::nullopt;
+    const auto is = [&](vm::Reg r, LoopShape::Reg kind) {
+      return sh.regs[r] == kind;
+    };
+    if (is(cmp->b, LoopShape::Reg::kInduction) &&
+        is(cmp->c, LoopShape::Reg::kInvariant)) {
+      sh.counter = cmp->b;
+      sh.bound = cmp->c;
+    } else if (is(cmp->c, LoopShape::Reg::kInduction) &&
+               is(cmp->b, LoopShape::Reg::kInvariant)) {
+      sh.counter = cmp->c;
+      sh.bound = cmp->b;
+      sh.counter_lhs = false;
+    } else {
+      return std::nullopt;
+    }
+    sh.compare = cmp->op;
+    sh.step = writer[sh.counter]->imm;
+    sh.counted = at_branch[sh.counter] != 0 &&
+                 at_branch[sh.counter] < at_branch[cond];
+    return sh;
+  }
+
+  /// The counter value `node` compares when it is what the loop's
+  /// continue side appends: the shape's compare of a constant with
+  /// `bound`, under `== 0` when the continue side is the fallthrough.
+  static std::optional<std::uint64_t> ContinueCounter(const Expr* node,
+                                                      const LoopShape& sh,
+                                                      const Expr* bound) {
+    if (sh.exit_taken) {
+      if (node->kind != ExprKind::kBinOp || node->op != vm::Op::kCmpEq ||
+          !node->rhs->IsConst() || node->rhs->value != 0) {
+        return std::nullopt;
+      }
+      node = node->lhs.get();
+    }
+    if (node->kind != ExprKind::kBinOp || node->op != sh.compare) {
+      return std::nullopt;
+    }
+    const Expr* counter = sh.counter_lhs ? node->lhs.get() : node->rhs.get();
+    const Expr* other = sh.counter_lhs ? node->rhs.get() : node->lhs.get();
+    if (other != bound || !counter->IsConst()) return std::nullopt;
+    return counter->value;
+  }
+
+  /// The exit side's constraint in iteration `n` from now (n >= 1): the
+  /// cycle's instructions up to the branch, run on the state's registers
+  /// with each induction n - 1 steps on.
+  static ExprRef ExitConstraint(const std::vector<ExprRef>& now,
+                                const LoopShape& sh, std::uint64_t n) {
+    std::vector<ExprRef> regs = now;
+    for (const auto& [r, imm] : sh.induction) {
+      regs[r] = MakeConst(now[r]->value + (n - 1) * imm);
+    }
+    for (const vm::Instr* ins : sh.to_branch) StepAlu(regs, *ins);
+    const ExprRef& cond = regs[sh.branch->cond];
+    return sh.exit_taken ? cond
+                         : MakeBinOp(vm::Op::kCmpEq, cond, MakeConst(0));
+  }
+
+  /// True when v + k·imm (imm in two's complement) leaves the 64-bit
+  /// range, unsigned or signed, for some k in [0, n].
+  static bool Wraps(std::uint64_t v, std::uint64_t imm, std::uint64_t n) {
+    const bool down = static_cast<std::int64_t>(imm) < 0;
+    const std::uint64_t mag = down ? 0 - imm : imm;
+    if (mag > std::numeric_limits<std::uint64_t>::max() / n) return true;
+    const std::uint64_t span = mag * n;
+    constexpr std::uint64_t kSignedMin = std::uint64_t{1} << 63;
+    constexpr std::uint64_t kSignedMax = kSignedMin - 1;
+    // Modulo 2^64 these are the true distances to each range's ends.
+    const std::uint64_t unsigned_room =
+        down ? v : std::numeric_limits<std::uint64_t>::max() - v;
+    const std::uint64_t signed_room = down ? v - kSignedMin : kSignedMax - v;
+    return span > unsigned_room || span > signed_room;
+  }
+
+  /// A vector's capacity after `pushes` more push_backs onto `size`
+  /// elements: doubling when full, as SolveContext::Grow charges and as
+  /// libstdc++'s std::vector grows (an insert into a full vector of n
+  /// allocates 2n).
+  static std::size_t GrownCapacity(std::size_t capacity, std::size_t size,
+                                   std::uint64_t pushes) {
+    if (pushes == 0) return capacity;
+    if (capacity == 0) capacity = 1;
+    while (capacity < size + pushes) capacity *= 2;
+    return capacity;
+  }
+
+  /// The state RunState is stepping and the snapshot its last θ bump
+  /// left, O(registers) to take and to compare.
+  struct LoopWalk {
+    const SymState* state = nullptr;  // null: the jump is off this run
+    bool held = false;
+    /// The iterations since the snapshot were decided but the cut was
+    /// not: a fold that refutes the exit leaves the domain as it was, so
+    /// the range check would fail again until an iteration is not.
+    bool undecided = false;
+    EdgeKey edge;
+    std::uint32_t count = 0;
+    std::uint64_t instructions = 0;
+    Scalars scalars;
+    std::size_t appended = 0;
+    std::size_t distinct = 0;
+    std::uint64_t pooled = 0;
+    SolverCache::Stats queries;
+    std::vector<ExprRef> regs;
+  };
+  LoopWalk walk;
+
+  /// Runs when `edge`'s θ count has moved to entry.count <= θ in the
+  /// state RunState steps. Returns true when it killed the state at the
+  /// θ cut.
+  bool LoopJump(SymState& s, const EdgeKey& edge, SymState::LoopEntry& entry) {
+    LoopWalk& w = walk;
+    // After combining a loop-dead state is finalized; an armed fault
+    // counts solver steps the jump would skip.
+    if (s.combining_done || support::fault::armed()) {
+      w.held = false;
+      return false;
+    }
+    auto it = shapes.find(edge);
+    if (it == shapes.end()) it = shapes.emplace(edge, DeriveShape(edge)).first;
+    if (!it->second) return false;
+    const LoopShape& sh = *it->second;
+    const bool decided = w.held && w.edge == edge &&
+                         w.count + 1 == entry.count &&
+                         IterationDecided(s, sh);
+    if (!decided) {
+      w.undecided = false;
+    } else if (!w.undecided) {
+      if (JumpToCut(s, sh, entry)) return true;
+      w.undecided = true;
+    }
+    w.held = true;
+    w.edge = edge;
+    w.count = entry.count;
+    w.instructions = s.instructions;
+    w.scalars = ScalarsOf(s);
+    w.appended = s.solve_ctx.appended();
+    w.distinct = s.solve_ctx.size();
+    w.pooled = s.solve_ctx.pooled();
+    w.queries = cache.stats();
+    w.regs = s.frames.back().regs;
+    return false;
+  }
+
+  /// Whether the iteration since the snapshot is decided: exactly one
+  /// pass round the cycle that moved only the inductions, appended one
+  /// new unary constraint (the continue side's), created no state, left
+  /// the model pool as it was and asked two queries, one model-reuse
+  /// hit and one zero-step miss.
+  bool IterationDecided(const SymState& s, const LoopShape& sh) const {
+    const LoopWalk& w = walk;
+    const SolverCache::Stats& q = cache.stats();
+    if (s.instructions != w.instructions + sh.steps ||
+        ScalarsOf(s) != w.scalars ||
+        s.solve_ctx.appended() != w.appended + 1 ||
+        s.solve_ctx.size() != w.distinct + 1 ||
+        s.solve_ctx.pooled() != w.pooled || q.hits != w.queries.hits + 1 ||
+        q.misses != w.queries.misses + 1) {
+      return false;
+    }
+    const std::vector<ExprRef>& regs = s.frames.back().regs;
+    for (std::size_t r = 0; r < regs.size(); ++r) {
+      if (sh.regs[r] == LoopShape::Reg::kInvariant && regs[r] != w.regs[r]) {
+        return false;
+      }
+    }
+    for (const auto& [r, imm] : sh.induction) {
+      if (!regs[r]->IsConst() || !w.regs[r]->IsConst() ||
+          regs[r]->value != w.regs[r]->value + imm) {
+        return false;
+      }
+    }
+    const ExprRef& added = s.solve_ctx.Last();
+    const auto k = ContinueCounter(added.get(), sh, regs[sh.bound].get());
+    const std::uint64_t compared =
+        regs[sh.counter]->value - (sh.counted ? 0 : sh.step);
+    return k && *k == compared && FreeVars(added).size() == 1;
+  }
+
+  /// The jump itself, after a decided iteration: n = θ + 1 - count more
+  /// iterations would each refute the exit and take the continue side
+  /// until the θ cut kills the state. Two refutations decide them all:
+  /// the compare is monotone in the counter, which does not wrap, so
+  /// every exit set in between lies between two empty ones. Then each
+  /// continue constraint admits the whole domain, every fold is a no-op,
+  /// the same reuse candidate wins each time and each wipeout repeats.
+  /// The jump charges what stepping would: instructions, one hit and one
+  /// miss per iteration, the unsat detail, and the footprint the last
+  /// poll crossed would read. It declines (returns false) where a
+  /// crossed poll or the per-state fuel would stop the stepped run.
+  bool JumpToCut(SymState& s, const LoopShape& sh,
+                 SymState::LoopEntry& entry) {
+    const std::vector<ExprRef>& regs = s.frames.back().regs;
+    const std::uint64_t n = std::uint64_t{opts.theta} + 1 - entry.count;
+    for (const auto& [r, imm] : sh.induction) {
+      if (Wraps(regs[r]->value, imm, n)) return false;
+    }
+    const std::uint32_t var = *FreeVars(s.solve_ctx.Last()).begin();
+    const auto refuted = [&](std::uint64_t i) {
+      const ExprRef exit = ExitConstraint(regs, sh, i);
+      const SortedSmallSet<std::uint32_t>& vars = FreeVars(exit);
+      return vars.size() == 1 && *vars.begin() == var &&
+             s.solve_ctx.Refutes(exit);
+    };
+    if (!refuted(1) || !refuted(n)) return false;
+    // A continue constraint already on the path would append as a
+    // repeat: no layer entry and no fold, so a different footprint.
+    const std::uint64_t first =
+        regs[sh.counter]->value + (sh.counted ? sh.step : 0);
+    const std::uint64_t last = first + (n - 1) * sh.step;
+    const std::uint64_t lo = std::min(first, last);
+    const std::uint64_t hi = std::max(first, last);
+    const std::vector<const Expr*>& applied = s.solve_ctx.Find(var)->applied;
+    for (const Expr* node : applied) {
+      const auto k = ContinueCounter(node, sh, regs[sh.bound].get());
+      if (k && *k >= lo && *k <= hi) return false;
+    }
+
+    const std::uint64_t skip = n * sh.steps;
+    if (s.instructions + skip - 1 > opts.max_state_instructions) return false;
+    // The footprint only grows along the walk, so the last poll crossed
+    // reads the most: it alone decides the budgets and the peak.
+    const std::uint64_t g = instructions_total;
+    const std::uint64_t poll = (g + skip) / kPollStride * kPollStride;
+    if (poll > g) {
+      if (live_states > opts.max_live_states || poll > opts.max_instructions) {
+        return false;
+      }
+      // The state the poll reads, p steps on, has run `rounds` branches:
+      // two branch charges and one append of a new unary constraint on
+      // `var` each.
+      const std::uint64_t p = poll - 1 - g;
+      const std::uint64_t rounds =
+          p / sh.steps + (p % sh.steps >= sh.branch_step ? 1 : 0);
+      const SolveContext& ctx = s.solve_ctx;
+      const std::size_t footprint =
+          s.FootprintBytes() + rounds * SymState::kConstraintBytes +
+          (GrownCapacity(ctx.charged_capacity(), ctx.appended(), rounds) -
+           ctx.charged_capacity()) *
+              sizeof(ExprRef) +
+          (GrownCapacity(applied.capacity(), applied.size(), rounds) -
+           applied.capacity()) *
+              sizeof(const Expr*);
+      const std::uint64_t mem = queued_footprint + footprint;
+      if (mem > opts.max_memory_bytes) return false;
+      peak_memory_bytes = std::max(peak_memory_bytes, mem);
+    }
+
+    s.instructions += skip;
+    instructions_total += skip;
+    instructions_skipped += skip;
+    cache.CountSkipped(n, n);
+    RecordUnsat(InfeasibleDirection(sh.exit));
+    entry.last_constraint_count = s.solve_ctx.appended() + n;
+    entry.count = opts.theta + 1;
+    log.loop_dead = true;
+    Die(s, StateDeath::kLoopDead);
     return true;
   }
 
@@ -543,7 +1006,8 @@ struct SymExecutor::Run {
   /// point on Brent's doubling schedule: the block the top frame is in,
   /// at its depth. The next entry to that block arms a deep snapshot and
   /// each later entry compares against it, until the window has run and
-  /// a poll picks a new point with twice the window. Expressions are
+  /// a poll picks a new point with twice the window. The first entry
+  /// that differs re-arms the snapshot, once per window. Expressions are
   /// hash-consed and the run's InternScope keeps every node alive, so
   /// registers and memory compare by ExprRef pointer.
   struct CycleSnapshot {
@@ -553,6 +1017,7 @@ struct SymExecutor::Run {
     std::uint64_t window = kPollStride;
     std::uint64_t limit = 0;  // re-target at the first poll at or past
     bool armed = false;
+    bool rearmed = false;  // this window's one re-arm is spent
     std::uint64_t arm_instr = 0;  // s.instructions at the snapshot
     // After a match: the period, and what a poll in it would read as
     // the state's footprint. That is one value for a period without a
@@ -572,24 +1037,12 @@ struct SymExecutor::Run {
     // FootprintBytes, which feeds OverBudget and peak_memory_bytes.
     SymState::HeapMap heap;
     SymState::LoopMap loop_counts;
-    std::uint64_t cursor = 0;
-    std::uint64_t file_pos = 0;
-    std::uint64_t required_size = 0;
-    std::uint32_t depth_inside = 0;
-    std::uint32_t ep_count = 0;
-    bool fsize_observed = false;
-    // These containers only grow, so equal sizes mean nothing was added
-    // and FinalizeState would see exactly the same inputs.
-    std::size_t constraints = 0;
-    std::size_t pinned = 0;
-    std::size_t read_offsets = 0;
-    std::size_t bunch_targets = 0;
-    // What the period may not have touched outside the state: the
-    // memory gauge, the solver counters and the worklist.
+    Scalars scalars;
+    std::size_t constraints = 0;  // appended: only grows
+    // What the period may not have touched outside the state and the
+    // scalars: the memory gauge and the solver's hit/miss counters.
     std::size_t footprint = 0;
     std::uint64_t solver_queries = 0;
-    std::uint64_t solver_steps = 0;
-    std::uint64_t states_created = 0;
     // Calls made by the run: a period without one keeps its footprint.
     std::uint64_t calls = 0;
   };
@@ -611,38 +1064,19 @@ struct SymExecutor::Run {
     });
     d.heap = s.heap.get();
     d.loop_counts = s.loop_counts.get();
-    d.cursor = s.cursor.next;
-    d.file_pos = s.file_pos;
-    d.required_size = s.required_size;
-    d.depth_inside = s.depth_inside;
-    d.ep_count = s.ep_count;
-    d.fsize_observed = s.fsize_observed;
+    d.scalars = ScalarsOf(s);
     d.constraints = s.solve_ctx.appended();
-    d.pinned = s.pinned.size();
-    d.read_offsets = s.read_offsets.size();
-    d.bunch_targets = s.bunch_targets.size();
     d.footprint = s.FootprintBytes();
     d.solver_queries = SolverQueries();
-    d.solver_steps = solver_steps_total;
-    d.states_created = states_created_total;
     d.calls = calls_total;
   }
 
   bool CycleStateEquals(const SymState& s, CycleSnapshot& d) const {
     // Cheap reject first: scalars and sizes, then the cell that differed
     // last time; the deep compare only runs when those all agree.
-    if (s.file_pos != d.file_pos || s.cursor.next != d.cursor ||
-        s.required_size != d.required_size ||
-        s.depth_inside != d.depth_inside || s.ep_count != d.ep_count ||
-        s.fsize_observed != d.fsize_observed ||
+    if (ScalarsOf(s) != d.scalars ||
         s.solve_ctx.appended() != d.constraints ||
-        s.pinned.size() != d.pinned ||
-        s.read_offsets.size() != d.read_offsets ||
-        s.bunch_targets.size() != d.bunch_targets ||
-        SolverQueries() != d.solver_queries ||
-        solver_steps_total != d.solver_steps ||
-        states_created_total != d.states_created ||
-        s.mem.size() != d.mem.size()) {
+        SolverQueries() != d.solver_queries) {
       return false;
     }
     if (d.hint) {
@@ -700,6 +1134,7 @@ struct SymExecutor::Run {
     d.depth = s.frames.size();
     d.limit = s.instructions + d.window;
     d.armed = false;
+    d.rearmed = false;
   }
 
   /// Runs before each instruction while a probe point is set, with the
@@ -722,7 +1157,17 @@ struct SymExecutor::Run {
       CycleArm(s, d);
       return;
     }
-    if (!CycleStateEquals(s, d) || support::fault::armed()) return;
+    if (!CycleStateEquals(s, d)) {
+      // A state that settles one iteration after the arm (a loop count
+      // that moves on its first traversal) never matches that snapshot:
+      // re-arm once per window, at the first entry that differs.
+      if (!d.rearmed) {
+        d.rearmed = true;
+        CycleArm(s, d);
+      }
+      return;
+    }
+    if (support::fault::armed()) return;
     // Exact repeat: stepping is deterministic from a complete state, so
     // the state retraces this period until a limit stops it.
     d.period = s.instructions - d.arm_instr;
@@ -790,6 +1235,8 @@ struct SymExecutor::Run {
   bool RunState(SymState s, SymexResult* result) {
     CycleSnapshot cycle;
     cycle.live = opts.cycle_skip && goal == Goal::kGeneratePoc;
+    walk.state = opts.cycle_skip && directed ? &s : nullptr;
+    walk.held = false;
     while (s.death == StateDeath::kAlive) {
       if (cycle.block != nullptr) CycleVisit(s, cycle);
       if (s.instructions > opts.max_state_instructions) {
@@ -939,8 +1386,7 @@ struct SymExecutor::Run {
       for (Direction& d : dirs) {
         const SolveStatus st = BranchFeasible(s, d.constraint);
         if (st == SolveStatus::kUnsat) {
-          RecordUnsat("branch direction to block " +
-                             std::to_string(d.to) + " is infeasible");
+          RecordUnsat(InfeasibleDirection(d.to));
           continue;
         }
         // kUnknown/kCancelled directions stay in: the downstream query
@@ -990,19 +1436,8 @@ struct SymExecutor::Run {
   bool StepInstr(SymState& s, const vm::Instr& ins, SymexResult* result) {
     using vm::Op;
     auto& regs = s.frames.back().regs;
+    if (StepAlu(regs, ins)) return true;
     switch (ins.op) {
-      case Op::kMovImm:
-        regs[ins.a] = MakeConst(ins.imm);
-        return true;
-      case Op::kMov:
-        regs[ins.a] = regs[ins.b];
-        return true;
-      case Op::kNot:
-        regs[ins.a] = MakeNot(regs[ins.b]);
-        return true;
-      case Op::kAddImm:
-        regs[ins.a] = MakeBinOp(Op::kAdd, regs[ins.b], MakeConst(ins.imm));
-        return true;
       case Op::kDivU:
       case Op::kRemU: {
         const auto div = EvalPartial(regs[ins.c], s.pinned);
@@ -1127,20 +1562,45 @@ struct SymExecutor::Run {
       case Op::kTrap:
         Die(s, StateDeath::kTrapped);
         return false;
-      case Op::kNop:
-        return true;
       case Op::kCall:
       case Op::kICall:
         return StepCall(s, ins, result);
       default:
-        // Classified via the shared metadata table (vm/op_info.h) so the
-        // symbolic dispatch cannot drift from the interpreter's.
-        if (vm::GetOpInfo(ins.op).is_binary_alu) {
-          regs[ins.a] = MakeBinOp(ins.op, regs[ins.b], regs[ins.c]);
-          return true;
-        }
         Die(s, StateDeath::kTrapped);
         return false;
+    }
+  }
+
+  /// The register-only instructions, which neither trap nor constrain:
+  /// writes regs[ins.a] and returns true, or returns false for any other
+  /// op. The loop jump builds its exit constraints through this too, so
+  /// each node is the one stepping builds.
+  static bool StepAlu(std::vector<ExprRef>& regs, const vm::Instr& ins) {
+    using vm::Op;
+    switch (ins.op) {
+      case Op::kMovImm:
+        regs[ins.a] = MakeConst(ins.imm);
+        return true;
+      case Op::kMov:
+        regs[ins.a] = regs[ins.b];
+        return true;
+      case Op::kNot:
+        regs[ins.a] = MakeNot(regs[ins.b]);
+        return true;
+      case Op::kAddImm:
+        regs[ins.a] = MakeBinOp(Op::kAdd, regs[ins.b], MakeConst(ins.imm));
+        return true;
+      case Op::kNop:
+        return true;
+      case Op::kDivU:
+      case Op::kRemU:  // traps on zero, constrains a symbolic divisor
+        return false;
+      default:
+        // Classified via the shared metadata table (vm/op_info.h) so the
+        // symbolic dispatch cannot drift from the interpreter's.
+        if (!vm::GetOpInfo(ins.op).is_binary_alu) return false;
+        regs[ins.a] = MakeBinOp(ins.op, regs[ins.b], regs[ins.c]);
+        return true;
     }
   }
 

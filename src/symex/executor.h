@@ -59,8 +59,11 @@ struct SymexStats {
   std::uint64_t peak_live_states = 0;
   /// Instructions stepped or fast-forwarded, over all states.
   std::uint64_t instructions = 0;
-  /// The part of `instructions` the exact-cycle skip jumped over
-  /// instead of stepping (ExecutorOptions::cycle_skip).
+  /// The part of `instructions` jumped over instead of stepped
+  /// (ExecutorOptions::cycle_skip): whole periods of an exact cycle
+  /// after combining, and the iterations of a decided counting loop up
+  /// to its θ cut before it. `instructions - instructions_skipped` is
+  /// what the stepper really executed.
   std::uint64_t instructions_skipped = 0;
   std::uint64_t solver_steps = 0;
   /// Solver shortcut effectiveness: queries answered by certified
@@ -119,12 +122,16 @@ struct ExecutorOptions {
   /// Symbolic input file size M: reads succeed below this bound and poc'
   /// is trimmed to the bytes actually required.
   std::uint64_t max_input_size = 4096;
-  /// Exact-cycle fast-forward for a state that keeps running through ℓ
-  /// after the final bunch (a CWE-835 hang): once its complete state
-  /// repeats with period P, whole periods are counted instead of
-  /// stepped. Answer-invisible — results and every SymexStats counter
-  /// but the interner hits equal the stepped run's — so it enters no
-  /// key; oracle::ShortcutsOff turns it off for the differential.
+  /// The stepper's two fast-forwards (DESIGN §13.4, §13.6). After the
+  /// final bunch, a state that keeps running through ℓ (a CWE-835
+  /// hang) counts whole periods instead of stepping them once its
+  /// complete state repeats. Before combining, in directed mode, a
+  /// counting loop whose iteration is decided (only induction
+  /// registers move, the exit is refuted from the next iteration to the
+  /// last before θ) dies loop-dead at the θ cut in one step.
+  /// Answer-invisible — results and every SymexStats counter but the
+  /// interner's equal the stepped run's — so it enters no key;
+  /// oracle::ShortcutsOff turns it off for the differential.
   bool cycle_skip = true;
   SolverOptions solver;
   /// Cooperative wall-clock bound over the whole symbolic run, polled in

@@ -25,6 +25,7 @@ SolveContext::SolveContext(const SolveContext& other)
       prefix_(other.prefix_),
       appended_(other.appended_),
       charged_capacity_(other.appended_),
+      pooled_(other.pooled_),
       domains_(other.domains_),
       models_(other.models_),
       certs_(other.certs_) {}
@@ -301,6 +302,7 @@ void SolveContext::Remember(const Model& model, Certificate cert) {
   }
   std::vector<Model>& models = models_.mut();
   models.push_back(model);
+  ++pooled_;
   certs_.push_back(std::move(cert));
   if (models.size() > kMaxModels) {
     models.erase(models.begin());

@@ -116,6 +116,8 @@ class SolveContext {
   std::size_t appended() const { return appended_; }
   /// Distinct path constraints: the layer's length.
   std::size_t size() const { return prefix_; }
+  /// The newest distinct path constraint (size() > 0).
+  const ExprRef& Last() const { return store_->entries[prefix_ - 1]; }
   /// Whether `node` is on the path.
   bool OnPath(const Expr* node) const;
 
@@ -185,6 +187,9 @@ class SolveContext {
   void NoteModel(const Model& model);
 
   const std::vector<Model>& recent_models() const { return models_.get(); }
+  /// Models pooled over this path's life, evicted ones included: equal
+  /// before and after a query means the query left the pool as it was.
+  std::uint64_t pooled() const { return pooled_; }
 
   /// The query (path plus `branch`) flattened for a search core.
   void Index(const ExprRef& branch, QueryIndex* out) const;
@@ -293,6 +298,7 @@ class SolveContext {
   std::uint32_t prefix_ = 0;  // the path's length: store_'s entries read
   std::uint32_t appended_ = 0;
   std::uint32_t charged_capacity_ = 0;
+  std::uint64_t pooled_ = 0;
 
   Cow<DomainMap> domains_;
   Cow<std::vector<Model>> models_;

@@ -151,6 +151,14 @@ class SolverCache {
 
   const Stats& stats() const { return stats_; }
 
+  /// Counts queries answered without asking them: the executor's loop
+  /// jump charges each iteration it does not step one model-reuse hit
+  /// and one branch-wipeout miss, what stepping it would have counted.
+  void CountSkipped(std::uint64_t hits, std::uint64_t misses) {
+    stats_.hits += hits;
+    stats_.misses += misses;
+  }
+
  private:
   Stats stats_;
 };

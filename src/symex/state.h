@@ -111,6 +111,10 @@ struct SymState {
   /// unsigned, would wrap on underflow).
   std::size_t queued_charge = 0;
 
+  /// What FootprintBytes charges per path constraint appended, besides
+  /// the path vector's slot.
+  static constexpr std::size_t kConstraintBytes = 40;
+
   /// Rough live-memory footprint in bytes, the Table IV "RAM" metric.
   /// Counts the state's own containers; storage shared with forked
   /// siblings (memory pages, the heap and loop-counter maps) is charged
@@ -128,7 +132,7 @@ struct SymState {
              heap.owners();
     bytes += loop_counts.get().size() * 64 / loop_counts.owners();
     bytes += solve_ctx.charged_capacity() * sizeof(ExprRef) +
-             solve_ctx.appended() * 40;
+             solve_ctx.appended() * kConstraintBytes;
     bytes += pinned.size() * 48;
     bytes += solve_ctx.FootprintBytes();
     bytes += bunch_targets.capacity() * sizeof(std::uint32_t);

@@ -30,7 +30,8 @@ std::string_view TrapName(TrapKind kind) {
 /// top frame is in, at its depth. The next entry to that block arms a
 /// deep snapshot of the machine plus every observer's serialized state,
 /// and each later entry compares against it, until the window has run
-/// and the next poll picks a new point with twice the window. A hung
+/// and the next poll picks a new point with twice the window. The first
+/// entry that differs re-arms the snapshot, once per window. A hung
 /// loop of period P is found P instructions after an arm that follows
 /// its warm-up in a window of at least P, whatever P is modulo the
 /// stride.
@@ -40,6 +41,7 @@ struct Interpreter::CycleDetector {
   std::uint64_t limit = 0;      // re-target at the first poll at or past
   std::uint64_t arm_instr = 0;  // instruction count of the snapshot
   bool armed = false;
+  bool rearmed = false;  // this window's one re-arm is spent
 
   std::vector<Frame> frames;
   std::map<std::uint64_t, Allocation> heap;
@@ -147,6 +149,7 @@ void Interpreter::CyclePoll() {
   d.depth = frames_.size();
   d.limit = now + d.window;
   d.armed = false;
+  d.rearmed = false;
 }
 
 void Interpreter::CycleEntry() {
@@ -157,7 +160,17 @@ void Interpreter::CycleEntry() {
     CycleArm();
     return;
   }
-  if (!CycleStateEquals() || support::fault::armed()) return;
+  if (!CycleStateEquals()) {
+    // A state that settles one iteration after the arm (a register that
+    // changes once) never matches that snapshot: re-arm once per window,
+    // at the first entry that differs.
+    if (!cycle_->rearmed) {
+      cycle_->rearmed = true;
+      CycleArm();
+    }
+    return;
+  }
+  if (support::fault::armed()) return;
   // Exact repeat: execution is deterministic from a complete state, so
   // the machine must retrace this period until fuel runs out. Jump the
   // counter a whole number of periods; the residual executes normally

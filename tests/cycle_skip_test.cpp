@@ -312,6 +312,54 @@ TEST(CycleSkip, HangIsFoundWithinOnePeriodOfItsWindow) {
   }
 }
 
+/// ℓ-free hang whose state settles one pass after the loop starts:
+/// %prev takes %cur's old value on the first pass and 5 from the second
+/// on. `lead` preamble iterations of three instructions place the loop's
+/// first entry at instruction 3 + 3·lead (plus `prefix` for the
+/// stepper's run up to ep).
+std::string SettlesLateLoop(int lead) {
+  return "    movi %i, 0\n"
+         "    movi %lim, " +
+         std::to_string(lead) +
+         "\n"
+         "    jmp pre\n"
+         "  pre:\n"
+         "    addi %i, %i, 1\n"
+         "    cmpltu %c, %i, %lim\n"
+         "    br %c, pre, spin\n"
+         "  spin:\n"
+         "    mov %prev, %cur\n"
+         "    movi %cur, 5\n"
+         "    nop\n"
+         "    nop\n"
+         "    jmp spin\n";
+}
+
+constexpr std::uint64_t kSettlesLatePeriod = 5;
+
+TEST(CycleSkip, StateThatSettlesAfterTheArmIsFoundInItsWindow) {
+  // The loop starts within two periods before the first poll, so the
+  // poll can fall in its first pass: the arm then lands on the entry
+  // before the state settles, and no later entry matches it. Re-arming
+  // at the first entry that differs finds the hang about one period
+  // later instead of in the next window (about 2048 instructions in).
+  for (int lead = 337; lead <= 340; ++lead) {
+    const Program p = Assemble("  func main()\n" + SettlesLateLoop(lead));
+    const ExecResult off = Execute(p, {}, /*cycle_skip=*/false, 200'000);
+    ExecOptions exec;
+    exec.fuel = 200'000;
+    RetiredCounter counter;
+    Interpreter interp(p, ByteView(Bytes{}), exec);
+    interp.AddObserver(&counter);
+    const ExecResult on = interp.Run();
+    const std::string what = "lead " + std::to_string(lead);
+    ExpectSameResult(off, on, what.c_str());
+    EXPECT_EQ(on.trap, TrapKind::kFuelExhausted) << what;
+    EXPECT_LE(counter.retired, kInterpCheckStride + 4 * kSettlesLatePeriod)
+        << what;
+  }
+}
+
 }  // namespace
 }  // namespace octopocs::vm
 
@@ -745,6 +793,25 @@ TEST(SymCycleSkip, ForkBeforeTheArmStillTripsTheLiveStateBudget) {
     ExpectSameRun(off, on, what);
     EXPECT_EQ(on.status, SymexStatus::kBudget) << what;
     EXPECT_EQ(on.detail, "live-state budget exceeded (2 states)") << what;
+  }
+}
+
+TEST(SymCycleSkip, StateThatSettlesAfterTheArmIsFoundInItsWindow) {
+  // As CycleSkip.StateThatSettlesAfterTheArmIsFoundInItsWindow, in ℓ.
+  // T steps 10 instructions to ep, so the loop starts at 13 + 3·lead
+  // (1012 to 1021).
+  for (int lead = 333; lead <= 336; ++lead) {
+    const Target t = HangInEp(vm::SettlesLateLoop(lead));
+    const ExecutorOptions opts = SmallCaps(200'000);
+    const SymexResult off = t.Generate(opts, false);
+    const SymexResult on = t.Generate(opts, true);
+    const std::string what = "lead " + std::to_string(lead);
+    ExpectSameRun(off, on, what);
+    ExpectSkipped(off, on);
+    EXPECT_EQ(on.status, SymexStatus::kPocGenerated) << what;
+    EXPECT_LE(on.stats.instructions - on.stats.instructions_skipped,
+              1024 + 5 * vm::kSettlesLatePeriod)
+        << what;
   }
 }
 
