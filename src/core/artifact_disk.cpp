@@ -166,6 +166,12 @@ DiskArtifactStore::~DiskArtifactStore() {
 }
 
 bool DiskArtifactStore::Put(const ArtifactKey& key, ByteView payload) {
+  if (!Append(key, payload)) return false;
+  Flush();
+  return true;
+}
+
+bool DiskArtifactStore::Append(const ArtifactKey& key, ByteView payload) {
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.count(key) != 0) return true;  // idempotent
   if (support::fault::Poll(support::FaultSite::kDiskStoreWrite) ||
@@ -191,7 +197,6 @@ bool DiskArtifactStore::Put(const ArtifactKey& key, ByteView payload) {
     ++stats_.store_errors;
     return false;
   }
-  ::fsync(fd_);
   log_bytes_ += record.size();
   entries_[key] = entry;
   ++stats_.stores;
@@ -225,7 +230,8 @@ bool DiskArtifactStore::Contains(const ArtifactKey& key) const {
 }
 
 void DiskArtifactStore::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
+  // Not under mu_: fd_ is fixed from Open to the destructor, and a Get
+  // or Append on another thread need not wait for the disk.
   if (fd_ >= 0) ::fsync(fd_);
 }
 
@@ -238,6 +244,7 @@ std::unique_ptr<DiskArtifactStore> DiskArtifactStore::Open(
 }
 DiskArtifactStore::~DiskArtifactStore() = default;
 bool DiskArtifactStore::Put(const ArtifactKey&, ByteView) { return false; }
+bool DiskArtifactStore::Append(const ArtifactKey&, ByteView) { return false; }
 std::optional<Bytes> DiskArtifactStore::Get(const ArtifactKey&) {
   return std::nullopt;
 }
@@ -300,12 +307,12 @@ std::optional<VerificationReport> GetReport(DiskArtifactStore& store,
 }
 
 bool PutReport(DiskArtifactStore& store, const ArtifactKey& key,
-               const VerificationReport& report) {
+               const VerificationReport& report, bool sync) {
   if (report.deadline_expired || report.exception_contained) return false;
   const std::string json = SerializeReport(report);
-  return store.Put(key, ByteView(reinterpret_cast<const std::uint8_t*>(
-                                     json.data()),
-                                 json.size()));
+  const ByteView payload(reinterpret_cast<const std::uint8_t*>(json.data()),
+                         json.size());
+  return sync ? store.Put(key, payload) : store.Append(key, payload);
 }
 
 }  // namespace octopocs::core

@@ -8,8 +8,10 @@
 //                         ("OCXR" | length u32 | key.hi u64 | key.lo u64
 //                         | FNV-1a u64 of the payload), then the payload
 //
-// Crash safety: every Put is one write of a whole record and one
-// fsync, and a failed write is cut off again, so the log is whole
+// Crash safety: every stored record is one write of a whole record,
+// then an fsync (Put does both; Append writes, and a later Flush syncs
+// every record appended before it, so serve can answer before the
+// fsync), and a failed write is cut off again, so the log is whole
 // records followed at worst by one torn record. Open() replays the
 // records from offset zero and truncates the log at the first break:
 // fewer than 32 bytes left, a wrong magic, a payload past the end of
@@ -60,11 +62,18 @@ class DiskArtifactStore {
   DiskArtifactStore(const DiskArtifactStore&) = delete;
   DiskArtifactStore& operator=(const DiskArtifactStore&) = delete;
 
-  /// Durably stores `payload` under `key`. Idempotent: a key already
-  /// present is left untouched (values for one key are byte-identical
-  /// by construction). Returns false on an I/O failure — the caller
-  /// degrades to cache-less operation, never crashes.
+  /// Durably stores `payload` under `key`: Append, then Flush.
+  /// Idempotent: a key already present is left untouched (values for
+  /// one key are byte-identical by construction). Returns false on an
+  /// I/O failure — the caller degrades to cache-less operation, never
+  /// crashes.
   bool Put(const ArtifactKey& key, ByteView payload);
+
+  /// Put without the fsync: the record is written and Get serves it at
+  /// once, and it is durable after the next Flush. A process kill in
+  /// between loses nothing (the kernel holds the write); a power cut may
+  /// tear it, and the next Open heals that tail.
+  bool Append(const ArtifactKey& key, ByteView payload);
 
   /// Returns the stored bytes, checksum-verified, or nullopt on miss
   /// (including a payload that no longer verifies).
@@ -72,8 +81,8 @@ class DiskArtifactStore {
 
   bool Contains(const ArtifactKey& key) const;
 
-  /// fsyncs the log (Put already syncs per record; this is the
-  /// drain-time belt and braces).
+  /// fsyncs the log. It does not take the store's lock, so a Get or an
+  /// Append on another thread never waits for the disk.
   void Flush();
 
   Stats stats() const;
@@ -115,8 +124,9 @@ std::optional<VerificationReport> GetReport(DiskArtifactStore& store,
 /// or fault verdict is a statement about one run, not about the pair.
 /// Every supervisor infrastructure failure and every drained pair sets
 /// one of the two flags, so none is ever stored. True when the report
-/// is now in the store.
+/// is now in the store. With `sync` false it is stored by Append, and
+/// the caller fsyncs it later with Flush.
 bool PutReport(DiskArtifactStore& store, const ArtifactKey& key,
-               const VerificationReport& report);
+               const VerificationReport& report, bool sync = true);
 
 }  // namespace octopocs::core

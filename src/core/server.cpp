@@ -182,6 +182,7 @@ bool Server::Start(std::string* error) {
   for (unsigned i = 0; i < options_.workers; ++i) {
     worker_threads_.emplace_back([this] { WorkerLoop(); });
   }
+  if (disk_ != nullptr) sync_thread_ = std::thread([this] { SyncLoop(); });
   return true;
 }
 
@@ -208,12 +209,15 @@ void Server::Drain() {
     draining_ = true;
   }
   cv_.notify_all();
+  sync_cv_.notify_all();
   listener_.Shutdown();  // Accept() returns -2, the accept loop exits
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
   for (auto& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
+  if (sync_thread_.joinable()) sync_thread_.join();
+  // Covers what the workers appended after the sync thread left.
   if (disk_ != nullptr) disk_->Flush();
   drained_.store(true, std::memory_order_release);
 }
@@ -324,6 +328,19 @@ void Server::WorkerLoop() {
   }
 }
 
+void Server::SyncLoop() {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      sync_cv_.wait(lock, [this] { return draining_ || sync_pending_; });
+      if (!sync_pending_) return;  // draining; Drain flushes the rest
+      sync_pending_ = false;
+    }
+    // One fsync covers every record appended before it started.
+    disk_->Flush();
+  }
+}
+
 PipelineOptions Server::RequestOptions(const ServeRequest& request) const {
   PipelineOptions opts = options_.pipeline;
   opts.tracer = options_.tracer;
@@ -394,9 +411,16 @@ void Server::ServeOne(Queued item) {
     }
     if (!report) {
       report = RunRequest(pair, opts);
-      if (disk_ != nullptr && PutReport(*disk_, key, *report)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.disk_stores;
+      // Appended before the answer, so a repeat of the request finds
+      // it; the sync thread fsyncs it, so no answer waits for the disk.
+      if (disk_ != nullptr &&
+          PutReport(*disk_, key, *report, /*sync=*/false)) {
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++stats_.disk_stores;
+          sync_pending_ = true;
+        }
+        sync_cv_.notify_one();
       }
     }
     responded = RespondReport(item.fd, *report);

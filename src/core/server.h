@@ -34,7 +34,9 @@
 // the store rule and key that `corpus --cache-dir` shares (ReportKey /
 // PutReport in core/artifact_disk.h): clean completions only, keyed by
 // content (programs, PoC, verdict-bearing options), which is what makes
-// cold-vs-warm verdicts byte-identical by construction.
+// cold-vs-warm verdicts byte-identical by construction. A cold report
+// is appended before its answer; a sync thread fsyncs it, one fsync for
+// every report appended since the last.
 //
 // Shutdown: Drain() (the SIGINT/SIGTERM path) stops accepting, lets
 // queued and in-flight requests finish and respond, flushes the disk
@@ -197,6 +199,10 @@ class Server {
 
   void AcceptLoop();
   void WorkerLoop();
+  /// fsyncs the disk tier whenever a worker has appended a report since
+  /// the last fsync, so neither a worker nor an answer waits for the
+  /// disk. Runs while there is a disk tier, until Drain.
+  void SyncLoop();
   /// Reads, parses and admits (or sheds) one connection's request.
   void HandleConnection(int fd);
   /// Runs one admitted request to a response. Never throws.
@@ -222,9 +228,12 @@ class Server {
   std::uint64_t next_seq_ = 0;
   std::uint64_t service_ms_ewma_ = 0;  // observed per-request service time
   ServeStats stats_;
+  std::condition_variable sync_cv_;
+  bool sync_pending_ = false;  // a report appended since the last fsync
 
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
+  std::thread sync_thread_;
   std::atomic<bool> started_{false};
   std::atomic<bool> drained_{false};
 };

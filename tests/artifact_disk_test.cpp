@@ -77,6 +77,46 @@ TEST(DiskArtifactStore, PutGetRoundTripAndIdempotence) {
   EXPECT_EQ(store->stats().misses, 1u);
 }
 
+// serve appends a cold report before it answers and flushes after: the
+// record must be readable before the fsync, and the log must be the
+// bytes Put would have written.
+TEST(DiskArtifactStore, AppendedRecordIsServedBeforeFlushAndMatchesPut) {
+  const std::string appended = TempDir("append");
+  const std::string put = TempDir("append_put");
+  const Bytes first = Payload("cold report");
+  const Bytes second = Payload("another report");
+  std::string error;
+  {
+    auto store = DiskArtifactStore::Open(appended, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Append(Key(1), ByteView(first)));
+    EXPECT_EQ(std::filesystem::file_size(LogPath(appended)),
+              kHeaderBytes + first.size());
+    const auto got = store->Get(Key(1));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, first);
+    EXPECT_TRUE(store->Append(Key(1), ByteView(first)));  // idempotent
+    ASSERT_TRUE(store->Append(Key(2), ByteView(second)));
+    EXPECT_EQ(store->stats().stores, 2u);
+    store->Flush();
+  }
+  {
+    auto store = DiskArtifactStore::Open(put, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Put(Key(1), ByteView(first)));
+    ASSERT_TRUE(store->Put(Key(2), ByteView(second)));
+  }
+  EXPECT_EQ(ReadFileBytes(LogPath(appended)), ReadFileBytes(LogPath(put)));
+
+  auto reopened = DiskArtifactStore::Open(appended, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->stats().loaded_records, 2u);
+  EXPECT_EQ(reopened->stats().healed_records, 0u);
+  const auto got = reopened->Get(Key(2));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, second);
+}
+
 TEST(DiskArtifactStore, EveryTruncationOfTheLogHealsOnReopen) {
   // Build a reference store with three artifacts, then replay every
   // possible torn write of the log — from an empty file through every
